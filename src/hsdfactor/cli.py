@@ -3,8 +3,12 @@
 Subcommands: box, paths, factorize, dims, kernel, verify (with suite
 selectors identities | path | box | theorem | induction | corollary).
 Exit codes: 0 success / all checks passed, 1 some verification check
-failed, 2 usage or resource error.  Reports are deterministic JSON
-(sorted keys); the wall-time field is the only varying part.
+failed, 2 usage or resource error, 3 internal error (an exact self-check
+of the engine failed, or an unexpected lookup or arithmetic error; printed
+as ``{"error": "internal", ...}``, with the traceback on stderr, so it is
+never read as a failed check).
+Reports are deterministic JSON (sorted keys); the wall-time field is the
+only varying part.
 """
 
 from __future__ import annotations
@@ -298,12 +302,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_non_negative(args):
+    for flag in ("degree", "cap"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise ValueError(f"--{flag} must be non-negative, got {value}")
+
+
 def run(argv) -> int:
     """Parse and execute one invocation; returns the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.time()
     try:
+        _check_non_negative(args)
         if args.command == "box":
             return _cmd_box(args, started)
         if args.command == "paths":
@@ -326,6 +338,12 @@ def run(argv) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}, sort_keys=True))
         return 2
+    except (AssertionError, KeyError, ArithmeticError) as exc:
+        import traceback  # only on this path: it would add to every start-up
+
+        traceback.print_exc(file=sys.stderr)
+        print(json.dumps({"error": "internal", "type": type(exc).__name__, "message": str(exc)}, sort_keys=True))
+        return 3
     return 2
 
 

@@ -1,7 +1,10 @@
 """Exact Gaussian-rational scalars a + b*i with Fraction components.
 
-Every computation in this package runs over these scalars (or plain
-Fractions); there is no floating point anywhere.
+These are the scalars of the sparse eliminations, the polynomial spaces
+and every public interface.  The dense matrices of `linalg.Mat` keep
+Gaussian-integer numerators over one common denominator instead, and
+hand out QQi at their boundary (entries, rows, traces, matrix-vector
+products).  There is no floating point anywhere.
 """
 
 from __future__ import annotations

@@ -128,13 +128,12 @@ class DerivOp:
                     coeff *= t
             if not ok:
                 continue
+            # distinct signatures land on distinct exponents beta
             beta = tuple(a - s for a, s in zip(alpha, sig))
             vec = mat.matvec(w)
-            scaled = [QQi(coeff) * v for v in vec]
-            if beta in out:
-                out[beta] = [x + y for x, y in zip(out[beta], scaled)]
-            else:
-                out[beta] = scaled
+            if coeff != 1:
+                vec = [QQi(v.re * coeff, v.im * coeff) for v in vec]
+            out[beta] = vec
         return {b: v for b, v in out.items() if any(v)}
 
 

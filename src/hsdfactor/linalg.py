@@ -1,12 +1,20 @@
 """Exact linear algebra over Gaussian rationals.
 
-Two representations are used: small dense matrices (gamma matrices,
-Casimir matrices, projectors) and sparse dict-rows for the large
-homogeneous-component eliminations (null spaces, membership solves).
-All pivoting is deterministic, so bases come out in a reproducible order.
+Two representations are used.  `Mat` holds the small matrices (gamma
+matrices, Casimir matrices, projectors, the coefficients of derivative
+operators) fraction-free: sparse rows of Gaussian-integer numerators over
+one reduced common denominator, so products and sums run on Python ints
+and divide once per operation, in the spirit of Bareiss's
+integer-preserving elimination.  The large homogeneous-component
+eliminations (null spaces, membership solves) use sparse dict-rows of
+QQi.  All pivoting is deterministic, so bases come out in a reproducible
+order.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .gaussian import QQi, QQI_ONE, QQI_ZERO
 
@@ -19,83 +27,186 @@ class ResourceCapError(RuntimeError):
     """An exact computation exceeded its configured size cap."""
 
 
-class Mat:
-    """Dense exact matrix; rows are lists of QQi."""
+def _common_den(values):
+    """Least common denominator of the components of some QQi."""
+    den = 1
+    for v in values:
+        den = lcm(den, v.re.denominator, v.im.denominator)
+    return den
 
-    __slots__ = ("rows", "nrows", "ncols")
+
+def _numerators(x, den):
+    """The Gaussian integer x * den as (re, im), for den a multiple of x's denominators."""
+    return x.re.numerator * (den // x.re.denominator), x.im.numerator * (den // x.im.denominator)
+
+
+def _qqi(re, im, den):
+    return QQi(Fraction(re, den), Fraction(im, den))
+
+
+class Mat:
+    """Dense-shaped exact matrix over the Gaussian rationals, stored fraction-free.
+
+    Row i is a sparse dict ``col -> (re, im)`` of Python ints, zero entries
+    absent, and entry (i, j) is ``(re + im*i) / den`` for one positive
+    common denominator ``den``.  ``den`` is reduced so that its gcd with
+    every numerator component is 1 (the zero matrix has ``den == 1``), which
+    makes the form canonical: equality and ``is_zero`` compare integers.
+    Products, sums and scalings run on integers and divide once, in that
+    reduction.  ``rows`` materialises the ``QQi`` view on demand.
+    """
+
+    __slots__ = ("num", "den", "nrows", "ncols")
 
     def __init__(self, rows):
-        self.rows = [[QQi.coerce(x) for x in row] for row in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged matrix")
+        dense = [[QQi.coerce(x) for x in row] for row in rows]
+        ncols = len(dense[0]) if dense else 0
+        if any(len(row) != ncols for row in dense):
+            raise ValueError("ragged matrix")
+        # the lcm of reduced denominators shares no prime with all the
+        # numerators, so this form is already canonical
+        den = _common_den(x for row in dense for x in row)
+        self.num = [{j: _numerators(x, den) for j, x in enumerate(row) if x} for row in dense]
+        self.den = den
+        self.nrows = len(dense)
+        self.ncols = ncols
+
+    @classmethod
+    def _reduced(cls, num, den, ncols):
+        """The matrix num / den, reduced to the canonical form."""
+        g = den
+        for row in num:
+            for re, im in row.values():
+                g = gcd(g, re, im)
+            if g == 1:
+                break
+        if g != 1:
+            num = [{j: (re // g, im // g) for j, (re, im) in row.items()} for row in num]
+            den //= g
+        out = object.__new__(cls)
+        out.num = num
+        out.den = den
+        out.nrows = len(num)
+        out.ncols = ncols
+        return out
 
     @staticmethod
     def zero(n, m):
-        return Mat([[QQI_ZERO] * m for _ in range(n)])
+        return Mat._reduced([{} for _ in range(n)], 1, m)
 
     @staticmethod
     def identity(n):
-        return Mat([[QQI_ONE if i == j else QQI_ZERO for j in range(n)] for i in range(n)])
+        return Mat._reduced([{i: (1, 0)} for i in range(n)], 1, n)
+
+    @property
+    def rows(self):
+        """The entries as lists of QQi (built on each access)."""
+        den = self.den
+        out = []
+        for row in self.num:
+            dense = [QQI_ZERO] * self.ncols
+            for j, (re, im) in row.items():
+                dense[j] = _qqi(re, im, den)
+            out.append(dense)
+        return out
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"index {ij} out of range for a {self.nrows}x{self.ncols} matrix")
+        entry = self.num[i].get(j)
+        return QQI_ZERO if entry is None else _qqi(*entry, self.den)
+
+    def _combine(self, other, sign):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} +- {other.nrows}x{other.ncols}")
+        den = lcm(self.den, other.den)
+        fa = den // self.den
+        fb = sign * (den // other.den)
+        out = []
+        for arow, brow in zip(self.num, other.num):
+            row = {j: (re * fa, im * fa) for j, (re, im) in arow.items()} if fa != 1 else dict(arow)
+            for j, (re, im) in brow.items():
+                cur = row.get(j)
+                if cur is None:
+                    row[j] = (re * fb, im * fb)
+                else:
+                    re = cur[0] + re * fb
+                    im = cur[1] + im * fb
+                    if re or im:
+                        row[j] = (re, im)
+                    else:
+                        del row[j]
+            out.append(row)
+        return Mat._reduced(out, den, self.ncols)
 
     def __add__(self, other):
-        return Mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return Mat([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return self._combine(other, -1)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c):
         c = QQi.coerce(c)
-        return Mat([[c * a for a in row] for row in self.rows])
+        cd = _common_den([c])
+        cr, ci = _numerators(c, cd)
+        if not (cr or ci):
+            return Mat.zero(self.nrows, self.ncols)
+        num = [
+            {j: (re * cr - im * ci, re * ci + im * cr) for j, (re, im) in row.items()}
+            for row in self.num
+        ]
+        return Mat._reduced(num, self.den * cd, self.ncols)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
             return self.scale(other)
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        nc = other.ncols
+        bnum = other.num
         out = []
-        for row in self.rows:
-            acc = [QQI_ZERO] * nc
-            for j, a in enumerate(row):
-                if not a:
-                    continue
-                brow = other.rows[j]
-                for t, b in enumerate(brow):
-                    if b:
-                        acc[t] = acc[t] + a * b
-            out.append(acc)
-        return Mat(out)
+        for arow in self.num:
+            acc = {}
+            for j, (ar, ai) in arow.items():
+                for t, (br, bi) in bnum[j].items():
+                    cur = acc.get(t)
+                    if cur is None:
+                        acc[t] = [ar * br - ai * bi, ar * bi + ai * br]
+                    else:
+                        cur[0] += ar * br - ai * bi
+                        cur[1] += ar * bi + ai * br
+            out.append({t: (re, im) for t, (re, im) in acc.items() if re or im})
+        return Mat._reduced(out, self.den * other.den, other.ncols)
 
     __rmul__ = scale
 
     def matvec(self, vec):
+        """The product with a column of Gaussian rationals, as a list of QQi."""
+        vec = [QQi.coerce(v) for v in vec]
+        vden = _common_den(vec)
+        vnum = [_numerators(v, vden) for v in vec]
+        den = self.den * vden
         out = []
-        for row in self.rows:
-            acc = QQI_ZERO
-            for a, b in zip(row, vec):
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
+        for row in self.num:
+            re = im = 0
+            for j, (ar, ai) in row.items():
+                br, bi = vnum[j]
+                re += ar * br - ai * bi
+                im += ar * bi + ai * br
+            out.append(_qqi(re, im, den))
         return out
 
     def is_zero(self):
-        return all(not x for row in self.rows for x in row)
+        return not any(self.num)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         return self.nrows == other.nrows and self.ncols == other.ncols and \
-            all(a == b for r1, r2 in zip(self.rows, other.rows) for a, b in zip(r1, r2))
+            self.den == other.den and self.num == other.num
 
     __hash__ = None
 
@@ -106,13 +217,17 @@ class Mat:
         return self * other + other * self
 
     def trace(self):
-        acc = QQI_ZERO
+        re = im = 0
         for i in range(min(self.nrows, self.ncols)):
-            acc = acc + self.rows[i][i]
-        return acc
+            entry = self.num[i].get(i)
+            if entry is not None:
+                re += entry[0]
+                im += entry[1]
+        return _qqi(re, im, self.den)
 
     def rank(self):
-        rows = [{j: x for j, x in enumerate(row) if x} for row in self.rows]
+        # the common denominator does not change the rank
+        rows = [{j: QQi(re, im) for j, (re, im) in row.items()} for row in self.num]
         return sparse_rank(rows, self.ncols)
 
     def __repr__(self):

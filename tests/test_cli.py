@@ -114,3 +114,30 @@ def test_json_file_and_determinism(tmp_path, capsys):
     d1.pop("wall_time_s")
     d2.pop("wall_time_s")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--mu", "1", "--m", "3", "--degree", "-1"],
+        ["verify", "identities", "--mu", "1", "--m", "3", "--degree", "-1"],
+        ["verify", "induction", "--mu", "1", "--m", "3", "--degree", "-1"],
+        ["verify", "corollary", "--mu", "1", "--m", "3", "--degree", "-1"],
+        ["dims", "--mu", "1", "--m", "3", "--cap", "-5"],
+        ["kernel", "--mu", "1", "--m", "3", "--degree", "1", "--cap", "-5"],
+    ],
+)
+def test_negative_degree_or_cap_is_usage_error(capsys, argv):
+    code, data = run_json(capsys, argv)
+    assert code == 2
+    assert data["error"] == "usage"
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(args, started):
+        raise AssertionError("projector is not idempotent")
+
+    monkeypatch.setattr(cli, "_cmd_box", broken)
+    code, data = run_json(capsys, ["box", "--mu", "2,1"])
+    assert code == 3
+    assert data == {"error": "internal", "type": "AssertionError", "message": "projector is not idempotent"}
