@@ -21,6 +21,7 @@ import time
 
 from .linalg import ResourceCapError
 from .opalgebra import (
+    WorkBudget,
     certificate_reexpands,
     expand_laplace_power,
     normal_form,
@@ -108,8 +109,9 @@ def _cmd_paths(args, started):
 
 def _cmd_factorize(args, started):
     mu = _parse_weight(args.mu, args.rank)
-    cert = expand_laplace_power(mu, args.power)
-    checks = [Check("certificate_reexpands", certificate_reexpands(cert), {})]
+    budget = WorkBudget(args.cap or None)
+    cert = expand_laplace_power(mu, args.power, budget)
+    checks = [Check("certificate_reexpands", certificate_reexpands(cert, budget), {})]
     if args.power > mu.entries[0]:
         checks.append(Check("residual_empty", cert.residual.is_zero(), {}))
         checks.append(
@@ -162,12 +164,15 @@ def _cmd_kernel(args, started):
 def _verify_path(args, started):
     mu = _parse_weight(args.mu, args.rank)
     cap = args.cap or 10000
-    pairs = [( _parse_weight(args.nu, args.rank), mu )] if args.nu else [(nu, mu) for nu in _dominants_below(mu)]
+    nus = [_parse_weight(args.nu, args.rank)] if args.nu else list(_dominants_below(mu))
+    for w in (mu, *nus):
+        if not is_dominant(w):
+            raise ValueError(f"{w} is not dominant")
     checks = []
     details = []
-    for nu, mu_ in pairs:
-        rep = verify_path_independence(nu, mu_, cap=cap)
-        checks.append(Check(f"paths_{nu}_{mu_}", rep.passed, {"count": rep.results["path_count"]}))
+    for nu in nus:
+        rep = verify_path_independence(nu, mu, cap=cap)
+        checks.append(Check(f"paths_{nu}_{mu}", rep.passed, {"count": rep.results["path_count"]}))
         details.append({"nu": nu, "paths": rep.results["path_count"]})
     report = Report(
         title="verify_path",

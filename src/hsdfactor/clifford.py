@@ -80,9 +80,6 @@ class CliffordElement:
 
     __hash__ = None
 
-    def grade_part(self, k):
-        return CliffordElement(self.m, {b: v for b, v in self.blades.items() if len(b) == k})
-
     def __repr__(self):
         if not self.blades:
             return "0"

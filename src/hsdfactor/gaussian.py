@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# operands taken besides QQi; others get NotImplemented, so QQi * Mat reaches Mat.__rmul__
+_RATIONAL = (int, Fraction)
 
 
 class QQi:
@@ -31,30 +31,36 @@ class QQi:
         return QQi(x)
 
     def __add__(self, other):
-        other = QQi.coerce(other)
+        if not isinstance(other, QQi):
+            return QQi(self.re + other, self.im) if isinstance(other, _RATIONAL) else NotImplemented
         return QQi(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = QQi.coerce(other)
+        if not isinstance(other, QQi):
+            return QQi(self.re - other, self.im) if isinstance(other, _RATIONAL) else NotImplemented
         return QQi(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return QQi.coerce(other) - self
+        return QQi(other) - self if isinstance(other, _RATIONAL) else NotImplemented
 
     def __neg__(self):
         return QQi(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = QQi.coerce(other)
+        if not isinstance(other, QQi):
+            return QQi(self.re * other, self.im * other) if isinstance(other, _RATIONAL) else NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
         return QQi(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = QQi.coerce(other)
+        if not isinstance(other, QQi):
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
+            other = QQi(other)
         c, d = other.re, other.im
         n = c * c + d * d
         if n == 0:
@@ -63,7 +69,7 @@ class QQi:
         return QQi((a * c + b * d) / n, (b * c - a * d) / n)
 
     def __rtruediv__(self, other):
-        return QQi.coerce(other) / self
+        return QQi(other) / self if isinstance(other, _RATIONAL) else NotImplemented
 
     def conj(self) -> "QQi":
         return QQi(self.re, -self.im)

@@ -40,6 +40,7 @@ from .weights import (
     is_dominant,
     manhattan_distance,
 )
+from .linalg import ResourceCapError
 from .reports import Check, Report
 
 
@@ -106,6 +107,11 @@ class OperatorWord:
                     raise ValueError(f"non-composable symbols {left} * {right}")
         elif self.target != self.source:
             raise ValueError("empty word must have equal endpoints")
+        # words are dict keys throughout; hashing one walks every symbol
+        object.__setattr__(self, "_hash", hash((self.target, self.source, self.syms, self.lap)))
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
         return (self.lap, len(self.syms), str(self))
@@ -115,6 +121,15 @@ class OperatorWord:
         if self.lap:
             parts.append(f"Lap[{self.source}]^{self.lap}")
         return "*".join(parts) if parts else f"Id[{self.source}]"
+
+
+def _accumulate(terms: dict, key, value):
+    """terms[key] += value, dropping the key when the sum cancels."""
+    acc = terms.get(key, Fraction(0)) + value
+    if acc:
+        terms[key] = acc
+    else:
+        terms.pop(key, None)
 
 
 class OperatorExpr:
@@ -154,11 +169,7 @@ class OperatorExpr:
             raise ValueError("cannot add expressions with different endpoints")
         terms = dict(self.terms)
         for word, coeff in other.terms.items():
-            acc = terms.get(word, Fraction(0)) + coeff
-            if acc:
-                terms[word] = acc
-            elif word in terms:
-                del terms[word]
+            _accumulate(terms, word, coeff)
         return OperatorExpr(terms, self.target, self.source)
 
     def __neg__(self):
@@ -185,11 +196,7 @@ class OperatorExpr:
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
                 word = OperatorWord(wa.target, wb.source, wa.syms + wb.syms, wa.lap + wb.lap)
-                acc = terms.get(word, Fraction(0)) + ca * cb
-                if acc:
-                    terms[word] = acc
-                elif word in terms:
-                    del terms[word]
+                _accumulate(terms, word, ca * cb)
         return OperatorExpr(terms, self.target, other.source)
 
     def __eq__(self, other):
@@ -284,10 +291,6 @@ def make_symbol(kind: str, *ws: Weight) -> OperatorExpr:
 # normal form
 
 
-def _dominant_entries(entries) -> bool:
-    return all(entries[i] >= entries[i + 1] for i in range(len(entries) - 1)) and entries[-1] >= 0
-
-
 def _word_normal_form(word: OperatorWord):
     """Return (sign, canonical word) or (0, None) when the word dies.
 
@@ -303,7 +306,9 @@ def _word_normal_form(word: OperatorWord):
     coordinate's internal order, and every such walk is determined
     pointwise by how many steps of each coordinate it has consumed.
     The chain therefore dies if and only if some count vector on that
-    grid lands on a non-dominant weight.
+    grid lands on a non-dominant weight.  Each dominance inequality links
+    two adjacent coordinates of that product grid, so with lo/hi the
+    extremes of each coordinate, it dies iff lo[c] < hi[c+1] or lo[n-1] < 0.
     """
     sign = 1
     n_hsd = 0
@@ -318,49 +323,20 @@ def _word_normal_form(word: OperatorWord):
     app_steps = [sym.step for sym in reversed(word.syms) if isinstance(sym, TwistorSym)]
     src = word.source.entries
 
-    per_coord: dict[int, list[int]] = {}
-    for idx, delta in app_steps:
-        per_coord.setdefault(idx, []).append(delta)
-    coords = sorted(per_coord)
-    prefixes = {}
-    for c in coords:
-        acc = [0]
-        for d in per_coord[c]:
-            acc.append(acc[-1] + d)
-        prefixes[c] = acc
-
-    # enumerate the full count grid (product of per-coordinate ranges)
-    def grid_points():
-        if not coords:
-            yield ()
-            return
-        ranges = [range(len(per_coord[c]) + 1) for c in coords]
-
-        def rec(i, acc):
-            if i == len(coords):
-                yield tuple(acc)
-                return
-            for k in ranges[i]:
-                yield from rec(i + 1, acc + [k])
-
-        yield from rec(0, [])
-
-    for counts in grid_points():
-        entries = list(src)
-        for c, k in zip(coords, counts):
-            entries[c] += prefixes[c][k]
-        if not _dominant_entries(entries):
-            return 0, None
-
+    cur, lo, hi = list(src), list(src), list(src)
+    seen = [0] * len(src)      # steps met so far, per coordinate
     inversions = 0
-    for i in range(len(app_steps)):
-        for j in range(i + 1, len(app_steps)):
-            if app_steps[i][0] > app_steps[j][0]:
-                inversions += 1
+    for idx, delta in app_steps:
+        cur[idx] += delta
+        lo[idx], hi[idx] = min(lo[idx], cur[idx]), max(hi[idx], cur[idx])
+        inversions += sum(seen[idx + 1:])
+        seen[idx] += 1
+    if lo[-1] < 0 or any(lo[c] < hi[c + 1] for c in range(len(src) - 1)):
+        return 0, None
     if inversions % 2:
         sign = -sign
 
-    sorted_steps = [(c, d) for c in coords for d in per_coord[c]]
+    sorted_steps = sorted(app_steps, key=lambda step: step[0])
     spin = word.source.spin
     nodes = [Weight(tuple(src), spin)]
     cur = list(src)
@@ -381,13 +357,8 @@ def normal_form(expr: OperatorExpr) -> OperatorExpr:
     terms = {}
     for word, coeff in expr.terms.items():
         sign, nf = _word_normal_form(word)
-        if not sign:
-            continue
-        acc = terms.get(nf, Fraction(0)) + sign * coeff
-        if acc:
-            terms[nf] = acc
-        elif nf in terms:
-            del terms[nf]
+        if sign:
+            _accumulate(terms, nf, sign * coeff)
     if not terms:
         return ZERO
     return OperatorExpr(terms, expr.target, expr.source)
@@ -591,7 +562,20 @@ def expr_jsonable(expr: OperatorExpr):
     return {"terms": terms}
 
 
-def expand_laplace_power(mu: Weight, p: int) -> FactorizationCertificate:
+class WorkBudget:
+    """Work units (expander states plus re-expansion entries) under an optional cap."""
+
+    def __init__(self, cap: int | None = None):
+        self.cap = cap
+        self.spent = 0
+
+    def spend(self):
+        self.spent += 1
+        if self.cap is not None and self.spent > self.cap:
+            raise ResourceCapError(f"more than {self.cap} expander states and re-expansion entries")
+
+
+def expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = None) -> FactorizationCertificate:
     """Expand Lap(mu)^p through the HSD sandwich.
 
     Repeatedly splits one Laplace factor at the innermost weight into
@@ -599,7 +583,7 @@ def expand_laplace_power(mu: Weight, p: int) -> FactorizationCertificate:
     through the accumulated twistor chains (one sign per step), and
     recurses on the TT branches.  Branches whose chains die by the
     non-dominant-intermediate rule contribute nothing, which is what
-    confines the support to the box.
+    confines the support to the box.  Each popped state spends budget.
     """
     if mu.spin:
         raise ValueError("expand_laplace_power takes an integral weight")
@@ -608,7 +592,7 @@ def expand_laplace_power(mu: Weight, p: int) -> FactorizationCertificate:
     if p < 1:
         raise ValueError("power must be >= 1")
     mu_s = mu.spin_shifted()
-    n = mu.rank
+    budget = WorkBudget() if budget is None else budget
 
     coefficients: dict[Weight, Fraction] = {}
     cache: dict[Weight, tuple] = {}
@@ -617,8 +601,10 @@ def expand_laplace_power(mu: Weight, p: int) -> FactorizationCertificate:
     stack = [(Fraction(1), (), mu, p, ())]
     while stack:
         coeff, up, lam, e, down = stack.pop()
+        budget.spend()
         lam_s = lam.spin_shifted()
-        sigma = _chain_sign(mu_s, lam_s, up) * _chain_sign(lam_s, mu_s, down)
+        sigma = (_word_normal_form(OperatorWord(mu_s, lam_s, up))[0]
+                 * _word_normal_form(OperatorWord(lam_s, mu_s, down))[0])
         if sigma == 0:
             continue  # dead chain; extending it can never revive it
         if e == 0:
@@ -638,16 +624,9 @@ def expand_laplace_power(mu: Weight, p: int) -> FactorizationCertificate:
             cache[lam] = (fwd, rev, rev_sigma)
         fwd, rev, rev_sigma = cache[lam]
         contrib = closed * sigma * rev_sigma * _single_coeff(fwd) * _single_coeff(rev)
-        acc = coefficients.get(lam, Fraction(0)) + contrib
-        if acc:
-            coefficients[lam] = acc
-        elif lam in coefficients:
-            del coefficients[lam]
+        _accumulate(coefficients, lam, contrib)
         # TT branches: descend one coordinate
-        for i in range(n - 1, -1, -1):
-            lower = lam.shifted(i, -1)
-            if not is_dominant(lower):
-                continue
+        for lower in reversed(list(_lowerings(lam))):
             low_s = lower.spin_shifted()
             t_down = TwistorSym(low_s, lam_s)
             t_up = TwistorSym(lam_s, low_s)
@@ -668,14 +647,6 @@ def expand_laplace_power(mu: Weight, p: int) -> FactorizationCertificate:
         if stray:
             raise AssertionError(f"coefficients outside the box: {stray}")
     return FactorizationCertificate(mu, p, coefficients, middle, residual)
-
-
-def _chain_sign(target: Weight, source: Weight, syms: tuple) -> int:
-    """Sign relating a raw twistor chain to its canonical form (0 if it dies)."""
-    if not syms:
-        return 1
-    sign, nf = _word_normal_form(OperatorWord(target, source, syms, 0))
-    return sign
 
 
 def _single_coeff(expr: OperatorExpr) -> Fraction:
@@ -700,47 +671,79 @@ def _bottom_position(word: OperatorWord):
     return best_j, best_w
 
 
-def eliminate_laplace(expr: OperatorExpr) -> OperatorExpr:
+def _lowerings(w: Weight):
+    """Dominant weights one step below w, in coordinate order."""
+    for i in range(w.rank):
+        lower = w.shifted(i, -1)
+        if is_dominant(lower):
+            yield lower
+
+
+def _spliced(target, head: tuple, expr: OperatorExpr, tail: tuple, source, coeff) -> OperatorExpr:
+    """Sum of coeff * head * x * tail over the Laplace-free words x of expr, not normalized."""
+    words = {OperatorWord(target, source, head + x.syms + tail): coeff * c for x, c in expr.terms.items()}
+    return OperatorExpr(words, target, source)
+
+
+def _eliminated_power(w: Weight, e: int, memo: dict, budget: WorkBudget) -> OperatorExpr:
+    """E(w, e) of eliminate_laplace, filling memo one power k at a time."""
+    layers = [[w]]             # layers[d]: the weights d lowering steps below w
+    for _ in range(e):
+        layers.append(list(dict.fromkeys(low for v in layers[-1] for low in _lowerings(v))))
+    for k in range(e + 1):
+        for v in [u for layer in layers[: e - k + 1] for u in layer]:
+            if (v, k) in memo:
+                continue
+            budget.spend()
+            if k == 0:
+                memo[v, k] = identity_expr(v)
+                continue
+            r = HsdSym(v)
+            total = normal_form(_spliced(v, (r, r), memo[v, k - 1], (), v, -1))
+            for low in _lowerings(v):
+                up, down = TwistorSym(v, low), TwistorSym(low, v)
+                total = total + normal_form(_spliced(v, (up,), memo[low, k - 1], (down,), v, -1))
+            memo[v, k] = total
+    return memo[w, e]
+
+
+def eliminate_laplace(expr: OperatorExpr, memo: dict | None = None, budget: WorkBudget | None = None) -> OperatorExpr:
     """Rewrite every Laplace power away via the expander's convention.
 
     Each elimination slides one Laplace factor to the chain's bottom
     weight w and replaces it by -R(w)^2 - sum_i T(w <- w-e_i)
     T(w-e_i <- w); the result is a pure twistor/HSD expression in
     normal form, suitable for exact equality checks.
+
+    The inserted symbols keep the bottom among them, so H * Lap(w)^e * T
+    (bottom w) rewrites to the words H * X * T, X running over the
+    rewrites of Lap(w)^e alone.  Splice lemma: a normal form depends only
+    on each coordinate's step sequence, the twistor count and where each
+    HSD sits among the twistors, so nf(H X T) = sign(X) * nf(H nf(X) T),
+    and H X T dies when X does.  The word thus gives nf(H E(w, e) T),
+    with E(w, 0) = Id(w) and, over the dominant lowerings w - e_i,
+
+        E(w, e) = -nf(R(w) R(w) E(w, e-1))
+                  - sum_i nf(T(w <- w-e_i) E(w-e_i, e-1) T(w-e_i <- w)).
+
+    memo holds E by (w, e), shared between calls if passed; budget is
+    spent once per new entry.
     """
-    pending = list(expr.terms.items())
-    done: dict[OperatorWord, Fraction] = {}
-    while pending:
-        word, coeff = pending.pop()
-        if word.lap == 0:
-            acc = done.get(word, Fraction(0)) + coeff
-            if acc:
-                done[word] = acc
-            elif word in done:
-                del done[word]
-            continue
+    memo = {} if memo is None else memo
+    budget = WorkBudget() if budget is None else budget
+    total = ZERO
+    for word, coeff in expr.terms.items():
         j, w = _bottom_position(word)
-        head, tail = word.syms[:j], word.syms[j:]
-        r = HsdSym(w)
-        pending.append(
-            (OperatorWord(word.target, word.source, head + (r, r) + tail, word.lap - 1), -coeff)
-        )
-        for i in range(w.rank):
-            lower = w.shifted(i, -1)
-            if not is_dominant(lower):
-                continue
-            t_up = TwistorSym(w, lower)
-            t_dn = TwistorSym(lower, w)
-            pending.append(
-                (OperatorWord(word.target, word.source, head + (t_up, t_dn) + tail, word.lap - 1), -coeff)
-            )
-    return normal_form(OperatorExpr(done, expr.target, expr.source))
+        x = _eliminated_power(w, word.lap, memo, budget)
+        total = total + normal_form(_spliced(word.target, word.syms[:j], x, word.syms[j:], word.source, coeff))
+    return total
 
 
-def certificate_reexpands(cert: FactorizationCertificate) -> bool:
-    """Exact check: R * middle * R + residual re-expands to Lap(mu)^power."""
+def certificate_reexpands(cert: FactorizationCertificate, budget: WorkBudget | None = None) -> bool:
+    """Exact check, one memo for both sides: R * middle * R + residual = Lap(mu)^power."""
     mu_s = cert.mu.spin_shifted()
     assembled = hsd_sym(mu_s) * cert.middle * hsd_sym(mu_s) + cert.residual
-    lhs = eliminate_laplace(laplace_sym(mu_s, cert.power))
-    rhs = eliminate_laplace(assembled)
+    memo: dict = {}
+    lhs = eliminate_laplace(laplace_sym(mu_s, cert.power), memo, budget)
+    rhs = eliminate_laplace(assembled, memo, budget)
     return lhs == rhs

@@ -363,18 +363,6 @@ class LinOpMatrix:
 
         return sparse_rank(self.rows(), len(self.domain))
 
-    def nullspace_polys(self):
-        from .linalg import sparse_nullspace
-
-        vecs = sparse_nullspace(self.rows(), len(self.domain))
-        out = []
-        for vec in vecs:
-            poly = SpinorPoly(self.domain[0].m, self.domain[0].k)
-            for j, c in vec.items():
-                poly = poly + self.domain[j].scale(c)
-            out.append(poly)
-        return out
-
 
 def operator_matrix(spec, domain: list, codomain: list) -> LinOpMatrix:
     solver = SpanSolver([b.coordinates() for b in codomain])

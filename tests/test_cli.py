@@ -141,3 +141,27 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     code, data = run_json(capsys, ["box", "--mu", "2,1"])
     assert code == 3
     assert data == {"error": "internal", "type": "AssertionError", "message": "projector is not idempotent"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "path", "--mu", "1,2"],
+        ["verify", "path", "--mu", "2,1", "--nu", "0,1"],
+    ],
+)
+def test_verify_path_rejects_non_dominant_weights(capsys, argv):
+    code, data = run_json(capsys, argv)
+    assert code == 2
+    assert data["error"] == "usage"
+
+
+def test_factorize_honours_cap(capsys):
+    code, data = run_json(capsys, ["factorize", "--mu", "2,1", "--power", "3", "--cap", "5"])
+    assert code == 2
+    assert data["error"] == "resource_cap"
+    code, capped = run_json(capsys, ["factorize", "--mu", "2,1", "--power", "3", "--cap", "100000"])
+    assert code == 0
+    code, free = run_json(capsys, ["factorize", "--mu", "2,1", "--power", "3"])
+    assert code == 0
+    assert capped["results"] == free["results"]

@@ -144,3 +144,12 @@ def test_rank_is_invariant_under_nonzero_scaling(a, c):
         assert mat.scale(c).rank() == mat.rank()
     else:
         assert mat.scale(c).rank() == 0
+
+
+@examples
+@given(same_shape_pair(), scalars)
+def test_qqi_on_the_left_reaches_mat_rmul(pair, c):
+    a, _ = pair
+    assert c * Mat(a) == Mat(a) * c
+    with pytest.raises(TypeError):
+        c * 0.5  # no floating point: any operand but QQi, int or Fraction is refused
