@@ -19,7 +19,7 @@ import json
 import sys
 import time
 
-from .linalg import ResourceCapError
+from .linalg import DEFAULT_CELL_CAP, ResourceCapError
 from .opalgebra import (
     WorkBudget,
     certificate_reexpands,
@@ -38,7 +38,7 @@ from .hsd import (
     verify_induction_dims,
 )
 from .repthy import simplicial_monogenic_basis, weyl_dim
-from .reports import Check, Report, jsonable
+from .reports import Check, Report
 from .weights import Weight, box, canonical_path, enumerate_paths, is_dominant
 
 
@@ -131,7 +131,7 @@ def _cmd_dims(args, started):
         print("error: dims requires --m", file=sys.stderr)
         return 2
     mu = _parse_weight(args.mu, args.rank)
-    space = simplicial_monogenic_basis(mu, args.m, cap=args.cap or 4_000_000)
+    space = simplicial_monogenic_basis(mu, args.m, cap=args.cap or DEFAULT_CELL_CAP)
     expected = weyl_dim(space.label, args.m)
     report = Report(
         title="dims",
@@ -150,7 +150,7 @@ def _cmd_kernel(args, started):
         return 2
     mu = _parse_weight(args.mu, args.rank)
     op = explicit_hsd(mu, args.m)
-    basis = kernel_basis(op, args.degree, cap=args.cap or 4_000_000)
+    basis = kernel_basis(op, args.degree, cap=args.cap or DEFAULT_CELL_CAP)
     orders = sorted({polyharmonic_order(f) for f in basis}) if basis else []
     report = Report(
         title="kernel",
@@ -233,7 +233,7 @@ def _verify_induction(args, started):
     if mu.rank != 1:
         print("error: induction takes a rank-1 shape --mu k", file=sys.stderr)
         return 2
-    report = verify_induction_dims(mu.entries[0], args.degree, args.m)
+    report = verify_induction_dims(mu.entries[0], args.degree, args.m, cap=args.cap or DEFAULT_CELL_CAP)
     return _emit(report, "verify induction", args, started)
 
 
@@ -247,7 +247,7 @@ def _verify_corollary(args, started):
     checks = []
     sharp = False
     for h in range(0, args.degree + 1):
-        basis = kernel_basis(op, h, cap=args.cap or 4_000_000)
+        basis = kernel_basis(op, h, cap=args.cap or DEFAULT_CELL_CAP)
         orders = [polyharmonic_order(f) for f in basis]
         ok = all(o <= bound for o in orders)
         sharp = sharp or any(o == bound for o in orders)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .clifford import gamma_rep
 from .gaussian import QQi, QQI_ONE, QQI_ZERO
-from .linalg import Mat, ResourceCapError, solve_sparse, sparse_nullspace
+from .linalg import DEFAULT_CELL_CAP, Mat, ResourceCapError, solve_sparse, sparse_rref
 from .opalgebra import expand_laplace_power
 from .polyspace import (
     Compose,
@@ -24,12 +24,16 @@ from .polyspace import (
     SpinorPoly,
     VectorMult,
     apply,
+    combination,
     exponents,
+    fischer_inner,
     homogeneous_basis,
+    joint_kernel,
     laplace,
+    operator_matrix,
+    stacked_rows,
 )
 from .repthy import (
-    AmbientOperator,
     ProjectorSet,
     RealizedSpace,
     casimir_projectors,
@@ -38,8 +42,6 @@ from .repthy import (
 )
 from .reports import Check, Report
 from .weights import Weight, canonical_path, manhattan_distance
-
-DEFAULT_CELL_CAP = 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +183,23 @@ def laplace_deriv_op(ambient: RealizedSpace, power: int = 1) -> DerivOp:
     return out
 
 
+def _step_ops(ps: ProjectorSet):
+    """The blocks P_target . (id x Dirac) . P_source of one ambient, each built once."""
+    m = ps.ambient.m
+    dop = twisted_dirac_op(ps.ambient)
+    cache = {}
+
+    def op_between(target: Weight, source: Weight) -> DerivOp:
+        key = (target, source)
+        if key not in cache:
+            cache[key] = (
+                DerivOp.constant(m, ps.projector(target)).compose(dop).restricted(ps.projector(source))
+            )
+        return cache[key]
+
+    return op_between
+
+
 # ---------------------------------------------------------------------------
 # operators
 
@@ -208,9 +227,20 @@ class HsdOperator:
     def apply(self, f: SpinorPoly) -> SpinorPoly:
         if self.kind == "explicit":
             return apply(self.spec, f)
-        lift_t = AmbientOperator(self.projectors.ambient, self.projectors.projector(self.label))
-        lift_s = AmbientOperator(self.projectors.ambient, self.projectors.projector(self.source_label))
-        return lift_t(apply(Dirac(0), lift_s(f)))
+        # coordinatize each x-monomial's value in the ambient, apply the
+        # DerivOp there and rebuild; values must lie in the ambient
+        m = self.m
+        amb = self.value_space
+        solver = amb.solver()
+        by_x = {}
+        for exp, vec in f.terms.items():
+            coords = by_x.setdefault(exp[:m], {})
+            coords.update((((0,) * m + exp[m:], s), c) for s, c in enumerate(vec) if c)
+        out = SpinorPoly(m, amb.k)
+        for alpha, coords in by_x.items():
+            for beta, w in self.deriv_op.apply_monomial(alpha, solver.coords(coords)).items():
+                out = out + x_shift(combination(amb.basis, w), beta)
+        return out
 
     def domain_basis(self, h: int) -> list:
         """x-degree-h monomials tensored with the source value basis."""
@@ -234,22 +264,8 @@ class HsdOperator:
 
     def matrix(self, h: int):
         """Exact matrix on x-degree h, columns in the degree-(h-1) target basis."""
-        from .polyspace import LinOpMatrix
-        from .linalg import SpanSolver, SpanError
-
-        domain = self.domain_basis(h)
         codomain = self.target_basis(h - 1) if h >= 1 else []
-        if not codomain:
-            return LinOpMatrix(domain, [], [[] for _ in domain])
-        solver = SpanSolver([b.coordinates() for b in codomain])
-        columns = []
-        for b in domain:
-            image = self.apply(b)
-            if image.is_zero():
-                columns.append([QQI_ZERO] * len(codomain))
-            else:
-                columns.append(solver.coords(image.coordinates()))
-        return LinOpMatrix(domain, codomain, columns)
+        return operator_matrix(self.apply, self.domain_basis(h), codomain)
 
 
 def x_shift(b: SpinorPoly, alpha: tuple) -> SpinorPoly:
@@ -304,45 +320,16 @@ def explicit_hsd(lam: Weight, m: int) -> HsdOperator:
     )
 
 
+def _projector_columns(proj: Mat) -> list:
+    """The pivot columns of a projector (a basis of its image), as coordinate lists."""
+    rows = proj.rows
+    pivots, _ = sparse_rref([{j: v for j, v in enumerate(row) if v} for row in rows], proj.ncols)
+    return [[row[j] for row in rows] for j in pivots]
+
+
 def _column_space_polys(proj: Mat, ambient: RealizedSpace) -> list:
     """Independent columns of a projector, as value-space polynomials."""
-    rows = [{j: proj[i, j] for j in range(proj.ncols) if proj[i, j]} for i in range(proj.nrows)]
-    # greedy independent columns in order
-    cols = [dict() for _ in range(proj.ncols)]
-    for i, r in enumerate(rows):
-        for j, v in r.items():
-            cols[j][i] = v
-    chosen = []
-    echelon = []
-    for j, col in enumerate(cols):
-        red = dict(col)
-        for piv, prow in echelon:
-            if piv in red:
-                factor = red.pop(piv)
-                for jj, v in prow.items():
-                    if jj == piv:
-                        continue
-                    cur = red.get(jj)
-                    nv = v * factor
-                    nv = (cur - nv) if cur is not None else -nv
-                    if nv:
-                        red[jj] = nv
-                    elif cur is not None:
-                        del red[jj]
-        if red:
-            piv = min(red)
-            inv = QQI_ONE / red[piv]
-            echelon.append((piv, {jj: inv * v for jj, v in red.items()}))
-            chosen.append(j)
-    out = []
-    for j in chosen:
-        poly = SpinorPoly(ambient.m, ambient.k)
-        for i in range(proj.nrows):
-            c = proj[i, j]
-            if c:
-                poly = poly + ambient.basis[i].scale(c)
-        out.append(poly)
-    return out
+    return [combination(ambient.basis, col) for col in _projector_columns(proj)]
 
 
 def generic_twistor_hsd(lam: Weight, m: int) -> list:
@@ -354,7 +341,7 @@ def generic_twistor_hsd(lam: Weight, m: int) -> list:
     """
     ps = casimir_projectors(lam, m)
     ambient = ps.ambient
-    dop = twisted_dirac_op(ambient)
+    op_between = _step_ops(ps)
     out = []
     col_cache = {}
     for kappa in ps.weights:
@@ -362,7 +349,7 @@ def generic_twistor_hsd(lam: Weight, m: int) -> list:
     for kappa in ps.weights:
         for iota in ps.weights:
             dist = manhattan_distance(kappa, iota)
-            block = DerivOp.constant(m, ps.projector(kappa)).compose(dop).restricted(ps.projector(iota))
+            block = op_between(kappa, iota)
             if dist >= 2:
                 if not block.is_zero():
                     raise AssertionError(
@@ -386,54 +373,12 @@ def generic_twistor_hsd(lam: Weight, m: int) -> list:
 
 def kernel_basis(op: HsdOperator, h: int, cap: int = DEFAULT_CELL_CAP) -> list:
     """Exact basis of the degree-h polynomial kernel inside the value space."""
-    domain = op.domain_basis(h)
-    if not domain:
-        return []
-    rows = []
-    row_index = {}
-    for j, b in enumerate(domain):
-        image = op.apply(b)
-        for key, val in image.coordinates().items():
-            i = row_index.setdefault(key, len(row_index))
-            while len(rows) <= i:
-                rows.append({})
-            rows[i][j] = val
-    if len(rows) * len(domain) > cap:
-        raise ResourceCapError(f"kernel elimination {len(rows)}x{len(domain)} exceeds cap")
-    vectors = sparse_nullspace(rows, len(domain))
-    out = []
-    for vec in vectors:
-        poly = SpinorPoly(domain[0].m, domain[0].k)
-        for j, c in vec.items():
-            poly = poly + domain[j].scale(c)
-        out.append(poly)
-    return out
+    return joint_kernel([op.apply], op.domain_basis(h), cap)
 
 
 def double_monogenic_basis(m: int, h: int, k: int, cap: int = DEFAULT_CELL_CAP) -> list:
     """(h, k)-homogeneous polynomials monogenic in both x and u."""
-    domain = homogeneous_basis(m, 1, (h, k))
-    rows = []
-    row_index = {}
-    for si, spec in enumerate((Dirac(0), Dirac(1))):
-        for j, b in enumerate(domain):
-            image = apply(spec, b)
-            for key, val in image.coordinates().items():
-                tagged = (si, key)
-                i = row_index.setdefault(tagged, len(row_index))
-                while len(rows) <= i:
-                    rows.append({})
-                rows[i][j] = val
-    if len(rows) * len(domain) > cap:
-        raise ResourceCapError("double-monogenic elimination exceeds cap")
-    vectors = sparse_nullspace(rows, len(domain))
-    out = []
-    for vec in vectors:
-        poly = SpinorPoly(m, 1)
-        for j, c in vec.items():
-            poly = poly + domain[j].scale(c)
-        out.append(poly)
-    return out
+    return joint_kernel([Dirac(0), Dirac(1)], homogeneous_basis(m, 1, (h, k)), cap)
 
 
 def polyharmonic_order(f: SpinorPoly) -> int:
@@ -466,50 +411,24 @@ def twistor_inversion(g: SpinorPoly, m: int) -> SpinorPoly:
     opm1_spec = explicit_hsd(Weight((km1,)) if km1 else Weight((0,)), m).spec
     if not apply(opm1_spec, g).is_zero():
         raise ValueError("input is not in the kernel one step down")
-    rhs_poly = apply(VectorMult(1), g)
     domain = homogeneous_basis(m, 1, (h, k))
-    ncols = len(domain)
-    rows = []
-    rhs = []
-    row_index = {}
     # constraint rows: Dirac(0) f = u g ; Dirac(1) f = 0 ; Fischer gauge
-    images_dx = [apply(Dirac(0), b) for b in domain]
-    images_du = [apply(Dirac(1), b) for b in domain]
-    for tag, images, target in (("dx", images_dx, rhs_poly), ("du", images_du, None)):
-        for j, image in enumerate(images):
-            for key, val in image.coordinates().items():
-                i = row_index.setdefault((tag, key), len(row_index))
-                while len(rows) <= i:
-                    rows.append({})
-                    rhs.append(QQI_ZERO)
-                rows[i][j] = val
-        if target is not None:
-            for key, val in target.coordinates().items():
-                i = row_index.setdefault((tag, key), len(row_index))
-                while len(rows) <= i:
-                    rows.append({})
-                    rhs.append(QQI_ZERO)
-                rhs[i] = val
-    from .polyspace import fischer_inner
-
+    stacked = stacked_rows([Dirac(0), Dirac(1)], domain)
+    targets = {(0, key): val for key, val in apply(VectorMult(1), g).coordinates().items()}
+    keys = list(stacked) + [key for key in targets if key not in stacked]
+    rows = [stacked.get(key, {}) for key in keys]
+    rhs = [targets.get(key, QQI_ZERO) for key in keys]
     for w in double_monogenic_basis(m, h, k):
-        row = {}
-        for j, b in enumerate(domain):
-            c = fischer_inner(w, b)
-            if c:
-                row[j] = c
-        rows.append(row)
+        pairing = [fischer_inner(w, b) for b in domain]
+        rows.append({j: c for j, c in enumerate(pairing) if c})
         rhs.append(QQI_ZERO)
-    solved = solve_sparse(rows, rhs, ncols)
+    solved = solve_sparse(rows, rhs, len(domain))
     if solved is None:
         raise ValueError("inconsistent inversion system; input outside the kernel")
     particular, null = solved
     if null:
         raise ArithmeticError("inversion solution not unique after the Fischer gauge")
-    f = SpinorPoly(m, 1)
-    for j, c in particular.items():
-        f = f + domain[j].scale(c)
-    return f
+    return combination(domain, particular)
 
 
 def _promote_to_one_dummy(g: SpinorPoly) -> SpinorPoly:
@@ -520,7 +439,7 @@ def _promote_to_one_dummy(g: SpinorPoly) -> SpinorPoly:
     return SpinorPoly(m, 1, terms)
 
 
-def verify_induction_dims(k: int, h: int, m: int) -> Report:
+def verify_induction_dims(k: int, h: int, m: int, cap: int = DEFAULT_CELL_CAP) -> Report:
     """dim ker_h R_k = dim M_(h,k) + dim ker_(h-1) R_(k-1), all exact.
 
     The three dimensions come from three independent null-space
@@ -528,15 +447,15 @@ def verify_induction_dims(k: int, h: int, m: int) -> Report:
     convention and the second term is absent.
     """
     op = explicit_hsd(Weight((k,)) if k else Weight((0,)), m)
-    dim_ker = len(kernel_basis(op, h))
-    dim_double = len(double_monogenic_basis(m, h, k))
+    dim_ker = len(kernel_basis(op, h, cap))
+    dim_double = len(double_monogenic_basis(m, h, k, cap))
     if k == 0:
         dim_prev = 0
     elif h == 0:
         dim_prev = 0  # no degree -1 polynomials
     else:
         op_prev = explicit_hsd(Weight((k - 1,)) if k > 1 else Weight((0,)), m)
-        dim_prev = len(kernel_basis(op_prev, h - 1))
+        dim_prev = len(kernel_basis(op_prev, h - 1, cap))
     ok = dim_ker == dim_double + dim_prev
     return Report(
         title="induction_dims",
@@ -578,34 +497,29 @@ def verify_identities(lam: Weight, m: int, x_degree: int) -> Report:
     """
     ps = casimir_projectors(lam, m)
     ambient = ps.ambient
-    dop = twisted_dirac_op(ambient)
-    blocks = {}
-    for kappa in ps.weights:
-        for iota in ps.weights:
-            blocks[(kappa, iota)] = (
-                DerivOp.constant(m, ps.projector(kappa)).compose(dop).restricted(ps.projector(iota))
-            )
+    block = _step_ops(ps)
     checks = []
     lap = laplace_deriv_op(ambient)
+    splitting = {}  # summand -> both sides of identity (1)
     for kappa in ps.weights:
         proj = ps.projector(kappa)
         lhs = lap.restricted(proj).scale(-1)
-        rhs = blocks[(kappa, kappa)].compose(blocks[(kappa, kappa)])
+        rhs = block(kappa, kappa).compose(block(kappa, kappa))
         for omega in ps.weights:
             if manhattan_distance(kappa, omega) == 1:
-                rhs = rhs + blocks[(kappa, omega)].compose(blocks[(omega, kappa)])
+                rhs = rhs + block(kappa, omega).compose(block(omega, kappa))
+        splitting[kappa] = (lhs, rhs.restricted(proj))
         checks.append(
             Check(
                 f"splitting_of_laplace_at_{kappa}",
-                lhs == rhs.restricted(proj),
+                lhs == splitting[kappa][1],
                 {"summand": kappa},
             )
         )
     for kappa, iota in _summand_pairs(ps):
         if manhattan_distance(kappa, iota) == 1:
-            anti = blocks[(kappa, iota)].compose(blocks[(iota, iota)]) + blocks[(kappa, kappa)].compose(
-                blocks[(kappa, iota)]
-            )
+            anti = block(kappa, iota).compose(block(iota, iota))
+            anti = anti + block(kappa, kappa).compose(block(kappa, iota))
             checks.append(
                 Check(f"edge_anticommutation_{kappa}_{iota}", anti.is_zero(), {"target": kappa, "source": iota})
             )
@@ -619,7 +533,7 @@ def verify_identities(lam: Weight, m: int, x_degree: int) -> Report:
         for theta in ps.weights:
             if manhattan_distance(kappa, theta) == 1 and manhattan_distance(theta, iota) == 1:
                 legs += 1
-                term = blocks[(kappa, theta)].compose(blocks[(theta, iota)])
+                term = block(kappa, theta).compose(block(theta, iota))
                 acc = term if acc is None else acc + term
         passed = acc is None or acc.is_zero()
         checks.append(
@@ -632,14 +546,7 @@ def verify_identities(lam: Weight, m: int, x_degree: int) -> Report:
     # evaluation spot check at the requested degree on a few basis inputs
     spot_ok = True
     if x_degree >= 2 and ps.weights:
-        kappa = ps.weights[0]
-        proj = ps.projector(kappa)
-        lhs = lap.restricted(proj).scale(-1)
-        rhs = blocks[(kappa, kappa)].compose(blocks[(kappa, kappa)])
-        for omega in ps.weights:
-            if manhattan_distance(kappa, omega) == 1:
-                rhs = rhs + blocks[(kappa, omega)].compose(blocks[(omega, kappa)])
-        rhs = rhs.restricted(proj)
+        lhs, rhs = splitting[ps.weights[0]]
         alphas = list(exponents(m, x_degree))[:3]
         for alpha in alphas:
             for col in range(min(ambient.dim, 4)):
@@ -661,20 +568,6 @@ def verify_identities(lam: Weight, m: int, x_degree: int) -> Report:
 
 # ---------------------------------------------------------------------------
 # numeric factorization check
-
-
-def _step_ops(ps: ProjectorSet, dop: DerivOp, m: int):
-    cache = {}
-
-    def op_between(target: Weight, source: Weight) -> DerivOp:
-        key = (target, source)
-        if key not in cache:
-            cache[key] = (
-                DerivOp.constant(m, ps.projector(target)).compose(dop).restricted(ps.projector(source))
-            )
-        return cache[key]
-
-    return op_between
 
 
 def verify_factorization_numeric(mu: Weight, p: int, m: int, x_degree: int) -> Report:
@@ -705,8 +598,7 @@ def verify_factorization_numeric(mu: Weight, p: int, m: int, x_degree: int) -> R
     cert = expand_laplace_power(mu, p)
     ps = casimir_projectors(mu, m)
     ambient = ps.ambient
-    dop = twisted_dirac_op(ambient)
-    op_between = _step_ops(ps, dop, m)
+    op_between = _step_ops(ps)
     mu_s = mu.spin_shifted()
     r_mu = op_between(mu_s, mu_s)
 
@@ -732,11 +624,7 @@ def verify_factorization_numeric(mu: Weight, p: int, m: int, x_degree: int) -> R
     unknowns = len(support)
     rows = []
     rhs = []
-    basis_cols = _column_space_polys(ps.projector(mu_s), ambient)
-    col_vectors = []
-    solver = ambient.solver()
-    for poly in basis_cols:
-        col_vectors.append(solver.coords(poly.coordinates()))
+    col_vectors = _projector_columns(ps.projector(mu_s))
     for alpha in exponents(m, solve_degree):
         for w in col_vectors:
             outs = [chain.apply_monomial(alpha, w) for chain in chains]

@@ -27,6 +27,16 @@ class ResourceCapError(RuntimeError):
     """An exact computation exceeded its configured size cap."""
 
 
+# default bound on the cells (rows x columns) of one elimination
+DEFAULT_CELL_CAP = 4_000_000
+
+
+def check_cells(nrows, ncols, cap):
+    """Raise ResourceCapError when an nrows x ncols elimination exceeds cap cells."""
+    if nrows * ncols > cap:
+        raise ResourceCapError(f"elimination size {nrows}x{ncols} exceeds cap {cap}")
+
+
 def _common_den(values):
     """Least common denominator of the components of some QQi."""
     den = 1

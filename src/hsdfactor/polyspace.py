@@ -8,12 +8,12 @@ applied exactly; homogeneous components get exact matrix realizations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .clifford import gamma_rep
 from .gaussian import QQi, QQI_ONE, QQI_ZERO
-from .linalg import SpanError, SpanSolver
+from .linalg import DEFAULT_CELL_CAP, SpanError, SpanSolver, check_cells, sparse_nullspace, sparse_rank
 
 
 class SpinorPoly:
@@ -316,22 +316,57 @@ def homogeneous_basis(m: int, k: int, degrees) -> list:
     if len(degrees) != k + 1:
         raise ValueError(f"need {k + 1} degrees, got {len(degrees)}")
     dim = 2 ** ((m - 1) // 2)
-    groups = [list(exponents(m, d)) for d in degrees]
-
-    def combine(idx):
-        if idx == len(groups):
-            yield ()
-            return
-        for head in groups[idx]:
-            for tail in combine(idx + 1):
-                yield head + tail
-
     out = []
-    for exp in combine(0):
+    for parts in itertools.product(*(exponents(m, d) for d in degrees)):
+        exp = sum(parts, ())
         for s in range(dim):
             vec = tuple(QQI_ONE if t == s else QQI_ZERO for t in range(dim))
             out.append(SpinorPoly(m, k, {exp: vec}))
     return out
+
+
+def _image(op, f: SpinorPoly) -> SpinorPoly:
+    """op(f) for an operator spec or a callable on polynomials."""
+    return op(f) if callable(op) else apply(op, f)
+
+
+def combination(basis: list, coeffs) -> SpinorPoly:
+    """sum_j coeffs[j] basis[j]; coeffs is a dict index -> scalar or a list.
+
+    Sums in place and skips zero spinor components, which are most of a
+    monomial basis element's entries.
+    """
+    terms = {}
+    items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+    for j, c in items:
+        if c:
+            for exp, vec in basis[j].terms.items():
+                acc = terms.setdefault(exp, [QQI_ZERO] * len(vec))
+                for s, x in enumerate(vec):
+                    if x:
+                        acc[s] = acc[s] + c * x
+    return SpinorPoly(basis[0].m, basis[0].k, terms)
+
+
+def stacked_rows(ops, domain: list) -> dict:
+    """Sparse rows of the images of a basis under several operators.
+
+    Keys are (operator index, coordinate) in order of first appearance,
+    values dicts column -> QQi with column j the image of domain[j].
+    """
+    rows = {}
+    for si, op in enumerate(ops):
+        for j, b in enumerate(domain):
+            for key, val in _image(op, b).coordinates().items():
+                rows.setdefault((si, key), {})[j] = val
+    return rows
+
+
+def joint_kernel(ops, domain: list, cap: int = DEFAULT_CELL_CAP) -> list:
+    """Basis of the common kernel of ops on span(domain), one polynomial per free column."""
+    rows = list(stacked_rows(ops, domain).values())
+    check_cells(len(rows), len(domain), cap)
+    return [combination(domain, vec) for vec in sparse_nullspace(rows, len(domain))]
 
 
 @dataclass
@@ -359,16 +394,15 @@ class LinOpMatrix:
         return [{j: self.columns[j][i] for j in range(nc) if self.columns[j][i]} for i in range(nr)]
 
     def rank(self):
-        from .linalg import sparse_rank
-
         return sparse_rank(self.rows(), len(self.domain))
 
 
-def operator_matrix(spec, domain: list, codomain: list) -> LinOpMatrix:
+def operator_matrix(op, domain: list, codomain: list) -> LinOpMatrix:
+    """Matrix of an operator spec or a callable from span(domain) to span(codomain)."""
     solver = SpanSolver([b.coordinates() for b in codomain])
     columns = []
     for b in domain:
-        image = apply(spec, b)
+        image = _image(op, b)
         if image.is_zero():
             columns.append([QQI_ZERO] * len(codomain))
             continue

@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .clifford import gamma_rep
-from .gaussian import QQi, QQI_ONE, QQI_ZERO
-from .linalg import Mat, ResourceCapError, SpanSolver
+from .gaussian import QQi, QQI_ZERO
+from .linalg import DEFAULT_CELL_CAP, Mat, SpanSolver
 from .polyspace import (
     Compose,
     CoordOp,
@@ -27,14 +27,12 @@ from .polyspace import (
     ScalarMix,
     SpinorMat,
     SpinorPoly,
-    apply,
-    exponents,
+    homogeneous_basis,
+    joint_kernel,
     operator_matrix,
     spinor_unit,
 )
 from .weights import Weight, is_dominant, summand_weights
-
-DEFAULT_CELL_CAP = 4_000_000
 
 
 def _rank_of(m: int) -> int:
@@ -112,53 +110,6 @@ class RealizedSpace:
         return self._solver
 
 
-def _scalar_component_basis(m: int, k: int, degrees) -> list:
-    """Monomials times the first spinor unit: a scalar-polynomial stand-in."""
-    dim = 2 ** _rank_of(m)
-    groups = [list(exponents(m, d)) for d in (0,) + tuple(degrees)]
-
-    def combine(idx):
-        if idx == len(groups):
-            yield ()
-            return
-        for head in groups[idx]:
-            for tail in combine(idx + 1):
-                yield head + tail
-
-    vec = tuple(QQI_ONE if s == 0 else QQI_ZERO for s in range(dim))
-    return [SpinorPoly(m, k, {exp: vec}) for exp in combine(0)]
-
-
-def _stacked_nullspace(specs, domain, cap):
-    """Joint kernel of several operators on an explicit basis."""
-    from .linalg import sparse_nullspace
-
-    rows = []
-    row_index = {}
-    ncols = len(domain)
-    for si, spec in enumerate(specs):
-        for j, b in enumerate(domain):
-            image = apply(spec, b)
-            for key, val in image.coordinates().items():
-                tagged = (si, key)
-                i = row_index.setdefault(tagged, len(row_index))
-                while len(rows) <= i:
-                    rows.append({})
-                rows[i][j] = val
-    if len(rows) * ncols > cap:
-        raise ResourceCapError(
-            f"elimination size {len(rows)}x{ncols} exceeds cap {cap}"
-        )
-    vectors = sparse_nullspace(rows, ncols)
-    out = []
-    for vec in vectors:
-        poly = SpinorPoly(domain[0].m, domain[0].k)
-        for j, c in vec.items():
-            poly = poly + domain[j].scale(c)
-        out.append(poly)
-    return out
-
-
 @lru_cache(maxsize=None)
 def simplicial_monogenic_basis(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> RealizedSpace:
     """Exact basis of the simplicial monogenic component of shape lam.
@@ -182,25 +133,10 @@ def simplicial_monogenic_basis(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP)
     if k == 0:
         basis = [spinor_unit(m, 0, s) for s in range(2 ** n)]
         return RealizedSpace(label, m, 0, (), basis)
-    domain = []
-    dim = 2 ** n
-    groups = [list(exponents(m, d)) for d in (0,) + degrees]
-
-    def combine(idx):
-        if idx == len(groups):
-            yield ()
-            return
-        for head in groups[idx]:
-            for tail in combine(idx + 1):
-                yield head + tail
-
-    for exp in combine(0):
-        for s in range(dim):
-            vec = tuple(QQI_ONE if t == s else QQI_ZERO for t in range(dim))
-            domain.append(SpinorPoly(m, k, {exp: vec}))
+    domain = homogeneous_basis(m, k, (0,) + degrees)
     specs = [Dirac(p) for p in range(1, k + 1)]
     specs += [MixedEuler(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
-    basis = _stacked_nullspace(specs, domain, cap)
+    basis = joint_kernel(specs, domain, cap)
     expected = weyl_dim(label, m)
     if len(basis) != expected:
         raise AssertionError(
@@ -232,11 +168,12 @@ def simplicial_harmonic_ambient(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP
     if k == 0:
         basis = [spinor_unit(m, 0, s) for s in range(dim)]
         return RealizedSpace(label, m, 0, (), basis)
-    scalar_domain = _scalar_component_basis(m, k, degrees)
+    # monomials times the first spinor unit: a scalar-polynomial stand-in
+    scalar_domain = homogeneous_basis(m, k, (0,) + degrees)[::dim]
     specs = [LaplaceOp(p) for p in range(1, k + 1)]
     specs += [MixedLaplace(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
     specs += [MixedEuler(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
-    scalars = _stacked_nullspace(specs, scalar_domain, cap)
+    scalars = joint_kernel(specs, scalar_domain, cap)
     expected = weyl_dim(label, m)
     if len(scalars) != expected:
         raise AssertionError(
@@ -352,43 +289,3 @@ def casimir_projectors(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> Proj
     if total != ident:
         raise AssertionError("projectors do not sum to the identity")
     return ProjectorSet(ambient, kappas, eigs, projectors, cas)
-
-
-class AmbientOperator:
-    """A matrix on an ambient value space, lifted to polynomial functions.
-
-    The lift acts on each x-monomial coefficient separately: the
-    dummy-variable part is coordinatized in the ambient basis, hit with
-    the matrix, and rebuilt.  Inputs must take values in the ambient.
-    """
-
-    def __init__(self, ambient: RealizedSpace, mat: Mat):
-        self.ambient = ambient
-        self.mat = mat
-
-    def __call__(self, f: SpinorPoly) -> SpinorPoly:
-        amb = self.ambient
-        m = amb.m
-        if f.is_zero():
-            return f
-        by_x = {}
-        for exp, vec in f.terms.items():
-            xpart = exp[:m]
-            upart = (0,) * m + exp[m:]
-            by_x.setdefault(xpart, {})[upart] = vec
-        solver = amb.solver()
-        out = SpinorPoly(m, amb.k)
-        for xpart, uterms in by_x.items():
-            coords = {}
-            for uexp, vec in uterms.items():
-                for s, c in enumerate(vec):
-                    if c:
-                        coords[(uexp, s)] = c
-            coeffs = self.mat.matvec(solver.coords(coords))
-            for j, c in enumerate(coeffs):
-                if not c:
-                    continue
-                piece = amb.basis[j].scale(c)
-                shifted = {xpart + exp[m:]: vec for exp, vec in piece.terms.items()}
-                out = out + SpinorPoly(m, amb.k, shifted)
-        return out

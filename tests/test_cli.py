@@ -165,3 +165,13 @@ def test_factorize_honours_cap(capsys):
     code, free = run_json(capsys, ["factorize", "--mu", "2,1", "--power", "3"])
     assert code == 0
     assert capped["results"] == free["results"]
+
+
+def test_verify_induction_honours_cap(capsys):
+    code, data = run_json(capsys, ["verify", "induction", "--mu", "3", "--m", "3", "--degree", "4", "--cap", "5"])
+    assert code == 2
+    assert data["error"] == "resource_cap"
+    assert data["message"].startswith("elimination size ")
+    code, data = run_json(capsys, ["verify", "induction", "--mu", "1", "--m", "3", "--degree", "2", "--cap", "100000"])
+    assert code == 0
+    assert data["passed"] is True

@@ -88,3 +88,26 @@ def test_specific_bracket():
     assert g12.commutator(g13) == g23
     # antisymmetry holds by construction: G_ba would be -G_ab
     assert g12.commutator(g12).is_zero()
+
+
+def represent(a, rep):
+    """rho(a) = sum_I a_I gamma_{i1} ... gamma_{ik}, with rho(1) the identity."""
+    dim = rep.spinor_dim
+    out = Mat.zero(dim, dim)
+    for blade, coeff in a.blades.items():
+        word = Mat.identity(dim)
+        for i in blade:
+            word = word * rep.generators[i - 1]
+        out = out + word.scale(coeff)
+    return out
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_gamma_rep_is_multiplicative(m):
+    # the blade arithmetic of clifford_product is an oracle for gamma_rep:
+    # e_I -> gamma_{i1} ... gamma_{ik} must carry products to products
+    rep = gamma_rep(m)
+    rng = random.Random(9000 + m)
+    for _ in range(25):
+        a, b = random_element(m, rng), random_element(m, rng)
+        assert represent(clifford_product(a, b), rep) == represent(a, rep) * represent(b, rep)

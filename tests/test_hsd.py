@@ -242,3 +242,30 @@ def test_x_shift():
     b = spinor_unit(3, 1, 0)
     shifted = x_shift(b, (2, 0, 1))
     assert shifted.degree(0) == 3 and shifted.degree(1) == 0
+
+
+@pytest.mark.parametrize("lam,m", [((1,), 3), ((2,), 3), ((1, 0), 5), ((1, 1), 5)])
+def test_projector_columns_span_each_summand(lam, m):
+    from hsdfactor.hsd import _column_space_polys
+    from hsdfactor.repthy import casimir_projectors, weyl_dim
+
+    ps = casimir_projectors(Weight(lam), m)
+    for kappa in ps.weights:
+        proj = ps.projector(kappa)
+        cols = _column_space_polys(proj, ps.ambient)
+        assert QQi(len(cols)) == proj.trace()
+        assert len(cols) == weyl_dim(kappa, m)
+        # each chosen column is fixed by the projector, so it lies in the summand
+        solver = ps.ambient.solver()
+        for poly in cols:
+            coords = solver.coords(poly.coordinates())
+            assert proj.matvec(coords) == coords
+
+
+def test_matrix_on_degree_zero_is_empty():
+    op = explicit_hsd(weight(1), 3)
+    assert op.matrix(0).shape == (0, len(op.domain_basis(0)))
+    ops = generic_twistor_hsd(weight(1), 3)
+    t = next(o for o in ops if o.label != o.source_label)
+    assert t.matrix(0).shape == (0, len(t.domain_basis(0)))
+

@@ -152,3 +152,31 @@ def test_fischer_inner():
     assert fischer_inner(f, g) == QQi(0, 2)       # antilinear left slot
     h = coord_monomial(m, k, [(1, 2)], (QQi(1), QQi(0)))
     assert fischer_inner(f, h) == QQi(0)
+
+
+def test_joint_kernel_takes_specs_and_callables():
+    from hsdfactor.linalg import ResourceCapError
+    from hsdfactor.polyspace import combination, joint_kernel, stacked_rows
+
+    dom = homogeneous_basis(3, 0, (2,))
+    kernel = joint_kernel([Dirac(0)], dom)
+    assert len(kernel) == 6  # degree-2 monogenics in R^3: 2 (k + 1)
+    assert all(apply(Dirac(0), f).is_zero() for f in kernel)
+    assert joint_kernel([lambda f: apply(Dirac(0), f)], dom) == kernel
+    # stacking a second operator only adds constraints
+    assert len(joint_kernel([Dirac(0), LaplaceOp(0)], dom)) == 6
+    rows = stacked_rows([Dirac(0), LaplaceOp(0)], dom)
+    assert {key[0] for key in rows} == {0, 1}
+    with pytest.raises(ResourceCapError, match=r"^elimination size 6x12 exceeds cap 71$"):
+        joint_kernel([Dirac(0)], dom, cap=71)
+    assert joint_kernel([Dirac(0)], [], cap=0) == []
+    assert combination(dom, {0: QQi(2), 3: QQi(0, 1)}) == dom[0].scale(2) + dom[3].scale(QQi(0, 1))
+    assert combination(dom, [QQi(0)] * len(dom)).is_zero()
+
+
+def test_operator_matrix_takes_a_callable():
+    dom = homogeneous_basis(3, 0, (1,))
+    cod = homogeneous_basis(3, 0, (0,))
+    by_spec = operator_matrix(Dirac(0), dom, cod)
+    by_call = operator_matrix(lambda f: apply(Dirac(0), f), dom, cod)
+    assert by_call.columns == by_spec.columns
