@@ -149,8 +149,9 @@ def _cmd_kernel(args, started):
         print("error: kernel requires --m and --degree", file=sys.stderr)
         return 2
     mu = _parse_weight(args.mu, args.rank)
-    op = explicit_hsd(mu, args.m)
-    basis = kernel_basis(op, args.degree, cap=args.cap or DEFAULT_CELL_CAP)
+    cap = args.cap or DEFAULT_CELL_CAP
+    op = explicit_hsd(mu, args.m, cap=cap)
+    basis = kernel_basis(op, args.degree, cap=cap)
     orders = sorted({polyharmonic_order(f) for f in basis}) if basis else []
     report = Report(
         title="kernel",
@@ -243,11 +244,12 @@ def _verify_corollary(args, started):
         return 2
     mu = _parse_weight(args.mu, args.rank)
     bound = mu.entries[0] + 1
-    op = explicit_hsd(mu, args.m)
+    cap = args.cap or DEFAULT_CELL_CAP
+    op = explicit_hsd(mu, args.m, cap=cap)
     checks = []
     sharp = False
     for h in range(0, args.degree + 1):
-        basis = kernel_basis(op, h, cap=args.cap or DEFAULT_CELL_CAP)
+        basis = kernel_basis(op, h, cap=cap)
         orders = [polyharmonic_order(f) for f in basis]
         ok = all(o <= bound for o in orders)
         sharp = sharp or any(o == bound for o in orders)

@@ -1,10 +1,12 @@
 """Exact Gaussian-rational scalars a + b*i with Fraction components.
 
-These are the scalars of the sparse eliminations, the polynomial spaces
-and every public interface.  The dense matrices of `linalg.Mat` keep
-Gaussian-integer numerators over one common denominator instead, and
-hand out QQi at their boundary (entries, rows, traces, matrix-vector
-products).  There is no floating point anywhere.
+These are the scalars of every public interface.  The engine's own data
+keeps Gaussian-integer numerators over one common denominator instead:
+the dense matrices of `linalg.Mat`, the polynomials of
+`polyspace.SpinorPoly` and the working rows of `linalg.sparse_rref`.
+They take QQi in and hand QQi out only at their boundary (entries, rows,
+traces, matrix-vector products, polynomial coordinates, the reduced rows
+of an elimination).  There is no floating point anywhere.
 """
 
 from __future__ import annotations

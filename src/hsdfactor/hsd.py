@@ -233,9 +233,8 @@ class HsdOperator:
         amb = self.value_space
         solver = amb.solver()
         by_x = {}
-        for exp, vec in f.terms.items():
-            coords = by_x.setdefault(exp[:m], {})
-            coords.update((((0,) * m + exp[m:], s), c) for s, c in enumerate(vec) if c)
+        for (exp, s), c in f.coordinates().items():
+            by_x.setdefault(exp[:m], {})[((0,) * m + exp[m:], s)] = c
         out = SpinorPoly(m, amb.k)
         for alpha, coords in by_x.items():
             for beta, w in self.deriv_op.apply_monomial(alpha, solver.coords(coords)).items():
@@ -271,11 +270,10 @@ class HsdOperator:
 def x_shift(b: SpinorPoly, alpha: tuple) -> SpinorPoly:
     """Multiply a dummy-variable polynomial by the x-monomial x^alpha."""
     m = b.m
-    terms = {alpha + exp[m:]: vec for exp, vec in b.terms.items()}
-    return SpinorPoly(m, b.k, terms)
+    return b.reindexed(b.k, lambda exp: alpha + exp[m:])
 
 
-def explicit_hsd(lam: Weight, m: int) -> HsdOperator:
+def explicit_hsd(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> HsdOperator:
     """Explicit operator for shapes (k) and (k, l).
 
     (k):    (1 + u du / (2k+m-2)) d_x
@@ -286,7 +284,7 @@ def explicit_hsd(lam: Weight, m: int) -> HsdOperator:
     degrees = tuple(e for e in lam.entries if e > 0)
     if len(degrees) > 2:
         raise ValueError(f"explicit formulas cover shapes (k) and (k,l), not {lam}")
-    space = simplicial_monogenic_basis(lam, m)
+    space = simplicial_monogenic_basis(lam, m, cap=cap)
     if len(degrees) == 0:
         spec = Dirac(0)
     elif len(degrees) == 1:
@@ -434,9 +432,8 @@ def twistor_inversion(g: SpinorPoly, m: int) -> SpinorPoly:
 def _promote_to_one_dummy(g: SpinorPoly) -> SpinorPoly:
     if g.k != 0:
         raise ValueError("expected a polynomial in x alone or x and one dummy variable")
-    m = g.m
-    terms = {exp + (0,) * m: vec for exp, vec in g.terms.items()}
-    return SpinorPoly(m, 1, terms)
+    pad = (0,) * g.m
+    return g.reindexed(1, lambda exp: exp + pad)
 
 
 def verify_induction_dims(k: int, h: int, m: int, cap: int = DEFAULT_CELL_CAP) -> Report:
@@ -446,7 +443,7 @@ def verify_induction_dims(k: int, h: int, m: int, cap: int = DEFAULT_CELL_CAP) -
     computations; for k = 0 the operator one step down is zero by
     convention and the second term is absent.
     """
-    op = explicit_hsd(Weight((k,)) if k else Weight((0,)), m)
+    op = explicit_hsd(Weight((k,)) if k else Weight((0,)), m, cap)
     dim_ker = len(kernel_basis(op, h, cap))
     dim_double = len(double_monogenic_basis(m, h, k, cap))
     if k == 0:
@@ -454,7 +451,7 @@ def verify_induction_dims(k: int, h: int, m: int, cap: int = DEFAULT_CELL_CAP) -
     elif h == 0:
         dim_prev = 0  # no degree -1 polynomials
     else:
-        op_prev = explicit_hsd(Weight((k - 1,)) if k > 1 else Weight((0,)), m)
+        op_prev = explicit_hsd(Weight((k - 1,)) if k > 1 else Weight((0,)), m, cap)
         dim_prev = len(kernel_basis(op_prev, h - 1, cap))
     ok = dim_ker == dim_double + dim_prev
     return Report(

@@ -1,14 +1,16 @@
 """Exact linear algebra over Gaussian rationals.
 
-Two representations are used.  `Mat` holds the small matrices (gamma
-matrices, Casimir matrices, projectors, the coefficients of derivative
-operators) fraction-free: sparse rows of Gaussian-integer numerators over
-one reduced common denominator, so products and sums run on Python ints
-and divide once per operation, in the spirit of Bareiss's
-integer-preserving elimination.  The large homogeneous-component
-eliminations (null spaces, membership solves) use sparse dict-rows of
-QQi.  All pivoting is deterministic, so bases come out in a reproducible
-order.
+`Mat` holds the small matrices (gamma matrices, Casimir matrices,
+projectors, the coefficients of derivative operators) fraction-free:
+sparse rows of Gaussian-integer numerators over one reduced common
+denominator, so products and sums run on Python ints and divide once
+per operation.  The large homogeneous-component eliminations
+(`sparse_rref` and the null spaces and solves built on it) take and
+return sparse dict-rows of QQi, but eliminate on primitive
+Gaussian-integer rows, in the spirit of Bareiss's integer-preserving
+elimination, and divide only when they emit the unit-pivot rows.
+`SpanSolver` still eliminates on QQi rows.  All pivoting is
+deterministic, so bases come out in a reproducible order.
 """
 
 from __future__ import annotations
@@ -54,6 +56,15 @@ def _qqi(re, im, den):
     return QQi(Fraction(re, den), Fraction(im, den))
 
 
+def _content(pairs, g=0):
+    """gcd of g and every component of some (re, im) pairs, stopping early at 1."""
+    for re, im in pairs:
+        g = gcd(g, re, im)
+        if g == 1:
+            break
+    return g
+
+
 class Mat:
     """Dense-shaped exact matrix over the Gaussian rationals, stored fraction-free.
 
@@ -86,8 +97,7 @@ class Mat:
         """The matrix num / den, reduced to the canonical form."""
         g = den
         for row in num:
-            for re, im in row.values():
-                g = gcd(g, re, im)
+            g = _content(row.values(), g)
             if g == 1:
                 break
         if g != 1:
@@ -245,11 +255,11 @@ class Mat:
 
 
 # ---------------------------------------------------------------------------
-# sparse elimination (rows are dict[col -> QQi], zero entries absent)
+# sparse elimination (callers' rows are dict[col -> QQi], zero entries absent)
 
 
 def _eliminate_into(target, pivot_row, col):
-    """target -= target[col] * pivot_row, with pivot_row unit at col."""
+    """target -= target[col] * pivot_row, with pivot_row unit at col (QQi rows)."""
     factor = target.pop(col)
     for j, v in pivot_row.items():
         if j == col:
@@ -263,14 +273,49 @@ def _eliminate_into(target, pivot_row, col):
             del target[j]
 
 
+def _primitive(row):
+    """row with its integer content (gcd of every component) divided out."""
+    g = _content(row.values())
+    return row if g == 1 else {j: (re // g, im // g) for j, (re, im) in row.items()}
+
+
+def _cross_eliminate(target, pivot_row, col):
+    """The primitive part of p*target - target[col]*pivot_row, p = pivot_row[col]."""
+    pr, pi = pivot_row[col]
+    tr, ti = target[col]
+    g = gcd(pr, pi, tr, ti)
+    pr, pi, tr, ti = pr // g, pi // g, tr // g, ti // g
+    out = {j: (pr * re - pi * im, pr * im + pi * re) for j, (re, im) in target.items()}
+    for j, (re, im) in pivot_row.items():
+        cur = out.get(j, (0, 0))
+        nre = cur[0] - (tr * re - ti * im)
+        nim = cur[1] - (tr * im + ti * re)
+        if nre or nim:
+            out[j] = (nre, nim)
+        else:
+            out.pop(j, None)
+    return _primitive(out)
+
+
 def sparse_rref(rows, ncols):
     """Reduced row echelon form.
 
     Returns (pivots, reduced): pivots is the increasing list of pivot
     columns, reduced the matching unit-pivot rows with every pivot
     column cleared from all other rows.
+
+    Each row is made a primitive Gaussian-integer row once; elimination
+    is t <- p*t - t[col]*prow with its content divided out (Bareiss's
+    integer-preserving idea), and the unit-pivot QQi rows are emitted at
+    the end.  Every integer row is a nonzero multiple of the row that
+    Gaussian-rational elimination would hold, so supports, pivot choices
+    and (the RREF being unique) the result are the same.
     """
-    work = [dict(r) for r in rows if r]
+    work = []
+    for r in rows:
+        if r:
+            den = _common_den(r.values())
+            work.append(_primitive({j: _numerators(v, den) for j, v in r.items()}))
     live = list(range(len(work)))
     pivots = []
     pivot_rows = []
@@ -287,17 +332,21 @@ def sparse_rref(rows, ncols):
         idx = best[1]
         live.remove(idx)
         prow = work[idx]
-        inv = QQI_ONE / prow[col]
-        prow = {j: inv * v for j, v in prow.items()}
         for i in live:
             if col in work[i]:
-                _eliminate_into(work[i], prow, col)
-        for prev in pivot_rows:
+                work[i] = _cross_eliminate(work[i], prow, col)
+        for k, prev in enumerate(pivot_rows):
             if col in prev:
-                _eliminate_into(prev, prow, col)
+                pivot_rows[k] = _cross_eliminate(prev, prow, col)
         pivots.append(col)
         pivot_rows.append(prow)
-    return pivots, pivot_rows
+    reduced = []
+    for col, row in zip(pivots, pivot_rows):
+        # entry / p = entry * conj(p) / |p|^2
+        pr, pi = row[col]
+        n = pr * pr + pi * pi
+        reduced.append({j: _qqi(re * pr + im * pi, im * pr - re * pi, n) for j, (re, im) in row.items()})
+    return pivots, reduced
 
 
 def sparse_rank(rows, ncols):

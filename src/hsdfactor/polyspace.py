@@ -1,72 +1,119 @@
 """Spinor-valued polynomials in x and dummy vector variables u_1..u_k.
 
 A polynomial is a map from multi-exponents over the (k+1)*m coordinates
-(x first, then each u_p) to spinor vectors of length 2^n.  First-order
-invariant building blocks are assembled from OperatorSpec values and
-applied exactly; homogeneous components get exact matrix realizations.
+(x first, then each u_p) to spinor vectors of length 2^n.  It is stored
+fraction-free, like `linalg.Mat`: Gaussian-integer numerators over one
+reduced common denominator, so operators, sums and comparisons run on
+Python ints.  First-order invariant building blocks are assembled from
+OperatorSpec values and applied exactly in one accumulation pass;
+homogeneous components get exact matrix realizations.  QQi appears only
+at the boundary: constructor inputs, `coordinates()` and the rows the
+sparse eliminations return.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 
 from .clifford import gamma_rep
-from .gaussian import QQi, QQI_ONE, QQI_ZERO
-from .linalg import DEFAULT_CELL_CAP, SpanError, SpanSolver, check_cells, sparse_nullspace, sparse_rank
+from .gaussian import QQi, QQI_ZERO
+from .linalg import (
+    DEFAULT_CELL_CAP,
+    Mat,
+    SpanError,
+    SpanSolver,
+    _common_den,
+    _content,
+    _numerators,
+    _qqi,
+    check_cells,
+    sparse_nullspace,
+    sparse_rank,
+)
+
+
+# one shared object for the zero spinor components, most of a vector's entries
+_ZERO_PAIR = (0, 0)
 
 
 class SpinorPoly:
-    """terms: exponent tuple -> spinor coefficient vector (tuple of QQi)."""
+    """Spinor-valued polynomial over the Gaussian rationals, stored fraction-free.
 
-    __slots__ = ("m", "k", "terms")
+    ``num`` maps an exponent tuple to a tuple of ``spinor_dim`` pairs
+    ``(re, im)`` of Python ints, all-zero vectors absent; the coefficient
+    is ``(re + im*i) / den`` for one positive common denominator ``den``.
+    ``den`` is reduced so that its gcd with every numerator component is 1
+    (the zero polynomial has ``den == 1``), which makes the form canonical:
+    equality and ``is_zero`` compare integers.
+    """
+
+    __slots__ = ("m", "k", "num", "den")
 
     def __init__(self, m: int, k: int, terms=None):
         self.m = m
         self.k = k
-        self.terms = {}
-        if terms:
-            width = (k + 1) * m
-            for exp, vec in terms.items():
-                if len(exp) != width:
-                    raise ValueError(f"exponent length {len(exp)} != {width}")
-                vec = tuple(QQi.coerce(c) for c in vec)
-                if any(vec):
-                    self.terms[tuple(exp)] = vec
+        width = (k + 1) * m
+        vecs = {}
+        for exp, vec in (terms or {}).items():
+            if len(exp) != width:
+                raise ValueError(f"exponent length {len(exp)} != {width}")
+            vecs[tuple(exp)] = [QQi.coerce(c) for c in vec]
+        # the lcm of reduced denominators shares no prime with all the
+        # numerators, so this form is already canonical
+        den = _common_den(c for vec in vecs.values() for c in vec)
+        self.num = {
+            exp: tuple(_numerators(c, den) if c else _ZERO_PAIR for c in vec)
+            for exp, vec in vecs.items() if any(vec)
+        }
+        self.den = den if self.num else 1
+
+    @classmethod
+    def from_num(cls, m: int, k: int, num: dict, den: int) -> "SpinorPoly":
+        """The polynomial num / den (no all-zero vectors in num), reduced to the canonical form."""
+        g = den
+        for vec in num.values():
+            g = _content(vec, g)
+            if g == 1:
+                break
+        if g != 1:
+            num = {
+                e: tuple((re // g, im // g) if re or im else _ZERO_PAIR for re, im in vec)
+                for e, vec in num.items()
+            }
+            den //= g
+        out = object.__new__(cls)
+        out.m = m
+        out.k = k
+        out.num = num
+        out.den = den
+        return out
+
+    def reindexed(self, k: int, exp_map) -> "SpinorPoly":
+        """The polynomial in k dummy variables with each exponent e moved to exp_map(e), an injective map."""
+        return SpinorPoly.from_num(self.m, k, {exp_map(e): vec for e, vec in self.num.items()}, self.den)
 
     @property
     def spinor_dim(self):
         return 2 ** ((self.m - 1) // 2)
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for exp, vec in other.terms.items():
-            cur = terms.get(exp)
-            if cur is None:
-                terms[exp] = vec
-            else:
-                s = tuple(a + b for a, b in zip(cur, vec))
-                if any(s):
-                    terms[exp] = s
-                else:
-                    del terms[exp]
-        return SpinorPoly(self.m, self.k, terms)
+        return _weighted_sum(self.m, self.k, ((self, 1), (other, 1)))
 
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return _weighted_sum(self.m, self.k, ((self, 1), (other, -1)))
 
     def scale(self, c):
-        c = QQi.coerce(c)
-        if not c:
-            return SpinorPoly(self.m, self.k)
-        return SpinorPoly(self.m, self.k, {e: tuple(c * x for x in v) for e, v in self.terms.items()})
+        return _weighted_sum(self.m, self.k, ((self, c),))
 
     def _check(self, other):
         if self.m != other.m or self.k != other.k:
@@ -75,38 +122,78 @@ class SpinorPoly:
     def __eq__(self, other):
         if not isinstance(other, SpinorPoly):
             return NotImplemented
-        return self.m == other.m and self.k == other.k and self.terms == other.terms
+        return self.m == other.m and self.k == other.k and self.den == other.den and self.num == other.num
 
     __hash__ = None
 
     def degree(self, var: int) -> int:
         """Homogeneity degree in variable group var (0 = x, 1..k = u_p)."""
-        if not self.terms:
+        if not self.num:
             return 0
-        degs = {sum(exp[var * self.m:(var + 1) * self.m]) for exp in self.terms}
+        degs = {sum(exp[var * self.m:(var + 1) * self.m]) for exp in self.num}
         if len(degs) != 1:
             raise ValueError(f"polynomial not homogeneous in variable {var}")
         return degs.pop()
 
     def coordinates(self):
         """Sparse dict (exponent, spinor index) -> QQi for exact solving."""
+        den = self.den
         out = {}
-        for exp, vec in self.terms.items():
-            for s, c in enumerate(vec):
-                if c:
-                    out[(exp, s)] = c
+        for exp, vec in self.num.items():
+            for s, (re, im) in enumerate(vec):
+                if re or im:
+                    out[(exp, s)] = _qqi(re, im, den)
         return out
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "SpinorPoly(0)"
-        return f"SpinorPoly({len(self.terms)} monomials, m={self.m}, k={self.k})"
+        return f"SpinorPoly({len(self.num)} monomials, m={self.m}, k={self.k})"
+
+
+def _finish(m: int, k: int, acc: dict, den: int) -> SpinorPoly:
+    """The polynomial acc / den from flat accumulators [re0, im0, re1, im1, ...]."""
+    num = {
+        exp: tuple(p if p[0] or p[1] else _ZERO_PAIR for p in zip(out[::2], out[1::2]))
+        for exp, out in acc.items() if any(out)
+    }
+    return SpinorPoly.from_num(m, k, num, den)
+
+
+def _weighted_sum(m: int, k: int, items) -> SpinorPoly:
+    """sum c * p over pairs (p, c) with Gaussian-rational c, over the lcm of the denominators."""
+    terms = []
+    for p, c in items:
+        if not p.num or not c:
+            continue
+        if isinstance(c, int):
+            cr, ci, cd = c, 0, 1
+        else:
+            c = QQi.coerce(c)
+            cd = _common_den([c])
+            cr, ci = _numerators(c, cd)
+        terms.append((p.num, cr, ci, cd * p.den))
+    den = lcm(*(d for *_, d in terms))
+    acc = {}
+    for num, cr, ci, d in terms:
+        f = den // d
+        cr *= f
+        ci *= f
+        for exp, vec in num.items():
+            out = acc.get(exp)
+            if out is None:
+                out = acc[exp] = [0] * (2 * len(vec))
+            for s, (re, im) in enumerate(vec):
+                if re or im:
+                    out[2 * s] += cr * re - ci * im
+                    out[2 * s + 1] += cr * im + ci * re
+    return _finish(m, k, acc, den)
 
 
 def spinor_unit(m: int, k: int, index: int) -> SpinorPoly:
     dim = 2 ** ((m - 1) // 2)
-    vec = tuple(QQI_ONE if s == index else QQI_ZERO for s in range(dim))
-    return SpinorPoly(m, k, {(0,) * ((k + 1) * m): vec})
+    vec = tuple((1, 0) if s == index else (0, 0) for s in range(dim))
+    return SpinorPoly.from_num(m, k, {(0,) * ((k + 1) * m): vec}, 1)
 
 
 def monomial(m: int, k: int, exponent, vec) -> SpinorPoly:
@@ -165,7 +252,7 @@ class CoordOp:
 class SpinorMat:
     """Constant matrix acting on the spinor factor alone."""
 
-    entries: tuple  # tuple of row tuples of QQi
+    mat: Mat
 
 
 @dataclass(frozen=True)
@@ -186,98 +273,90 @@ def _check_var(f: SpinorPoly, var: int):
         raise IndexError(f"variable index {var} out of range 0..{f.k}")
 
 
-def _deriv(f: SpinorPoly, coord: int) -> SpinorPoly:
-    terms = {}
-    for exp, vec in f.terms.items():
-        e = exp[coord]
-        if e:
+def _sum_terms(f: SpinorPoly, terms) -> SpinorPoly:
+    """sum of mat . x_mult . d_derivs f over terms (derivs, mult, mat), in one pass.
+
+    derivs is a tuple of flat coordinates to differentiate by, mult a
+    coordinate to multiply by or None, and mat a Mat on the spinor factor
+    or None (the identity); all arithmetic is on the integer numerators.
+    """
+    den = lcm(*(mat.den for _, _, mat in terms if mat is not None))
+    prepared = []
+    for derivs, mult, mat in terms:
+        rows = None
+        if mat is not None:
+            f_mat = den // mat.den
+            rows = [[(j, re * f_mat, im * f_mat) for j, (re, im) in row.items()] for row in mat.num]
+        prepared.append((derivs, mult, rows))
+    width = 2 * f.spinor_dim
+    acc = {}
+    for exp, vec in f.num.items():
+        for derivs, mult, rows in prepared:
+            coeff = 1
             new = list(exp)
-            new[coord] = e - 1
-            terms[tuple(new)] = tuple(QQi(e) * c for c in vec)
-    return SpinorPoly(f.m, f.k, terms)
-
-
-def _coord_mult(f: SpinorPoly, coord: int) -> SpinorPoly:
-    terms = {}
-    for exp, vec in f.terms.items():
-        new = list(exp)
-        new[coord] += 1
-        terms[tuple(new)] = vec
-    return SpinorPoly(f.m, f.k, terms)
-
-
-def _gamma_apply(f: SpinorPoly, i: int) -> SpinorPoly:
-    g = gamma_rep(f.m).generators[i]
-    return SpinorPoly(f.m, f.k, {exp: tuple(g.matvec(list(vec))) for exp, vec in f.terms.items()})
+            for c in derivs:
+                e = new[c]
+                if not e:
+                    break
+                coeff *= e
+                new[c] = e - 1
+            else:
+                if mult is not None:
+                    new[mult] += 1
+                key = tuple(new)
+                out = acc.get(key)
+                if out is None:
+                    out = acc[key] = [0] * width
+                if rows is None:
+                    coeff *= den
+                    for s, (re, im) in enumerate(vec):
+                        out[2 * s] += coeff * re
+                        out[2 * s + 1] += coeff * im
+                    continue
+                for t, row in enumerate(rows):
+                    sre = sim = 0
+                    for j, gr, gi in row:
+                        re, im = vec[j]
+                        sre += gr * re - gi * im
+                        sim += gr * im + gi * re
+                    out[2 * t] += coeff * sre
+                    out[2 * t + 1] += coeff * sim
+    return _finish(f.m, f.k, acc, f.den * den)
 
 
 def apply(spec, f: SpinorPoly) -> SpinorPoly:
     """Apply an operator spec exactly."""
     m = f.m
-    if isinstance(spec, Dirac):
+    if isinstance(spec, (Dirac, VectorMult, Euler, LaplaceOp)):
         _check_var(f, spec.var)
-        out = SpinorPoly(m, f.k)
-        base = spec.var * m
-        for i in range(m):
-            out = out + _gamma_apply(_deriv(f, base + i), i)
-        return out
-    if isinstance(spec, VectorMult):
-        _check_var(f, spec.var)
-        out = SpinorPoly(m, f.k)
-        base = spec.var * m
-        for i in range(m):
-            out = out + _gamma_apply(_coord_mult(f, base + i), i)
-        return out
-    if isinstance(spec, MixedEuler):
+        coords = range(spec.var * m, (spec.var + 1) * m)
+        if isinstance(spec, Dirac):
+            gens = gamma_rep(m).generators
+            return _sum_terms(f, [((c,), None, g) for c, g in zip(coords, gens)])
+        if isinstance(spec, VectorMult):
+            gens = gamma_rep(m).generators
+            return _sum_terms(f, [((), c, g) for c, g in zip(coords, gens)])
+        if isinstance(spec, Euler):
+            return _sum_terms(f, [((c,), c, None) for c in coords])
+        return _sum_terms(f, [((c, c), None, None) for c in coords])
+    if isinstance(spec, (MixedEuler, MixedLaplace)):
         _check_var(f, spec.p)
         _check_var(f, spec.q)
-        out = SpinorPoly(m, f.k)
-        for i in range(m):
-            out = out + _coord_mult(_deriv(f, spec.q * m + i), spec.p * m + i)
-        return out
-    if isinstance(spec, Euler):
-        _check_var(f, spec.var)
-        out = SpinorPoly(m, f.k)
-        base = spec.var * m
-        for i in range(m):
-            out = out + _coord_mult(_deriv(f, base + i), base + i)
-        return out
-    if isinstance(spec, LaplaceOp):
-        _check_var(f, spec.var)
-        out = SpinorPoly(m, f.k)
-        base = spec.var * m
-        for i in range(m):
-            out = out + _deriv(_deriv(f, base + i), base + i)
-        return out
-    if isinstance(spec, MixedLaplace):
-        _check_var(f, spec.p)
-        _check_var(f, spec.q)
-        out = SpinorPoly(m, f.k)
-        for i in range(m):
-            out = out + _deriv(_deriv(f, spec.q * m + i), spec.p * m + i)
-        return out
+        pairs = [(spec.p * m + i, spec.q * m + i) for i in range(m)]
+        if isinstance(spec, MixedEuler):
+            return _sum_terms(f, [((q,), p, None) for p, q in pairs])
+        return _sum_terms(f, [((q, p), None, None) for p, q in pairs])
     if isinstance(spec, CoordOp):
-        return _coord_mult(_deriv(f, spec.deriv), spec.mult)
+        return _sum_terms(f, [((spec.deriv,), spec.mult, None)])
     if isinstance(spec, SpinorMat):
-        terms = {}
-        for exp, vec in f.terms.items():
-            new = tuple(
-                sum((row[j] * vec[j] for j in range(len(vec)) if vec[j]), QQI_ZERO)
-                for row in spec.entries
-            )
-            if any(new):
-                terms[exp] = new
-        return SpinorPoly(m, f.k, terms)
+        return _sum_terms(f, [((), None, spec.mat)])
     if isinstance(spec, Compose):
         out = f
         for part in reversed(spec.specs):
             out = apply(part, out)
         return out
     if isinstance(spec, ScalarMix):
-        out = SpinorPoly(m, f.k)
-        for coeff, part in spec.parts:
-            out = out + apply(part, f).scale(coeff)
-        return out
+        return _weighted_sum(m, f.k, ((apply(part, f), coeff) for coeff, part in spec.parts))
     raise TypeError(f"unknown operator spec {spec!r}")
 
 
@@ -316,12 +395,11 @@ def homogeneous_basis(m: int, k: int, degrees) -> list:
     if len(degrees) != k + 1:
         raise ValueError(f"need {k + 1} degrees, got {len(degrees)}")
     dim = 2 ** ((m - 1) // 2)
+    units = [tuple((1, 0) if t == s else (0, 0) for t in range(dim)) for s in range(dim)]
     out = []
     for parts in itertools.product(*(exponents(m, d) for d in degrees)):
         exp = sum(parts, ())
-        for s in range(dim):
-            vec = tuple(QQI_ONE if t == s else QQI_ZERO for t in range(dim))
-            out.append(SpinorPoly(m, k, {exp: vec}))
+        out.extend(SpinorPoly.from_num(m, k, {exp: unit}, 1) for unit in units)
     return out
 
 
@@ -333,19 +411,10 @@ def _image(op, f: SpinorPoly) -> SpinorPoly:
 def combination(basis: list, coeffs) -> SpinorPoly:
     """sum_j coeffs[j] basis[j]; coeffs is a dict index -> scalar or a list.
 
-    Sums in place and skips zero spinor components, which are most of a
-    monomial basis element's entries.
+    One pass over the integer numerators, over the lcm of the denominators.
     """
-    terms = {}
     items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
-    for j, c in items:
-        if c:
-            for exp, vec in basis[j].terms.items():
-                acc = terms.setdefault(exp, [QQI_ZERO] * len(vec))
-                for s, x in enumerate(vec):
-                    if x:
-                        acc[s] = acc[s] + c * x
-    return SpinorPoly(basis[0].m, basis[0].k, terms)
+    return _weighted_sum(basis[0].m, basis[0].k, ((basis[j], c) for j, c in items))
 
 
 def stacked_rows(ops, domain: list) -> dict:
@@ -416,15 +485,16 @@ def operator_matrix(op, domain: list, codomain: list) -> LinOpMatrix:
 def fischer_inner(f: SpinorPoly, g: SpinorPoly) -> QQi:
     """Fischer pairing <x^a s, x^b t> = delta_ab a! <s, t>, antilinear left."""
     f._check(g)
-    acc = QQI_ZERO
-    for exp, vec in f.terms.items():
-        other = g.terms.get(exp)
+    acc_re = acc_im = 0
+    for exp, vec in f.num.items():
+        other = g.num.get(exp)
         if other is None:
             continue
         fact = 1
         for e in exp:
             for t in range(2, e + 1):
                 fact *= t
-        pair = sum((vec[s].conj() * other[s] for s in range(len(vec)) if vec[s] and other[s]), QQI_ZERO)
-        acc = acc + pair * QQi(fact)
-    return acc
+        for (ar, ai), (br, bi) in zip(vec, other):
+            acc_re += fact * (ar * br + ai * bi)
+            acc_im += fact * (ar * bi - ai * br)
+    return _qqi(acc_re, acc_im, f.den * g.den)

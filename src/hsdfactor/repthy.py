@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .clifford import gamma_rep
-from .gaussian import QQi, QQI_ZERO
+from .gaussian import QQi
 from .linalg import DEFAULT_CELL_CAP, Mat, SpanSolver
 from .polyspace import (
     Compose,
@@ -181,12 +181,10 @@ def simplicial_harmonic_ambient(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP
         )
     basis = []
     for h in scalars:
+        coords = h.coordinates()  # all at spinor index 0
         for s in range(dim):
-            terms = {}
-            for exp, vec in h.terms.items():
-                c = vec[0]
-                terms[exp] = tuple(c if t == s else QQI_ZERO for t in range(dim))
-            basis.append(SpinorPoly(m, k, terms))
+            pad = ((0,) * s, (0,) * (dim - s - 1))
+            basis.append(SpinorPoly(m, k, {exp: pad[0] + (c,) + pad[1] for (exp, _), c in coords.items()}))
     return RealizedSpace(label, m, k, degrees, basis)
 
 
@@ -206,7 +204,7 @@ def so_generator_spec(a: int, b: int, m: int, k: int):
     gam = gamma_rep(m)
     half = QQi(Fraction(1, 2))
     spin_mat = (gam.generators[a] * gam.generators[b]).scale(half)
-    parts.append((Fraction(1), SpinorMat(tuple(tuple(row) for row in spin_mat.rows))))
+    parts.append((Fraction(1), SpinorMat(spin_mat)))
     return ScalarMix(tuple(parts))
 
 

@@ -175,3 +175,18 @@ def test_verify_induction_honours_cap(capsys):
     code, data = run_json(capsys, ["verify", "induction", "--mu", "1", "--m", "3", "--degree", "2", "--cap", "100000"])
     assert code == 0
     assert data["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--mu", "2,1", "--m", "5", "--degree", "0", "--cap", "1"],
+        ["verify", "corollary", "--mu", "2,1", "--m", "5", "--degree", "0", "--cap", "1"],
+    ],
+)
+def test_cap_bounds_the_value_space_basis(capsys, argv):
+    # at x-degree 0 the kernel elimination has no rows; the 300x300
+    # value-space basis of explicit_hsd is what the cap must refuse
+    code, data = run_json(capsys, argv)
+    assert code == 2
+    assert data == {"error": "resource_cap", "message": "elimination size 300x300 exceeds cap 1"}

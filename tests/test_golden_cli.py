@@ -31,6 +31,7 @@ CASES = [
     ["factorize", "--mu", "3,1", "--power", "4"],
     ["verify", "box", "--mu", "2,1"],
     ["verify", "path", "--mu", "2,1"],
+    ["kernel", "--mu", "1,1", "--m", "5", "--degree", "1"],
 ]
 
 

@@ -1,0 +1,167 @@
+"""The integer-preserving sparse_rref against the QQi elimination it replaced.
+
+`ref_sparse_rref` is the earlier production code, kept apart from its
+name: it normalises each pivot row to a unit pivot and subtracts QQi
+multiples of it.  The fraction-free version must return the identical
+`(pivots, reduced)` pair, since the reduced row echelon form is unique
+and the pivot choice depends only on the supports.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from hsdfactor.gaussian import QQi, QQI_ONE, QQI_ZERO
+from hsdfactor.linalg import Mat, solve_sparse, sparse_nullspace, sparse_rank, sparse_rref
+
+examples = settings(max_examples=150, deadline=None)
+
+
+# --- oracle ----------------------------------------------------------------
+
+def _eliminate_into(target, pivot_row, col):
+    factor = target.pop(col)
+    for j, v in pivot_row.items():
+        if j == col:
+            continue
+        cur = target.get(j)
+        nv = v * factor
+        nv = (cur - nv) if cur is not None else -nv
+        if nv:
+            target[j] = nv
+        elif cur is not None:
+            del target[j]
+
+
+def ref_sparse_rref(rows, ncols):
+    work = [dict(r) for r in rows if r]
+    live = list(range(len(work)))
+    pivots = []
+    pivot_rows = []
+    for col in range(ncols):
+        best = None
+        for i in live:
+            r = work[i]
+            if col in r:
+                key = (len(r), i)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            continue
+        idx = best[1]
+        live.remove(idx)
+        prow = work[idx]
+        inv = QQI_ONE / prow[col]
+        prow = {j: inv * v for j, v in prow.items()}
+        for i in live:
+            if col in work[i]:
+                _eliminate_into(work[i], prow, col)
+        for prev in pivot_rows:
+            if col in prev:
+                _eliminate_into(prev, prow, col)
+        pivots.append(col)
+        pivot_rows.append(prow)
+    return pivots, pivot_rows
+
+
+# --- strategies --------------------------------------------------------------
+
+rationals = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+nonzero = st.one_of(
+    st.builds(QQi, rationals, st.just(Fraction(0))),
+    st.builds(QQi, st.just(Fraction(0)), rationals),  # purely imaginary pivots
+    st.builds(QQi, rationals, rationals),
+)
+
+
+def _add(a, b, c):
+    """a + c * b on sparse QQi rows, zero entries dropped."""
+    out = dict(a)
+    for j, v in b.items():
+        s = out.get(j, QQI_ZERO) + c * v
+        if s:
+            out[j] = s
+        else:
+            out.pop(j, None)
+    return out
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse rows with empty rows and rows that combine earlier ones."""
+    ncols = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["sparse", "sparse", "empty", "dependent"]))
+        if kind == "dependent" and rows:
+            picks = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), nonzero), min_size=1, max_size=3))
+            row = {}
+            for i, c in picks:
+                row = _add(row, rows[i], c)
+        elif kind == "empty":
+            row = {}
+        else:
+            cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+            row = {j: draw(nonzero) for j in sorted(cols)}
+        rows.append(row)
+    return rows, ncols
+
+
+# --- tests -------------------------------------------------------------------
+
+@examples
+@given(sparse_matrices())
+def test_rref_matches_qqi_oracle(case):
+    rows, ncols = case
+    snapshot = [dict(r) for r in rows]
+    pivots, reduced = sparse_rref(rows, ncols)
+    assert (pivots, reduced) == ref_sparse_rref(rows, ncols)
+    assert rows == snapshot  # inputs untouched
+    for col, row in zip(pivots, reduced):
+        assert row[col] == QQI_ONE
+        assert all(isinstance(v, QQi) and v for v in row.values())
+        assert not any(other in row for other in pivots if other != col)
+
+
+@examples
+@given(sparse_matrices())
+def test_rank_nullspace_and_mat_rank_agree(case):
+    rows, ncols = case
+    rank = len(ref_sparse_rref(rows, ncols)[0])
+    assert sparse_rank(rows, ncols) == rank
+    null = sparse_nullspace(rows, ncols)
+    assert len(null) == ncols - rank
+    for vec in null:
+        for row in rows:
+            assert sum((v * vec[j] for j, v in row.items() if j in vec), QQI_ZERO) == 0
+    dense = [[row.get(j, QQI_ZERO) for j in range(ncols)] for row in rows]
+    if dense:
+        assert Mat(dense).rank() == rank
+
+
+@examples
+@given(sparse_matrices(), st.data())
+def test_solve_sparse_consistent_and_inconsistent(case, data):
+    rows, ncols = case
+    x = {j: data.draw(nonzero) for j in range(ncols)}
+    rhs = [sum((v * x[j] for j, v in row.items()), QQI_ZERO) for row in rows]
+    solved = solve_sparse(rows, rhs, ncols)
+    assert solved is not None
+    particular, null = solved
+    for row, b in zip(rows, rhs):
+        assert sum((v * particular[j] for j, v in row.items() if j in particular), QQI_ZERO) == b
+    assert len(null) == ncols - sparse_rank(rows, ncols)
+    # a copy of an existing row with a different right-hand side, or a
+    # nonzero right-hand side on an empty row, has no solution
+    i = data.draw(st.integers(0, len(rows)))
+    extra_row = dict(rows[i]) if i < len(rows) else {}
+    extra_rhs = (rhs[i] if i < len(rows) else QQI_ZERO) + data.draw(nonzero)
+    assert solve_sparse(rows + [extra_row], rhs + [extra_rhs], ncols) is None
+
+
+def test_solve_sparse_inconsistent_example():
+    rows = [{0: QQi(1), 1: QQi(0, 1)}, {0: QQi(2), 1: QQi(0, 2)}]
+    assert solve_sparse(rows, [QQi(1), QQi(3)], 2) is None
+    particular, null = solve_sparse(rows, [QQi(1), QQi(2)], 2)
+    assert particular == {0: QQi(1)}
+    assert null == [{1: QQi(1), 0: QQi(0, -1)}]
