@@ -209,7 +209,7 @@ def _verify_box(args, started):
 
 
 def _verify_theorem(args, started):
-    if not args.m or args.degree is None or not args.power:
+    if not args.m or args.degree is None or args.power is None:
         print("error: verify theorem requires --m, --power and --degree", file=sys.stderr)
         return 2
     mu = _parse_weight(args.mu, args.rank)
@@ -328,7 +328,7 @@ def run(argv) -> int:
         if args.command == "paths":
             return _cmd_paths(args, started)
         if args.command == "factorize":
-            if not args.power:
+            if args.power is None:
                 print("error: factorize requires --power", file=sys.stderr)
                 return 2
             return _cmd_factorize(args, started)

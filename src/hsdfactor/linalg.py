@@ -360,16 +360,18 @@ def sparse_nullspace(rows, ncols):
     Vectors are dicts col -> QQi with the free coordinate set to 1;
     ordering follows increasing free-column index.
     """
-    pivots, reduced = sparse_rref(rows, ncols)
+    return _nullspace_of_rref(*sparse_rref(rows, ncols), ncols)
+
+
+def _nullspace_of_rref(pivots, reduced, ncols):
+    """sparse_nullspace read off an RREF; entries at columns >= ncols are ignored."""
     pivot_set = set(pivots)
-    col_to_rowidx = {c: k for k, c in enumerate(pivots)}
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
         vec = {free: QQI_ONE}
-        for c in pivots:
-            row = reduced[col_to_rowidx[c]]
+        for c, row in zip(pivots, reduced):
             v = row.get(free)
             if v is not None:
                 vec[c] = -v
@@ -382,6 +384,8 @@ def solve_sparse(rows, rhs, ncols):
 
     rows: list of dict rows of A; rhs: list of QQi, one per row.
     Returns (particular, nullspace_basis) or None when inconsistent.
+    When [A|b] is consistent its RREF restricted to A's columns is the
+    RREF of A, so one elimination serves both.
     """
     aug = []
     for r, b in zip(rows, rhs):
@@ -398,8 +402,7 @@ def solve_sparse(rows, rhs, ncols):
         v = row.get(ncols)
         if v is not None:
             particular[c] = v
-    null = sparse_nullspace(rows, ncols)
-    return particular, null
+    return particular, _nullspace_of_rref(pivots, reduced, ncols)
 
 
 class SpanSolver:

@@ -17,18 +17,23 @@ normalization sign (-1)^(mu_{p+1} + ... + mu_n) attached to the step
 raising coordinate p at mu makes every square commute; path operators
 carry the product of these signs and become path-independent.
 
-The Laplace expander eliminates a Laplace symbol at a dominant weight k
-through the module's fixed convention
+A Laplace symbol at a dominant weight k is eliminated through the
+module's fixed convention
 
     Lap(k) = -R(k)^2 - sum_i T(k <- k-e_i) T(k-e_i <- k),
 
-the sum running over the dominant lowerings of k.
+the sum running over the dominant lowerings of k.  expand_laplace_power
+writes Lap(mu)^p = R * middle * R + residual from the closed form of
+that unfolding, and eliminate_laplace re-expands both sides through the
+rule itself, so certificate_reexpands checks the closed form
+independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .weights import (
     Weight,
@@ -563,7 +568,7 @@ def expr_jsonable(expr: OperatorExpr):
 
 
 class WorkBudget:
-    """Work units (expander states plus re-expansion entries) under an optional cap."""
+    """Work units (certificate weights plus re-expansion memo entries) under an optional cap."""
 
     def __init__(self, cap: int | None = None):
         self.cap = cap
@@ -572,18 +577,30 @@ class WorkBudget:
     def spend(self):
         self.spent += 1
         if self.cap is not None and self.spent > self.cap:
-            raise ResourceCapError(f"more than {self.cap} expander states and re-expansion entries")
+            raise ResourceCapError(f"more than {self.cap} certificate weights and re-expansion entries")
+
+
+def _box_offsets(gaps, left):
+    """Every k with 0 <= k_i <= gaps[i] and |k| <= left."""
+    if not gaps:
+        yield ()
+        return
+    for ki in range(min(gaps[0], left) + 1):
+        for rest in _box_offsets(gaps[1:], left - ki):
+            yield (ki,) + rest
 
 
 def expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = None) -> FactorizationCertificate:
-    """Expand Lap(mu)^p through the HSD sandwich.
+    """Expand Lap(mu)^p through the HSD sandwich, in closed form.
 
-    Repeatedly splits one Laplace factor at the innermost weight into
-    -R^2 - sum TT, closes the R^2 branches by moving both factors out
-    through the accumulated twistor chains (one sign per step), and
-    recurses on the TT branches.  Branches whose chains die by the
-    non-dominant-intermediate rule contribute nothing, which is what
-    confines the support to the box.  Each popped state spends budget.
+    Unfolding the Laplace rule p times reaches lam = mu - k in the box of
+    mu along each of the d!/prod k_i! orderings of its d = |k| lowerings
+    (all dominant, as the box interlaces; chains leaving the box die), and
+    each one normalizes to the canonical path word with one common sign.
+    So for d < p, lam gets the coefficient (-1)^(d+1) d!/prod k_i! of
+    P(mu <- lam) Lap(lam)^(p-d-1) P(lam <- mu) in middle, and for d = p the
+    chain mu -> lam -> mu enters the residual with (-1)^p p!/prod k_i!.
+    Only k with |k| <= p are enumerated, one budget unit each.
     """
     if mu.spin:
         raise ValueError("expand_laplace_power takes an integral weight")
@@ -595,64 +612,33 @@ def expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = None) -
     budget = WorkBudget() if budget is None else budget
 
     coefficients: dict[Weight, Fraction] = {}
-    cache: dict[Weight, tuple] = {}
-    residual = ZERO
-    # term: (coeff, up-chain syms lam->mu, lam, remaining power, down-chain syms mu->lam)
-    stack = [(Fraction(1), (), mu, p, ())]
-    while stack:
-        coeff, up, lam, e, down = stack.pop()
+    middle: dict[OperatorWord, Fraction] = {}
+    residual: dict[OperatorWord, Fraction] = {}
+    for k in _box_offsets([a - b for a, b in zip(mu.entries, mu.entries[1:] + (0,))], p):
         budget.spend()
-        lam_s = lam.spin_shifted()
-        sigma = (_word_normal_form(OperatorWord(mu_s, lam_s, up))[0]
-                 * _word_normal_form(OperatorWord(lam_s, mu_s, down))[0])
-        if sigma == 0:
-            continue  # dead chain; extending it can never revive it
-        if e == 0:
-            word = OperatorWord(mu_s, mu_s, up + down, 0)
-            residual = residual + OperatorExpr({word: coeff})
-            continue
-        # R^2 branch: -R(lam) Lap^(e-1) R(lam), both R factors moved out to mu
-        closed = -coeff * (-1) ** (len(up) + len(down))
-        if lam not in cache:
-            cpath = canonical_path(lam, mu)
-            fwd = path_operator(cpath)
-            rev = path_operator(cpath.reversed())
-            # the reverse-path word is generally not in normal form; its
-            # normal-form sign enters the change of basis to path operators
-            rev_word = next(iter(rev.terms))
-            rev_sigma, _ = _word_normal_form(rev_word)
-            cache[lam] = (fwd, rev, rev_sigma)
-        fwd, rev, rev_sigma = cache[lam]
-        contrib = closed * sigma * rev_sigma * _single_coeff(fwd) * _single_coeff(rev)
-        _accumulate(coefficients, lam, contrib)
-        # TT branches: descend one coordinate
-        for lower in reversed(list(_lowerings(lam))):
-            low_s = lower.spin_shifted()
-            t_down = TwistorSym(low_s, lam_s)
-            t_up = TwistorSym(lam_s, low_s)
-            stack.append((-coeff, up + (t_up,), lower, e - 1, (t_down,) + down))
-
-    middle = ZERO
-    for lam, c in coefficients.items():
-        fwd, rev, _ = cache[lam]
-        e = p - manhattan_distance(mu, lam) - 1
-        middle = middle + (fwd * laplace_sym(lam.spin_shifted(), e) * rev).scale(c)
-    residual = normal_form(residual)
+        lam = Weight(tuple(a - b for a, b in zip(mu.entries, k)))
+        d = sum(k)
+        chains = factorial(d)
+        for ki in k:
+            chains //= factorial(ki)
+        cpath = canonical_path(lam, mu)
+        fwd, rev = path_operator(cpath), path_operator(cpath.reversed())
+        if d < p:
+            coefficients[lam] = Fraction((-1) ** (d + 1) * chains)
+            term = fwd * laplace_sym(lam.spin_shifted(), p - d - 1) * rev
+            middle.update(term.scale(coefficients[lam]).terms)
+        else:
+            word = OperatorWord(mu_s, mu_s, next(iter(fwd.terms)).syms + next(iter(rev.terms)).syms)
+            residual.update(normal_form(OperatorExpr({word: (-1) ** p * chains})).terms)
 
     if p > mu.entries[0]:
-        if not residual.is_zero():
+        if residual:
             raise AssertionError("residual failed to vanish for p > mu_1")
         inside = set(box(mu))
         stray = [lam for lam in coefficients if lam not in inside]
         if stray:
             raise AssertionError(f"coefficients outside the box: {stray}")
-    return FactorizationCertificate(mu, p, coefficients, middle, residual)
-
-
-def _single_coeff(expr: OperatorExpr) -> Fraction:
-    if len(expr.terms) != 1:
-        raise AssertionError("expected a single-word expression")
-    return next(iter(expr.terms.values()))
+    return FactorizationCertificate(mu, p, coefficients, OperatorExpr(middle), OperatorExpr(residual))
 
 
 def _bottom_position(word: OperatorWord):

@@ -36,6 +36,8 @@ from .weights import Weight, is_dominant, summand_weights
 
 
 def _rank_of(m: int) -> int:
+    if m < 3 or m % 2 == 0:
+        raise ValueError(f"odd dimension m = 2n+1 >= 3 required, got {m}")
     return (m - 1) // 2
 
 

@@ -190,3 +190,29 @@ def test_cap_bounds_the_value_space_basis(capsys, argv):
     code, data = run_json(capsys, argv)
     assert code == 2
     assert data == {"error": "resource_cap", "message": "elimination size 300x300 exceeds cap 1"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "identities", "--mu", "1", "--m", "4", "--degree", "2"],
+        ["verify", "theorem", "--mu", "1", "--m", "4", "--power", "2", "--degree", "4"],
+    ],
+)
+def test_even_dimension_is_usage_error(capsys, argv):
+    code, data = run_json(capsys, argv)
+    assert code == 2
+    assert data == {"error": "usage", "message": "odd dimension m = 2n+1 >= 3 required, got 4"}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["factorize", "--mu", "2,1", "--power", "0"], "power must be >= 1"),
+        (["verify", "theorem", "--mu", "1", "--m", "3", "--power", "0", "--degree", "4"], "need p > mu_1, got p=0, mu_1=1"),
+    ],
+)
+def test_power_zero_is_usage_error(capsys, argv, message):
+    code, data = run_json(capsys, argv)
+    assert code == 2
+    assert data == {"error": "usage", "message": message}

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from hsdfactor.opalgebra import (
     certificate_reexpands,
@@ -216,3 +217,23 @@ def test_certificate_serialization_roundtrip_fields():
     assert data["power"] == 2
     assert {tuple(c["lambda"]["entries"]) for c in data["coefficients"]} == {(1, 0), (0, 0)}
     assert all("/" in c["value"] for c in data["coefficients"])
+
+
+@st.composite
+def dominant_pairs(draw):
+    """Dominant nu <= mu of rank <= 3."""
+    rank = draw(st.integers(1, 3))
+    mu = sorted(draw(st.lists(st.integers(0, 4), min_size=rank, max_size=rank)), reverse=True)
+    nu = []
+    for bound in mu:
+        nu.append(draw(st.integers(0, min([bound] + nu[-1:]))))
+    return Weight(tuple(nu)), Weight(tuple(mu))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dominant_pairs())
+def test_path_independence_on_random_dominant_pairs(pair):
+    nu, mu = pair
+    rep = verify_path_independence(nu, mu)
+    assert rep.passed
+    assert not rep.results["truncated"]

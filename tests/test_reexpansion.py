@@ -1,10 +1,12 @@
-"""The memoized Laplace re-expansion and the linear-time death test
-against the tree walker and the count-grid test they replaced.
+"""The closed-form certificate, the memoized Laplace re-expansion and the
+linear-time death test against the tree walkers and the count-grid test
+they replaced.
 
 The oracles below are the earlier production code, kept verbatim apart
 from their names: `grid_word_normal_form` visits every count vector of
-the step grid, and `tree_eliminate_laplace` rewrites one Laplace factor
-per step until no word carries one.
+the step grid, `tree_eliminate_laplace` rewrites one Laplace factor per
+step until no word carries one, and `tree_expand_laplace_power` walks
+every chain of lowerings that the Laplace power unfolds into.
 """
 
 import dataclasses
@@ -15,21 +17,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsdfactor.opalgebra import (
+    ZERO,
+    FactorizationCertificate,
     HsdSym,
     OperatorExpr,
     OperatorWord,
     TwistorSym,
     WorkBudget,
+    _accumulate,
     _bottom_position,
+    _lowerings,
     _word_normal_form,
     certificate_reexpands,
     eliminate_laplace,
     expand_laplace_power,
     hsd_sym,
     laplace_sym,
+    normal_form,
+    path_operator,
 )
 from hsdfactor.linalg import ResourceCapError
-from hsdfactor.weights import Weight, is_dominant, weight
+from hsdfactor.weights import Weight, box, canonical_path, is_dominant, manhattan_distance, weight
 
 
 # --- oracles ---------------------------------------------------------------
@@ -152,6 +160,86 @@ def tree_eliminate_laplace(expr: OperatorExpr) -> OperatorExpr:
     return grid_normal_form(OperatorExpr(done, expr.target, expr.source))
 
 
+def tree_expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = None) -> FactorizationCertificate:
+    """Expand Lap(mu)^p through the HSD sandwich.
+
+    Repeatedly splits one Laplace factor at the innermost weight into
+    -R^2 - sum TT, closes the R^2 branches by moving both factors out
+    through the accumulated twistor chains (one sign per step), and
+    recurses on the TT branches.  Branches whose chains die by the
+    non-dominant-intermediate rule contribute nothing, which is what
+    confines the support to the box.  Each popped state spends budget.
+    """
+    if mu.spin:
+        raise ValueError("expand_laplace_power takes an integral weight")
+    if not is_dominant(mu):
+        raise ValueError(f"{mu} is not dominant")
+    if p < 1:
+        raise ValueError("power must be >= 1")
+    mu_s = mu.spin_shifted()
+    budget = WorkBudget() if budget is None else budget
+
+    coefficients: dict[Weight, Fraction] = {}
+    cache: dict[Weight, tuple] = {}
+    residual = ZERO
+    # term: (coeff, up-chain syms lam->mu, lam, remaining power, down-chain syms mu->lam)
+    stack = [(Fraction(1), (), mu, p, ())]
+    while stack:
+        coeff, up, lam, e, down = stack.pop()
+        budget.spend()
+        lam_s = lam.spin_shifted()
+        sigma = (_word_normal_form(OperatorWord(mu_s, lam_s, up))[0]
+                 * _word_normal_form(OperatorWord(lam_s, mu_s, down))[0])
+        if sigma == 0:
+            continue  # dead chain; extending it can never revive it
+        if e == 0:
+            word = OperatorWord(mu_s, mu_s, up + down, 0)
+            residual = residual + OperatorExpr({word: coeff})
+            continue
+        # R^2 branch: -R(lam) Lap^(e-1) R(lam), both R factors moved out to mu
+        closed = -coeff * (-1) ** (len(up) + len(down))
+        if lam not in cache:
+            cpath = canonical_path(lam, mu)
+            fwd = path_operator(cpath)
+            rev = path_operator(cpath.reversed())
+            # the reverse-path word is generally not in normal form; its
+            # normal-form sign enters the change of basis to path operators
+            rev_word = next(iter(rev.terms))
+            rev_sigma, _ = _word_normal_form(rev_word)
+            cache[lam] = (fwd, rev, rev_sigma)
+        fwd, rev, rev_sigma = cache[lam]
+        contrib = closed * sigma * rev_sigma * _single_coeff(fwd) * _single_coeff(rev)
+        _accumulate(coefficients, lam, contrib)
+        # TT branches: descend one coordinate
+        for lower in reversed(list(_lowerings(lam))):
+            low_s = lower.spin_shifted()
+            t_down = TwistorSym(low_s, lam_s)
+            t_up = TwistorSym(lam_s, low_s)
+            stack.append((-coeff, up + (t_up,), lower, e - 1, (t_down,) + down))
+
+    middle = ZERO
+    for lam, c in coefficients.items():
+        fwd, rev, _ = cache[lam]
+        e = p - manhattan_distance(mu, lam) - 1
+        middle = middle + (fwd * laplace_sym(lam.spin_shifted(), e) * rev).scale(c)
+    residual = normal_form(residual)
+
+    if p > mu.entries[0]:
+        if not residual.is_zero():
+            raise AssertionError("residual failed to vanish for p > mu_1")
+        inside = set(box(mu))
+        stray = [lam for lam in coefficients if lam not in inside]
+        if stray:
+            raise AssertionError(f"coefficients outside the box: {stray}")
+    return FactorizationCertificate(mu, p, coefficients, middle, residual)
+
+
+def _single_coeff(expr: OperatorExpr) -> Fraction:
+    if len(expr.terms) != 1:
+        raise AssertionError("expected a single-word expression")
+    return next(iter(expr.terms.values()))
+
+
 # --- the acceptance grid: rank <= 3, mu_1 <= 3, p <= mu_1 + 2 ---------------
 
 def grid_cases():
@@ -203,9 +291,53 @@ def test_normal_form_matches_grid_on_certificate_words():
                 assert _word_normal_form(word) == grid_word_normal_form(word), (mu, p, str(word))
 
 
+# --- the closed-form certificate against the tree walker ------------------
+
+def certificate_grid(rank):
+    """Dominant mu of one rank with mu_1 <= 4 and |mu| <= 9, every p <= mu_1 + 2."""
+    for tup in itertools.product(range(5), repeat=rank):
+        mu = Weight(tup)
+        if is_dominant(mu) and sum(tup) <= 9:
+            for p in range(1, mu.entries[0] + 3):
+                yield mu, p
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_closed_form_matches_tree_walker_on_grid(rank):
+    count = 0
+    for mu, p in certificate_grid(rank):
+        assert expand_laplace_power(mu, p).to_jsonable() == tree_expand_laplace_power(mu, p).to_jsonable(), (mu, p)
+        count += 1
+    assert count == {1: 20, 2: 70, 3: 151, 4: 224}[rank]  # 465 certificates in all
+
+
+def test_closed_form_enumerates_only_weights_within_p_steps():
+    budget = WorkBudget()
+    cert = expand_laplace_power(weight(200, 100, 50), 1, budget)
+    assert budget.spent == 4  # mu itself and its three lowerings, not the box
+    assert [lam.entries for lam in cert.support()] == [(200, 100, 50)]
+    assert len(cert.residual.terms) == 3
+
+
 # --- random words ----------------------------------------------------------
 
 examples = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def certificate_cases(draw):
+    """Dominant mu of rank <= 5 and p <= mu_1 + 2, kept where the walker is cheap."""
+    rank = draw(st.integers(1, 5))
+    mu = Weight(tuple(sorted(draw(st.lists(st.integers(0, 6), min_size=rank, max_size=rank)), reverse=True)))
+    cheap = max(q for q in range(1, 13) if (rank + 1) ** q <= 5000)
+    return mu, draw(st.integers(1, min(mu.entries[0] + 2, cheap)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(certificate_cases())
+def test_closed_form_matches_tree_walker_on_random_weights(case):
+    mu, p = case
+    assert expand_laplace_power(mu, p).to_jsonable() == tree_expand_laplace_power(mu, p).to_jsonable()
 
 
 def _walk(draw, start, length):
@@ -263,6 +395,14 @@ def spliced(draw):
 @given(words())
 def test_linear_death_test_matches_grid(word):
     assert _word_normal_form(word) == grid_word_normal_form(word)
+
+
+@examples
+@given(words(), st.integers(0, 3), st.integers(-3, 3).filter(bool))
+def test_normal_form_is_idempotent(word, lap, coeff):
+    once = normal_form(OperatorExpr({dataclasses.replace(word, lap=lap): coeff}))
+    assert normal_form(once) == once
+    assert all(_word_normal_form(w) == (1, w) for w in once.terms)
 
 
 def _joined(h, x, t):

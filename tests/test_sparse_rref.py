@@ -151,6 +151,7 @@ def test_solve_sparse_consistent_and_inconsistent(case, data):
     for row, b in zip(rows, rhs):
         assert sum((v * particular[j] for j, v in row.items() if j in particular), QQI_ZERO) == b
     assert len(null) == ncols - sparse_rank(rows, ncols)
+    assert null == sparse_nullspace(rows, ncols)
     # a copy of an existing row with a different right-hand side, or a
     # nonzero right-hand side on an empty row, has no solution
     i = data.draw(st.integers(0, len(rows)))
