@@ -2,7 +2,6 @@
 
 from .weights import (
     Path,
-    SignCode,
     Weight,
     box,
     bruhat_leq,
@@ -19,14 +18,13 @@ from .opalgebra import (
     OperatorWord,
     certificate_reexpands,
     expand_laplace_power,
-    make_symbol,
     normal_form,
     normalization_sign,
     path_operator,
     vanish_outside_box,
     verify_path_independence,
 )
-from .clifford import CliffordElement, GammaRep, clifford_product, gamma_rep, spin_generators
+from .clifford import GammaRep, gamma_rep
 from .polyspace import SpinorPoly, apply, homogeneous_basis, laplace, operator_matrix
 from .repthy import (
     ProjectorSet,

@@ -213,7 +213,7 @@ def _verify_theorem(args, started):
         print("error: verify theorem requires --m, --power and --degree", file=sys.stderr)
         return 2
     mu = _parse_weight(args.mu, args.rank)
-    report = verify_factorization_numeric(mu, args.power, args.m, args.degree)
+    report = verify_factorization_numeric(mu, args.power, args.m, args.degree, cap=args.cap or DEFAULT_CELL_CAP)
     return _emit(report, "verify theorem", args, started)
 
 
@@ -222,7 +222,7 @@ def _verify_identities(args, started):
         print("error: verify identities requires --m and --degree", file=sys.stderr)
         return 2
     mu = _parse_weight(args.mu, args.rank)
-    report = verify_identities(mu, args.m, args.degree)
+    report = verify_identities(mu, args.m, args.degree, cap=args.cap or DEFAULT_CELL_CAP)
     return _emit(report, "verify identities", args, started)
 
 

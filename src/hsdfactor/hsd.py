@@ -49,7 +49,10 @@ from .weights import Weight, canonical_path, manhattan_distance
 
 
 class DerivOp:
-    """Exact operator sum_sig (d/dx)^sig (x) A_sig on ambient-valued polynomials."""
+    """Exact operator sum_sig (d/dx)^sig (x) A_sig on ambient-valued polynomials.
+
+    Zero matrices are dropped and `Mat` is canonical, so `terms` is too.
+    """
 
     __slots__ = ("m", "terms")
 
@@ -95,24 +98,12 @@ class DerivOp:
         return self.compose(DerivOp.constant(self.m, proj))
 
     def is_zero(self) -> bool:
-        return all(mat.is_zero() for mat in self.terms.values())
+        return not self.terms
 
     def __eq__(self, other):
         if not isinstance(other, DerivOp):
             return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        for sig in keys:
-            a = self.terms.get(sig)
-            b = other.terms.get(sig)
-            if a is None:
-                if not b.is_zero():
-                    return False
-            elif b is None:
-                if not a.is_zero():
-                    return False
-            elif a != b:
-                return False
-        return True
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -261,8 +252,8 @@ class HsdOperator:
                 out.append(x_shift(b, alpha))
         return out
 
-    def matrix(self, h: int):
-        """Exact matrix on x-degree h, columns in the degree-(h-1) target basis."""
+    def matrix(self, h: int) -> Mat:
+        """Exact matrix on x-degree h, rows in the degree-(h-1) target basis."""
         codomain = self.target_basis(h - 1) if h >= 1 else []
         return operator_matrix(self.apply, self.domain_basis(h), codomain)
 
@@ -478,7 +469,7 @@ def _summand_pairs(ps: ProjectorSet):
             yield kappa, iota
 
 
-def verify_identities(lam: Weight, m: int, x_degree: int) -> Report:
+def verify_identities(lam: Weight, m: int, x_degree: int, cap: int = DEFAULT_CELL_CAP) -> Report:
     """Exact operator identities in one ambient decomposition.
 
     (1) minus the Laplace operator equals R^2 plus the sum of incoming
@@ -490,9 +481,10 @@ def verify_identities(lam: Weight, m: int, x_degree: int) -> Report:
     Operators are sums of derivative monomials with ambient matrices,
     so each identity reduces to finitely many exact matrix equalities,
     valid uniformly in the x-degree; the stated x_degree is echoed into
-    the report and used for the evaluation spot checks.
+    the report and used for the evaluation spot checks.  cap bounds the
+    eliminations of `casimir_projectors`.
     """
-    ps = casimir_projectors(lam, m)
+    ps = casimir_projectors(lam, m, cap=cap)
     ambient = ps.ambient
     block = _step_ops(ps)
     checks = []
@@ -567,7 +559,9 @@ def verify_identities(lam: Weight, m: int, x_degree: int) -> Report:
 # numeric factorization check
 
 
-def verify_factorization_numeric(mu: Weight, p: int, m: int, x_degree: int) -> Report:
+def verify_factorization_numeric(
+    mu: Weight, p: int, m: int, x_degree: int, cap: int = DEFAULT_CELL_CAP
+) -> Report:
     """Instantiate one factorization certificate as exact matrices.
 
     Every node of every canonical path must be a summand of the single
@@ -578,7 +572,8 @@ def verify_factorization_numeric(mu: Weight, p: int, m: int, x_degree: int) -> R
     The per-weight convention scalars relating the symbolic certificate
     to the projector normalization are solved exactly on the lowest
     admissible degree 2p, then the identity Lap^p = R A R is re-checked
-    exactly on every degree up to x_degree.
+    exactly on every degree up to x_degree.  cap bounds the
+    eliminations of `casimir_projectors`.
     """
     n = (m - 1) // 2
     mu = pad_weight(mu, n)
@@ -593,7 +588,7 @@ def verify_factorization_numeric(mu: Weight, p: int, m: int, x_degree: int) -> R
             "numeric instantiation needs every path node inside one ambient; requires mu_1 <= 1"
         )
     cert = expand_laplace_power(mu, p)
-    ps = casimir_projectors(mu, m)
+    ps = casimir_projectors(mu, m, cap=cap)
     ambient = ps.ambient
     op_between = _step_ops(ps)
     mu_s = mu.spin_shifted()

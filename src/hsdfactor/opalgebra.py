@@ -277,21 +277,6 @@ def laplace_sym(at: Weight, power: int = 1) -> OperatorExpr:
     return OperatorExpr({OperatorWord(at, at, (), power): Fraction(1)})
 
 
-def make_symbol(kind: str, *ws: Weight) -> OperatorExpr:
-    """Uniform constructor: kind in {'twistor', 'hsd', 'laplace'}."""
-    kind = kind.lower()
-    if kind == "twistor":
-        target, source = ws
-        return twistor(target, source)
-    if kind == "hsd":
-        (at,) = ws
-        return hsd_sym(at)
-    if kind == "laplace":
-        (at,) = ws
-        return laplace_sym(at)
-    raise ValueError(f"unknown symbol kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # normal form
 

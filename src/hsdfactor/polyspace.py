@@ -30,7 +30,6 @@ from .linalg import (
     _qqi,
     check_cells,
     sparse_nullspace,
-    sparse_rank,
 )
 
 
@@ -438,36 +437,12 @@ def joint_kernel(ops, domain: list, cap: int = DEFAULT_CELL_CAP) -> list:
     return [combination(domain, vec) for vec in sparse_nullspace(rows, len(domain))]
 
 
-@dataclass
-class LinOpMatrix:
-    """Exact matrix of an operator between two explicit bases.
+def operator_matrix(op, domain: list, codomain: list) -> Mat:
+    """Matrix of an operator spec or a callable from span(domain) to span(codomain).
 
-    Column j holds the codomain coordinates of the image of domain
-    basis vector j; construction fails loudly when an image leaves the
-    codomain span.
+    Column j holds the codomain coordinates of the image of domain[j];
+    construction fails loudly when an image leaves the codomain span.
     """
-
-    domain: list
-    codomain: list
-    columns: list  # list of coordinate lists (length = len(codomain))
-
-    @property
-    def shape(self):
-        return (len(self.codomain), len(self.domain))
-
-    def entry(self, i, j):
-        return self.columns[j][i]
-
-    def rows(self):
-        nr, nc = self.shape
-        return [{j: self.columns[j][i] for j in range(nc) if self.columns[j][i]} for i in range(nr)]
-
-    def rank(self):
-        return sparse_rank(self.rows(), len(self.domain))
-
-
-def operator_matrix(op, domain: list, codomain: list) -> LinOpMatrix:
-    """Matrix of an operator spec or a callable from span(domain) to span(codomain)."""
     solver = SpanSolver([b.coordinates() for b in codomain])
     columns = []
     for b in domain:
@@ -479,7 +454,9 @@ def operator_matrix(op, domain: list, codomain: list) -> LinOpMatrix:
             columns.append(solver.coords(image.coordinates()))
         except SpanError as exc:
             raise SpanError(f"operator image leaves the codomain span: {exc}") from exc
-    return LinOpMatrix(domain, codomain, columns)
+    if not codomain:
+        return Mat.zero(0, len(domain))
+    return Mat([[col[i] for col in columns] for i in range(len(codomain))])
 
 
 def fischer_inner(f: SpinorPoly, g: SpinorPoly) -> QQi:

@@ -45,7 +45,7 @@ def jsonable(obj):
     Rationals render as "num/den"; weights as integer arrays plus spin
     flag; Gaussian rationals as a re/im pair.
     """
-    from .weights import Weight, Path, SignCode
+    from .weights import Weight, Path
 
     if isinstance(obj, Fraction):
         return fraction_str(obj)
@@ -55,8 +55,6 @@ def jsonable(obj):
         return {"re": fraction_str(obj.re), "im": fraction_str(obj.im)}
     if isinstance(obj, Weight):
         return {"entries": list(obj.entries), "spin": obj.spin}
-    if isinstance(obj, SignCode):
-        return "".join("+" if s == 1 else "-" for s in obj.signs)
     if isinstance(obj, Path):
         return {
             "nodes": [jsonable(n) for n in obj.nodes],

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .clifford import gamma_rep
 from .gaussian import QQi
-from .linalg import DEFAULT_CELL_CAP, Mat, SpanSolver
+from .linalg import DEFAULT_CELL_CAP, Mat, SpanSolver, check_cells
 from .polyspace import (
     Compose,
     CoordOp,
@@ -238,9 +238,7 @@ class ProjectorSet:
 
 
 def casimir_matrix(ambient: RealizedSpace) -> Mat:
-    spec = casimir_spec(ambient.m, ambient.k)
-    lin = operator_matrix(spec, ambient.basis, ambient.basis)
-    return Mat([[lin.entry(i, j) for j in range(ambient.dim)] for i in range(ambient.dim)])
+    return operator_matrix(casimir_spec(ambient.m, ambient.k), ambient.basis, ambient.basis)
 
 
 @lru_cache(maxsize=None)
@@ -250,18 +248,19 @@ def casimir_projectors(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> Proj
     One projector per dominant summand weight, built by Lagrange
     interpolation over the predicted eigenvalues; idempotence, mutual
     orthogonality, completeness and the spectral property are all
-    verified exactly, and an eigenvalue collision is a hard error.
+    verified exactly, and an eigenvalue collision is a hard error.  cap
+    bounds the ambient elimination and the d x d Casimir matrix.
     """
     n = _rank_of(m)
     lam_full = pad_weight(lam, n)
-    summands = summand_weights(lam_full)
-    kappas = [w for w, _ in summands]
+    kappas = summand_weights(lam_full)
     eigs = [casimir_eigenvalue(w, m) for w in kappas]
     if len(set(eigs)) != len(eigs):
         raise ArithmeticError(
             f"Casimir eigenvalue collision among summands of {lam}: {eigs}"
         )
     ambient = simplicial_harmonic_ambient(lam, m, cap=cap)
+    check_cells(ambient.dim, ambient.dim, cap)
     cas = casimir_matrix(ambient)
     d = ambient.dim
     ident = Mat.identity(d)

@@ -10,6 +10,7 @@ operator layer maps symbols at non-dominant weights to zero.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,20 +60,6 @@ class Weight:
 
 def weight(*entries, spin=False) -> Weight:
     return Weight(tuple(int(e) for e in entries), spin=spin)
-
-
-@dataclass(frozen=True)
-class SignCode:
-    """Plus/minus code of one summand of V_lambda tensor the spinor space."""
-
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not all(s in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
-
-    def __str__(self):
-        return "(" + ",".join("+" if s == 1 else "-" for s in self.signs) + ")"
 
 
 def _check_same_rank(a: Weight, b: Weight):
@@ -237,8 +224,8 @@ def canonical_path(nu: Weight, mu: Weight) -> Path:
     return Path(tuple(nodes))
 
 
-def summand_weights(lam: Weight) -> list[tuple[Weight, SignCode]]:
-    """Dominant members of {lambda + sum_i sigma_i eps_i / 2}.
+def summand_weights(lam: Weight) -> list[Weight]:
+    """Dominant members of {lambda + sum_i sigma_i eps_i / 2}, highest first.
 
     Each result is a half-integral weight stored as (integral part,
     spin flag): coordinate i keeps lambda_i for sigma_i = +1 and drops
@@ -249,13 +236,10 @@ def summand_weights(lam: Weight) -> list[tuple[Weight, SignCode]]:
         raise ValueError("summand_weights takes an integral weight")
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    n = lam.rank
     out = []
-    for mask in range(2 ** n):
-        signs = tuple(1 if not (mask >> i) & 1 else -1 for i in range(n))
-        entries = tuple(e if s == 1 else e - 1 for e, s in zip(lam.entries, signs))
-        w = Weight(entries, spin=True)
+    for drops in itertools.product((0, 1), repeat=lam.rank):
+        w = Weight(tuple(e - d for e, d in zip(lam.entries, drops)), spin=True)
         if is_dominant(w):
-            out.append((w, SignCode(signs)))
-    out.sort(key=lambda pair: pair[0].entries, reverse=True)
+            out.append(w)
+    out.sort(key=lambda w: w.entries, reverse=True)
     return out

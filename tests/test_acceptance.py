@@ -192,6 +192,6 @@ def test_criterion_9_structural_exactness():
         dd = operator_matrix(Compose((Dirac(0), Dirac(0))), dom, cod)
         lap = operator_matrix(__import__("hsdfactor.polyspace", fromlist=["LaplaceOp"]).LaplaceOp(0), dom, cod)
         ok = ok and all(
-            dd.entry(i, j) == -lap.entry(i, j) for i in range(len(cod)) for j in range(len(dom))
+            dd[i, j] == -lap[i, j] for i in range(len(cod)) for j in range(len(dom))
         )
     report("9 structural exactness", ok)

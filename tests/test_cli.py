@@ -195,6 +195,20 @@ def test_cap_bounds_the_value_space_basis(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "identities", "--mu", "1", "--m", "3", "--degree", "2", "--cap", "1"],
+        ["verify", "theorem", "--mu", "1", "--m", "3", "--power", "2", "--degree", "4", "--cap", "1"],
+    ],
+)
+def test_numeric_verifiers_honour_cap(capsys, argv):
+    # the 6 x 6 Casimir matrix of the (1) x spinors ambient is what the cap must refuse
+    code, data = run_json(capsys, argv)
+    assert code == 2
+    assert data == {"error": "resource_cap", "message": "elimination size 6x6 exceeds cap 1"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["verify", "identities", "--mu", "1", "--m", "4", "--degree", "2"],
         ["verify", "theorem", "--mu", "1", "--m", "4", "--power", "2", "--degree", "4"],
     ],

@@ -1,10 +1,99 @@
+"""Gamma matrices against an independent oracle: exact blade arithmetic.
+
+`CliffordElement` and `clifford_product` multiply basis blades e_I by
+counting transpositions, with no matrices involved; `represent` must
+carry their products to products of the gamma matrices of `gamma_rep`.
+"""
+
 import random
 
 import pytest
 
-from hsdfactor.clifford import CliffordElement, clifford_product, gamma_rep, spin_generators
-from hsdfactor.gaussian import QQi
+from hsdfactor.clifford import gamma_rep
+from hsdfactor.gaussian import QQi, QQI_ZERO
 from hsdfactor.linalg import Mat, SpanSolver
+
+
+class CliffordElement:
+    """Multivector: map from strictly increasing index tuples to scalars."""
+
+    __slots__ = ("m", "blades")
+
+    def __init__(self, m: int, blades=None):
+        self.m = m
+        self.blades = {}
+        if blades:
+            for key, val in blades.items():
+                key = tuple(key)
+                if list(key) != sorted(set(key)):
+                    raise ValueError(f"blade index {key} not strictly increasing")
+                if key and not (1 <= key[0] and key[-1] <= m):
+                    raise ValueError(f"blade index {key} out of range 1..{m}")
+                val = QQi.coerce(val)
+                if val:
+                    self.blades[key] = val
+
+    @staticmethod
+    def scalar(m, value):
+        return CliffordElement(m, {(): value})
+
+    @staticmethod
+    def generator(m, i):
+        return CliffordElement(m, {(i,): 1})
+
+    def scale(self, c):
+        c = QQi.coerce(c)
+        return CliffordElement(self.m, {k: c * v for k, v in self.blades.items()})
+
+    def __eq__(self, other):
+        return self.m == other.m and self.blades == other.blades
+
+
+def _blade_product(a: tuple, b: tuple):
+    """Product of basis blades; returns (sign, index tuple).
+
+    Moving each index of b into place counts transpositions past the
+    current indices of a; a repeated index contracts with e_i^2 = -1.
+    """
+    out = list(a)
+    sign = 1
+    for idx in b:
+        pos = len(out)
+        while pos > 0 and out[pos - 1] > idx:
+            pos -= 1
+        sign *= (-1) ** (len(out) - pos)
+        if pos > 0 and out[pos - 1] == idx:
+            out.pop(pos - 1)
+            sign *= -1  # e_i e_i = -1
+        else:
+            out.insert(pos, idx)
+    return sign, tuple(out)
+
+
+def clifford_product(a: CliffordElement, b: CliffordElement) -> CliffordElement:
+    if a.m != b.m:
+        raise ValueError(f"dimension mismatch {a.m} vs {b.m}")
+    blades = {}
+    for ka, va in a.blades.items():
+        for kb, vb in b.blades.items():
+            sign, key = _blade_product(ka, kb)
+            acc = blades.get(key, QQI_ZERO) + va * vb * sign
+            if acc:
+                blades[key] = acc
+            elif key in blades:
+                del blades[key]
+    return CliffordElement(a.m, blades)
+
+
+def spin_generators(m: int) -> list:
+    """The m(m-1)/2 rotation generators gamma_a gamma_b / 2 for a < b."""
+    rep = gamma_rep(m)
+    half = QQi(1) / QQi(2)
+    out = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            out.append((rep.generators[a] * rep.generators[b]).scale(half))
+    return out
 
 
 def gen(m, i):

@@ -63,12 +63,12 @@ def test_value_preservation_two_row_shape():
 def test_operator_matrix_per_degree():
     op = explicit_hsd(weight(1), 3)
     mat = op.matrix(1)
-    assert mat.shape == (4, 12)
+    assert (mat.nrows, mat.ncols) == (4, 12)
     assert mat.rank() == 12 - len(kernel_basis(op, 1))
     ops = generic_twistor_hsd(weight(1), 3)
     t = next(o for o in ops if o.label != o.source_label)
     tmat = t.matrix(1)
-    assert tmat.shape[1] == 3 * len(t.source_basis)
+    assert tmat.ncols == 3 * len(t.source_basis)
 
 
 def test_kernel_dims_match_monogenics():
@@ -158,6 +158,24 @@ def test_identities_match_explicit_matrix_route():
         for col in range(ps.ambient.dim):
             w = [QQi(1) if t == col else QQi(0) for t in range(ps.ambient.dim)]
             assert lhs.apply_monomial(alpha, w) == rhs.apply_monomial(alpha, w)
+
+
+@pytest.mark.parametrize("lam,m", [((1,), 3), ((1, 0), 5)])
+def test_derivop_canonical_form(lam, m):
+    """Zero terms never survive, so equality may compare the term dicts."""
+    from hsdfactor.hsd import _step_ops
+    from hsdfactor.repthy import casimir_projectors
+
+    ps = casimir_projectors(Weight(lam), m)
+    op_between = _step_ops(ps)
+    blocks = [op_between(k, i) for k in ps.weights for i in ps.weights]
+    assert any(not a.is_zero() for a in blocks)
+    for a in blocks:
+        assert (a - a).is_zero()
+        assert a - a == DerivOp(m)
+        assert a.scale(0).is_zero()
+        for b in blocks:
+            assert (a + b) - b == a
 
 
 def test_polyharmonic_order_examples():
@@ -264,8 +282,10 @@ def test_projector_columns_span_each_summand(lam, m):
 
 def test_matrix_on_degree_zero_is_empty():
     op = explicit_hsd(weight(1), 3)
-    assert op.matrix(0).shape == (0, len(op.domain_basis(0)))
+    mat = op.matrix(0)
+    assert (mat.nrows, mat.ncols) == (0, len(op.domain_basis(0)))
     ops = generic_twistor_hsd(weight(1), 3)
     t = next(o for o in ops if o.label != o.source_label)
-    assert t.matrix(0).shape == (0, len(t.domain_basis(0)))
+    tmat = t.matrix(0)
+    assert (tmat.nrows, tmat.ncols) == (0, len(t.domain_basis(0)))
 

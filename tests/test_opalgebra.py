@@ -12,7 +12,6 @@ from hsdfactor.opalgebra import (
     HsdSym,
     identity_expr,
     laplace_sym,
-    make_symbol,
     normal_form,
     normalization_sign,
     path_operator,
@@ -36,14 +35,14 @@ def dominants(rank, max_entry):
 
 # --- symbols ---------------------------------------------------------------
 
-def test_make_symbol():
-    t = make_symbol("twistor", sw(1, 0), sw(0, 0))
+def test_symbol_constructors():
+    t = twistor(sw(1, 0), sw(0, 0))
     assert len(t.terms) == 1
-    assert make_symbol("twistor", sw(1, 2), sw(1, 1)).is_zero()  # non-dominant target
-    assert len(make_symbol("hsd", sw(3)).terms) == 1
-    assert make_symbol("laplace", sw(0, -1)).is_zero()
+    assert twistor(sw(1, 2), sw(1, 1)).is_zero()  # non-dominant target
+    assert len(hsd_sym(sw(3)).terms) == 1
+    assert laplace_sym(sw(0, -1)).is_zero()
     with pytest.raises(ValueError):
-        make_symbol("twistor", sw(2, 0), sw(0, 0))  # distance 2
+        twistor(sw(2, 0), sw(0, 0))  # distance 2
 
 
 def test_normalization_sign_examples():

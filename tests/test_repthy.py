@@ -81,8 +81,7 @@ def test_casimir_commutes_with_rotations():
     for a in range(5):
         for b in range(a + 1, 5):
             spec = so_generator_spec(a, b, 5, amb.k)
-            lin = operator_matrix(spec, amb.basis, amb.basis)
-            L = Mat([[lin.entry(i, j) for j in range(amb.dim)] for i in range(amb.dim)])
+            L = operator_matrix(spec, amb.basis, amb.basis)
             assert ps.casimir.commutator(L).is_zero()
 
 

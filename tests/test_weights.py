@@ -149,18 +149,21 @@ def test_path_reversal_and_validation():
 
 
 def test_summand_weights_examples():
-    got = summand_weights(weight(1, 0))
-    assert [(w.entries, c.signs) for w, c in got] == [((1, 0), (1, 1)), ((0, 0), (-1, 1))]
-    assert [w.entries for w, _ in summand_weights(weight(1, 1))] == [(1, 1), (1, 0), (0, 0)]
+    lam = weight(1, 0)
+    got = summand_weights(lam)
+    assert [w.entries for w in got] == [(1, 0), (0, 0)]
+    # each coordinate keeps lambda_i (sign +) or drops to lambda_i - 1 (sign -)
+    assert [tuple(a - b for a, b in zip(lam.entries, w.entries)) for w in got] == [(0, 0), (1, 0)]
+    assert [w.entries for w in summand_weights(weight(1, 1))] == [(1, 1), (1, 0), (0, 0)]
     lone = summand_weights(weight(0, 0, 0))
-    assert len(lone) == 1 and lone[0][0] == Weight((0, 0, 0), spin=True)
+    assert lone == [Weight((0, 0, 0), spin=True)]
 
 
 def test_summand_weights_multiplicity_free():
     for lam in dominants(3, 2):
         got = summand_weights(lam)
         assert len(got) <= 2 ** 3
-        ws = [w for w, _ in got]
-        assert len(set(ws)) == len(ws)
-        for w, _ in got:
+        assert len(set(got)) == len(got)
+        for w in got:
             assert w.spin and is_dominant(w)
+            assert all(a - b in (0, 1) for a, b in zip(lam.entries, w.entries))
