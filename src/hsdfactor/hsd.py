@@ -1,20 +1,23 @@
 """Higher-spin Dirac and twistor operators with exact verification.
 
 Two realizations coexist: explicit first-order formulas for the shapes
-(k) and (k, l), and the generic construction projector . (id x Dirac) .
-restriction inside one tensor-with-spinors ambient.  Operators in the
-generic picture are sums of (x-derivative monomial) x (ambient matrix)
-terms, which keeps compositions and identity checks exact and cheap.
+(k) and (k, l), and the generic construction P_kappa . (id x Dirac) .
+P_iota between two Casimir summands of one tensor-with-spinors ambient.
+The generic operators live in summand coordinates: with P = C L from
+`ProjectorSet.frame`, the block is L_kappa . (id x Dirac) . C_iota, a
+sum of (x-derivative monomial) x (d_kappa x d_iota matrix) terms, which
+keeps compositions and identity checks exact and small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 
 from .clifford import gamma_rep
-from .gaussian import QQi, QQI_ONE, QQI_ZERO
-from .linalg import DEFAULT_CELL_CAP, Mat, ResourceCapError, solve_sparse, sparse_rref
+from .gaussian import QQi, QQI_ZERO
+from .linalg import DEFAULT_CELL_CAP, Mat, ResourceCapError, solve_sparse
 from .opalgebra import expand_laplace_power
 from .polyspace import (
     Compose,
@@ -45,12 +48,13 @@ from .weights import Weight, canonical_path, manhattan_distance
 
 
 # ---------------------------------------------------------------------------
-# sums of (derivative monomial) x (ambient matrix)
+# sums of (derivative monomial) x (matrix between summand coordinates)
 
 
 class DerivOp:
-    """Exact operator sum_sig (d/dx)^sig (x) A_sig on ambient-valued polynomials.
+    """Exact operator sum_sig (d/dx)^sig (x) A_sig on vector-valued polynomials.
 
+    Each A_sig maps the source summand's coordinates to the target's.
     Zero matrices are dropped and `Mat` is canonical, so `terms` is too.
     """
 
@@ -63,10 +67,6 @@ class DerivOp:
             for sig, mat in terms.items():
                 if not mat.is_zero():
                     self.terms[tuple(sig)] = mat
-
-    @staticmethod
-    def constant(m: int, mat: Mat) -> "DerivOp":
-        return DerivOp(m, {(0,) * m: mat})
 
     def compose(self, other: "DerivOp") -> "DerivOp":
         terms = {}
@@ -92,10 +92,6 @@ class DerivOp:
 
     def __sub__(self, other):
         return self + other.scale(-1)
-
-    def restricted(self, proj: Mat) -> "DerivOp":
-        """Compose with a constant projector on the right (domain side)."""
-        return self.compose(DerivOp.constant(self.m, proj))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -152,40 +148,28 @@ def gamma_on_ambient(ambient: RealizedSpace) -> list:
     return out
 
 
-def twisted_dirac_op(ambient: RealizedSpace) -> DerivOp:
-    gams = gamma_on_ambient(ambient)
-    terms = {}
-    for i in range(ambient.m):
-        sig = tuple(1 if j == i else 0 for j in range(ambient.m))
-        terms[sig] = gams[i]
-    return DerivOp(ambient.m, terms)
-
-
-def laplace_deriv_op(ambient: RealizedSpace, power: int = 1) -> DerivOp:
-    ident = Mat.identity(ambient.dim)
-    terms = {}
-    for i in range(ambient.m):
-        sig = tuple(2 if j == i else 0 for j in range(ambient.m))
-        terms[sig] = ident
-    base = DerivOp(ambient.m, terms)
-    out = DerivOp.constant(ambient.m, ident)
-    for _ in range(power):
-        out = out.compose(base)
-    return out
+def laplace_deriv_op(m: int, dim: int, power: int = 1) -> DerivOp:
+    """Lap^power (x) 1 on dim coordinates: e!/prod k_i! at sig = 2k for |k| = e."""
+    ident = Mat.identity(dim)
+    return DerivOp(m, {
+        tuple(2 * ki for ki in k): ident.scale(factorial(power) // prod(map(factorial, k)))
+        for k in exponents(m, power)
+    })
 
 
 def _step_ops(ps: ProjectorSet):
-    """The blocks P_target . (id x Dirac) . P_source of one ambient, each built once."""
+    """The blocks L_target . (id x Dirac) . C_source of one ambient, each built once."""
     m = ps.ambient.m
-    dop = twisted_dirac_op(ps.ambient)
+    gams = gamma_on_ambient(ps.ambient)
     cache = {}
 
     def op_between(target: Weight, source: Weight) -> DerivOp:
         key = (target, source)
         if key not in cache:
-            cache[key] = (
-                DerivOp.constant(m, ps.projector(target)).compose(dop).restricted(ps.projector(source))
-            )
+            left, cols = ps.frame(target)[1], ps.frame(source)[0]
+            cache[key] = DerivOp(m, {
+                tuple(int(j == i) for j in range(m)): left * g * cols for i, g in enumerate(gams)
+            })
         return cache[key]
 
     return op_between
@@ -200,9 +184,11 @@ class HsdOperator:
     """One invariant first-order operator with an explicit realization.
 
     kind 'explicit': assembled from polynomial building blocks, acting
-    on x-polynomials valued in a simplicial monogenic space.
-    kind 'projector': projector . twisted-Dirac . restriction between
-    two Casimir summands of one ambient; carries the exact DerivOp.
+    on x-polynomials valued in a simplicial monogenic space (source and
+    target values are its basis).
+    kind 'projector': P_target . (id x Dirac) . P_source between two
+    Casimir summands of one ambient; carries the exact DerivOp block in
+    summand coordinates and the source's L.
     """
 
     label: Weight            # target summand (half-integral)
@@ -210,47 +196,35 @@ class HsdOperator:
     m: int
     kind: str
     value_space: RealizedSpace
+    source_basis: list       # value-space basis of the source side
+    target_values: list      # value-space basis of the target side
     spec: object = None              # explicit kind
     deriv_op: DerivOp = None         # projector kind
-    projectors: ProjectorSet = None  # projector kind
-    source_basis: list = None        # value-space basis of the source side
+    source_coords: Mat = None        # projector kind: L of the source summand
 
     def apply(self, f: SpinorPoly) -> SpinorPoly:
         if self.kind == "explicit":
             return apply(self.spec, f)
-        # coordinatize each x-monomial's value in the ambient, apply the
-        # DerivOp there and rebuild; values must lie in the ambient
+        # coordinatize each x-monomial's value in the ambient, then in the
+        # source summand, apply the block and rebuild from the target basis
         m = self.m
-        amb = self.value_space
-        solver = amb.solver()
+        solver = self.value_space.solver()
         by_x = {}
         for (exp, s), c in f.coordinates().items():
             by_x.setdefault(exp[:m], {})[((0,) * m + exp[m:], s)] = c
-        out = SpinorPoly(m, amb.k)
+        out = SpinorPoly(m, self.value_space.k)
         for alpha, coords in by_x.items():
-            for beta, w in self.deriv_op.apply_monomial(alpha, solver.coords(coords)).items():
-                out = out + x_shift(combination(amb.basis, w), beta)
+            w = self.source_coords.matvec(solver.coords(coords))
+            for beta, v in self.deriv_op.apply_monomial(alpha, w).items():
+                out = out + x_shift(combination(self.target_values, v), beta)
         return out
 
     def domain_basis(self, h: int) -> list:
         """x-degree-h monomials tensored with the source value basis."""
-        basis = self.source_basis
-        out = []
-        for alpha in exponents(self.m, h):
-            for b in basis:
-                out.append(x_shift(b, alpha))
-        return out
+        return [x_shift(b, alpha) for alpha in exponents(self.m, h) for b in self.source_basis]
 
     def target_basis(self, h: int) -> list:
-        if self.kind == "explicit" or self.label == self.source_label:
-            values = self.source_basis
-        else:
-            values = _column_space_polys(self.projectors.projector(self.label), self.projectors.ambient)
-        out = []
-        for alpha in exponents(self.m, h):
-            for b in values:
-                out.append(x_shift(b, alpha))
-        return out
+        return [x_shift(b, alpha) for alpha in exponents(self.m, h) for b in self.target_values]
 
     def matrix(self, h: int) -> Mat:
         """Exact matrix on x-degree h, rows in the degree-(h-1) target basis."""
@@ -304,21 +278,16 @@ def explicit_hsd(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> HsdOperato
         m=m,
         kind="explicit",
         value_space=space,
-        spec=spec,
         source_basis=space.basis,
+        target_values=space.basis,
+        spec=spec,
     )
 
 
-def _projector_columns(proj: Mat) -> list:
-    """The pivot columns of a projector (a basis of its image), as coordinate lists."""
-    rows = proj.rows
-    pivots, _ = sparse_rref([{j: v for j, v in enumerate(row) if v} for row in rows], proj.ncols)
-    return [[row[j] for row in rows] for j in pivots]
-
-
-def _column_space_polys(proj: Mat, ambient: RealizedSpace) -> list:
-    """Independent columns of a projector, as value-space polynomials."""
-    return [combination(ambient.basis, col) for col in _projector_columns(proj)]
+def _summand_basis(ps: ProjectorSet, kappa: Weight) -> list:
+    """The columns of C (pivot columns of the projector), as value-space polynomials."""
+    rows = ps.frame(kappa)[0].rows
+    return [combination(ps.ambient.basis, [row[j] for row in rows]) for j in range(len(rows[0]))]
 
 
 def generic_twistor_hsd(lam: Weight, m: int) -> list:
@@ -328,13 +297,10 @@ def generic_twistor_hsd(lam: Weight, m: int) -> list:
     ones the twistors.  Pairs at distance >= 2 are verified to give the
     zero operator (termwise, hence in every x-degree).
     """
-    ps = casimir_projectors(lam, m)
-    ambient = ps.ambient
+    ps = casimir_projectors(lam, m, cap=DEFAULT_CELL_CAP)
     op_between = _step_ops(ps)
     out = []
-    col_cache = {}
-    for kappa in ps.weights:
-        col_cache[kappa] = _column_space_polys(ps.projector(kappa), ambient)
+    values = {kappa: _summand_basis(ps, kappa) for kappa in ps.weights}
     for kappa in ps.weights:
         for iota in ps.weights:
             dist = manhattan_distance(kappa, iota)
@@ -351,10 +317,11 @@ def generic_twistor_hsd(lam: Weight, m: int) -> list:
                     source_label=iota,
                     m=m,
                     kind="projector",
-                    value_space=ambient,
+                    value_space=ps.ambient,
+                    source_basis=values[iota],
+                    target_values=values[kappa],
                     deriv_op=block,
-                    projectors=ps,
-                    source_basis=col_cache[iota],
+                    source_coords=ps.frame(iota)[1],
                 )
             )
     return out
@@ -463,12 +430,6 @@ def verify_induction_dims(k: int, h: int, m: int, cap: int = DEFAULT_CELL_CAP) -
 # identity verification
 
 
-def _summand_pairs(ps: ProjectorSet):
-    for kappa in ps.weights:
-        for iota in ps.weights:
-            yield kappa, iota
-
-
 def verify_identities(lam: Weight, m: int, x_degree: int, cap: int = DEFAULT_CELL_CAP) -> Report:
     """Exact operator identities in one ambient decomposition.
 
@@ -478,34 +439,26 @@ def verify_identities(lam: Weight, m: int, x_degree: int, cap: int = DEFAULT_CEL
     (3) the two-step compositions between summands at distance two
         cancel (or vanish singly when only one intermediate exists).
 
-    Operators are sums of derivative monomials with ambient matrices,
-    so each identity reduces to finitely many exact matrix equalities,
-    valid uniformly in the x-degree; the stated x_degree is echoed into
-    the report and used for the evaluation spot checks.  cap bounds the
-    eliminations of `casimir_projectors`.
+    Operators are sums of derivative monomials with matrices between
+    summand coordinates, so each identity reduces to finitely many exact
+    matrix equalities, valid uniformly in the x-degree; the stated
+    x_degree is echoed into the report and used for the evaluation spot
+    checks.  cap bounds the eliminations of `casimir_projectors`.
     """
     ps = casimir_projectors(lam, m, cap=cap)
-    ambient = ps.ambient
     block = _step_ops(ps)
     checks = []
-    lap = laplace_deriv_op(ambient)
     splitting = {}  # summand -> both sides of identity (1)
     for kappa in ps.weights:
-        proj = ps.projector(kappa)
-        lhs = lap.restricted(proj).scale(-1)
+        lhs = laplace_deriv_op(m, ps.dim(kappa)).scale(-1)
         rhs = block(kappa, kappa).compose(block(kappa, kappa))
         for omega in ps.weights:
             if manhattan_distance(kappa, omega) == 1:
                 rhs = rhs + block(kappa, omega).compose(block(omega, kappa))
-        splitting[kappa] = (lhs, rhs.restricted(proj))
-        checks.append(
-            Check(
-                f"splitting_of_laplace_at_{kappa}",
-                lhs == splitting[kappa][1],
-                {"summand": kappa},
-            )
-        )
-    for kappa, iota in _summand_pairs(ps):
+        splitting[kappa] = (lhs, rhs)
+        checks.append(Check(f"splitting_of_laplace_at_{kappa}", lhs == rhs, {"summand": kappa}))
+    pairs = [(kappa, iota) for kappa in ps.weights for iota in ps.weights]
+    for kappa, iota in pairs:
         if manhattan_distance(kappa, iota) == 1:
             anti = block(kappa, iota).compose(block(iota, iota))
             anti = anti + block(kappa, kappa).compose(block(kappa, iota))
@@ -513,7 +466,7 @@ def verify_identities(lam: Weight, m: int, x_degree: int, cap: int = DEFAULT_CEL
                 Check(f"edge_anticommutation_{kappa}_{iota}", anti.is_zero(), {"target": kappa, "source": iota})
             )
     dist2 = 0
-    for kappa, iota in _summand_pairs(ps):
+    for kappa, iota in pairs:
         if kappa == iota or manhattan_distance(kappa, iota) != 2:
             continue
         dist2 += 1
@@ -538,8 +491,7 @@ def verify_identities(lam: Weight, m: int, x_degree: int, cap: int = DEFAULT_CEL
         lhs, rhs = splitting[ps.weights[0]]
         alphas = list(exponents(m, x_degree))[:3]
         for alpha in alphas:
-            for col in range(min(ambient.dim, 4)):
-                w = [QQI_ONE if i == col else QQI_ZERO for i in range(ambient.dim)]
+            for w in Mat.identity(ps.dim(ps.weights[0])).rows[:4]:
                 if lhs.apply_monomial(alpha, w) != rhs.apply_monomial(alpha, w):
                     spot_ok = False
     checks.append(Check("evaluation_spot_check", spot_ok, {"x_degree": x_degree}))
@@ -589,7 +541,6 @@ def verify_factorization_numeric(
         )
     cert = expand_laplace_power(mu, p)
     ps = casimir_projectors(mu, m, cap=cap)
-    ambient = ps.ambient
     op_between = _step_ops(ps)
     mu_s = mu.spin_shifted()
     r_mu = op_between(mu_s, mu_s)
@@ -597,18 +548,14 @@ def verify_factorization_numeric(
     support = cert.support()
     chains = []
     for lam in support:
-        path = canonical_path(lam, mu)
-        nodes = [w.spin_shifted() for w in path.nodes]
-        fwd = DerivOp.constant(m, Mat.identity(ambient.dim))
+        # P(mu <- lam) Lap^e P(lam <- mu), built from the inside out
+        nodes = [w.spin_shifted() for w in canonical_path(lam, mu).nodes]
+        mid = laplace_deriv_op(m, ps.dim(nodes[0]), p - manhattan_distance(mu, lam) - 1)
         for a, b in zip(nodes, nodes[1:]):
-            fwd = op_between(b, a).compose(fwd)
-        rev = DerivOp.constant(m, Mat.identity(ambient.dim))
-        for a, b in zip(nodes, nodes[1:]):
-            rev = rev.compose(op_between(a, b))
-        e = p - manhattan_distance(mu, lam) - 1
-        mid = fwd.compose(laplace_deriv_op(ambient, e)).compose(rev) if e else fwd.compose(rev)
-        chains.append(r_mu.compose(mid).compose(r_mu).restricted(ps.projector(mu_s)))
-    target = laplace_deriv_op(ambient, p).restricted(ps.projector(mu_s))
+            mid = op_between(b, a).compose(mid).compose(op_between(a, b))
+        chains.append(r_mu.compose(mid).compose(r_mu))
+    units = Mat.identity(ps.dim(mu_s)).rows
+    target = laplace_deriv_op(m, len(units), p)
 
     checks = []
     # solve scalars on the lowest admissible degree
@@ -616,9 +563,8 @@ def verify_factorization_numeric(
     unknowns = len(support)
     rows = []
     rhs = []
-    col_vectors = _projector_columns(ps.projector(mu_s))
     for alpha in exponents(m, solve_degree):
-        for w in col_vectors:
+        for w in units:
             outs = [chain.apply_monomial(alpha, w) for chain in chains]
             want = target.apply_monomial(alpha, w)
             keys = set(want)
@@ -627,8 +573,7 @@ def verify_factorization_numeric(
             for beta in keys:
                 vecs = [o.get(beta) for o in outs]
                 wvec = want.get(beta)
-                dim = ambient.dim
-                for i in range(dim):
+                for i in range(len(units)):
                     row = {}
                     for jj, v in enumerate(vecs):
                         if v is not None and v[i]:
@@ -677,7 +622,7 @@ def verify_factorization_numeric(
         for degree in range(2 * p, x_degree + 1):
             ok = True
             for alpha in exponents(m, degree):
-                for w in col_vectors:
+                for w in units:
                     want = target.apply_monomial(alpha, w)
                     got = combined.apply_monomial(alpha, w)
                     if want != got:

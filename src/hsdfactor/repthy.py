@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .clifford import gamma_rep
-from .gaussian import QQi
-from .linalg import DEFAULT_CELL_CAP, Mat, SpanSolver, check_cells
+from .gaussian import QQi, QQI_ZERO
+from .linalg import DEFAULT_CELL_CAP, Mat, SpanSolver, check_cells, sparse_rref
 from .polyspace import (
     Compose,
     CoordOp,
@@ -229,12 +229,23 @@ class ProjectorSet:
     eigenvalues: list      # matching Casimir eigenvalues
     projectors: list       # matching Mat, acting on ambient coordinates
     casimir: Mat
+    frames: list           # matching (C, L): P = C L and L C = 1
+
+    def _index(self, kappa: Weight) -> int:
+        if kappa not in self.weights:
+            raise KeyError(f"{kappa} is not a summand")
+        return self.weights.index(kappa)
 
     def projector(self, kappa: Weight) -> Mat:
-        for w, p in zip(self.weights, self.projectors):
-            if w == kappa:
-                return p
-        raise KeyError(f"{kappa} is not a summand")
+        return self.projectors[self._index(kappa)]
+
+    def frame(self, kappa: Weight) -> tuple:
+        """Summand coordinates (C, L): C the pivot columns of P (dim x d),
+        L its reduced rows (d x dim)."""
+        return self.frames[self._index(kappa)]
+
+    def dim(self, kappa: Weight) -> int:
+        return self.frames[self._index(kappa)][1].nrows
 
 
 def casimir_matrix(ambient: RealizedSpace) -> Mat:
@@ -248,8 +259,10 @@ def casimir_projectors(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> Proj
     One projector per dominant summand weight, built by Lagrange
     interpolation over the predicted eigenvalues; idempotence, mutual
     orthogonality, completeness and the spectral property are all
-    verified exactly, and an eigenvalue collision is a hard error.  cap
-    bounds the ambient elimination and the d x d Casimir matrix.
+    verified exactly, and an eigenvalue collision is a hard error.  One
+    `sparse_rref` of each projector P gives its summand coordinates
+    (C, L), checked exactly to satisfy C L = P and L C = 1.  cap bounds
+    the ambient elimination and the d x d Casimir matrix.
     """
     n = _rank_of(m)
     lam_full = pad_weight(lam, n)
@@ -275,16 +288,24 @@ def casimir_projectors(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> Proj
         projectors.append(proj)
     # exact structural checks
     total = Mat.zero(d, d)
+    frames = []
     for kappa, ck, p in zip(kappas, eigs, projectors):
         if p * p != p:
             raise AssertionError(f"projector for {kappa} is not idempotent")
         if cas * p != p.scale(QQi(ck)):
             raise AssertionError(f"projector for {kappa} misses its eigenvalue")
         total = total + p
+        rows = p.rows
+        pivots, reduced = sparse_rref([{j: x for j, x in enumerate(row) if x} for row in rows], d)
+        cols = Mat([[row[j] for j in pivots] for row in rows])
+        red = Mat([[row.get(j, QQI_ZERO) for j in range(d)] for row in reduced])
+        if cols * red != p or red * cols != Mat.identity(len(pivots)):
+            raise AssertionError(f"pivot columns and reduced rows do not factor the projector for {kappa}")
+        frames.append((cols, red))
     for i in range(len(projectors)):
         for j in range(len(projectors)):
             if i != j and not (projectors[i] * projectors[j]).is_zero():
                 raise AssertionError("projectors are not mutually orthogonal")
     if total != ident:
         raise AssertionError("projectors do not sum to the identity")
-    return ProjectorSet(ambient, kappas, eigs, projectors, cas)
+    return ProjectorSet(ambient, kappas, eigs, projectors, cas, frames)

@@ -32,6 +32,8 @@ CASES = [
     ["verify", "box", "--mu", "2,1"],
     ["verify", "path", "--mu", "2,1"],
     ["kernel", "--mu", "1,1", "--m", "5", "--degree", "1"],
+    ["verify", "identities", "--mu", "1,1", "--m", "5", "--degree", "2"],
+    ["verify", "theorem", "--mu", "1,1", "--m", "5", "--power", "2", "--degree", "4"],
 ]
 
 

@@ -138,18 +138,23 @@ def test_identities_quick(lam, m):
 
 def test_identities_match_explicit_matrix_route():
     """Tie the termwise identity check to literal matrices on one degree."""
-    from hsdfactor.hsd import laplace_deriv_op, twisted_dirac_op
+    from hsdfactor.hsd import gamma_on_ambient, laplace_deriv_op
     from hsdfactor.repthy import casimir_projectors
 
     ps = casimir_projectors(weight(1), 3)
-    dop = twisted_dirac_op(ps.ambient)
+    gams = gamma_on_ambient(ps.ambient)
+    dop = DerivOp(3, {tuple(int(j == i) for j in range(3)): g for i, g in enumerate(gams)})
+
+    def const(mat):
+        return DerivOp(3, {(0, 0, 0): mat})
+
     top = Weight((1,), spin=True)
     proj = ps.projector(top)
-    lhs = laplace_deriv_op(ps.ambient).restricted(proj).scale(-1)
+    lhs = laplace_deriv_op(3, ps.ambient.dim).compose(const(proj)).scale(-1)
     blocks = {}
     for k in ps.weights:
         for i in ps.weights:
-            blocks[(k, i)] = DerivOp.constant(3, ps.projector(k)).compose(dop).restricted(ps.projector(i))
+            blocks[(k, i)] = const(ps.projector(k)).compose(dop).compose(const(ps.projector(i)))
     rhs = blocks[(top, top)].compose(blocks[(top, top)])
     bottom = Weight((0,), spin=True)
     rhs = rhs + blocks[(top, bottom)].compose(blocks[(bottom, top)])
@@ -168,14 +173,16 @@ def test_derivop_canonical_form(lam, m):
 
     ps = casimir_projectors(Weight(lam), m)
     op_between = _step_ops(ps)
-    blocks = [op_between(k, i) for k in ps.weights for i in ps.weights]
-    assert any(not a.is_zero() for a in blocks)
-    for a in blocks:
+    # blocks between different summands differ in shape: add only equal shapes
+    blocks = [((ps.dim(k), ps.dim(i)), op_between(k, i)) for k in ps.weights for i in ps.weights]
+    assert any(not a.is_zero() for _, a in blocks)
+    for shape_a, a in blocks:
         assert (a - a).is_zero()
         assert a - a == DerivOp(m)
         assert a.scale(0).is_zero()
-        for b in blocks:
-            assert (a + b) - b == a
+        for shape_b, b in blocks:
+            if shape_a == shape_b:
+                assert (a + b) - b == a
 
 
 def test_polyharmonic_order_examples():
@@ -264,13 +271,13 @@ def test_x_shift():
 
 @pytest.mark.parametrize("lam,m", [((1,), 3), ((2,), 3), ((1, 0), 5), ((1, 1), 5)])
 def test_projector_columns_span_each_summand(lam, m):
-    from hsdfactor.hsd import _column_space_polys
+    from hsdfactor.hsd import _summand_basis
     from hsdfactor.repthy import casimir_projectors, weyl_dim
 
     ps = casimir_projectors(Weight(lam), m)
     for kappa in ps.weights:
         proj = ps.projector(kappa)
-        cols = _column_space_polys(proj, ps.ambient)
+        cols = _summand_basis(ps, kappa)
         assert QQi(len(cols)) == proj.trace()
         assert len(cols) == weyl_dim(kappa, m)
         # each chosen column is fixed by the projector, so it lies in the summand
@@ -289,3 +296,31 @@ def test_matrix_on_degree_zero_is_empty():
     tmat = t.matrix(0)
     assert (tmat.nrows, tmat.ncols) == (0, len(t.domain_basis(0)))
 
+
+def test_generic_operators_share_the_verifiers_projector_cache():
+    """generic_twistor_hsd reuses the projector set the verifiers built."""
+    from hsdfactor.repthy import casimir_projectors
+
+    casimir_projectors.cache_clear()
+    verify_identities(weight(1, 1), 5, 2)
+    generic_twistor_hsd(weight(1, 1), 5)
+    info = casimir_projectors.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "mu,m,p", [((1,), 3, 2), ((1,), 3, 3), ((1,), 5, 2), ((1, 0), 5, 2), ((1, 1), 5, 2)]
+)
+def test_solved_scalars_follow_the_conversion_rule(mu, m, p):
+    """Solved scalar = symbolic coefficient * ((mu_j + rho_j) / (lam_j + rho_j))^2,
+    with j the last coordinate where mu_j = 1 and rho_j = n - j + 1/2."""
+    rep = verify_factorization_numeric(Weight(mu), p, m, 2 * p)
+    assert rep.passed
+    n = (m - 1) // 2
+    mu = rep.params["mu"]
+    j = max(i for i, e in enumerate(mu.entries) if e == 1)  # 0-based
+    rho_j = Fraction(2 * (n - j) - 1, 2)
+    for lam in rep.results["support"]:
+        conversion = ((mu.entries[j] + rho_j) / (lam.entries[j] + rho_j)) ** 2
+        want = rep.results["symbolic_coefficients"][str(lam)] * conversion
+        assert Fraction(rep.results["solved_scalars"][str(lam)]) == want, lam
