@@ -173,6 +173,8 @@ def _verify_path(args, started):
     details = []
     for nu in nus:
         rep = verify_path_independence(nu, mu, cap=cap)
+        if rep.results["truncated"]:
+            raise ResourceCapError(f"more than {cap} paths from {nu} to {mu}")
         checks.append(Check(f"paths_{nu}_{mu}", rep.passed, {"count": rep.results["path_count"]}))
         details.append({"nu": nu, "paths": rep.results["path_count"]})
     report = Report(

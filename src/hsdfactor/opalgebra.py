@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import itemgetter
 
 from .weights import (
     Weight,
@@ -59,14 +60,14 @@ class TwistorSym:
             raise ValueError("twistor symbols live on half-integral weights")
         if manhattan_distance(self.target, self.source) != 1:
             raise ValueError(f"twistor endpoints {self.target}, {self.source} not at distance 1")
+        # step: (0-based coordinate, +1 or -1) from source to target; both it
+        # and the hash are read on every rewrite, so they are fixed here
+        i = next(i for i, (t, s) in enumerate(zip(self.target.entries, self.source.entries)) if t != s)
+        object.__setattr__(self, "step", (i, self.target.entries[i] - self.source.entries[i]))
+        object.__setattr__(self, "_hash", hash((self.target, self.source)))
 
-    @property
-    def step(self) -> tuple[int, int]:
-        """(0-based coordinate, +1 or -1) from source to target."""
-        for i, (t, s) in enumerate(zip(self.target.entries, self.source.entries)):
-            if t != s:
-                return i, t - s
-        raise AssertionError("degenerate twistor")
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return f"T[{self.target}<-{self.source}]"
@@ -108,7 +109,7 @@ class OperatorWord:
             if self.syms[0].target != self.target or self.syms[-1].source != self.source:
                 raise ValueError("word endpoints do not match its symbols")
             for left, right in zip(self.syms, self.syms[1:]):
-                if left.source != right.target:
+                if left.source is not right.target and left.source != right.target:
                     raise ValueError(f"non-composable symbols {left} * {right}")
         elif self.target != self.source:
             raise ValueError("empty word must have equal endpoints")
@@ -146,7 +147,8 @@ class OperatorExpr:
         self.terms = {}
         if terms:
             for word, coeff in terms.items():
-                coeff = Fraction(coeff)
+                if not isinstance(coeff, Fraction):
+                    coeff = Fraction(coeff)
                 if coeff:
                     self.terms[word] = coeff
         if self.terms:
@@ -281,7 +283,7 @@ def laplace_sym(at: Weight, power: int = 1) -> OperatorExpr:
 # normal form
 
 
-def _word_normal_form(word: OperatorWord):
+def _word_normal_form(word: OperatorWord, words: dict | None = None):
     """Return (sign, canonical word) or (0, None) when the word dies.
 
     HSD symbols migrate to the source end (sign flip per twistor
@@ -299,6 +301,12 @@ def _word_normal_form(word: OperatorWord):
     grid lands on a non-dominant weight.  Each dominance inequality links
     two adjacent coordinates of that product grid, so with lo/hi the
     extremes of each coordinate, it dies iff lo[c] < hi[c+1] or lo[n-1] < 0.
+
+    The canonical word depends only on the endpoints, the sorted steps,
+    the HSD count and the Laplace power.  words maps that key to the
+    word built for it, and each (weight, step) to its twistor symbol, so
+    a caller that passes one dict builds and validates each canonical
+    word and symbol once; a fresh dict is used when none is passed.
     """
     sign = 1
     n_hsd = 0
@@ -326,27 +334,41 @@ def _word_normal_form(word: OperatorWord):
     if inversions % 2:
         sign = -sign
 
-    sorted_steps = sorted(app_steps, key=lambda step: step[0])
-    spin = word.source.spin
-    nodes = [Weight(tuple(src), spin)]
-    cur = list(src)
-    for idx, delta in sorted_steps:
-        cur[idx] += delta
-        nodes.append(Weight(tuple(cur), spin))
-    chain = tuple(
-        TwistorSym(nodes[t + 1], nodes[t]) for t in reversed(range(len(sorted_steps)))
-    )
-    syms = chain + (HsdSym(word.source),) * n_hsd
-    return sign, OperatorWord(word.target, word.source, syms, word.lap)
+    sorted_steps = tuple(sorted(app_steps, key=itemgetter(0)))
+    key = (word.target, word.source, sorted_steps, n_hsd, word.lap)
+    words = {} if words is None else words
+    canonical = words.get(key)
+    if canonical is None:
+        syms = _canonical_chain(word.source, sorted_steps, words) + (HsdSym(word.source),) * n_hsd
+        canonical = words[key] = OperatorWord(word.target, word.source, syms, word.lap)
+    return sign, canonical
 
 
-def normal_form(expr: OperatorExpr) -> OperatorExpr:
-    """Confluent normal form of an expression (total function)."""
+def _canonical_chain(source: Weight, steps: tuple, words: dict) -> tuple:
+    """Twistor chain from source along steps, target first; words keeps each symbol."""
+    chain = []
+    prev = source
+    for step in steps:
+        sym = words.get((prev, step))
+        if sym is None:
+            sym = words[prev, step] = TwistorSym(prev.shifted(*step), prev)
+        chain.append(sym)
+        prev = sym.target
+    return tuple(reversed(chain))
+
+
+def normal_form(expr: OperatorExpr, words: dict | None = None) -> OperatorExpr:
+    """Confluent normal form of an expression (total function).
+
+    words is the canonical-word memo of _word_normal_form; callers that
+    normalize many expressions pass one dict and drop it when done.
+    """
     if expr.is_zero():
         return ZERO
+    words = {} if words is None else words
     terms = {}
     for word, coeff in expr.terms.items():
-        sign, nf = _word_normal_form(word)
+        sign, nf = _word_normal_form(word, words)
         if sign:
             _accumulate(terms, nf, sign * coeff)
     if not terms:
@@ -380,9 +402,10 @@ def verify_path_independence(nu: Weight, mu: Weight, cap: int = 10000) -> Report
     checks = []
     forward_forms = []
     reverse_forms = []
+    words: dict = {}
     for p in enum.paths:
-        forward_forms.append(normal_form(path_operator(p)))
-        reverse_forms.append(normal_form(path_operator(p.reversed())))
+        forward_forms.append(normal_form(path_operator(p), words))
+        reverse_forms.append(normal_form(path_operator(p.reversed()), words))
     fwd_ok = all(f == forward_forms[0] for f in forward_forms) if forward_forms else True
     rev_ok = all(r == reverse_forms[0] for r in reverse_forms) if reverse_forms else True
     checks.append(Check("forward_paths_agree", fwd_ok, {"count": len(forward_forms)}))
@@ -656,7 +679,13 @@ def _spliced(target, head: tuple, expr: OperatorExpr, tail: tuple, source, coeff
     return OperatorExpr(words, target, source)
 
 
-def _eliminated_power(w: Weight, e: int, memo: dict, budget: WorkBudget) -> OperatorExpr:
+def _add_normal_form(terms: dict, expr: OperatorExpr, words: dict):
+    """terms += normal_form(expr), in place."""
+    for word, coeff in normal_form(expr, words).terms.items():
+        _accumulate(terms, word, coeff)
+
+
+def _eliminated_power(w: Weight, e: int, memo: dict, budget: WorkBudget, words: dict) -> OperatorExpr:
     """E(w, e) of eliminate_laplace, filling memo one power k at a time."""
     layers = [[w]]             # layers[d]: the weights d lowering steps below w
     for _ in range(e):
@@ -670,15 +699,18 @@ def _eliminated_power(w: Weight, e: int, memo: dict, budget: WorkBudget) -> Oper
                 memo[v, k] = identity_expr(v)
                 continue
             r = HsdSym(v)
-            total = normal_form(_spliced(v, (r, r), memo[v, k - 1], (), v, -1))
+            total = {}
+            _add_normal_form(total, _spliced(v, (r, r), memo[v, k - 1], (), v, -1), words)
             for low in _lowerings(v):
                 up, down = TwistorSym(v, low), TwistorSym(low, v)
-                total = total + normal_form(_spliced(v, (up,), memo[low, k - 1], (down,), v, -1))
-            memo[v, k] = total
+                _add_normal_form(total, _spliced(v, (up,), memo[low, k - 1], (down,), v, -1), words)
+            memo[v, k] = OperatorExpr(total, v, v)
     return memo[w, e]
 
 
-def eliminate_laplace(expr: OperatorExpr, memo: dict | None = None, budget: WorkBudget | None = None) -> OperatorExpr:
+def eliminate_laplace(
+    expr: OperatorExpr, memo: dict | None = None, budget: WorkBudget | None = None, words: dict | None = None
+) -> OperatorExpr:
     """Rewrite every Laplace power away via the expander's convention.
 
     Each elimination slides one Laplace factor to the chain's bottom
@@ -697,24 +729,27 @@ def eliminate_laplace(expr: OperatorExpr, memo: dict | None = None, budget: Work
         E(w, e) = -nf(R(w) R(w) E(w, e-1))
                   - sum_i nf(T(w <- w-e_i) E(w-e_i, e-1) T(w-e_i <- w)).
 
-    memo holds E by (w, e), shared between calls if passed; budget is
-    spent once per new entry.
+    memo holds E by (w, e) and words the canonical words of normal_form,
+    both shared between calls if passed; budget is spent once per new
+    entry of memo.
     """
     memo = {} if memo is None else memo
+    words = {} if words is None else words
     budget = WorkBudget() if budget is None else budget
-    total = ZERO
+    total = {}
     for word, coeff in expr.terms.items():
         j, w = _bottom_position(word)
-        x = _eliminated_power(w, word.lap, memo, budget)
-        total = total + normal_form(_spliced(word.target, word.syms[:j], x, word.syms[j:], word.source, coeff))
-    return total
+        x = _eliminated_power(w, word.lap, memo, budget, words)
+        _add_normal_form(total, _spliced(word.target, word.syms[:j], x, word.syms[j:], word.source, coeff), words)
+    return OperatorExpr(total, expr.target, expr.source)
 
 
 def certificate_reexpands(cert: FactorizationCertificate, budget: WorkBudget | None = None) -> bool:
-    """Exact check, one memo for both sides: R * middle * R + residual = Lap(mu)^power."""
+    """Exact check, one pair of memos for both sides: R * middle * R + residual = Lap(mu)^power."""
     mu_s = cert.mu.spin_shifted()
     assembled = hsd_sym(mu_s) * cert.middle * hsd_sym(mu_s) + cert.residual
     memo: dict = {}
-    lhs = eliminate_laplace(laplace_sym(mu_s, cert.power), memo, budget)
-    rhs = eliminate_laplace(assembled, memo, budget)
+    words: dict = {}
+    lhs = eliminate_laplace(laplace_sym(mu_s, cert.power), memo, budget, words)
+    rhs = eliminate_laplace(assembled, memo, budget, words)
     return lhs == rhs

@@ -167,6 +167,21 @@ def test_factorize_honours_cap(capsys):
     assert capped["results"] == free["results"]
 
 
+def test_verify_path_cap_exits_2(capsys):
+    # (12,8,4) has far more than 5 paths from (0,0,0): a truncated
+    # enumeration is a hit cap, not a failed independence check
+    code, data = run_json(capsys, ["verify", "path", "--mu", "12,8,4", "--cap", "5"])
+    assert code == 2
+    assert data == {"error": "resource_cap", "message": "more than 5 paths from (0,0,0) to (12,8,4)"}
+
+
+def test_paths_cap_truncates_the_listing(capsys):
+    code, data = run_json(capsys, ["paths", "--mu", "12,8,4", "--cap", "5"])
+    assert code == 0
+    assert data["results"]["truncated"] is True
+    assert data["results"]["count"] == 5
+
+
 def test_verify_induction_honours_cap(capsys):
     code, data = run_json(capsys, ["verify", "induction", "--mu", "3", "--m", "3", "--degree", "4", "--cap", "5"])
     assert code == 2

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -5,6 +6,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from hsdfactor.opalgebra import (
+    OperatorExpr,
+    OperatorWord,
+    TwistorSym,
+    _word_normal_form,
     certificate_reexpands,
     eliminate_laplace,
     expand_laplace_power,
@@ -236,3 +241,67 @@ def test_path_independence_on_random_dominant_pairs(pair):
     rep = verify_path_independence(nu, mu)
     assert rep.passed
     assert not rep.results["truncated"]
+
+
+# --- the per-call canonical-word memo ---------------------------------------
+
+@st.composite
+def composable_words(draw):
+    """A composable word of rank <= 4: a random walk of twistor and HSD symbols."""
+    rank = draw(st.integers(1, 4))
+    cur = Weight(tuple(sorted(draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank)), reverse=True)), spin=True)
+    source = cur
+    app = []
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 3)) == 0:
+            app.append(HsdSym(cur))
+            continue
+        nxt = cur.shifted(draw(st.integers(0, rank - 1)), draw(st.sampled_from((-1, 1))))
+        app.append(TwistorSym(nxt, cur))
+        cur = nxt
+    return OperatorWord(cur, source, tuple(reversed(app)), draw(st.integers(0, 2)))
+
+
+def _variants(word):
+    """word, word * R(source) and word with one more Laplace factor: keys that differ in one part."""
+    with_hsd = OperatorWord(word.target, word.source, word.syms + (HsdSym(word.source),), word.lap)
+    return [word, with_hsd, OperatorWord(word.target, word.source, word.syms, word.lap + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(composable_words(), min_size=1, max_size=4))
+def test_shared_word_memo_matches_fresh_memos(drawn):
+    word_list = [v for word in drawn for v in _variants(word)]
+    shared = {}
+    for word in word_list:
+        expr = OperatorExpr({word: 1})
+        assert normal_form(expr, shared) == normal_form(expr, {}) == normal_form(expr)
+    for word in word_list:
+        sign, nf = _word_normal_form(word, shared)
+        again = _word_normal_form(word, shared)
+        assert again == (sign, nf)
+        if sign:
+            assert again[1] is nf
+            assert nf == _word_normal_form(word)[1]
+
+
+def test_equal_keys_share_one_canonical_word():
+    # two different orderings of the same steps from (1,0)' to (2,1)'
+    a, b, c, d = sw(1, 0), sw(2, 0), sw(1, 1), sw(2, 1)
+    one = OperatorWord(d, a, (TwistorSym(d, b), TwistorSym(b, a)))
+    two = OperatorWord(d, a, (TwistorSym(d, c), TwistorSym(c, a)))
+    words = {}
+    (s1, n1), (s2, n2) = _word_normal_form(one, words), _word_normal_form(two, words)
+    assert s1 and s2 and n1 is n2
+
+
+def _live_words():
+    gc.collect()
+    return sum(isinstance(o, OperatorWord) for o in gc.get_objects())
+
+
+def test_no_word_memo_outlives_the_reexpansion():
+    cert = expand_laplace_power(weight(3, 1), 4)
+    before = _live_words()
+    assert certificate_reexpands(cert)
+    assert _live_words() == before
