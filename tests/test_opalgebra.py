@@ -142,6 +142,12 @@ def test_path_independence_reports():
     assert not capped.passed  # truncation is flagged as a failed check
 
 
+def test_truncated_enumeration_skips_the_normal_forms():
+    capped = verify_path_independence(weight(0, 0), weight(2, 2), cap=1)
+    assert [c.name for c in capped.checks] == ["enumeration_complete"]
+    assert capped.results["truncated"] and capped.results["normal_form"] is None
+
+
 # --- box vanishing ---------------------------------------------------------
 
 def test_vanish_outside_box_trace():
@@ -275,14 +281,14 @@ def test_shared_word_memo_matches_fresh_memos(drawn):
     shared = {}
     for word in word_list:
         expr = OperatorExpr({word: 1})
-        assert normal_form(expr, shared) == normal_form(expr, {}) == normal_form(expr)
+        assert normal_form(expr, words=shared) == normal_form(expr, words={}) == normal_form(expr)
     for word in word_list:
         sign, nf = _word_normal_form(word, shared)
         again = _word_normal_form(word, shared)
         assert again == (sign, nf)
         if sign:
             assert again[1] is nf
-            assert nf == _word_normal_form(word)[1]
+            assert nf == _word_normal_form(word, {})[1]
 
 
 def test_equal_keys_share_one_canonical_word():
@@ -293,6 +299,24 @@ def test_equal_keys_share_one_canonical_word():
     words = {}
     (s1, n1), (s2, n2) = _word_normal_form(one, words), _word_normal_form(two, words)
     assert s1 and s2 and n1 is n2
+
+
+def test_internal_callers_pass_the_memo_by_keyword(monkeypatch):
+    # the expression is normal_form's only positional argument, so a
+    # wrapper taking (expr, **kwargs) serves every caller in the package
+    import hsdfactor.opalgebra as opalgebra
+
+    inner = opalgebra.normal_form
+    calls = []
+
+    def one_positional(expr, **kwargs):
+        calls.append(sorted(kwargs))
+        return inner(expr, **kwargs)
+
+    monkeypatch.setattr(opalgebra, "normal_form", one_positional)
+    assert certificate_reexpands(expand_laplace_power(weight(2, 1), 3))
+    assert verify_path_independence(weight(0, 0), weight(2, 1)).passed
+    assert calls and all(kw == ["words"] for kw in calls)
 
 
 def _live_words():

@@ -188,8 +188,8 @@ def tree_expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = No
         coeff, up, lam, e, down = stack.pop()
         budget.spend()
         lam_s = lam.spin_shifted()
-        sigma = (_word_normal_form(OperatorWord(mu_s, lam_s, up))[0]
-                 * _word_normal_form(OperatorWord(lam_s, mu_s, down))[0])
+        sigma = (_word_normal_form(OperatorWord(mu_s, lam_s, up), {})[0]
+                 * _word_normal_form(OperatorWord(lam_s, mu_s, down), {})[0])
         if sigma == 0:
             continue  # dead chain; extending it can never revive it
         if e == 0:
@@ -205,7 +205,7 @@ def tree_expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = No
             # the reverse-path word is generally not in normal form; its
             # normal-form sign enters the change of basis to path operators
             rev_word = next(iter(rev.terms))
-            rev_sigma, _ = _word_normal_form(rev_word)
+            rev_sigma, _ = _word_normal_form(rev_word, {})
             cache[lam] = (fwd, rev, rev_sigma)
         fwd, rev, rev_sigma = cache[lam]
         contrib = closed * sigma * rev_sigma * _single_coeff(fwd) * _single_coeff(rev)
@@ -288,7 +288,7 @@ def test_normal_form_matches_grid_on_certificate_words():
         cert = expand_laplace_power(mu, p)
         for expr in (cert.middle, cert.residual):
             for word in expr.terms:
-                assert _word_normal_form(word) == grid_word_normal_form(word), (mu, p, str(word))
+                assert _word_normal_form(word, {}) == grid_word_normal_form(word), (mu, p, str(word))
 
 
 # --- the closed-form certificate against the tree walker ------------------
@@ -394,7 +394,7 @@ def spliced(draw):
 @examples
 @given(words())
 def test_linear_death_test_matches_grid(word):
-    assert _word_normal_form(word) == grid_word_normal_form(word)
+    assert _word_normal_form(word, {}) == grid_word_normal_form(word)
 
 
 @examples
@@ -402,7 +402,7 @@ def test_linear_death_test_matches_grid(word):
 def test_normal_form_is_idempotent(word, lap, coeff):
     once = normal_form(OperatorExpr({dataclasses.replace(word, lap=lap): coeff}))
     assert normal_form(once) == once
-    assert all(_word_normal_form(w) == (1, w) for w in once.terms)
+    assert all(_word_normal_form(w, {}) == (1, w) for w in once.terms)
 
 
 def _joined(h, x, t):
@@ -413,12 +413,12 @@ def _joined(h, x, t):
 @given(spliced())
 def test_splice_lemma(parts):
     h, x, t = parts
-    sign_x, nf_x = _word_normal_form(x)
-    whole = _word_normal_form(_joined(h, x, t))
+    sign_x, nf_x = _word_normal_form(x, {})
+    whole = _word_normal_form(_joined(h, x, t), {})
     if not sign_x:
         assert whole == (0, None)
         return
-    sign, nf = _word_normal_form(_joined(h, nf_x, t))
+    sign, nf = _word_normal_form(_joined(h, nf_x, t), {})
     assert whole == ((sign_x * sign, nf) if sign else (0, None))
 
 
