@@ -39,7 +39,6 @@ from .hsd import (
     generic_twistor_hsd,
     kernel_basis,
     polyharmonic_order,
-    twistor_inversion,
     verify_factorization_numeric,
     verify_identities,
     verify_induction_dims,

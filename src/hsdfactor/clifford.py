@@ -32,11 +32,13 @@ _PAULI_Z = Mat([[1, 0], [0, -1]])
 
 
 def _kron(a: Mat, b: Mat) -> Mat:
-    rows = []
-    for ra in a.rows:
-        for rb in b.rows:
-            rows.append([x * y for x in ra for y in rb])
-    return Mat(rows)
+    """The Kronecker product a (x) b, formed on the integer numerators."""
+    num = [
+        {ja * b.ncols + jb: (ar * br - ai * bi, ar * bi + ai * br)
+         for ja, (ar, ai) in ra.items() for jb, (br, bi) in rb.items()}
+        for ra in a.num for rb in b.num
+    ]
+    return Mat._reduced(num, a.den * b.den, a.ncols * b.ncols)
 
 
 @lru_cache(maxsize=None)

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from itertools import islice
+from math import factorial, perm, prod
 
-from .clifford import gamma_rep
+from .clifford import _kron, gamma_rep
 from .gaussian import QQi, QQI_ZERO
 from .linalg import DEFAULT_CELL_CAP, Mat, ResourceCapError, solve_sparse
 from .opalgebra import expand_laplace_power
@@ -29,12 +30,10 @@ from .polyspace import (
     apply,
     combination,
     exponents,
-    fischer_inner,
     homogeneous_basis,
     joint_kernel,
     laplace,
     operator_matrix,
-    stacked_rows,
 )
 from .repthy import (
     ProjectorSet,
@@ -103,49 +102,30 @@ class DerivOp:
 
     __hash__ = None
 
-    def apply_monomial(self, alpha: tuple, w: list):
-        """Action on x^alpha (x) w; returns dict output-exponent -> vector."""
+    def apply_monomial(self, alpha: tuple) -> dict:
+        """Action on x^alpha: output exponent beta -> the matrix sending the
+        coefficient vector of x^alpha to that of x^beta.
+
+        (d/dx)^sig x^alpha = prod perm(alpha_i, sig_i) x^(alpha - sig), and
+        perm is 0 when sig_i > alpha_i.  Distinct signatures give distinct
+        exponents, and every stored matrix is nonzero, so no entry is zero.
+        """
         out = {}
         for sig, mat in self.terms.items():
-            coeff = 1
-            ok = True
-            for a, s in zip(alpha, sig):
-                if s > a:
-                    ok = False
-                    break
-                for t in range(a, a - s, -1):
-                    coeff *= t
-            if not ok:
-                continue
-            # distinct signatures land on distinct exponents beta
-            beta = tuple(a - s for a, s in zip(alpha, sig))
-            vec = mat.matvec(w)
-            if coeff != 1:
-                vec = [QQi(v.re * coeff, v.im * coeff) for v in vec]
-            out[beta] = vec
-        return {b: v for b, v in out.items() if any(v)}
+            coeff = prod(map(perm, alpha, sig))
+            if coeff:
+                out[tuple(a - s for a, s in zip(alpha, sig))] = mat.scale(coeff)
+        return out
 
 
 def gamma_on_ambient(ambient: RealizedSpace) -> list:
     """Matrices of gamma_1..gamma_m on the ambient basis coordinates.
 
-    The ambient basis is scalar-major, spinor-minor, so each gamma acts
-    block-diagonally on consecutive spinor blocks."""
-    m = ambient.m
-    sdim = 2 ** ((m - 1) // 2)
-    nblocks = ambient.dim // sdim
-    gams = gamma_rep(m).generators
-    out = []
-    for g in gams:
-        rows = []
-        for blk in range(nblocks):
-            for t in range(sdim):
-                row = [QQI_ZERO] * ambient.dim
-                for s in range(sdim):
-                    row[blk * sdim + s] = g[t, s]
-                rows.append(row)
-        out.append(Mat(rows))
-    return out
+    The ambient basis is scalar-major, spinor-minor, so each gamma is
+    1 (x) gamma_i, acting on consecutive spinor blocks."""
+    sdim = 2 ** ((ambient.m - 1) // 2)
+    ident = Mat.identity(ambient.dim // sdim)
+    return [_kron(ident, g) for g in gamma_rep(ambient.m).generators]
 
 
 def laplace_deriv_op(m: int, dim: int, power: int = 1) -> DerivOp:
@@ -215,8 +195,8 @@ class HsdOperator:
         out = SpinorPoly(m, self.value_space.k)
         for alpha, coords in by_x.items():
             w = self.source_coords.matvec(solver.coords(coords))
-            for beta, v in self.deriv_op.apply_monomial(alpha, w).items():
-                out = out + x_shift(combination(self.target_values, v), beta)
+            for beta, mat in self.deriv_op.apply_monomial(alpha).items():
+                out = out + x_shift(combination(self.target_values, mat.matvec(w)), beta)
         return out
 
     def domain_basis(self, h: int) -> list:
@@ -350,50 +330,6 @@ def polyharmonic_order(f: SpinorPoly) -> int:
     raise ArithmeticError("polynomial not annihilated within the degree bound")
 
 
-def twistor_inversion(g: SpinorPoly, m: int) -> SpinorPoly:
-    """Invert one induction step: the f with d_x f = u g and d_u f = 0.
-
-    g must be an exact degree-(h-1) kernel element for the shape one
-    step down.  The linear system determines f modulo double monogenics,
-    so the representative orthogonal to them in the Fischer pairing is
-    returned; with that gauge the solution is unique, and uniqueness is
-    asserted.  An inconsistent system signals g outside the kernel.
-    """
-    if g.k != 1:
-        g = _promote_to_one_dummy(g)
-    h = g.degree(0) + 1
-    k = g.degree(1) + 1
-    km1 = k - 1
-    opm1_spec = explicit_hsd(Weight((km1,)) if km1 else Weight((0,)), m).spec
-    if not apply(opm1_spec, g).is_zero():
-        raise ValueError("input is not in the kernel one step down")
-    domain = homogeneous_basis(m, 1, (h, k))
-    # constraint rows: Dirac(0) f = u g ; Dirac(1) f = 0 ; Fischer gauge
-    stacked = stacked_rows([Dirac(0), Dirac(1)], domain)
-    targets = {(0, key): val for key, val in apply(VectorMult(1), g).coordinates().items()}
-    keys = list(stacked) + [key for key in targets if key not in stacked]
-    rows = [stacked.get(key, {}) for key in keys]
-    rhs = [targets.get(key, QQI_ZERO) for key in keys]
-    for w in double_monogenic_basis(m, h, k):
-        pairing = [fischer_inner(w, b) for b in domain]
-        rows.append({j: c for j, c in enumerate(pairing) if c})
-        rhs.append(QQI_ZERO)
-    solved = solve_sparse(rows, rhs, len(domain))
-    if solved is None:
-        raise ValueError("inconsistent inversion system; input outside the kernel")
-    particular, null = solved
-    if null:
-        raise ArithmeticError("inversion solution not unique after the Fischer gauge")
-    return combination(domain, particular)
-
-
-def _promote_to_one_dummy(g: SpinorPoly) -> SpinorPoly:
-    if g.k != 0:
-        raise ValueError("expected a polynomial in x alone or x and one dummy variable")
-    pad = (0,) * g.m
-    return g.reindexed(1, lambda exp: exp + pad)
-
-
 def verify_induction_dims(k: int, h: int, m: int, cap: int = DEFAULT_CELL_CAP) -> Report:
     """dim ker_h R_k = dim M_(h,k) + dim ker_(h-1) R_(k-1), all exact.
 
@@ -485,15 +421,9 @@ def verify_identities(lam: Weight, m: int, x_degree: int, cap: int = DEFAULT_CEL
                 {"target": kappa, "source": iota, "dominant_intermediates": legs},
             )
         )
-    # evaluation spot check at the requested degree on a few basis inputs
-    spot_ok = True
-    if x_degree >= 2 and ps.weights:
-        lhs, rhs = splitting[ps.weights[0]]
-        alphas = list(exponents(m, x_degree))[:3]
-        for alpha in alphas:
-            for w in Mat.identity(ps.dim(ps.weights[0])).rows[:4]:
-                if lhs.apply_monomial(alpha, w) != rhs.apply_monomial(alpha, w):
-                    spot_ok = False
+    # evaluation spot check: both sides on a few monomials of the requested degree
+    lhs, rhs = splitting[ps.weights[0]]
+    spot_ok = all(lhs.apply_monomial(a) == rhs.apply_monomial(a) for a in islice(exponents(m, x_degree), 3))
     checks.append(Check("evaluation_spot_check", spot_ok, {"x_degree": x_degree}))
     return Report(
         title="operator_identities",
@@ -554,34 +484,29 @@ def verify_factorization_numeric(
         for a, b in zip(nodes, nodes[1:]):
             mid = op_between(b, a).compose(mid).compose(op_between(a, b))
         chains.append(r_mu.compose(mid).compose(r_mu))
-    units = Mat.identity(ps.dim(mu_s)).rows
-    target = laplace_deriv_op(m, len(units), p)
+    dim = ps.dim(mu_s)
+    target = laplace_deriv_op(m, dim, p)
 
     checks = []
-    # solve scalars on the lowest admissible degree
+    # solve scalars on the lowest admissible degree: one row per nonzero
+    # entry of the chain matrices and Lap^p on each monomial
     solve_degree = 2 * p
     unknowns = len(support)
+    zero = Mat.zero(dim, dim)
     rows = []
     rhs = []
     for alpha in exponents(m, solve_degree):
-        for w in units:
-            outs = [chain.apply_monomial(alpha, w) for chain in chains]
-            want = target.apply_monomial(alpha, w)
-            keys = set(want)
-            for o in outs:
-                keys.update(o)
-            for beta in keys:
-                vecs = [o.get(beta) for o in outs]
-                wvec = want.get(beta)
-                for i in range(len(units)):
-                    row = {}
-                    for jj, v in enumerate(vecs):
-                        if v is not None and v[i]:
-                            row[jj] = v[i]
-                    b = wvec[i] if wvec is not None else QQI_ZERO
-                    if row or b:
+        outs = [chain.apply_monomial(alpha) for chain in chains]
+        want = target.apply_monomial(alpha)
+        for beta in set(want).union(*outs):
+            mats = [o.get(beta, zero).rows for o in outs]
+            wmat = want.get(beta, zero).rows
+            for i in range(dim):
+                for j in range(dim):
+                    row = {jj: a[i][j] for jj, a in enumerate(mats) if a[i][j]}
+                    if row or wmat[i][j]:
                         rows.append(row)
-                        rhs.append(b)
+                        rhs.append(wmat[i][j])
         if len(rows) >= 12 * unknowns:
             break
     solved = solve_sparse(rows, rhs, unknowns)
@@ -620,16 +545,7 @@ def verify_factorization_numeric(
         identity_holds = combined == target
         checks.append(Check("termwise_matrix_equality", identity_holds, {}))
         for degree in range(2 * p, x_degree + 1):
-            ok = True
-            for alpha in exponents(m, degree):
-                for w in units:
-                    want = target.apply_monomial(alpha, w)
-                    got = combined.apply_monomial(alpha, w)
-                    if want != got:
-                        ok = False
-                        break
-                if not ok:
-                    break
+            ok = all(target.apply_monomial(a) == combined.apply_monomial(a) for a in exponents(m, degree))
             checks.append(Check(f"exact_equality_degree_{degree}", ok, {"degree": degree}))
     report = Report(
         title="factorization_numeric",

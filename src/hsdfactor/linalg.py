@@ -230,9 +230,6 @@ class Mat:
 
     __hash__ = None
 
-    def commutator(self, other):
-        return self * other - other * self
-
     def anticommutator(self, other):
         return self * other + other * self
 

@@ -457,21 +457,3 @@ def operator_matrix(op, domain: list, codomain: list) -> Mat:
     if not codomain:
         return Mat.zero(0, len(domain))
     return Mat([[col[i] for col in columns] for i in range(len(codomain))])
-
-
-def fischer_inner(f: SpinorPoly, g: SpinorPoly) -> QQi:
-    """Fischer pairing <x^a s, x^b t> = delta_ab a! <s, t>, antilinear left."""
-    f._check(g)
-    acc_re = acc_im = 0
-    for exp, vec in f.num.items():
-        other = g.num.get(exp)
-        if other is None:
-            continue
-        fact = 1
-        for e in exp:
-            for t in range(2, e + 1):
-                fact *= t
-        for (ar, ai), (br, bi) in zip(vec, other):
-            acc_re += fact * (ar * br + ai * bi)
-            acc_im += fact * (ar * bi - ai * br)
-    return _qqi(acc_re, acc_im, f.den * g.den)

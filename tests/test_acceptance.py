@@ -7,18 +7,20 @@ with pytest -s; pytest -v shows one line per criterion either way).
 
 import itertools
 import time
+from fractions import Fraction
 
 import pytest
 
+from hsdfactor.gaussian import QQi, QQI_ZERO
 from hsdfactor.hsd import (
+    double_monogenic_basis,
     explicit_hsd,
     kernel_basis,
-    twistor_inversion,
     verify_factorization_numeric,
     verify_identities,
     verify_induction_dims,
 )
-from hsdfactor.linalg import Mat
+from hsdfactor.linalg import Mat, solve_sparse
 from hsdfactor.opalgebra import (
     certificate_reexpands,
     expand_laplace_power,
@@ -31,10 +33,13 @@ from hsdfactor.polyspace import (
     Compose,
     Dirac,
     VectorMult,
+    SpinorPoly,
     apply,
+    combination,
     homogeneous_basis,
     laplace,
     operator_matrix,
+    stacked_rows,
 )
 from hsdfactor.repthy import casimir_projectors, simplicial_monogenic_basis, weyl_dim
 from hsdfactor.weights import Weight, box, bruhat_leq, canonical_path, is_dominant, weight
@@ -47,6 +52,73 @@ def dominant_weights(rank, max_entry):
         if is_dominant(w):
             out.append(w)
     return out
+
+
+# ---------------------------------------------------------------------------
+# criterion 7's oracle: the induction step inverted by an exact solve
+
+
+def twistor_inversion(g: SpinorPoly, m: int) -> SpinorPoly:
+    """Invert one induction step: the f with d_x f = u g and d_u f = 0.
+
+    g must be an exact degree-(h-1) kernel element for the shape one
+    step down.  The linear system determines f modulo double monogenics,
+    so the representative orthogonal to them in the Fischer pairing is
+    returned; with that gauge the solution is unique, and uniqueness is
+    asserted.  An inconsistent system signals g outside the kernel.
+    """
+    if g.k != 1:
+        g = _promote_to_one_dummy(g)
+    h = g.degree(0) + 1
+    k = g.degree(1) + 1
+    km1 = k - 1
+    opm1_spec = explicit_hsd(Weight((km1,)) if km1 else Weight((0,)), m).spec
+    if not apply(opm1_spec, g).is_zero():
+        raise ValueError("input is not in the kernel one step down")
+    domain = homogeneous_basis(m, 1, (h, k))
+    # constraint rows: Dirac(0) f = u g ; Dirac(1) f = 0 ; Fischer gauge
+    stacked = stacked_rows([Dirac(0), Dirac(1)], domain)
+    targets = {(0, key): val for key, val in apply(VectorMult(1), g).coordinates().items()}
+    keys = list(stacked) + [key for key in targets if key not in stacked]
+    rows = [stacked.get(key, {}) for key in keys]
+    rhs = [targets.get(key, QQI_ZERO) for key in keys]
+    for w in double_monogenic_basis(m, h, k):
+        pairing = [fischer_inner(w, b) for b in domain]
+        rows.append({j: c for j, c in enumerate(pairing) if c})
+        rhs.append(QQI_ZERO)
+    solved = solve_sparse(rows, rhs, len(domain))
+    if solved is None:
+        raise ValueError("inconsistent inversion system; input outside the kernel")
+    particular, null = solved
+    if null:
+        raise ArithmeticError("inversion solution not unique after the Fischer gauge")
+    return combination(domain, particular)
+
+
+def _promote_to_one_dummy(g: SpinorPoly) -> SpinorPoly:
+    if g.k != 0:
+        raise ValueError("expected a polynomial in x alone or x and one dummy variable")
+    pad = (0,) * g.m
+    return g.reindexed(1, lambda exp: exp + pad)
+
+
+def fischer_inner(f: SpinorPoly, g: SpinorPoly) -> QQi:
+    """Fischer pairing <x^a s, x^b t> = delta_ab a! <s, t>, antilinear left."""
+    f._check(g)
+    acc_re = acc_im = 0
+    for exp, vec in f.num.items():
+        other = g.num.get(exp)
+        if other is None:
+            continue
+        fact = 1
+        for e in exp:
+            for t in range(2, e + 1):
+                fact *= t
+        for (ar, ai), (br, bi) in zip(vec, other):
+            acc_re += fact * (ar * br + ai * bi)
+            acc_im += fact * (ar * bi - ai * br)
+    den = f.den * g.den
+    return QQi(Fraction(acc_re, den), Fraction(acc_im, den))
 
 
 def report(name, ok):
@@ -143,16 +215,10 @@ def test_criterion_7_induction_principle():
             for g in kernel_basis(prev, h - 1):
                 f = twistor_inversion(g, 3)
                 ok = ok and apply(Dirac(1), f).is_zero()
-                gg = g if g.k == 1 else _one_dummy(g)
+                gg = g if g.k == 1 else _promote_to_one_dummy(g)
                 ok = ok and (apply(Dirac(0), f) - apply(VectorMult(1), gg)).is_zero()
                 inversions += 1
     report(f"7 induction principle ({inversions} inversions)", ok)
-
-
-def _one_dummy(g):
-    from hsdfactor.hsd import _promote_to_one_dummy
-
-    return _promote_to_one_dummy(g)
 
 
 def test_criterion_8_dimension_oracle():

@@ -34,6 +34,7 @@ CASES = [
     ["kernel", "--mu", "1,1", "--m", "5", "--degree", "1"],
     ["verify", "identities", "--mu", "1,1", "--m", "5", "--degree", "2"],
     ["verify", "theorem", "--mu", "1,1", "--m", "5", "--power", "2", "--degree", "4"],
+    ["verify", "theorem", "--mu", "1,1", "--m", "5", "--power", "2", "--degree", "6"],
 ]
 
 

@@ -9,7 +9,6 @@ from hsdfactor.hsd import (
     generic_twistor_hsd,
     kernel_basis,
     polyharmonic_order,
-    twistor_inversion,
     verify_factorization_numeric,
     verify_identities,
     verify_induction_dims,
@@ -17,6 +16,7 @@ from hsdfactor.hsd import (
 )
 from hsdfactor.polyspace import Compose, Dirac, ScalarMix, SpinorPoly, VectorMult, apply, laplace, spinor_unit
 from hsdfactor.weights import Weight, weight
+from test_acceptance import twistor_inversion
 
 
 def test_explicit_coefficients_shape_k():
@@ -160,9 +160,71 @@ def test_identities_match_explicit_matrix_route():
     rhs = rhs + blocks[(top, bottom)].compose(blocks[(bottom, top)])
     # evaluate both on the full degree-2 component
     for alpha in [(2, 0, 0), (1, 1, 0), (0, 1, 1)]:
-        for col in range(ps.ambient.dim):
-            w = [QQi(1) if t == col else QQi(0) for t in range(ps.ambient.dim)]
-            assert lhs.apply_monomial(alpha, w) == rhs.apply_monomial(alpha, w)
+        assert lhs.apply_monomial(alpha) == rhs.apply_monomial(alpha)
+
+
+def ref_apply_monomial(op, alpha, w):
+    """Oracle: the action of op on x^alpha (x) w, one vector at a time,
+    as output exponent -> vector with zero vectors dropped."""
+    out = {}
+    for sig, mat in op.terms.items():
+        coeff = 1
+        ok = True
+        for a, s in zip(alpha, sig):
+            if s > a:
+                ok = False
+                break
+            for t in range(a, a - s, -1):
+                coeff *= t
+        if not ok:
+            continue
+        beta = tuple(a - s for a, s in zip(alpha, sig))
+        vec = mat.matvec(w)
+        if coeff != 1:
+            vec = [QQi(v.re * coeff, v.im * coeff) for v in vec]
+        out[beta] = vec
+    return {b: v for b, v in out.items() if any(v)}
+
+
+@pytest.mark.parametrize("lam,m", [((1,), 3), ((1, 0), 5)])
+def test_apply_monomial_matches_the_vector_oracle(lam, m):
+    """Each returned matrix, applied to every unit vector, gives the oracle's vector."""
+    from hsdfactor.hsd import _step_ops, laplace_deriv_op
+    from hsdfactor.linalg import Mat
+    from hsdfactor.polyspace import exponents
+    from hsdfactor.repthy import casimir_projectors
+    from hsdfactor.weights import manhattan_distance
+
+    ps = casimir_projectors(Weight(lam), m)
+    block = _step_ops(ps)
+    ops = [(block(k, i), ps.dim(i)) for k in ps.weights for i in ps.weights]
+    for kappa in ps.weights:
+        rhs = block(kappa, kappa).compose(block(kappa, kappa))
+        for omega in ps.weights:
+            if manhattan_distance(kappa, omega) == 1:
+                rhs = rhs + block(kappa, omega).compose(block(omega, kappa))
+        ops += [(laplace_deriv_op(m, ps.dim(kappa)).scale(-1), ps.dim(kappa)), (rhs, ps.dim(kappa))]
+    for op, ncols in ops:
+        for degree in range(4):
+            for alpha in exponents(m, degree):
+                mats = op.apply_monomial(alpha)
+                for w in Mat.identity(ncols).rows:
+                    got = {b: v for b, mat in mats.items() if any(v := mat.matvec(w))}
+                    assert got == ref_apply_monomial(op, alpha, w), (alpha, w)
+
+
+def test_spot_check_takes_three_exponents_lazily():
+    """The spot check reads three monomials, not every exponent of the degree."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rep = verify_identities(weight(1), 5, 120)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 50 * 2**20
 
 
 @pytest.mark.parametrize("lam,m", [((1,), 3), ((1, 0), 5)])

@@ -329,3 +329,19 @@ def test_no_word_memo_outlives_the_reexpansion():
     before = _live_words()
     assert certificate_reexpands(cert)
     assert _live_words() == before
+
+
+def test_reexpansion_builds_each_twistor_symbol_once(monkeypatch):
+    # the word memo shares canonical words and their symbols; without it
+    # every normal form rebuilds its chain (about 14 k symbols here)
+    cert = expand_laplace_power(weight(6, 4, 2), 7)
+    built = []
+    post_init = TwistorSym.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(TwistorSym, "__post_init__", counted)
+    assert certificate_reexpands(cert)
+    assert 0 < len(built) <= 2000

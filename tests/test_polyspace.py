@@ -16,13 +16,13 @@ from hsdfactor.polyspace import (
     SpinorPoly,
     VectorMult,
     apply,
-    fischer_inner,
     homogeneous_basis,
     laplace,
     monomial,
     operator_matrix,
     spinor_unit,
 )
+from test_acceptance import fischer_inner
 
 
 def coord_monomial(m, k, assignments, vec):
