@@ -14,6 +14,7 @@ only varying part.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -276,7 +277,9 @@ _VERIFY_SUITES = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hsdfactor",
         description="Exact factorization of Laplace powers through higher-spin Dirac operators",
@@ -290,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, help="ambient odd dimension m = 2n+1")
         p.add_argument("--power", type=int, help="Laplace power")
         p.add_argument("--degree", type=int, help="x-degree")
-        p.add_argument("--cap", type=int, help="resource cap (paths / matrix cells)")
+        p.add_argument("--cap", type=int, help="resource cap (paths / matrix cells / monomials)")
         p.add_argument("--json", help="write the report to this file instead of stdout")
 
     p_box = sub.add_parser("box", help="members of the box of a weight")

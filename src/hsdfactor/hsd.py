@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
 
 from .clifford import _kron, gamma_rep
 from .gaussian import QQi, QQI_ZERO
@@ -455,7 +455,8 @@ def verify_factorization_numeric(
     to the projector normalization are solved exactly on the lowest
     admissible degree 2p, then the identity Lap^p = R A R is re-checked
     exactly on every degree up to x_degree.  cap bounds the
-    eliminations of `casimir_projectors`.
+    eliminations of `casimir_projectors` and the monomials of degrees
+    2p..x_degree that those checks instantiate.
     """
     n = (m - 1) // 2
     mu = pad_weight(mu, n)
@@ -471,6 +472,9 @@ def verify_factorization_numeric(
         )
     cert = expand_laplace_power(mu, p)
     ps = casimir_projectors(mu, m, cap=cap)
+    monomials = sum(comb(m + d - 1, d) for d in range(2 * p, x_degree + 1))
+    if monomials > cap:
+        raise ResourceCapError(f"{monomials} monomials of degrees {2 * p}..{x_degree} exceed cap {cap}")
     op_between = _step_ops(ps)
     mu_s = mu.spin_shifted()
     r_mu = op_between(mu_s, mu_s)

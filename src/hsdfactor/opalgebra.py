@@ -131,7 +131,7 @@ class OperatorWord:
 
 def _accumulate(terms: dict, key, value):
     """terms[key] += value, dropping the key when the sum cancels."""
-    acc = terms.get(key, Fraction(0)) + value
+    acc = terms.get(key, 0) + value
     if acc:
         terms[key] = acc
     else:
@@ -284,7 +284,14 @@ def laplace_sym(at: Weight, power: int = 1) -> OperatorExpr:
 
 
 def _word_normal_form(word: OperatorWord, words: dict):
-    """Return (sign, canonical word) or (0, None) when the word dies.
+    """Return (sign, canonical word) or (0, None) when the word dies; see _parts_normal_form."""
+    return _parts_normal_form(word.target, word.source, word.syms, word.lap, words)
+
+
+def _parts_normal_form(target: Weight, source: Weight, syms: tuple, lap: int, words: dict):
+    """Normal form of the word (target, source, syms, lap), which is not built.
+
+    Returns (sign, canonical word) or (0, None) when the word dies.
 
     HSD symbols migrate to the source end (sign flip per twistor
     passed).  The twistor chain then sorts into non-decreasing change
@@ -308,38 +315,36 @@ def _word_normal_form(word: OperatorWord, words: dict):
     a caller that passes one dict builds and validates each canonical
     word and symbol once.
     """
-    sign = 1
-    n_hsd = 0
-    trailing_twistors = 0
-    for sym in reversed(word.syms):
-        if isinstance(sym, TwistorSym):
-            trailing_twistors += 1
-        else:
-            n_hsd += 1
-            if trailing_twistors % 2:
-                sign = -sign
-    app_steps = [sym.step for sym in reversed(word.syms) if isinstance(sym, TwistorSym)]
-    src = word.source.entries
-
+    src = source.entries
     cur, lo, hi = list(src), list(src), list(src)
     seen = [0] * len(src)      # steps met so far, per coordinate
-    inversions = 0
-    for idx, delta in app_steps:
-        cur[idx] += delta
-        lo[idx], hi[idx] = min(lo[idx], cur[idx]), max(hi[idx], cur[idx])
+    app_steps = []             # twistor steps in application order
+    inversions = 0             # and, per HSD, the twistors it passes
+    n_hsd = 0
+    for sym in reversed(syms):
+        if sym.__class__ is HsdSym:
+            n_hsd += 1
+            inversions += len(app_steps)
+            continue
+        idx, delta = step = sym.step
+        app_steps.append(step)
+        now = cur[idx] = cur[idx] + delta
+        if now < lo[idx]:
+            lo[idx] = now
+        elif now > hi[idx]:
+            hi[idx] = now
         inversions += sum(seen[idx + 1:])
         seen[idx] += 1
-    if lo[-1] < 0 or any(lo[c] < hi[c + 1] for c in range(len(src) - 1)):
+    if lo[-1] < 0 or any(a < b for a, b in zip(lo, hi[1:])):
         return 0, None
-    if inversions % 2:
-        sign = -sign
+    sign = -1 if inversions % 2 else 1
 
     sorted_steps = tuple(sorted(app_steps, key=itemgetter(0)))
-    key = (word.target, word.source, sorted_steps, n_hsd, word.lap)
+    key = (target, source, sorted_steps, n_hsd, lap)
     canonical = words.get(key)
     if canonical is None:
-        syms = _canonical_chain(word.source, sorted_steps, words) + (HsdSym(word.source),) * n_hsd
-        canonical = words[key] = OperatorWord(word.target, word.source, syms, word.lap)
+        chain = _canonical_chain(source, sorted_steps, words) + (HsdSym(source),) * n_hsd
+        canonical = words[key] = OperatorWord(target, source, chain, lap)
     return sign, canonical
 
 
@@ -676,20 +681,19 @@ def _lowerings(w: Weight):
             yield lower
 
 
-def _spliced(target, head: tuple, expr: OperatorExpr, tail: tuple, source, coeff) -> OperatorExpr:
-    """Sum of coeff * head * x * tail over the Laplace-free words x of expr, not normalized."""
-    words = {OperatorWord(target, source, head + x.syms + tail): coeff * c for x, c in expr.terms.items()}
-    return OperatorExpr(words, target, source)
+def _add_spliced(terms: dict, target, head: tuple, x_terms: dict, tail: tuple, source, coeff, words: dict):
+    """terms += coeff * nf(head * x * tail) over the Laplace-free words x of x_terms, in place.
+
+    Each spliced word is normalized from its parts; none is built.
+    """
+    for x, c in x_terms.items():
+        sign, nf = _parts_normal_form(target, source, head + x.syms + tail, 0, words)
+        if sign:
+            _accumulate(terms, nf, sign * coeff * c)
 
 
-def _add_normal_form(terms: dict, expr: OperatorExpr, words: dict):
-    """terms += normal_form(expr), in place."""
-    for word, coeff in normal_form(expr, words=words).terms.items():
-        _accumulate(terms, word, coeff)
-
-
-def _eliminated_power(w: Weight, e: int, memo: dict, budget: WorkBudget, words: dict) -> OperatorExpr:
-    """E(w, e) of eliminate_laplace, filling memo one power k at a time."""
+def _eliminated_power(w: Weight, e: int, memo: dict, budget: WorkBudget, words: dict) -> dict:
+    """E(w, e) of eliminate_laplace as {word: int}, filling memo one power k at a time."""
     layers = [[w]]             # layers[d]: the weights d lowering steps below w
     for _ in range(e):
         layers.append(list(dict.fromkeys(low for v in layers[-1] for low in _lowerings(v))))
@@ -699,15 +703,15 @@ def _eliminated_power(w: Weight, e: int, memo: dict, budget: WorkBudget, words: 
                 continue
             budget.spend()
             if k == 0:
-                memo[v, k] = identity_expr(v)
+                memo[v, k] = {OperatorWord(v, v): 1} if is_dominant(v) else {}
                 continue
             r = HsdSym(v)
             total = {}
-            _add_normal_form(total, _spliced(v, (r, r), memo[v, k - 1], (), v, -1), words)
+            _add_spliced(total, v, (r, r), memo[v, k - 1], (), v, -1, words)
             for low in _lowerings(v):
                 up, down = TwistorSym(v, low), TwistorSym(low, v)
-                _add_normal_form(total, _spliced(v, (up,), memo[low, k - 1], (down,), v, -1), words)
-            memo[v, k] = OperatorExpr(total, v, v)
+                _add_spliced(total, v, (up,), memo[low, k - 1], (down,), v, -1, words)
+            memo[v, k] = total
     return memo[w, e]
 
 
@@ -732,18 +736,27 @@ def eliminate_laplace(
         E(w, e) = -nf(R(w) R(w) E(w, e-1))
                   - sum_i nf(T(w <- w-e_i) E(w-e_i, e-1) T(w-e_i <- w)).
 
-    memo holds E by (w, e) and words the canonical words of normal_form,
-    both shared between calls if passed; budget is spent once per new
-    entry of memo.
+    Each H * x * T is composable by construction: H ends and T starts at
+    w, and every word x of E(w, e) runs w -> w (likewise at w - e_i in
+    the recurrence).  So it is normalized from its three parts and never
+    built as a word.
+
+    memo holds E by (w, e) as {word: int}, since every coefficient of E
+    is an integer; words holds the canonical words of _parts_normal_form.
+    Both are shared between calls if passed; budget is spent once per
+    new entry of memo.  An integral coefficient of expr is taken as an
+    int, so the sums stay on integers unless expr itself has fractions.
     """
     memo = {} if memo is None else memo
     words = {} if words is None else words
     budget = WorkBudget() if budget is None else budget
     total = {}
     for word, coeff in expr.terms.items():
+        if coeff.denominator == 1:
+            coeff = coeff.numerator
         j, w = _bottom_position(word)
-        x = _eliminated_power(w, word.lap, memo, budget, words)
-        _add_normal_form(total, _spliced(word.target, word.syms[:j], x, word.syms[j:], word.source, coeff), words)
+        x_terms = _eliminated_power(w, word.lap, memo, budget, words)
+        _add_spliced(total, word.target, word.syms[:j], x_terms, word.syms[j:], word.source, coeff, words)
     return OperatorExpr(total, expr.target, expr.source)
 
 

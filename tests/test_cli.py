@@ -245,3 +245,50 @@ def test_power_zero_is_usage_error(capsys, argv, message):
     code, data = run_json(capsys, argv)
     assert code == 2
     assert data == {"error": "usage", "message": message}
+
+
+def test_one_parser_serves_successive_runs(capsys):
+    # run() reuses one cached parser; each run must still see only its own argv
+    def outputs(argv):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:      # argparse's own usage errors
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out) if captured.out else None
+        if report:
+            report.pop("wall_time_s", None)
+        return code, report, captured.err
+
+    sequence = [
+        ["verify", "path", "--mu", "2,1", "--nu", "1,0"],
+        ["box", "--mu", "2,1", "--bogus"],
+        ["paths", "--mu", "2,1"],
+        ["factorize", "--mu", "2,1", "--power", "3", "--cap", "5"],
+        ["verify", "box", "--mu", "2,1"],
+    ]
+    separate = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        separate.append(outputs(argv))
+    cli._build_parser.cache_clear()
+    back_to_back = [outputs(argv) for argv in sequence]
+    assert back_to_back == separate
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in separate] == [0, ("exit", 2), 0, 2, 0]
+    assert separate[2][1]["params"]["nu"]["entries"] == [0, 0]
+
+
+def test_verify_theorem_cap_bounds_the_monomials(capsys):
+    # degrees 4..12 in 5 variables are 6,132 monomials; the (1) x spinors
+    # ambient (20 x 20 cells) is well inside either cap
+    argv = ["verify", "theorem", "--mu", "1", "--m", "5", "--power", "2"]
+    code, data = run_json(capsys, argv + ["--degree", "12", "--cap", "5000"])
+    assert code == 2
+    assert data == {"error": "resource_cap", "message": "6132 monomials of degrees 4..12 exceed cap 5000"}
+    code, data = run_json(capsys, argv + ["--degree", "6", "--cap", "405"])
+    assert code == 2
+    assert data["message"] == "406 monomials of degrees 4..6 exceed cap 405"
+    code, data = run_json(capsys, argv + ["--degree", "6", "--cap", "406"])
+    assert code == 0
+    assert data["passed"] is True

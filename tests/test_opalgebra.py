@@ -331,17 +331,56 @@ def test_no_word_memo_outlives_the_reexpansion():
     assert _live_words() == before
 
 
-def test_reexpansion_builds_each_twistor_symbol_once(monkeypatch):
-    # the word memo shares canonical words and their symbols; without it
-    # every normal form rebuilds its chain (about 14 k symbols here)
-    cert = expand_laplace_power(weight(6, 4, 2), 7)
+def _built_during_reexpansion(monkeypatch, cls, cert) -> int:
+    """How many cls objects certificate_reexpands(cert) constructs."""
     built = []
-    post_init = TwistorSym.__post_init__
+    post_init = cls.__post_init__
 
     def counted(self):
         built.append(1)
         post_init(self)
 
-    monkeypatch.setattr(TwistorSym, "__post_init__", counted)
+    monkeypatch.setattr(cls, "__post_init__", counted)
     assert certificate_reexpands(cert)
-    assert 0 < len(built) <= 2000
+    return len(built)
+
+
+def test_reexpansion_builds_each_twistor_symbol_once(monkeypatch):
+    # the word memo shares canonical words and their symbols; without it
+    # every normal form rebuilds its chain (about 14 k symbols here)
+    cert = expand_laplace_power(weight(6, 4, 2), 7)
+    assert 0 < _built_during_reexpansion(monkeypatch, TwistorSym, cert) <= 2000
+
+
+# --- the parts-based splice on integer coefficients --------------------------
+
+def test_reexpansion_builds_no_spliced_words(monkeypatch):
+    # each H * x * T is normalized from its parts; only canonical words,
+    # identities and the assembled certificate are built (4,246 words
+    # when every spliced word was built and validated)
+    cert = expand_laplace_power(weight(6, 4, 2), 7)
+    assert 0 < _built_during_reexpansion(monkeypatch, OperatorWord, cert) <= 1500
+
+
+def test_reexpansion_memo_holds_integers():
+    cert = expand_laplace_power(weight(3, 1), 4)
+    mu_s = cert.mu.spin_shifted()
+    memo = {}
+    lhs = eliminate_laplace(laplace_sym(mu_s, cert.power), memo)
+    rhs = eliminate_laplace(hsd_sym(mu_s) * cert.middle * hsd_sym(mu_s) + cert.residual, memo)
+    assert lhs == rhs and not lhs.is_zero()
+    assert memo and all(isinstance(entry, dict) for entry in memo.values())
+    assert all(type(c) is int for entry in memo.values() for c in entry.values())
+    assert all(all(isinstance(c, Fraction) for c in e.terms.values()) for e in (lhs, rhs))
+
+
+def test_fractional_coefficients_reexpand_exactly():
+    cert = expand_laplace_power(weight(2, 1), 3)
+    mu_s = cert.mu.spin_shifted()
+    third = Fraction(1, 3)
+    for expr in (laplace_sym(mu_s, 3), hsd_sym(mu_s) * cert.middle * hsd_sym(mu_s) + cert.residual):
+        whole = eliminate_laplace(expr)
+        scaled = eliminate_laplace(expr.scale(third))
+        assert not whole.is_zero()
+        assert scaled == whole.scale(third)
+        assert any(c.denominator == 3 for c in scaled.terms.values())
