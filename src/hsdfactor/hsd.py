@@ -6,7 +6,9 @@ P_iota between two Casimir summands of one tensor-with-spinors ambient.
 The generic operators live in summand coordinates: with P = C L from
 `ProjectorSet.frame`, the block is L_kappa . (id x Dirac) . C_iota, a
 sum of (x-derivative monomial) x (d_kappa x d_iota matrix) terms, which
-keeps compositions and identity checks exact and small.
+keeps compositions and identity checks exact and small.  The explicit
+operators take this form from their degree-1 images, and the kernels of
+both kinds are null spaces of integer matrices built from it.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial, perm, prod
+from math import comb, factorial, lcm, perm, prod
 
 from .clifford import _kron, gamma_rep
 from .gaussian import QQi, QQI_ZERO
-from .linalg import DEFAULT_CELL_CAP, Mat, ResourceCapError, solve_sparse
+from .linalg import DEFAULT_CELL_CAP, Mat, ResourceCapError, check_cells, int_nullspace, solve_sparse
 from .opalgebra import expand_laplace_power
 from .polyspace import (
     Compose,
@@ -32,8 +34,6 @@ from .polyspace import (
     exponents,
     homogeneous_basis,
     joint_kernel,
-    laplace,
-    operator_matrix,
 )
 from .repthy import (
     ProjectorSet,
@@ -163,12 +163,14 @@ def _step_ops(ps: ProjectorSet):
 class HsdOperator:
     """One invariant first-order operator with an explicit realization.
 
-    kind 'explicit': assembled from polynomial building blocks, acting
-    on x-polynomials valued in a simplicial monogenic space (source and
-    target values are its basis).
+    Either kind is deriv_op = sum_i d/dx_i (x) A_i, A_i acting on
+    source_basis coordinates.  kind 'explicit': `spec` built from
+    polynomial blocks on x-polynomials valued in a simplicial monogenic
+    space; A_i[r, j] is coordinate r of spec(x_i (x) b_j), numbering the
+    images' (exponent, spinor) keys in order of first appearance.
     kind 'projector': P_target . (id x Dirac) . P_source between two
-    Casimir summands of one ambient; carries the exact DerivOp block in
-    summand coordinates and the source's L.
+    Casimir summands of one ambient, in summand coordinates (rows are
+    target_values); source_coords is the source's L.
     """
 
     label: Weight            # target summand (half-integral)
@@ -178,38 +180,9 @@ class HsdOperator:
     value_space: RealizedSpace
     source_basis: list       # value-space basis of the source side
     target_values: list      # value-space basis of the target side
+    deriv_op: DerivOp
     spec: object = None              # explicit kind
-    deriv_op: DerivOp = None         # projector kind
     source_coords: Mat = None        # projector kind: L of the source summand
-
-    def apply(self, f: SpinorPoly) -> SpinorPoly:
-        if self.kind == "explicit":
-            return apply(self.spec, f)
-        # coordinatize each x-monomial's value in the ambient, then in the
-        # source summand, apply the block and rebuild from the target basis
-        m = self.m
-        solver = self.value_space.solver()
-        by_x = {}
-        for (exp, s), c in f.coordinates().items():
-            by_x.setdefault(exp[:m], {})[((0,) * m + exp[m:], s)] = c
-        out = SpinorPoly(m, self.value_space.k)
-        for alpha, coords in by_x.items():
-            w = self.source_coords.matvec(solver.coords(coords))
-            for beta, mat in self.deriv_op.apply_monomial(alpha).items():
-                out = out + x_shift(combination(self.target_values, mat.matvec(w)), beta)
-        return out
-
-    def domain_basis(self, h: int) -> list:
-        """x-degree-h monomials tensored with the source value basis."""
-        return [x_shift(b, alpha) for alpha in exponents(self.m, h) for b in self.source_basis]
-
-    def target_basis(self, h: int) -> list:
-        return [x_shift(b, alpha) for alpha in exponents(self.m, h) for b in self.target_values]
-
-    def matrix(self, h: int) -> Mat:
-        """Exact matrix on x-degree h, rows in the degree-(h-1) target basis."""
-        codomain = self.target_basis(h - 1) if h >= 1 else []
-        return operator_matrix(self.apply, self.domain_basis(h), codomain)
 
 
 def x_shift(b: SpinorPoly, alpha: tuple) -> SpinorPoly:
@@ -260,8 +233,33 @@ def explicit_hsd(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> HsdOperato
         value_space=space,
         source_basis=space.basis,
         target_values=space.basis,
+        deriv_op=_degree_one_images(spec, space.basis, m),
         spec=spec,
     )
+
+
+def _degree_one_images(spec, basis: list, m: int) -> DerivOp:
+    """sum_i d/dx_i (x) A_i for a spec first order in x with constant coefficients.
+
+    Column j of A_i is spec(x_i (x) basis[j]), over the images' common
+    denominator, in their (exponent, spinor) coordinates numbered in
+    order of first appearance.
+    """
+    units = [tuple(int(t == i) for t in range(m)) for i in range(m)]
+    images = [[apply(spec, x_shift(b, e)) for b in basis] for e in units]
+    den = lcm(*(f.den for row in images for f in row))
+    keys = {}
+    nums = [{} for _ in units]
+    for num, row in zip(nums, images):
+        for j, f in enumerate(row):
+            scale = den // f.den
+            for exp, vec in f.num.items():
+                for s, (re, im) in enumerate(vec):
+                    if re or im:
+                        num.setdefault(keys.setdefault((exp, s), len(keys)), {})[j] = (re * scale, im * scale)
+    return DerivOp(m, {
+        e: Mat._reduced([num.get(r, {}) for r in range(len(keys))], den, len(basis)) for e, num in zip(units, nums)
+    })
 
 
 def _summand_basis(ps: ProjectorSet, kappa: Weight) -> list:
@@ -308,8 +306,33 @@ def generic_twistor_hsd(lam: Weight, m: int) -> list:
 
 
 def kernel_basis(op: HsdOperator, h: int, cap: int = DEFAULT_CELL_CAP) -> list:
-    """Exact basis of the degree-h polynomial kernel inside the value space."""
-    return joint_kernel([op.apply], op.domain_basis(h), cap)
+    """Exact basis of the degree-h kernel: one vector {(alpha, j): (re, im)}
+    per free column, standing for sum (re + im i) x^alpha (x) source_basis[j].
+
+    R(x^alpha (x) b_j) = sum_i alpha_i x^(alpha - e_i) (x) A_i b_j, so the
+    kernel is the null space of an integer matrix, rows (beta, r), columns
+    (alpha, j) alpha-major.  The vectors are the reduced-row-echelon basis,
+    each as a primitive Gaussian-integer multiple.  No entries cancel: the
+    cap sees |exponents(m, h-1)| x (rows r live in some A_i) before assembly.
+    """
+    dop = op.deriv_op
+    d = len(op.source_basis)
+    alphas = list(exponents(op.m, h))
+    live = {r for mat in dop.terms.values() for r, row in enumerate(mat.num) if row}
+    check_cells(comb(op.m + h - 2, h - 1) * len(live) if h else 0, len(alphas) * d, cap)
+    den = lcm(*(mat.den for mat in dop.terms.values()))
+    rows = {}
+    for a, alpha in enumerate(alphas):
+        for beta, mat in dop.apply_monomial(alpha).items():
+            scale = den // mat.den
+            for r, row in enumerate(mat.num):
+                out = rows.setdefault((beta, r), {})
+                for j, (re, im) in row.items():
+                    out[a * d + j] = (re * scale, im * scale)
+    return [
+        {(alphas[c // d], c % d): v for c, v in vec.items()}
+        for vec in int_nullspace(rows.values(), len(alphas) * d)
+    ]
 
 
 def double_monogenic_basis(m: int, h: int, k: int, cap: int = DEFAULT_CELL_CAP) -> list:
@@ -317,15 +340,26 @@ def double_monogenic_basis(m: int, h: int, k: int, cap: int = DEFAULT_CELL_CAP) 
     return joint_kernel([Dirac(0), Dirac(1)], homogeneous_basis(m, 1, (h, k)), cap)
 
 
-def polyharmonic_order(f: SpinorPoly) -> int:
-    """Least p with the p-th Laplace power killing f (bounded search)."""
-    if f.is_zero():
+def polyharmonic_order(f: dict) -> int:
+    """Least p with Lap^p killing a kernel vector f of `kernel_basis` (bounded search).
+
+    The values b_j do not depend on x, so the Laplacian acts on the
+    exponents alpha alone: x^alpha -> sum_i alpha_i (alpha_i - 1) x^(alpha - 2 e_i).
+    """
+    if not f:
         return 1
-    bound = f.degree(0) // 2 + 1
-    g = f
+    bound = sum(next(iter(f))[0]) // 2 + 1
+    # the Laplacian is real: the real and imaginary parts go their own ways
+    g = {(alpha, j, part): c for (alpha, j), pair in f.items() for part, c in enumerate(pair) if c}
     for p in range(1, bound + 1):
-        g = laplace(0, g)
-        if g.is_zero():
+        acc = {}
+        for (alpha, j, part), c in g.items():
+            for i, a in enumerate(alpha):
+                if a > 1:
+                    key = (alpha[:i] + (a - 2,) + alpha[i + 1:], j, part)
+                    acc[key] = acc.get(key, 0) + a * (a - 1) * c
+        g = {key: c for key, c in acc.items() if c}
+        if not g:
             return p
     raise ArithmeticError("polynomial not annihilated within the degree bound")
 

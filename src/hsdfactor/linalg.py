@@ -4,11 +4,11 @@
 projectors, the coefficients of derivative operators) fraction-free:
 sparse rows of Gaussian-integer numerators over one reduced common
 denominator, so products and sums run on Python ints and divide once
-per operation.  The large homogeneous-component eliminations
-(`sparse_rref` and the null spaces and solves built on it) take and
-return sparse dict-rows of QQi, but eliminate on primitive
-Gaussian-integer rows, in the spirit of Bareiss's integer-preserving
-elimination, and divide only when they emit the unit-pivot rows.
+per operation.  The large eliminations all run in one integer core,
+`_rref_int`, on primitive Gaussian-integer rows, in the spirit of
+Bareiss's integer-preserving elimination: `sparse_rref` (and the null
+spaces and solves built on it) take and return QQi rows and divide only
+when they emit the unit-pivot rows; `int_nullspace` stays in integers.
 `SpanSolver` still eliminates on QQi rows.  All pivoting is
 deterministic, so bases come out in a reproducible order.
 """
@@ -244,8 +244,7 @@ class Mat:
 
     def rank(self):
         # the common denominator does not change the rank
-        rows = [{j: QQi(re, im) for j, (re, im) in row.items()} for row in self.num]
-        return sparse_rank(rows, self.ncols)
+        return len(_rref_int(self.num, self.ncols)[0])
 
     def __repr__(self):
         return "Mat(" + "; ".join(" ".join(repr(x) for x in row) for row in self.rows) + ")"
@@ -282,7 +281,10 @@ def _cross_eliminate(target, pivot_row, col):
     tr, ti = target[col]
     g = gcd(pr, pi, tr, ti)
     pr, pi, tr, ti = pr // g, pi // g, tr // g, ti // g
-    out = {j: (pr * re - pi * im, pr * im + pi * re) for j, (re, im) in target.items()}
+    if pr == 1 and not pi:
+        out = dict(target)
+    else:
+        out = {j: (pr * re - pi * im, pr * im + pi * re) for j, (re, im) in target.items()}
     for j, (re, im) in pivot_row.items():
         cur = out.get(j, (0, 0))
         nre = cur[0] - (tr * re - ti * im)
@@ -294,6 +296,44 @@ def _cross_eliminate(target, pivot_row, col):
     return _primitive(out)
 
 
+def _rref_int(rows, ncols):
+    """The integer core of `sparse_rref` on Gaussian-integer rows (dict col -> (re, im)).
+
+    Returns (pivots, pivot_rows): each pivot row is the primitive multiple
+    of the matching reduced row whose pivot entry is a positive integer.
+    """
+    work = [_primitive(r) for r in rows if r]
+    # a live row holds no column left of the current one, so the rows
+    # holding col are the ones whose leading column is col
+    by_lead = {}
+    for i, r in enumerate(work):
+        by_lead.setdefault(min(r), []).append(i)
+    pivots = []
+    pivot_rows = []
+    for col in range(ncols):
+        group = by_lead.pop(col, None)
+        if group is None:
+            continue
+        idx = min(group, key=lambda i: (len(work[i]), i))
+        prow = work[idx]
+        pr, pi = prow[col]
+        if pi or pr < 0:
+            # times conj(p): the pivot becomes a positive integer, a unit one 1,
+            # and eliminating by a pivot 1 rescales nothing
+            prow = _primitive({j: (re * pr + im * pi, im * pr - re * pi) for j, (re, im) in prow.items()})
+        for i in group:
+            if i != idx:
+                r = work[i] = _cross_eliminate(work[i], prow, col)
+                if r:
+                    by_lead.setdefault(min(r), []).append(i)
+        for k, prev in enumerate(pivot_rows):
+            if col in prev:
+                pivot_rows[k] = _cross_eliminate(prev, prow, col)
+        pivots.append(col)
+        pivot_rows.append(prow)
+    return pivots, pivot_rows
+
+
 def sparse_rref(rows, ncols):
     """Reduced row echelon form.
 
@@ -302,53 +342,20 @@ def sparse_rref(rows, ncols):
     column cleared from all other rows.
 
     Each row is made a primitive Gaussian-integer row once; elimination
-    is t <- p*t - t[col]*prow with its content divided out (Bareiss's
-    integer-preserving idea), and the unit-pivot QQi rows are emitted at
-    the end.  Every integer row is a nonzero multiple of the row that
-    Gaussian-rational elimination would hold, so supports, pivot choices
-    and (the RREF being unique) the result are the same.
+    (`_rref_int`) is t <- p*t - t[col]*prow with its content divided out
+    (Bareiss's integer-preserving idea), and the unit-pivot QQi rows are
+    emitted at the end.  Every integer row is a nonzero multiple of the
+    row that Gaussian-rational elimination would hold, so supports, pivot
+    choices and (the RREF being unique) the result are the same.
     """
     work = []
     for r in rows:
         if r:
             den = _common_den(r.values())
-            work.append(_primitive({j: _numerators(v, den) for j, v in r.items()}))
-    live = list(range(len(work)))
-    pivots = []
-    pivot_rows = []
-    for col in range(ncols):
-        best = None
-        for i in live:
-            r = work[i]
-            if col in r:
-                key = (len(r), i)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            continue
-        idx = best[1]
-        live.remove(idx)
-        prow = work[idx]
-        for i in live:
-            if col in work[i]:
-                work[i] = _cross_eliminate(work[i], prow, col)
-        for k, prev in enumerate(pivot_rows):
-            if col in prev:
-                pivot_rows[k] = _cross_eliminate(prev, prow, col)
-        pivots.append(col)
-        pivot_rows.append(prow)
-    reduced = []
-    for col, row in zip(pivots, pivot_rows):
-        # entry / p = entry * conj(p) / |p|^2
-        pr, pi = row[col]
-        n = pr * pr + pi * pi
-        reduced.append({j: _qqi(re * pr + im * pi, im * pr - re * pi, n) for j, (re, im) in row.items()})
+            work.append({j: _numerators(v, den) for j, v in r.items()})
+    pivots, pivot_rows = _rref_int(work, ncols)
+    reduced = [{j: _qqi(re, im, row[col][0]) for j, (re, im) in row.items()} for col, row in zip(pivots, pivot_rows)]
     return pivots, reduced
-
-
-def sparse_rank(rows, ncols):
-    pivots, _ = sparse_rref(rows, ncols)
-    return len(pivots)
 
 
 def sparse_nullspace(rows, ncols):
@@ -358,6 +365,31 @@ def sparse_nullspace(rows, ncols):
     ordering follows increasing free-column index.
     """
     return _nullspace_of_rref(*sparse_rref(rows, ncols), ncols)
+
+
+def int_nullspace(rows, ncols):
+    """`sparse_nullspace` of Gaussian-integer rows (dict col -> (re, im)), fraction-free.
+
+    Vector i is the primitive Gaussian-integer multiple of sparse_nullspace's
+    vector i with a positive free entry, so no fraction is formed.
+    """
+    pivots, pivot_rows = _rref_int(rows, ncols)
+    pivot_set = set(pivots)
+    by_free = {}  # free column -> [(pivot column, pivot, entry)]
+    for col, row in zip(pivots, pivot_rows):
+        for j, entry in row.items():
+            if j not in pivot_set:
+                by_free.setdefault(j, []).append((col, row[col][0], entry))
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        hits = by_free.get(free, ())
+        den = lcm(*(n for _, n, _ in hits))
+        vec = {c: (-re * (den // n), -im * (den // n)) for c, n, (re, im) in hits}
+        vec[free] = (den, 0)
+        basis.append(_primitive(vec))
+    return basis
 
 
 def _nullspace_of_rref(pivots, reduced, ncols):

@@ -10,13 +10,13 @@ pieces via Lagrange spectral projectors, all exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .clifford import gamma_rep
 from .gaussian import QQi, QQI_ZERO
-from .linalg import DEFAULT_CELL_CAP, Mat, SpanSolver, check_cells, sparse_rref
+from .linalg import DEFAULT_CELL_CAP, Mat, check_cells, sparse_rref
 from .polyspace import (
     Compose,
     CoordOp,
@@ -100,16 +100,10 @@ class RealizedSpace:
     k: int
     degrees: tuple
     basis: list
-    _solver: SpanSolver = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def solver(self) -> SpanSolver:
-        if self._solver is None:
-            self._solver = SpanSolver([b.coordinates() for b in self.basis])
-        return self._solver
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,98 @@
+"""The polynomial route to HSD kernels, kept as the oracle of `hsd.kernel_basis`.
+
+`hsd.kernel_basis` reads an operator's kernel off the integer matrices A_i
+of its degree-1 images.  The route here applies the operator to every
+domain element x^alpha (x) b_j as a polynomial and takes the joint kernel
+of the images, as the engine did before; `ref_polyharmonic_order` applies
+the Laplacian to polynomials rather than to coefficient vectors.
+"""
+
+from fractions import Fraction
+
+from hsdfactor.gaussian import QQi
+from hsdfactor.hsd import x_shift
+from hsdfactor.linalg import SpanSolver
+from hsdfactor.polyspace import (
+    SpinorPoly,
+    apply,
+    combination,
+    exponents,
+    laplace,
+    operator_matrix,
+    stacked_rows,
+)
+
+
+def domain_basis(op, h: int) -> list:
+    """x-degree-h monomials tensored with the source value basis, alpha-major."""
+    return [x_shift(b, alpha) for alpha in exponents(op.m, h) for b in op.source_basis]
+
+
+def target_basis(op, h: int) -> list:
+    return [x_shift(b, alpha) for alpha in exponents(op.m, h) for b in op.target_values]
+
+
+def apply_op(op, f: SpinorPoly) -> SpinorPoly:
+    """The operator on a polynomial valued in op.value_space."""
+    if op.kind == "explicit":
+        return apply(op.spec, f)
+    # coordinatize each x-monomial's value in the ambient, then in the
+    # source summand, apply the block and rebuild from the target basis
+    m = op.m
+    solver = SpanSolver([b.coordinates() for b in op.value_space.basis])
+    by_x = {}
+    for (exp, s), c in f.coordinates().items():
+        by_x.setdefault(exp[:m], {})[((0,) * m + exp[m:], s)] = c
+    out = SpinorPoly(m, op.value_space.k)
+    for alpha, coords in by_x.items():
+        w = op.source_coords.matvec(solver.coords(coords))
+        for beta, mat in op.deriv_op.apply_monomial(alpha).items():
+            out = out + x_shift(combination(op.target_values, mat.matvec(w)), beta)
+    return out
+
+
+def op_matrix(op, h: int):
+    """Exact matrix on x-degree h, rows in the degree-(h-1) target basis."""
+    codomain = target_basis(op, h - 1) if h >= 1 else []
+    return operator_matrix(lambda f: apply_op(op, f), domain_basis(op, h), codomain)
+
+
+def ref_rows(op, h: int) -> list:
+    """The images of domain_basis(op, h) as sparse rows column -> QQi.
+
+    Their null space (`sparse_nullspace`) is the kernel the engine took
+    before `kernel_basis` read it off the degree-1 images.
+    """
+    return list(stacked_rows([lambda f: apply_op(op, f)], domain_basis(op, h)).values())
+
+
+def ref_polyharmonic_order(f: SpinorPoly) -> int:
+    """Least p with the p-th Laplace power killing f (bounded search)."""
+    if f.is_zero():
+        return 1
+    bound = f.degree(0) // 2 + 1
+    g = f
+    for p in range(1, bound + 1):
+        g = laplace(0, g)
+        if g.is_zero():
+            return p
+    raise ArithmeticError("polynomial not annihilated within the degree bound")
+
+
+def as_poly(op, vec: dict) -> SpinorPoly:
+    """The polynomial sum (re + im i) x^alpha (x) source_basis[j] of a kernel vector."""
+    terms = [x_shift(op.source_basis[j], alpha) for alpha, j in vec]
+    return combination(terms, [QQi(re, im) for re, im in vec.values()])
+
+
+def as_columns(op, h: int, vec: dict) -> dict:
+    """A kernel vector in domain_basis(op, h) columns, scaled to a unit free entry.
+
+    The free column is the last one of the vector: the echelon basis
+    vector of a free column is zero past it.
+    """
+    index = {alpha: a for a, alpha in enumerate(exponents(op.m, h))}
+    d = len(op.source_basis)
+    cols = {index[alpha] * d + j: pair for (alpha, j), pair in vec.items()}
+    unit, _ = cols[max(cols)]  # a positive integer
+    return {c: QQi(Fraction(re, unit), Fraction(im, unit)) for c, (re, im) in sorted(cols.items())}

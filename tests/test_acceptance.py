@@ -43,6 +43,7 @@ from hsdfactor.polyspace import (
 )
 from hsdfactor.repthy import casimir_projectors, simplicial_monogenic_basis, weyl_dim
 from hsdfactor.weights import Weight, box, bruhat_leq, canonical_path, is_dominant, weight
+from hsd_oracle import as_poly
 
 
 def dominant_weights(rank, max_entry):
@@ -196,7 +197,8 @@ def test_criterion_6_corollary_sharpness():
     ok = True
     sharp = False
     for h in range(4):
-        for f in kernel_basis(op, h):
+        for vec in kernel_basis(op, h):
+            f = as_poly(op, vec)
             ok = ok and laplace(0, laplace(0, f)).is_zero()
             if not laplace(0, f).is_zero():
                 sharp = True
@@ -212,7 +214,8 @@ def test_criterion_7_induction_principle():
     for k in (1, 2):
         prev = explicit_hsd(weight(k - 1) if k > 1 else weight(0), 3)
         for h in range(1, 4):
-            for g in kernel_basis(prev, h - 1):
+            for vec in kernel_basis(prev, h - 1):
+                g = as_poly(prev, vec)
                 f = twistor_inversion(g, 3)
                 ok = ok and apply(Dirac(1), f).is_zero()
                 gg = g if g.k == 1 else _promote_to_one_dummy(g)

@@ -1,0 +1,100 @@
+"""HSD kernels as null spaces of integer matrices, against the polynomial route.
+
+`kernel_basis` builds the degree-h matrix from the operator's degree-1
+images, R(x^alpha (x) b_j) = sum_i alpha_i x^(alpha - e_i) (x) A_i b_j.
+A reduced-row-echelon null-space basis depends only on the kernel and
+the column order, so the vectors must equal those of the polynomial
+route in `hsd_oracle` once scaled to a unit free entry, and so must the
+polyharmonic orders.
+"""
+
+import pytest
+
+from hsdfactor import cli
+from hsdfactor.hsd import DerivOp, explicit_hsd, generic_twistor_hsd, kernel_basis, polyharmonic_order
+from hsdfactor.linalg import ResourceCapError, sparse_nullspace
+from hsdfactor.polyspace import combination
+from hsdfactor.weights import weight
+from hsd_oracle import as_columns, domain_basis, ref_polyharmonic_order, ref_rows
+
+ORACLE_CASES = [((k,), 3, 2 * (k + 1)) for k in range(5)] + [(lam, 5, 2) for lam in [(1,), (2,), (1, 0), (1, 1)]]
+
+
+@pytest.mark.parametrize("lam,m,top", ORACLE_CASES)
+def test_kernel_vectors_and_orders_match_the_polynomial_route(lam, m, top):
+    op = explicit_hsd(weight(*lam), m)
+    for h in range(top + 1):
+        domain = domain_basis(op, h)
+        rows = ref_rows(op, h)
+        want = sparse_nullspace(rows, len(domain))
+        # the cap sees exactly the rows the polynomial route stacks
+        cells = len(rows) * len(domain)
+        got = kernel_basis(op, h, cap=cells)
+        assert [as_columns(op, h, vec) for vec in got] == want, h
+        ref_orders = [ref_polyharmonic_order(combination(domain, vec)) for vec in want]
+        assert [polyharmonic_order(vec) for vec in got] == ref_orders, h
+        if cells:
+            with pytest.raises(ResourceCapError) as exc:
+                kernel_basis(op, h, cap=cells - 1)
+            assert str(exc.value) == f"elimination size {len(rows)}x{len(domain)} exceeds cap {cells - 1}"
+
+
+def _projector_hsd(lam, m):
+    """The diagonal projector-kind operator on the summand the explicit HSD acts on."""
+    label = explicit_hsd(weight(*lam), m).label
+    return next(o for o in generic_twistor_hsd(weight(*lam), m) if o.label == o.source_label == label)
+
+
+DUPLICATE_CASES = [((k,), 3, 2 * (k + 1)) for k in range(4)] + [((1,), 5, 4)]
+
+
+@pytest.mark.parametrize("lam,m,top", DUPLICATE_CASES)
+def test_explicit_and_projector_kernels_agree(lam, m, top):
+    """The deliberate duplicate: same kernel dimension and maximum order in every degree.
+
+    Order sets are not compared: they belong to a basis, and the two
+    operators' echelon bases differ (first at (1), m = 3, h = 2)."""
+    explicit = explicit_hsd(weight(*lam), m)
+    projector = _projector_hsd(lam, m)
+    assert projector.kind == "projector"
+    for h in range(top + 1):
+        a = kernel_basis(explicit, h)
+        b = kernel_basis(projector, h)
+        assert len(a) == len(b), h
+        assert max(map(polyharmonic_order, a), default=0) == max(map(polyharmonic_order, b), default=0), h
+
+
+def test_cap_is_checked_before_anything_is_assembled(monkeypatch):
+    op = explicit_hsd(weight(1, 1), 5)
+    calls = []
+    real = DerivOp.apply_monomial
+    monkeypatch.setattr(DerivOp, "apply_monomial", lambda self, alpha: calls.append(alpha) or real(self, alpha))
+    with pytest.raises(ResourceCapError) as exc:
+        kernel_basis(op, 5)
+    assert str(exc.value) == "elimination size 5600x2520 exceeds cap 4000000"
+    assert calls == []
+    kernel_basis(op, 1)
+    assert len(calls) == 5  # one call per x-monomial of degree 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["kernel", "--mu", "1,1", "--m", "5", "--degree", "5"], "elimination size 5600x2520 exceeds cap 4000000"),
+        (["verify", "corollary", "--mu", "2", "--m", "5", "--degree", "4"], "elimination size 2100x2800 exceeds cap 4000000"),
+    ],
+)
+def test_cli_kernel_cap_messages(capsys, argv, message):
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().out.strip() == '{"error": "resource_cap", "message": "%s"}' % message
+
+
+def test_projector_kernels_match_the_polynomial_route():
+    """Both kinds share kernel_basis: every projector-kind operator of the
+    (1) x spinors ambient, m = 3, the twistors included, against its
+    polynomial route."""
+    for op in generic_twistor_hsd(weight(1), 3):
+        for h in range(4):
+            domain = domain_basis(op, h)
+            want = sparse_nullspace(ref_rows(op, h), len(domain))
+            assert [as_columns(op, h, vec) for vec in kernel_basis(op, h)] == want, (op.label, op.source_label, h)

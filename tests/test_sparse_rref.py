@@ -8,11 +8,12 @@ and the pivot choice depends only on the supports.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
 from hsdfactor.gaussian import QQi, QQI_ONE, QQI_ZERO
-from hsdfactor.linalg import Mat, solve_sparse, sparse_nullspace, sparse_rank, sparse_rref
+from hsdfactor.linalg import Mat, int_nullspace, solve_sparse, sparse_nullspace, sparse_rref
 
 examples = settings(max_examples=150, deadline=None)
 
@@ -128,7 +129,7 @@ def test_rref_matches_qqi_oracle(case):
 def test_rank_nullspace_and_mat_rank_agree(case):
     rows, ncols = case
     rank = len(ref_sparse_rref(rows, ncols)[0])
-    assert sparse_rank(rows, ncols) == rank
+    assert len(sparse_rref(rows, ncols)[0]) == rank
     null = sparse_nullspace(rows, ncols)
     assert len(null) == ncols - rank
     for vec in null:
@@ -137,6 +138,26 @@ def test_rank_nullspace_and_mat_rank_agree(case):
     dense = [[row.get(j, QQI_ZERO) for j in range(ncols)] for row in rows]
     if dense:
         assert Mat(dense).rank() == rank
+
+
+@examples
+@given(sparse_matrices())
+def test_int_nullspace_is_the_scaled_nullspace(case):
+    """Fraction-free null space: primitive Gaussian-integer multiples of
+    sparse_nullspace's vectors, each with a positive free entry."""
+    rows, ncols = case
+    int_rows = []
+    for row in rows:
+        den = lcm(1, *(d for v in row.values() for d in (v.re.denominator, v.im.denominator)))
+        int_rows.append({j: (int(v.re * den), int(v.im * den)) for j, v in row.items()})
+    want = sparse_nullspace(rows, ncols)
+    got = int_nullspace(int_rows, ncols)
+    assert len(got) == len(want)
+    for vec, ref in zip(got, want):
+        free = max(vec)
+        assert ref[free] == QQI_ONE and vec[free][0] > 0 and vec[free][1] == 0
+        assert gcd(*(x for pair in vec.values() for x in pair)) == 1
+        assert {j: QQi(Fraction(re, vec[free][0]), Fraction(im, vec[free][0])) for j, (re, im) in vec.items()} == ref
 
 
 @examples
@@ -150,7 +171,7 @@ def test_solve_sparse_consistent_and_inconsistent(case, data):
     particular, null = solved
     for row, b in zip(rows, rhs):
         assert sum((v * particular[j] for j, v in row.items() if j in particular), QQI_ZERO) == b
-    assert len(null) == ncols - sparse_rank(rows, ncols)
+    assert len(null) == ncols - len(sparse_rref(rows, ncols)[0])
     assert null == sparse_nullspace(rows, ncols)
     # a copy of an existing row with a different right-hand side, or a
     # nonzero right-hand side on an empty row, has no solution
