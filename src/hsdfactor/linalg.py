@@ -6,9 +6,9 @@ sparse rows of Gaussian-integer numerators over one reduced common
 denominator, so products and sums run on Python ints and divide once
 per operation.  The large eliminations all run in one integer core,
 `_rref_int`, on primitive Gaussian-integer rows, in the spirit of
-Bareiss's integer-preserving elimination: `sparse_rref` (and the null
-spaces and solves built on it) take and return QQi rows and divide only
-when they emit the unit-pivot rows; `int_nullspace` stays in integers.
+Bareiss's integer-preserving elimination.  `int_nullspace` stays in
+integers; `sparse_rref`, `sparse_nullspace` and `solve_sparse` take and
+return QQi rows and divide only when they emit their results.
 `SpanSolver` still eliminates on QQi rows.  All pivoting is
 deterministic, so bases come out in a reproducible order.
 """
@@ -334,6 +334,16 @@ def _rref_int(rows, ncols):
     return pivots, pivot_rows
 
 
+def _int_rows(rows):
+    """Nonzero QQi rows as Gaussian-integer rows, each over its own common denominator."""
+    out = []
+    for r in rows:
+        if r:
+            den = _common_den(r.values())
+            out.append({j: _numerators(v, den) for j, v in r.items()})
+    return out
+
+
 def sparse_rref(rows, ncols):
     """Reduced row echelon form.
 
@@ -348,32 +358,13 @@ def sparse_rref(rows, ncols):
     row that Gaussian-rational elimination would hold, so supports, pivot
     choices and (the RREF being unique) the result are the same.
     """
-    work = []
-    for r in rows:
-        if r:
-            den = _common_den(r.values())
-            work.append({j: _numerators(v, den) for j, v in r.items()})
-    pivots, pivot_rows = _rref_int(work, ncols)
+    pivots, pivot_rows = _rref_int(_int_rows(rows), ncols)
     reduced = [{j: _qqi(re, im, row[col][0]) for j, (re, im) in row.items()} for col, row in zip(pivots, pivot_rows)]
     return pivots, reduced
 
 
-def sparse_nullspace(rows, ncols):
-    """Basis of the right null space, one vector per free column.
-
-    Vectors are dicts col -> QQi with the free coordinate set to 1;
-    ordering follows increasing free-column index.
-    """
-    return _nullspace_of_rref(*sparse_rref(rows, ncols), ncols)
-
-
-def int_nullspace(rows, ncols):
-    """`sparse_nullspace` of Gaussian-integer rows (dict col -> (re, im)), fraction-free.
-
-    Vector i is the primitive Gaussian-integer multiple of sparse_nullspace's
-    vector i with a positive free entry, so no fraction is formed.
-    """
-    pivots, pivot_rows = _rref_int(rows, ncols)
+def _nullspace_of_rref(pivots, pivot_rows, ncols):
+    """int_nullspace read off `_rref_int`'s output; entries at columns >= ncols are ignored."""
     pivot_set = set(pivots)
     by_free = {}  # free column -> [(pivot column, pivot, entry)]
     for col, row in zip(pivots, pivot_rows):
@@ -392,20 +383,25 @@ def int_nullspace(rows, ncols):
     return basis
 
 
-def _nullspace_of_rref(pivots, reduced, ncols):
-    """sparse_nullspace read off an RREF; entries at columns >= ncols are ignored."""
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: QQI_ONE}
-        for c, row in zip(pivots, reduced):
-            v = row.get(free)
-            if v is not None:
-                vec[c] = -v
-        basis.append(vec)
-    return basis
+def _unit_free(vec):
+    """An integer null-space vector as QQi over its free entry, which is its last column."""
+    unit = vec[max(vec)][0]
+    return {j: _qqi(re, im, unit) for j, (re, im) in vec.items()}
+
+
+def int_nullspace(rows, ncols):
+    """Basis of the right null space of Gaussian-integer rows (dict col -> (re, im)).
+
+    One vector per free column, in increasing free-column order: the
+    primitive Gaussian-integer multiple, with a positive free entry, of
+    the reduced-row-echelon null-space vector, so no fraction is formed.
+    """
+    return _nullspace_of_rref(*_rref_int(rows, ncols), ncols)
+
+
+def sparse_nullspace(rows, ncols):
+    """`int_nullspace` of QQi rows, each vector a dict col -> QQi with its free coordinate 1."""
+    return [_unit_free(vec) for vec in int_nullspace(_int_rows(rows), ncols)]
 
 
 def solve_sparse(rows, rhs, ncols):
@@ -423,15 +419,11 @@ def solve_sparse(rows, rhs, ncols):
         if b:
             row[ncols] = b
         aug.append(row)
-    pivots, reduced = sparse_rref(aug, ncols + 1)
+    pivots, pivot_rows = _rref_int(_int_rows(aug), ncols + 1)
     if ncols in pivots:
         return None
-    particular = {}
-    for c, row in zip(pivots, reduced):
-        v = row.get(ncols)
-        if v is not None:
-            particular[c] = v
-    return particular, _nullspace_of_rref(pivots, reduced, ncols)
+    particular = {c: _qqi(*row[ncols], row[c][0]) for c, row in zip(pivots, pivot_rows) if ncols in row}
+    return particular, [_unit_free(vec) for vec in _nullspace_of_rref(pivots, pivot_rows, ncols)]
 
 
 class SpanSolver:

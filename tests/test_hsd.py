@@ -256,8 +256,10 @@ def test_polyharmonic_order_examples():
     r2 = SpinorPoly(m, 0, {(2, 0, 0): (QQi(1), QQi(0)),
                            (0, 2, 0): (QQi(1), QQi(0)),
                            (0, 0, 2): (QQi(1), QQi(0))})
-    vec = {((2, 0, 0), 1): (1, 0), ((0, 2, 0), 1): (0, 1), ((0, 0, 2), 1): (1, 0)}
+    vec = {((2, 0, 0), 0): (1, 0), ((0, 2, 0), 0): (1, 0), ((0, 0, 2), 0): (1, 0)}
     assert ref_polyharmonic_order(r2) == polyharmonic_order(vec) == 2
+    # x1^2 b_1 + i x2^2 b_1 + x3^2 b_1: a complex coefficient, a nonzero value index
+    assert polyharmonic_order({((2, 0, 0), 1): (1, 0), ((0, 2, 0), 1): (0, 1), ((0, 0, 2), 1): (1, 0)}) == 2
     # the values b_j are independent, so x1^2 b_0 - x2^2 b_1 is not harmonic
     assert polyharmonic_order({((2, 0, 0), 0): (1, 0), ((0, 2, 0), 1): (-1, 0)}) == 2
     assert polyharmonic_order({((2, 0, 0), 0): (1, 0), ((0, 2, 0), 0): (-1, 0)}) == 1

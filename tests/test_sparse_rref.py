@@ -144,13 +144,20 @@ def test_rank_nullspace_and_mat_rank_agree(case):
 @given(sparse_matrices())
 def test_int_nullspace_is_the_scaled_nullspace(case):
     """Fraction-free null space: primitive Gaussian-integer multiples of
-    sparse_nullspace's vectors, each with a positive free entry."""
+    the vectors read off the oracle's RREF, each with a positive free
+    entry; sparse_nullspace is those vectors over their free entries."""
     rows, ncols = case
     int_rows = []
     for row in rows:
         den = lcm(1, *(d for v in row.values() for d in (v.re.denominator, v.im.denominator)))
         int_rows.append({j: (int(v.re * den), int(v.im * den)) for j, v in row.items()})
-    want = sparse_nullspace(rows, ncols)
+    pivots, reduced = ref_sparse_rref(rows, ncols)
+    want = [
+        {free: QQI_ONE, **{c: -row[free] for c, row in zip(pivots, reduced) if free in row}}
+        for free in range(ncols)
+        if free not in pivots
+    ]
+    assert sparse_nullspace(rows, ncols) == want
     got = int_nullspace(int_rows, ncols)
     assert len(got) == len(want)
     for vec, ref in zip(got, want):
