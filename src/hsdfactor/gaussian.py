@@ -3,10 +3,12 @@
 These are the scalars of every public interface.  The engine's own data
 keeps Gaussian-integer numerators over one common denominator instead:
 the dense matrices of `linalg.Mat`, the polynomials of
-`polyspace.SpinorPoly` and the working rows of `linalg.sparse_rref`.
-They take QQi in and hand QQi out only at their boundary (entries, rows,
-traces, matrix-vector products, polynomial coordinates, the reduced rows
-of an elimination).  There is no floating point anywhere.
+`polyspace.SpinorPoly` and the rows of the eliminations in `linalg`,
+which take and return those numerators.  QQi goes in and comes out only
+at the boundary (entries, rows, traces, matrix-vector products,
+polynomial coordinates, a particular solution of `solve_sparse`).
+`linalg.SpanSolver` is the last elimination on QQi rows.  There is no
+floating point anywhere.
 """
 
 from __future__ import annotations

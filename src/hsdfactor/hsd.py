@@ -34,6 +34,7 @@ from .polyspace import (
     exponents,
     homogeneous_basis,
     joint_kernel,
+    stacked_rows,
 )
 from .repthy import (
     ProjectorSet,
@@ -246,17 +247,11 @@ def _degree_one_images(spec, basis: list, m: int) -> DerivOp:
     order of first appearance.
     """
     units = [tuple(int(t == i) for t in range(m)) for i in range(m)]
-    images = [[apply(spec, x_shift(b, e)) for b in basis] for e in units]
-    den = lcm(*(f.den for row in images for f in row))
+    rows, den = stacked_rows([lambda f, e=e: apply(spec, x_shift(f, e)) for e in units], basis)
     keys = {}
     nums = [{} for _ in units]
-    for num, row in zip(nums, images):
-        for j, f in enumerate(row):
-            scale = den // f.den
-            for exp, vec in f.num.items():
-                for s, (re, im) in enumerate(vec):
-                    if re or im:
-                        num.setdefault(keys.setdefault((exp, s), len(keys)), {})[j] = (re * scale, im * scale)
+    for (i, key), row in rows.items():
+        nums[i][keys.setdefault(key, len(keys))] = row
     return DerivOp(m, {
         e: Mat._reduced([num.get(r, {}) for r in range(len(keys))], den, len(basis)) for e, num in zip(units, nums)
     })
@@ -264,8 +259,11 @@ def _degree_one_images(spec, basis: list, m: int) -> DerivOp:
 
 def _summand_basis(ps: ProjectorSet, kappa: Weight) -> list:
     """The columns of C (pivot columns of the projector), as value-space polynomials."""
-    rows = ps.frame(kappa)[0].rows
-    return [combination(ps.ambient.basis, [row[j] for row in rows]) for j in range(len(rows[0]))]
+    c = ps.frame(kappa)[0]
+    return [
+        combination(ps.ambient.basis, {i: row[j] for i, row in enumerate(c.num) if j in row}, c.den)
+        for j in range(c.ncols)
+    ]
 
 
 def generic_twistor_hsd(lam: Weight, m: int) -> list:
@@ -527,24 +525,28 @@ def verify_factorization_numeric(
 
     checks = []
     # solve scalars on the lowest admissible degree: one row per nonzero
-    # entry of the chain matrices and Lap^p on each monomial
+    # entry of the chain matrices and Lap^p on each monomial, over the
+    # common denominator of the matrices at each output exponent
     solve_degree = 2 * p
     unknowns = len(support)
-    zero = Mat.zero(dim, dim)
     rows = []
     rhs = []
     for alpha in exponents(m, solve_degree):
         outs = [chain.apply_monomial(alpha) for chain in chains]
         want = target.apply_monomial(alpha)
         for beta in set(want).union(*outs):
-            mats = [o.get(beta, zero).rows for o in outs]
-            wmat = want.get(beta, zero).rows
+            # Lap^p enters as column `unknowns`, split off as the right-hand side
+            mats = [(jj, o[beta]) for jj, o in enumerate(outs + [want]) if beta in o]
+            den = lcm(*(a.den for _, a in mats))
             for i in range(dim):
-                for j in range(dim):
-                    row = {jj: a[i][j] for jj, a in enumerate(mats) if a[i][j]}
-                    if row or wmat[i][j]:
-                        rows.append(row)
-                        rhs.append(wmat[i][j])
+                eqs = {}
+                for jj, a in mats:
+                    scale = den // a.den
+                    for j, (re, im) in a.num[i].items():
+                        eqs.setdefault(j, {})[jj] = (re * scale, im * scale)
+                for j in sorted(eqs):
+                    rhs.append(eqs[j].pop(unknowns, (0, 0)))
+                    rows.append(eqs[j])
         if len(rows) >= 12 * unknowns:
             break
     solved = solve_sparse(rows, rhs, unknowns)

@@ -4,13 +4,13 @@
 projectors, the coefficients of derivative operators) fraction-free:
 sparse rows of Gaussian-integer numerators over one reduced common
 denominator, so products and sums run on Python ints and divide once
-per operation.  The large eliminations all run in one integer core,
-`_rref_int`, on primitive Gaussian-integer rows, in the spirit of
-Bareiss's integer-preserving elimination.  `int_nullspace` stays in
-integers; `sparse_rref`, `sparse_nullspace` and `solve_sparse` take and
-return QQi rows and divide only when they emit their results.
-`SpanSolver` still eliminates on QQi rows.  All pivoting is
-deterministic, so bases come out in a reproducible order.
+per operation.  The large eliminations all run in `sparse_rref`, on the
+Gaussian-integer rows `{col: (re, im)}` that callers already hold (the
+numerators of a `Mat` or of polynomial images), in the spirit of
+Bareiss's integer-preserving elimination; `int_nullspace` and
+`solve_sparse` build on it.  `SpanSolver` is the last elimination on
+QQi rows.  All pivoting is deterministic, so bases come out in a
+reproducible order.
 """
 
 from __future__ import annotations
@@ -244,14 +244,14 @@ class Mat:
 
     def rank(self):
         # the common denominator does not change the rank
-        return len(_rref_int(self.num, self.ncols)[0])
+        return len(sparse_rref(self.num, self.ncols)[0])
 
     def __repr__(self):
         return "Mat(" + "; ".join(" ".join(repr(x) for x in row) for row in self.rows) + ")"
 
 
 # ---------------------------------------------------------------------------
-# sparse elimination (callers' rows are dict[col -> QQi], zero entries absent)
+# sparse elimination (rows are dict[col -> (re, im)], zero entries absent)
 
 
 def _eliminate_into(target, pivot_row, col):
@@ -296,11 +296,18 @@ def _cross_eliminate(target, pivot_row, col):
     return _primitive(out)
 
 
-def _rref_int(rows, ncols):
-    """The integer core of `sparse_rref` on Gaussian-integer rows (dict col -> (re, im)).
+def sparse_rref(rows, ncols):
+    """Reduced row echelon form of Gaussian-integer rows (dict col -> (re, im)).
 
-    Returns (pivots, pivot_rows): each pivot row is the primitive multiple
-    of the matching reduced row whose pivot entry is a positive integer.
+    Returns (pivots, pivot_rows): pivots is the increasing list of pivot
+    columns, and each pivot row is the primitive multiple of the matching
+    reduced row whose pivot entry is a positive integer, with every other
+    pivot column cleared.  Elimination is t <- p*t - t[col]*prow with the
+    content divided out (Bareiss's integer-preserving idea); every row
+    held is a nonzero multiple of the row Gaussian-rational elimination
+    would hold, so supports, pivot choices and the result agree with it.
+    rows is a sized collection and is left untouched; a returned row can
+    be one of the caller's own, so treat the results as read-only.
     """
     work = [_primitive(r) for r in rows if r]
     # a live row holds no column left of the current one, so the rows
@@ -334,37 +341,8 @@ def _rref_int(rows, ncols):
     return pivots, pivot_rows
 
 
-def _int_rows(rows):
-    """Nonzero QQi rows as Gaussian-integer rows, each over its own common denominator."""
-    out = []
-    for r in rows:
-        if r:
-            den = _common_den(r.values())
-            out.append({j: _numerators(v, den) for j, v in r.items()})
-    return out
-
-
-def sparse_rref(rows, ncols):
-    """Reduced row echelon form.
-
-    Returns (pivots, reduced): pivots is the increasing list of pivot
-    columns, reduced the matching unit-pivot rows with every pivot
-    column cleared from all other rows.
-
-    Each row is made a primitive Gaussian-integer row once; elimination
-    (`_rref_int`) is t <- p*t - t[col]*prow with its content divided out
-    (Bareiss's integer-preserving idea), and the unit-pivot QQi rows are
-    emitted at the end.  Every integer row is a nonzero multiple of the
-    row that Gaussian-rational elimination would hold, so supports, pivot
-    choices and (the RREF being unique) the result are the same.
-    """
-    pivots, pivot_rows = _rref_int(_int_rows(rows), ncols)
-    reduced = [{j: _qqi(re, im, row[col][0]) for j, (re, im) in row.items()} for col, row in zip(pivots, pivot_rows)]
-    return pivots, reduced
-
-
 def _nullspace_of_rref(pivots, pivot_rows, ncols):
-    """int_nullspace read off `_rref_int`'s output; entries at columns >= ncols are ignored."""
+    """int_nullspace read off `sparse_rref`'s output; entries at columns >= ncols are ignored."""
     pivot_set = set(pivots)
     by_free = {}  # free column -> [(pivot column, pivot, entry)]
     for col, row in zip(pivots, pivot_rows):
@@ -383,12 +361,6 @@ def _nullspace_of_rref(pivots, pivot_rows, ncols):
     return basis
 
 
-def _unit_free(vec):
-    """An integer null-space vector as QQi over its free entry, which is its last column."""
-    unit = vec[max(vec)][0]
-    return {j: _qqi(re, im, unit) for j, (re, im) in vec.items()}
-
-
 def int_nullspace(rows, ncols):
     """Basis of the right null space of Gaussian-integer rows (dict col -> (re, im)).
 
@@ -396,34 +368,24 @@ def int_nullspace(rows, ncols):
     primitive Gaussian-integer multiple, with a positive free entry, of
     the reduced-row-echelon null-space vector, so no fraction is formed.
     """
-    return _nullspace_of_rref(*_rref_int(rows, ncols), ncols)
-
-
-def sparse_nullspace(rows, ncols):
-    """`int_nullspace` of QQi rows, each vector a dict col -> QQi with its free coordinate 1."""
-    return [_unit_free(vec) for vec in int_nullspace(_int_rows(rows), ncols)]
+    return _nullspace_of_rref(*sparse_rref(rows, ncols), ncols)
 
 
 def solve_sparse(rows, rhs, ncols):
     """Solve A x = b exactly.
 
-    rows: list of dict rows of A; rhs: list of QQi, one per row.
-    Returns (particular, nullspace_basis) or None when inconsistent.
+    rows: Gaussian-integer rows of A; rhs: one (re, im) per row.
+    Returns (particular, nullspace_basis) or None when inconsistent:
+    particular a dict col -> QQi, the basis as `int_nullspace` gives it.
     When [A|b] is consistent its RREF restricted to A's columns is the
     RREF of A, so one elimination serves both.
     """
-    aug = []
-    for r, b in zip(rows, rhs):
-        row = dict(r)
-        b = QQi.coerce(b)
-        if b:
-            row[ncols] = b
-        aug.append(row)
-    pivots, pivot_rows = _rref_int(_int_rows(aug), ncols + 1)
+    aug = [{**r, ncols: b} if b[0] or b[1] else r for r, b in zip(rows, rhs)]
+    pivots, pivot_rows = sparse_rref(aug, ncols + 1)
     if ncols in pivots:
         return None
     particular = {c: _qqi(*row[ncols], row[c][0]) for c, row in zip(pivots, pivot_rows) if ncols in row}
-    return particular, [_unit_free(vec) for vec in _nullspace_of_rref(pivots, pivot_rows, ncols)]
+    return particular, _nullspace_of_rref(pivots, pivot_rows, ncols)
 
 
 class SpanSolver:

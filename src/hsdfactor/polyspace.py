@@ -6,9 +6,11 @@ fraction-free, like `linalg.Mat`: Gaussian-integer numerators over one
 reduced common denominator, so operators, sums and comparisons run on
 Python ints.  First-order invariant building blocks are assembled from
 OperatorSpec values and applied exactly in one accumulation pass;
-homogeneous components get exact matrix realizations.  QQi appears only
-at the boundary: constructor inputs, `coordinates()` and the rows the
-sparse eliminations return.
+homogeneous components get exact matrix realizations.  The eliminations
+take the images' numerators as they are (`stacked_rows`); QQi appears
+only at the boundary: constructor inputs, scalar coefficients,
+`coordinates()` and `operator_matrix`, whose `SpanSolver` is the last
+elimination on QQi rows.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .linalg import (
     _numerators,
     _qqi,
     check_cells,
-    sparse_nullspace,
+    int_nullspace,
 )
 
 
@@ -160,18 +162,22 @@ def _finish(m: int, k: int, acc: dict, den: int) -> SpinorPoly:
 
 
 def _weighted_sum(m: int, k: int, items) -> SpinorPoly:
-    """sum c * p over pairs (p, c) with Gaussian-rational c, over the lcm of the denominators."""
+    """sum c * p over pairs (p, c), over the lcm of the denominators.
+
+    c is a Gaussian rational or a Gaussian integer (re, im).
+    """
     terms = []
     for p, c in items:
-        if not p.num or not c:
-            continue
-        if isinstance(c, int):
+        if isinstance(c, tuple):
+            (cr, ci), cd = c, 1
+        elif isinstance(c, int):
             cr, ci, cd = c, 0, 1
         else:
             c = QQi.coerce(c)
             cd = _common_den([c])
             cr, ci = _numerators(c, cd)
-        terms.append((p.num, cr, ci, cd * p.den))
+        if p.num and (cr or ci):
+            terms.append((p.num, cr, ci, cd * p.den))
     den = lcm(*(d for *_, d in terms))
     acc = {}
     for num, cr, ci, d in terms:
@@ -407,34 +413,53 @@ def _image(op, f: SpinorPoly) -> SpinorPoly:
     return op(f) if callable(op) else apply(op, f)
 
 
-def combination(basis: list, coeffs) -> SpinorPoly:
-    """sum_j coeffs[j] basis[j]; coeffs is a dict index -> scalar or a list.
+def combination(basis: list, coeffs, den: int = 1) -> SpinorPoly:
+    """sum_j coeffs[j] basis[j] / den; coeffs is a dict index -> scalar or a list.
 
-    One pass over the integer numerators, over the lcm of the denominators.
+    A scalar is a Gaussian rational or a Gaussian integer (re, im).  One
+    pass over the integer numerators, over the lcm of the denominators.
     """
     items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
-    return _weighted_sum(basis[0].m, basis[0].k, ((basis[j], c) for j, c in items))
+    out = _weighted_sum(basis[0].m, basis[0].k, ((basis[j], c) for j, c in items))
+    return out if den == 1 else SpinorPoly.from_num(out.m, out.k, out.num, out.den * den)
 
 
-def stacked_rows(ops, domain: list) -> dict:
-    """Sparse rows of the images of a basis under several operators.
+def stacked_rows(ops, domain: list) -> tuple:
+    """Gaussian-integer rows of the images of a basis under several operators.
 
-    Keys are (operator index, coordinate) in order of first appearance,
-    values dicts column -> QQi with column j the image of domain[j].
+    Returns (rows, den).  rows maps (operator index, (exponent, spinor
+    index)), in order of first appearance, to a dict column -> (re, im):
+    column j holds the image of domain[j], each entry a numerator over
+    den, the lcm of the images' denominators.
     """
     rows = {}
+    dens = {}
     for si, op in enumerate(ops):
         for j, b in enumerate(domain):
-            for key, val in _image(op, b).coordinates().items():
-                rows.setdefault((si, key), {})[j] = val
-    return rows
+            f = _image(op, b)
+            dens[si, j] = f.den
+            for exp, vec in f.num.items():
+                for s, pair in enumerate(vec):
+                    if pair[0] or pair[1]:
+                        rows.setdefault((si, (exp, s)), {})[j] = pair
+    den = lcm(*dens.values())
+    if any(d != den for d in dens.values()):
+        for (si, _), row in rows.items():
+            for j, (re, im) in row.items():
+                scale = den // dens[si, j]
+                row[j] = (re * scale, im * scale)
+    return rows, den
 
 
 def joint_kernel(ops, domain: list, cap: int = DEFAULT_CELL_CAP) -> list:
-    """Basis of the common kernel of ops on span(domain), one polynomial per free column."""
-    rows = list(stacked_rows(ops, domain).values())
+    """Basis of the common kernel of ops on span(domain), one polynomial per free column.
+
+    Each is an `int_nullspace` vector divided by its free entry, its last
+    column: the reduced-row-echelon basis.
+    """
+    rows = list(stacked_rows(ops, domain)[0].values())
     check_cells(len(rows), len(domain), cap)
-    return [combination(domain, vec) for vec in sparse_nullspace(rows, len(domain))]
+    return [combination(domain, vec, vec[max(vec)][0]) for vec in int_nullspace(rows, len(domain))]
 
 
 def operator_matrix(op, domain: list, codomain: list) -> Mat:

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .clifford import gamma_rep
-from .gaussian import QQi, QQI_ZERO
+from .gaussian import QQi
 from .linalg import DEFAULT_CELL_CAP, Mat, check_cells, sparse_rref
 from .polyspace import (
     Compose,
@@ -177,10 +178,10 @@ def simplicial_harmonic_ambient(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP
         )
     basis = []
     for h in scalars:
-        coords = h.coordinates()  # all at spinor index 0
+        # every value sits at spinor index 0: move it to each slot in turn
         for s in range(dim):
-            pad = ((0,) * s, (0,) * (dim - s - 1))
-            basis.append(SpinorPoly(m, k, {exp: pad[0] + (c,) + pad[1] for (exp, _), c in coords.items()}))
+            num = {exp: vec[1:s + 1] + vec[:1] + vec[s + 1:] for exp, vec in h.num.items()}
+            basis.append(SpinorPoly.from_num(m, k, num, h.den))
     return RealizedSpace(label, m, k, degrees, basis)
 
 
@@ -289,10 +290,15 @@ def casimir_projectors(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> Proj
         if cas * p != p.scale(QQi(ck)):
             raise AssertionError(f"projector for {kappa} misses its eigenvalue")
         total = total + p
-        rows = p.rows
-        pivots, reduced = sparse_rref([{j: x for j, x in enumerate(row) if x} for row in rows], d)
-        cols = Mat([[row[j] for j in pivots] for row in rows])
-        red = Mat([[row.get(j, QQI_ZERO) for j in range(d)] for row in reduced])
+        pivots, pivot_rows = sparse_rref(p.num, d)
+        cols = Mat._reduced([{t: r[c] for t, c in enumerate(pivots) if c in r} for r in p.num], p.den, len(pivots))
+        # L: the pivot rows over their pivot entries, positive integers
+        units = [row[c][0] for c, row in zip(pivots, pivot_rows)]
+        den = lcm(*units)
+        red = Mat._reduced([
+            {j: (re * (den // u), im * (den // u)) for j, (re, im) in row.items()}
+            for u, row in zip(units, pivot_rows)
+        ], den, d)
         if cols * red != p or red * cols != Mat.identity(len(pivots)):
             raise AssertionError(f"pivot columns and reduced rows do not factor the projector for {kappa}")
         frames.append((cols, red))

@@ -7,9 +7,6 @@ of the images, as the engine did before; `ref_polyharmonic_order` applies
 the Laplacian to polynomials rather than to coefficient vectors.
 """
 
-from fractions import Fraction
-
-from hsdfactor.gaussian import QQi
 from hsdfactor.hsd import x_shift
 from hsdfactor.linalg import SpanSolver
 from hsdfactor.polyspace import (
@@ -58,12 +55,12 @@ def op_matrix(op, h: int):
 
 
 def ref_rows(op, h: int) -> list:
-    """The images of domain_basis(op, h) as sparse rows column -> QQi.
+    """The images of domain_basis(op, h) as Gaussian-integer rows column -> (re, im).
 
-    Their null space (`sparse_nullspace`) is the kernel the engine took
+    Their null space (`int_nullspace`) is the kernel the engine took
     before `kernel_basis` read it off the degree-1 images.
     """
-    return list(stacked_rows([lambda f: apply_op(op, f)], domain_basis(op, h)).values())
+    return list(stacked_rows([lambda f: apply_op(op, f)], domain_basis(op, h))[0].values())
 
 
 def ref_polyharmonic_order(f: SpinorPoly) -> int:
@@ -82,17 +79,15 @@ def ref_polyharmonic_order(f: SpinorPoly) -> int:
 def as_poly(op, vec: dict) -> SpinorPoly:
     """The polynomial sum (re + im i) x^alpha (x) source_basis[j] of a kernel vector."""
     terms = [x_shift(op.source_basis[j], alpha) for alpha, j in vec]
-    return combination(terms, [QQi(re, im) for re, im in vec.values()])
+    return combination(terms, list(vec.values()))
 
 
 def as_columns(op, h: int, vec: dict) -> dict:
-    """A kernel vector in domain_basis(op, h) columns, scaled to a unit free entry.
+    """A kernel vector in domain_basis(op, h) columns.
 
-    The free column is the last one of the vector: the echelon basis
-    vector of a free column is zero past it.
+    Both routes give primitive Gaussian-integer vectors with a positive
+    free entry, so they compare as they are.
     """
     index = {alpha: a for a, alpha in enumerate(exponents(op.m, h))}
     d = len(op.source_basis)
-    cols = {index[alpha] * d + j: pair for (alpha, j), pair in vec.items()}
-    unit, _ = cols[max(cols)]  # a positive integer
-    return {c: QQi(Fraction(re, unit), Fraction(im, unit)) for c, (re, im) in sorted(cols.items())}
+    return {index[alpha] * d + j: pair for (alpha, j), pair in vec.items()}

@@ -8,10 +8,11 @@ with pytest -s; pytest -v shows one line per criterion either way).
 import itertools
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from hsdfactor.gaussian import QQi, QQI_ZERO
+from hsdfactor.gaussian import QQi
 from hsdfactor.hsd import (
     double_monogenic_basis,
     explicit_hsd,
@@ -78,15 +79,19 @@ def twistor_inversion(g: SpinorPoly, m: int) -> SpinorPoly:
         raise ValueError("input is not in the kernel one step down")
     domain = homogeneous_basis(m, 1, (h, k))
     # constraint rows: Dirac(0) f = u g ; Dirac(1) f = 0 ; Fischer gauge
-    stacked = stacked_rows([Dirac(0), Dirac(1)], domain)
-    targets = {(0, key): val for key, val in apply(VectorMult(1), g).coordinates().items()}
+    # stacked / den = u g = target.num / target.den, cleared of both denominators
+    stacked, den = stacked_rows([Dirac(0), Dirac(1)], domain)
+    target = apply(VectorMult(1), g)
+    targets = {
+        (0, (exp, s)): (re * den, im * den)
+        for exp, vec in target.num.items() for s, (re, im) in enumerate(vec) if re or im
+    }
     keys = list(stacked) + [key for key in targets if key not in stacked]
-    rows = [stacked.get(key, {}) for key in keys]
-    rhs = [targets.get(key, QQI_ZERO) for key in keys]
+    rows = [{j: (re * target.den, im * target.den) for j, (re, im) in stacked.get(key, {}).items()} for key in keys]
+    rhs = [targets.get(key, (0, 0)) for key in keys]
     for w in double_monogenic_basis(m, h, k):
-        pairing = [fischer_inner(w, b) for b in domain]
-        rows.append({j: c for j, c in enumerate(pairing) if c})
-        rhs.append(QQI_ZERO)
+        rows.append(_int_row({j: fischer_inner(w, b) for j, b in enumerate(domain)}))
+        rhs.append((0, 0))
     solved = solve_sparse(rows, rhs, len(domain))
     if solved is None:
         raise ValueError("inconsistent inversion system; input outside the kernel")
@@ -94,6 +99,12 @@ def twistor_inversion(g: SpinorPoly, m: int) -> SpinorPoly:
     if null:
         raise ArithmeticError("inversion solution not unique after the Fischer gauge")
     return combination(domain, particular)
+
+
+def _int_row(values: dict) -> dict:
+    """The nonzero QQi values as Gaussian integers over their common denominator."""
+    den = lcm(1, *(x.denominator for v in values.values() for x in (v.re, v.im)))
+    return {j: (int(v.re * den), int(v.im * den)) for j, v in values.items() if v}
 
 
 def _promote_to_one_dummy(g: SpinorPoly) -> SpinorPoly:

@@ -3,16 +3,16 @@
 `kernel_basis` builds the degree-h matrix from the operator's degree-1
 images, R(x^alpha (x) b_j) = sum_i alpha_i x^(alpha - e_i) (x) A_i b_j.
 A reduced-row-echelon null-space basis depends only on the kernel and
-the column order, so the vectors must equal those of the polynomial
-route in `hsd_oracle` once scaled to a unit free entry, and so must the
-polyharmonic orders.
+the column order, and so does its primitive Gaussian-integer multiple
+with a positive free entry; the vectors must equal those of the
+polynomial route in `hsd_oracle`, and so must the polyharmonic orders.
 """
 
 import pytest
 
 from hsdfactor import cli
 from hsdfactor.hsd import DerivOp, explicit_hsd, generic_twistor_hsd, kernel_basis, polyharmonic_order
-from hsdfactor.linalg import ResourceCapError, sparse_nullspace
+from hsdfactor.linalg import ResourceCapError, int_nullspace
 from hsdfactor.polyspace import combination
 from hsdfactor.weights import weight
 from hsd_oracle import as_columns, domain_basis, ref_polyharmonic_order, ref_rows
@@ -26,7 +26,7 @@ def test_kernel_vectors_and_orders_match_the_polynomial_route(lam, m, top):
     for h in range(top + 1):
         domain = domain_basis(op, h)
         rows = ref_rows(op, h)
-        want = sparse_nullspace(rows, len(domain))
+        want = int_nullspace(rows, len(domain))
         # the cap sees exactly the rows the polynomial route stacks
         cells = len(rows) * len(domain)
         got = kernel_basis(op, h, cap=cells)
@@ -45,7 +45,10 @@ def _projector_hsd(lam, m):
     return next(o for o in generic_twistor_hsd(weight(*lam), m) if o.label == o.source_label == label)
 
 
-DUPLICATE_CASES = [((k,), 3, 2 * (k + 1)) for k in range(4)] + [((1,), 5, 4)]
+# (1), m = 7 stops at h = 2: h = 3 exceeds the default cap (1568x4032)
+DUPLICATE_CASES = [((k,), 3, 2 * (k + 1)) for k in range(4)] + [
+    ((1,), 5, 4), ((1, 1), 5, 4), ((2,), 5, 3), ((1,), 7, 2), ((0,), 7, 2),
+]
 
 
 @pytest.mark.parametrize("lam,m,top", DUPLICATE_CASES)
@@ -96,5 +99,5 @@ def test_projector_kernels_match_the_polynomial_route():
     for op in generic_twistor_hsd(weight(1), 3):
         for h in range(4):
             domain = domain_basis(op, h)
-            want = sparse_nullspace(ref_rows(op, h), len(domain))
+            want = int_nullspace(ref_rows(op, h), len(domain))
             assert [as_columns(op, h, vec) for vec in kernel_basis(op, h)] == want, (op.label, op.source_label, h)

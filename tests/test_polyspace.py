@@ -165,13 +165,15 @@ def test_joint_kernel_takes_specs_and_callables():
     assert joint_kernel([lambda f: apply(Dirac(0), f)], dom) == kernel
     # stacking a second operator only adds constraints
     assert len(joint_kernel([Dirac(0), LaplaceOp(0)], dom)) == 6
-    rows = stacked_rows([Dirac(0), LaplaceOp(0)], dom)
-    assert {key[0] for key in rows} == {0, 1}
+    rows, den = stacked_rows([Dirac(0), LaplaceOp(0)], dom)
+    assert {key[0] for key in rows} == {0, 1} and den == 1
     with pytest.raises(ResourceCapError, match=r"^elimination size 6x12 exceeds cap 71$"):
         joint_kernel([Dirac(0)], dom, cap=71)
     assert joint_kernel([Dirac(0)], [], cap=0) == []
     assert combination(dom, {0: QQi(2), 3: QQi(0, 1)}) == dom[0].scale(2) + dom[3].scale(QQi(0, 1))
     assert combination(dom, [QQi(0)] * len(dom)).is_zero()
+    # Gaussian-integer coefficients over a common denominator
+    assert combination(dom, {0: (2, 0), 3: (0, 1)}, 4) == combination(dom, {0: QQi(Fraction(1, 2)), 3: QQi(0, Fraction(1, 4))})
 
 
 def test_operator_matrix_takes_a_callable():

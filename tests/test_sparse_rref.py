@@ -2,9 +2,11 @@
 
 `ref_sparse_rref` is the earlier production code, kept apart from its
 name: it normalises each pivot row to a unit pivot and subtracts QQi
-multiples of it.  The fraction-free version must return the identical
-`(pivots, reduced)` pair, since the reduced row echelon form is unique
-and the pivot choice depends only on the supports.
+multiples of it.  Each QQi row is given to the fraction-free version as
+Gaussian integers over its own denominator; its pivot rows, scaled to a
+unit pivot, must equal the oracle's `(pivots, reduced)` pair, since the
+reduced row echelon form is unique and the pivot choice depends only on
+the supports.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from math import gcd, lcm
 from hypothesis import given, settings, strategies as st
 
 from hsdfactor.gaussian import QQi, QQI_ONE, QQI_ZERO
-from hsdfactor.linalg import Mat, int_nullspace, solve_sparse, sparse_nullspace, sparse_rref
+from hsdfactor.linalg import Mat, int_nullspace, solve_sparse, sparse_rref
 
 examples = settings(max_examples=150, deadline=None)
 
@@ -108,19 +110,46 @@ def sparse_matrices(draw):
     return rows, ncols
 
 
+def int_row(row):
+    """A QQi row as Gaussian integers over its own common denominator."""
+    den = lcm(1, *(d for v in row.values() for d in (v.re.denominator, v.im.denominator)))
+    return {j: (int(v.re * den), int(v.im * den)) for j, v in row.items()}
+
+
+def over(vec, unit):
+    """An integer row or vector divided by a positive integer, as QQi."""
+    return {j: QQi(Fraction(re, unit), Fraction(im, unit)) for j, (re, im) in vec.items()}
+
+
+def dot(row, vec):
+    """sum row[j] * vec[j] on Gaussian-integer pairs, as a pair."""
+    re = im = 0
+    for j, (a, b) in row.items():
+        c, d = vec.get(j, (0, 0))
+        re += a * c - b * d
+        im += a * d + b * c
+    return re, im
+
+
+def primitive(vec):
+    return gcd(*(x for pair in vec.values() for x in pair)) == 1
+
+
 # --- tests -------------------------------------------------------------------
 
 @examples
 @given(sparse_matrices())
 def test_rref_matches_qqi_oracle(case):
     rows, ncols = case
-    snapshot = [dict(r) for r in rows]
-    pivots, reduced = sparse_rref(rows, ncols)
-    assert (pivots, reduced) == ref_sparse_rref(rows, ncols)
-    assert rows == snapshot  # inputs untouched
-    for col, row in zip(pivots, reduced):
-        assert row[col] == QQI_ONE
-        assert all(isinstance(v, QQi) and v for v in row.values())
+    int_rows = [int_row(r) for r in rows]
+    snapshot = [dict(r) for r in int_rows]
+    pivots, pivot_rows = sparse_rref(int_rows, ncols)
+    assert (pivots, [over(row, row[col][0]) for col, row in zip(pivots, pivot_rows)]) == ref_sparse_rref(rows, ncols)
+    assert int_rows == snapshot  # inputs untouched
+    for col, row in zip(pivots, pivot_rows):
+        assert row[col][0] > 0 and row[col][1] == 0
+        assert primitive(row)
+        assert all(re or im for re, im in row.values())
         assert not any(other in row for other in pivots if other != col)
 
 
@@ -128,13 +157,14 @@ def test_rref_matches_qqi_oracle(case):
 @given(sparse_matrices())
 def test_rank_nullspace_and_mat_rank_agree(case):
     rows, ncols = case
+    int_rows = [int_row(r) for r in rows]
     rank = len(ref_sparse_rref(rows, ncols)[0])
-    assert len(sparse_rref(rows, ncols)[0]) == rank
-    null = sparse_nullspace(rows, ncols)
+    assert len(sparse_rref(int_rows, ncols)[0]) == rank
+    null = int_nullspace(int_rows, ncols)
     assert len(null) == ncols - rank
     for vec in null:
-        for row in rows:
-            assert sum((v * vec[j] for j, v in row.items() if j in vec), QQI_ZERO) == 0
+        for row in int_rows:
+            assert dot(row, vec) == (0, 0)
     dense = [[row.get(j, QQI_ZERO) for j in range(ncols)] for row in rows]
     if dense:
         assert Mat(dense).rank() == rank
@@ -145,52 +175,52 @@ def test_rank_nullspace_and_mat_rank_agree(case):
 def test_int_nullspace_is_the_scaled_nullspace(case):
     """Fraction-free null space: primitive Gaussian-integer multiples of
     the vectors read off the oracle's RREF, each with a positive free
-    entry; sparse_nullspace is those vectors over their free entries."""
+    entry."""
     rows, ncols = case
-    int_rows = []
-    for row in rows:
-        den = lcm(1, *(d for v in row.values() for d in (v.re.denominator, v.im.denominator)))
-        int_rows.append({j: (int(v.re * den), int(v.im * den)) for j, v in row.items()})
     pivots, reduced = ref_sparse_rref(rows, ncols)
     want = [
         {free: QQI_ONE, **{c: -row[free] for c, row in zip(pivots, reduced) if free in row}}
         for free in range(ncols)
         if free not in pivots
     ]
-    assert sparse_nullspace(rows, ncols) == want
-    got = int_nullspace(int_rows, ncols)
+    got = int_nullspace([int_row(r) for r in rows], ncols)
     assert len(got) == len(want)
     for vec, ref in zip(got, want):
         free = max(vec)
         assert ref[free] == QQI_ONE and vec[free][0] > 0 and vec[free][1] == 0
-        assert gcd(*(x for pair in vec.values() for x in pair)) == 1
-        assert {j: QQi(Fraction(re, vec[free][0]), Fraction(im, vec[free][0])) for j, (re, im) in vec.items()} == ref
+        assert primitive(vec)
+        assert over(vec, vec[free][0]) == ref
+
+
+gaussian_integers = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
 
 
 @examples
 @given(sparse_matrices(), st.data())
 def test_solve_sparse_consistent_and_inconsistent(case, data):
     rows, ncols = case
-    x = {j: data.draw(nonzero) for j in range(ncols)}
-    rhs = [sum((v * x[j] for j, v in row.items()), QQI_ZERO) for row in rows]
+    rows = [int_row(r) for r in rows]
+    x = {j: data.draw(gaussian_integers) for j in range(ncols)}
+    rhs = [dot(row, x) for row in rows]
     solved = solve_sparse(rows, rhs, ncols)
     assert solved is not None
     particular, null = solved
-    for row, b in zip(rows, rhs):
-        assert sum((v * particular[j] for j, v in row.items() if j in particular), QQI_ZERO) == b
+    for row, (re, im) in zip(rows, rhs):
+        assert sum((v * particular[j] for j, v in over(row, 1).items() if j in particular), QQI_ZERO) == QQi(re, im)
     assert len(null) == ncols - len(sparse_rref(rows, ncols)[0])
-    assert null == sparse_nullspace(rows, ncols)
+    assert null == int_nullspace(rows, ncols)
     # a copy of an existing row with a different right-hand side, or a
     # nonzero right-hand side on an empty row, has no solution
     i = data.draw(st.integers(0, len(rows)))
     extra_row = dict(rows[i]) if i < len(rows) else {}
-    extra_rhs = (rhs[i] if i < len(rows) else QQI_ZERO) + data.draw(nonzero)
-    assert solve_sparse(rows + [extra_row], rhs + [extra_rhs], ncols) is None
+    re, im = rhs[i] if i < len(rows) else (0, 0)
+    shift = data.draw(gaussian_integers.filter(any))
+    assert solve_sparse(rows + [extra_row], rhs + [(re + shift[0], im + shift[1])], ncols) is None
 
 
 def test_solve_sparse_inconsistent_example():
-    rows = [{0: QQi(1), 1: QQi(0, 1)}, {0: QQi(2), 1: QQi(0, 2)}]
-    assert solve_sparse(rows, [QQi(1), QQi(3)], 2) is None
-    particular, null = solve_sparse(rows, [QQi(1), QQi(2)], 2)
+    rows = [{0: (1, 0), 1: (0, 1)}, {0: (2, 0), 1: (0, 2)}]
+    assert solve_sparse(rows, [(1, 0), (3, 0)], 2) is None
+    particular, null = solve_sparse(rows, [(1, 0), (2, 0)], 2)
     assert particular == {0: QQi(1)}
-    assert null == [{1: QQi(1), 0: QQi(0, -1)}]
+    assert null == [{1: (1, 0), 0: (0, -1)}]
