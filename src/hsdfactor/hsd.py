@@ -29,7 +29,7 @@ from .polyspace import (
     ScalarMix,
     SpinorPoly,
     VectorMult,
-    apply,
+    apply,  # unused here; kept as hsd.apply, which the benchmark tracer patches
     combination,
     exponents,
     homogeneous_basis,
@@ -139,10 +139,12 @@ def laplace_deriv_op(m: int, dim: int, power: int = 1) -> DerivOp:
 
 
 def _step_ops(ps: ProjectorSet):
-    """The blocks L_target . (id x Dirac) . C_source of one ambient, each built once."""
+    """The blocks L_target . (id x Dirac) . C_source of one ambient, each built
+    once per `ProjectorSet` and kept in its `steps`.  A `DerivOp` is never
+    mutated, so every caller may share them."""
     m = ps.ambient.m
     gams = gamma_on_ambient(ps.ambient)
-    cache = {}
+    cache = ps.steps
 
     def op_between(target: Weight, source: Weight) -> DerivOp:
         key = (target, source)
@@ -167,8 +169,10 @@ class HsdOperator:
     Either kind is deriv_op = sum_i d/dx_i (x) A_i, A_i acting on
     source_basis coordinates.  kind 'explicit': `spec` built from
     polynomial blocks on x-polynomials valued in a simplicial monogenic
-    space; A_i[r, j] is coordinate r of spec(x_i (x) b_j), numbering the
-    images' (exponent, spinor) keys in order of first appearance.
+    space; A_i[r, j] is coordinate r of spec(x_i (x) b_j).  The spec is
+    applied once to all m*d elements x_i (x) b_j, i-major, and the rows
+    r number the (exponent, spinor) keys of the images in the order
+    `stacked_rows` returns them.
     kind 'projector': P_target . (id x Dirac) . P_source between two
     Casimir summands of one ambient, in summand coordinates (rows are
     target_values); source_coords is the source's L.
@@ -243,18 +247,19 @@ def _degree_one_images(spec, basis: list, m: int) -> DerivOp:
     """sum_i d/dx_i (x) A_i for a spec first order in x with constant coefficients.
 
     Column j of A_i is spec(x_i (x) basis[j]), over the images' common
-    denominator, in their (exponent, spinor) coordinates numbered in
-    order of first appearance.
+    denominator, in their (exponent, spinor) coordinates numbered as
+    `stacked_rows` returns them.  The spec is applied once, to the m*d
+    elements x_i (x) b_j: column c of `stacked_rows` is (i, j) =
+    (c // d, c % d).
     """
+    d = len(basis)
     units = [tuple(int(t == i) for t in range(m)) for i in range(m)]
-    rows, den = stacked_rows([lambda f, e=e: apply(spec, x_shift(f, e)) for e in units], basis)
-    keys = {}
-    nums = [{} for _ in units]
-    for (i, key), row in rows.items():
-        nums[i][keys.setdefault(key, len(keys))] = row
-    return DerivOp(m, {
-        e: Mat._reduced([num.get(r, {}) for r in range(len(keys))], den, len(basis)) for e, num in zip(units, nums)
-    })
+    rows, den = stacked_rows([spec], [x_shift(b, e) for e in units for b in basis])
+    nums = [[{} for _ in rows] for _ in units]
+    for r, row in enumerate(rows.values()):
+        for c, pair in row.items():
+            nums[c // d][r][c % d] = pair
+    return DerivOp(m, {e: Mat._reduced(num, den, d) for e, num in zip(units, nums)})
 
 
 def _summand_basis(ps: ProjectorSet, kappa: Weight) -> list:

@@ -6,11 +6,14 @@ fraction-free, like `linalg.Mat`: Gaussian-integer numerators over one
 reduced common denominator, so operators, sums and comparisons run on
 Python ints.  First-order invariant building blocks are assembled from
 OperatorSpec values and applied exactly in one accumulation pass;
-homogeneous components get exact matrix realizations.  The eliminations
-take the images' numerators as they are (`stacked_rows`); QQi appears
-only at the boundary: constructor inputs, scalar coefficients,
-`coordinates()` and `operator_matrix`, whose `SpanSolver` is the last
-elimination on QQi rows.
+homogeneous components get exact matrix realizations.  A basis is
+imaged as one polynomial: element j carries a trailing exponent
+coordinate j that no spec touches (`_tagged`), so `stacked_rows` and
+`operator_matrix` apply each spec once per domain and split the image
+back into columns.  The eliminations take the images' numerators as
+they are (`stacked_rows`); QQi appears only at the boundary: constructor
+inputs, scalar coefficients, `coordinates()` and `operator_matrix`,
+whose `SpanSolver` is the last elimination on QQi rows.
 """
 
 from __future__ import annotations
@@ -154,19 +157,24 @@ class SpinorPoly:
 
 def _finish(m: int, k: int, acc: dict, den: int) -> SpinorPoly:
     """The polynomial acc / den from flat accumulators [re0, im0, re1, im1, ...]."""
-    num = {
-        exp: tuple(p if p[0] or p[1] else _ZERO_PAIR for p in zip(out[::2], out[1::2]))
-        for exp, out in acc.items() if any(out)
-    }
+    num = {}
+    for exp, out in acc.items():
+        if any(out):
+            flat = iter(out)
+            num[exp] = tuple([(re, im) if re or im else _ZERO_PAIR for re, im in zip(flat, flat)])
     return SpinorPoly.from_num(m, k, num, den)
 
 
 def _weighted_sum(m: int, k: int, items) -> SpinorPoly:
     """sum c * p over pairs (p, c), over the lcm of the denominators.
 
-    c is a Gaussian rational or a Gaussian integer (re, im).
+    c is a Gaussian rational or a Gaussian integer (re, im).  Each p is
+    added as items yields it, the sum so far rescaled when the common
+    denominator grows, so the images a generator yields (the parts of a
+    `ScalarMix`) are never all held at once.
     """
-    terms = []
+    den = 1
+    acc = {}
     for p, c in items:
         if isinstance(c, tuple):
             (cr, ci), cd = c, 1
@@ -176,15 +184,19 @@ def _weighted_sum(m: int, k: int, items) -> SpinorPoly:
             c = QQi.coerce(c)
             cd = _common_den([c])
             cr, ci = _numerators(c, cd)
-        if p.num and (cr or ci):
-            terms.append((p.num, cr, ci, cd * p.den))
-    den = lcm(*(d for *_, d in terms))
-    acc = {}
-    for num, cr, ci, d in terms:
+        if not p.num or not (cr or ci):
+            continue
+        d = cd * p.den
+        grown = lcm(den, d)
+        if grown != den:
+            g = grown // den
+            for out in acc.values():
+                out[:] = [v * g for v in out]
+            den = grown
         f = den // d
         cr *= f
         ci *= f
-        for exp, vec in num.items():
+        for exp, vec in p.num.items():
             out = acc.get(exp)
             if out is None:
                 out = acc[exp] = [0] * (2 * len(vec))
@@ -288,15 +300,19 @@ def _sum_terms(f: SpinorPoly, terms) -> SpinorPoly:
     den = lcm(*(mat.den for _, _, mat in terms if mat is not None))
     prepared = []
     for derivs, mult, mat in terms:
-        rows = None
+        cols = None
         if mat is not None:
+            # scattered by column: spinor vectors are mostly zero pairs
             f_mat = den // mat.den
-            rows = [[(j, re * f_mat, im * f_mat) for j, (re, im) in row.items()] for row in mat.num]
-        prepared.append((derivs, mult, rows))
+            cols = [[] for _ in range(mat.ncols)]
+            for t, row in enumerate(mat.num):
+                for j, (re, im) in row.items():
+                    cols[j].append((2 * t, re * f_mat, im * f_mat))
+        prepared.append((derivs, mult, cols))
     width = 2 * f.spinor_dim
     acc = {}
     for exp, vec in f.num.items():
-        for derivs, mult, rows in prepared:
+        for derivs, mult, cols in prepared:
             coeff = 1
             new = list(exp)
             for c in derivs:
@@ -312,20 +328,20 @@ def _sum_terms(f: SpinorPoly, terms) -> SpinorPoly:
                 out = acc.get(key)
                 if out is None:
                     out = acc[key] = [0] * width
-                if rows is None:
+                if cols is None:
                     coeff *= den
                     for s, (re, im) in enumerate(vec):
-                        out[2 * s] += coeff * re
-                        out[2 * s + 1] += coeff * im
+                        if re or im:
+                            out[2 * s] += coeff * re
+                            out[2 * s + 1] += coeff * im
                     continue
-                for t, row in enumerate(rows):
-                    sre = sim = 0
-                    for j, gr, gi in row:
-                        re, im = vec[j]
-                        sre += gr * re - gi * im
-                        sim += gr * im + gi * re
-                    out[2 * t] += coeff * sre
-                    out[2 * t + 1] += coeff * sim
+                for j, (re, im) in enumerate(vec):
+                    if re or im:
+                        cre = coeff * re
+                        cim = coeff * im
+                        for t, gr, gi in cols[j]:
+                            out[t] += gr * cre - gi * cim
+                            out[t + 1] += gr * cim + gi * cre
     return _finish(f.m, f.k, acc, f.den * den)
 
 
@@ -408,11 +424,6 @@ def homogeneous_basis(m: int, k: int, degrees) -> list:
     return out
 
 
-def _image(op, f: SpinorPoly) -> SpinorPoly:
-    """op(f) for an operator spec or a callable on polynomials."""
-    return op(f) if callable(op) else apply(op, f)
-
-
 def combination(basis: list, coeffs, den: int = 1) -> SpinorPoly:
     """sum_j coeffs[j] basis[j] / den; coeffs is a dict index -> scalar or a list.
 
@@ -424,61 +435,94 @@ def combination(basis: list, coeffs, den: int = 1) -> SpinorPoly:
     return out if den == 1 else SpinorPoly.from_num(out.m, out.k, out.num, out.den * den)
 
 
-def stacked_rows(ops, domain: list) -> tuple:
-    """Gaussian-integer rows of the images of a basis under several operators.
+def _tagged(domain: list) -> SpinorPoly:
+    """The domain as one polynomial: domain[j] gets one trailing exponent
+    coordinate holding j, which no spec touches, over the lcm of the
+    domain's denominators.  domain must not be empty.
 
-    Returns (rows, den).  rows maps (operator index, (exponent, spinor
-    index)), in order of first appearance, to a dict column -> (re, im):
-    column j holds the image of domain[j], each entry a numerator over
-    den, the lcm of the images' denominators.
+    Every image is linear and exact, and `SpinorPoly` is canonical, so
+    the image of the tagged domain, split by that coordinate, is the
+    image of each element over the lcm of their denominators.
     """
+    den = lcm(*(b.den for b in domain))
+    num = {}
+    for j, b in enumerate(domain):
+        f = den // b.den
+        for exp, vec in b.num.items():
+            num[exp + (j,)] = vec if f == 1 else tuple(
+                (re * f, im * f) if re or im else _ZERO_PAIR for re, im in vec
+            )
+    return SpinorPoly.from_num(domain[0].m, domain[0].k, num, den)
+
+
+def stacked_rows(specs, domain: list) -> tuple:
+    """Gaussian-integer rows of the images of a basis under several operator specs.
+
+    Returns (rows, den).  rows maps (spec index, (exponent, spinor
+    index)) to a dict column -> (re, im): column j holds the image of
+    domain[j], each entry a numerator over den, the lcm of the images'
+    denominators.  The order of the rows, and of the columns within a
+    row, is not part of the contract.  Each spec is applied once, to the
+    tagged domain, and its image is turned into rows before the next one
+    is applied.  An empty domain gives ({}, 1).
+    """
+    if not domain:
+        return {}, 1
+    tagged = _tagged(domain)
     rows = {}
-    dens = {}
-    for si, op in enumerate(ops):
-        for j, b in enumerate(domain):
-            f = _image(op, b)
-            dens[si, j] = f.den
-            for exp, vec in f.num.items():
-                for s, pair in enumerate(vec):
-                    if pair[0] or pair[1]:
-                        rows.setdefault((si, (exp, s)), {})[j] = pair
-    den = lcm(*dens.values())
-    if any(d != den for d in dens.values()):
+    dens = []
+    for si, spec in enumerate(specs):
+        image = apply(spec, tagged)
+        dens.append(image.den)
+        for exp, vec in image.num.items():
+            j, key = exp[-1], exp[:-1]
+            for s, pair in enumerate(vec):
+                if pair[0] or pair[1]:
+                    rows.setdefault((si, (key, s)), {})[j] = pair
+        del image  # before the next spec is applied
+    den = lcm(*dens)
+    if any(d != den for d in dens):
         for (si, _), row in rows.items():
+            scale = den // dens[si]
             for j, (re, im) in row.items():
-                scale = den // dens[si, j]
                 row[j] = (re * scale, im * scale)
     return rows, den
 
 
-def joint_kernel(ops, domain: list, cap: int = DEFAULT_CELL_CAP) -> list:
-    """Basis of the common kernel of ops on span(domain), one polynomial per free column.
+def joint_kernel(specs, domain: list, cap: int = DEFAULT_CELL_CAP) -> list:
+    """Basis of the common kernel of specs on span(domain), one polynomial per free column.
 
     Each is an `int_nullspace` vector divided by its free entry, its last
     column: the reduced-row-echelon basis.
     """
-    rows = list(stacked_rows(ops, domain)[0].values())
+    rows = list(stacked_rows(specs, domain)[0].values())
     check_cells(len(rows), len(domain), cap)
     return [combination(domain, vec, vec[max(vec)][0]) for vec in int_nullspace(rows, len(domain))]
 
 
-def operator_matrix(op, domain: list, codomain: list) -> Mat:
-    """Matrix of an operator spec or a callable from span(domain) to span(codomain).
+def operator_matrix(spec, domain: list, codomain: list) -> Mat:
+    """Matrix of an operator spec from span(domain) to span(codomain).
 
-    Column j holds the codomain coordinates of the image of domain[j];
-    construction fails loudly when an image leaves the codomain span.
+    Column j holds the codomain coordinates of the image of domain[j]:
+    the spec is applied once (`stacked_rows`), and each column of the
+    image is handed to one `SpanSolver`.  Construction fails loudly when
+    an image leaves the codomain span.
     """
     solver = SpanSolver([b.coordinates() for b in codomain])
-    columns = []
-    for b in domain:
-        image = _image(op, b)
-        if image.is_zero():
-            columns.append([QQI_ZERO] * len(codomain))
+    rows, den = stacked_rows([spec], domain)
+    coords = [{} for _ in domain]
+    for (_, key), row in rows.items():
+        for j, (re, im) in row.items():
+            coords[j][key] = _qqi(re, im, den)
+    out = []
+    for column in coords:
+        if not column:
+            out.append([QQI_ZERO] * len(codomain))
             continue
         try:
-            columns.append(solver.coords(image.coordinates()))
+            out.append(solver.coords(column))
         except SpanError as exc:
             raise SpanError(f"operator image leaves the codomain span: {exc}") from exc
     if not codomain:
         return Mat.zero(0, len(domain))
-    return Mat([[col[i] for col in columns] for i in range(len(codomain))])
+    return Mat([[col[i] for col in out] for i in range(len(codomain))])

@@ -10,7 +10,7 @@ pieces via Lagrange spectral projectors, all exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -225,6 +225,8 @@ class ProjectorSet:
     projectors: list       # matching Mat, acting on ambient coordinates
     casimir: Mat
     frames: list           # matching (C, L): P = C L and L C = 1
+    # (target, source) -> the block L_target . (id x Dirac) . C_source, filled by hsd._step_ops
+    steps: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _index(self, kappa: Weight) -> int:
         if kappa not in self.weights:

@@ -29,6 +29,11 @@ class Weight:
             raise ValueError("weight needs rank >= 1")
         if not all(isinstance(e, int) for e in self.entries):
             raise ValueError("entries must be integers (use spin=True for the half shift)")
+        # weights key the certificate memos; hashing one walks its entries
+        object.__setattr__(self, "_hash", hash((self.entries, self.spin)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rank(self) -> int:

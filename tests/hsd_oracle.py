@@ -7,16 +7,17 @@ of the images, as the engine did before; `ref_polyharmonic_order` applies
 the Laplacian to polynomials rather than to coefficient vectors.
 """
 
+from math import lcm
+
+from hsdfactor.gaussian import QQI_ZERO
 from hsdfactor.hsd import x_shift
-from hsdfactor.linalg import SpanSolver
+from hsdfactor.linalg import Mat, SpanSolver
 from hsdfactor.polyspace import (
     SpinorPoly,
     apply,
     combination,
     exponents,
     laplace,
-    operator_matrix,
-    stacked_rows,
 )
 
 
@@ -48,19 +49,41 @@ def apply_op(op, f: SpinorPoly) -> SpinorPoly:
     return out
 
 
-def op_matrix(op, h: int):
-    """Exact matrix on x-degree h, rows in the degree-(h-1) target basis."""
+def op_matrix(op, h: int) -> Mat:
+    """Exact matrix on x-degree h, rows in the degree-(h-1) target basis.
+
+    Each domain element's image is coordinatized on its own.
+    """
+    domain = domain_basis(op, h)
     codomain = target_basis(op, h - 1) if h >= 1 else []
-    return operator_matrix(lambda f: apply_op(op, f), domain_basis(op, h), codomain)
+    solver = SpanSolver([b.coordinates() for b in codomain])
+    columns = []
+    for b in domain:
+        image = apply_op(op, b)
+        columns.append(solver.coords(image.coordinates()) if not image.is_zero() else [QQI_ZERO] * len(codomain))
+    if not codomain:
+        return Mat.zero(0, len(domain))
+    return Mat([[col[i] for col in columns] for i in range(len(codomain))])
 
 
 def ref_rows(op, h: int) -> list:
     """The images of domain_basis(op, h) as Gaussian-integer rows column -> (re, im).
 
-    Their null space (`int_nullspace`) is the kernel the engine took
-    before `kernel_basis` read it off the degree-1 images.
+    Each domain element is imaged on its own, and the rows are read over
+    the lcm of the images' denominators.  Their null space
+    (`int_nullspace`) is the kernel the engine took before `kernel_basis`
+    read it off the degree-1 images.
     """
-    return list(stacked_rows([lambda f: apply_op(op, f)], domain_basis(op, h))[0].values())
+    images = [apply_op(op, b) for b in domain_basis(op, h)]
+    den = lcm(*(f.den for f in images))
+    rows = {}
+    for j, f in enumerate(images):
+        scale = den // f.den
+        for exp, vec in f.num.items():
+            for s, (re, im) in enumerate(vec):
+                if re or im:
+                    rows.setdefault((exp, s), {})[j] = (re * scale, im * scale)
+    return list(rows.values())
 
 
 def ref_polyharmonic_order(f: SpinorPoly) -> int:

@@ -383,6 +383,22 @@ def test_generic_operators_share_the_verifiers_projector_cache():
     assert (info.hits, info.misses) == (1, 1)
 
 
+def test_step_blocks_are_built_once_per_ambient():
+    """The verifiers and generic_twistor_hsd share each L . (id x Dirac) . C block of one (lambda, m)."""
+    from hsdfactor.linalg import DEFAULT_CELL_CAP
+    from hsdfactor.repthy import casimir_projectors
+
+    casimir_projectors.cache_clear()
+    verify_identities(weight(1), 3, 2)
+    ps = casimir_projectors(weight(1), 3, cap=DEFAULT_CELL_CAP)
+    blocks = dict(ps.steps)
+    assert blocks
+    assert verify_factorization_numeric(weight(1), 2, 3, 4).passed
+    ops = generic_twistor_hsd(weight(1), 3)
+    assert all(ps.steps[key] is block for key, block in blocks.items())
+    assert all(op.deriv_op is ps.steps[op.label, op.source_label] for op in ops)
+
+
 @pytest.mark.parametrize(
     "mu,m,p", [((1,), 3, 2), ((1,), 3, 3), ((1,), 5, 2), ((1, 0), 5, 2), ((1, 1), 5, 2)]
 )

@@ -17,6 +17,7 @@ from hsdfactor.polyspace import (
     LaplaceOp,
     MixedEuler,
     MixedLaplace,
+    ScalarMix,
     VectorMult,
     apply,
     combination,
@@ -32,7 +33,7 @@ def qqi_rows(ops, domain):
     rows = {}
     for si, op in enumerate(ops):
         for j, b in enumerate(domain):
-            image = op(b) if callable(op) else apply(op, b)
+            image = apply(op, b)
             for key, val in image.coordinates().items():
                 rows.setdefault((si, key), {})[j] = val
     return rows
@@ -51,7 +52,7 @@ def qqi_joint_kernel(ops, domain):
 def test_stacked_rows_over_den_are_the_coordinates():
     m, k = 3, 1
     # the scaled mixed Euler operator gives the images a denominator 3
-    ops = [Dirac(1), VectorMult(1), lambda f: apply(MixedEuler(0, 1), f).scale(QQi(Fraction(1, 3)))]
+    ops = [Dirac(1), VectorMult(1), ScalarMix(((Fraction(1, 3), MixedEuler(0, 1)),))]
     domain = homogeneous_basis(m, k, (1, 1))
     rows, den = stacked_rows(ops, domain)
     assert den == 3

@@ -1,0 +1,136 @@
+"""Specs applied once per domain, against the per-element route.
+
+`stacked_rows`, `operator_matrix` and `hsd._degree_one_images` apply a
+spec once, to the whole domain laid out as one polynomial with a column
+tag.  Every image is linear and exact and `SpinorPoly` is canonical, so
+the rows, their common denominator and the matrices must be those of
+applying the spec to each domain element on its own.  The domains mix
+denominators: they are simplicial monogenic bases.
+"""
+
+from collections import Counter
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from hsdfactor.hsd import explicit_hsd, x_shift
+from hsdfactor.linalg import Mat, SpanSolver
+from hsdfactor.polyspace import (
+    IDENTITY,
+    Compose,
+    Dirac,
+    MixedEuler,
+    ScalarMix,
+    VectorMult,
+    apply,
+    homogeneous_basis,
+    joint_kernel,
+    operator_matrix,
+    stacked_rows,
+)
+from hsdfactor.repthy import casimir_spec, simplicial_harmonic_ambient, simplicial_monogenic_basis
+from hsdfactor.weights import weight
+
+
+def per_element_rows(specs, domain):
+    """(spec index, (exponent, spinor index)) -> {column: (re, im)} over the lcm, one image at a time."""
+    images = [[apply(spec, b) for b in domain] for spec in specs]
+    den = lcm(*(f.den for fs in images for f in fs))
+    rows = {}
+    for si, fs in enumerate(images):
+        for j, f in enumerate(fs):
+            scale = den // f.den
+            for exp, vec in f.num.items():
+                for s, (re, im) in enumerate(vec):
+                    if re or im:
+                        rows.setdefault((si, (exp, s)), {})[j] = (re * scale, im * scale)
+    return rows, den
+
+
+def per_element_matrix(spec, domain, codomain):
+    solver = SpanSolver([b.coordinates() for b in codomain])
+    columns = [solver.coords(apply(spec, b).coordinates()) for b in domain]
+    return Mat([[col[i] for col in columns] for i in range(len(codomain))])
+
+
+def shifted_monogenic(lam, m):
+    """x_i (x) b_j over a simplicial monogenic basis, i-major."""
+    basis = simplicial_monogenic_basis(weight(*lam), m).basis
+    units = [tuple(int(t == i) for t in range(m)) for i in range(m)]
+    return [x_shift(b, e) for e in units for b in basis]
+
+
+def check_rows(specs, domain):
+    rows, den = stacked_rows(specs, domain)
+    want, want_den = per_element_rows(specs, domain)
+    # row order is not part of the contract: the dicts compare as sets
+    assert rows and den == want_den and rows == want
+
+
+@pytest.mark.parametrize("lam,m", [((3,), 3), ((2, 1), 5)])
+def test_stacked_rows_of_the_explicit_spec(lam, m):
+    assert len({b.den for b in simplicial_monogenic_basis(weight(*lam), m).basis}) > 1
+    check_rows([explicit_hsd(weight(*lam), m).spec], shifted_monogenic(lam, m))
+
+
+def test_stacked_rows_of_the_casimir_and_of_several_specs():
+    basis = simplicial_monogenic_basis(weight(3), 3).basis
+    check_rows([casimir_spec(3, 1)], basis)
+    # the specs' images have different common denominators: 3, 2 and 4
+    half = ScalarMix(((Fraction(1, 2), MixedEuler(1, 1)),))
+    specs = [VectorMult(0), half, Compose((half, half))]
+    assert [lcm(*(apply(spec, b).den for b in basis)) for spec in specs] == [3, 2, 4]
+    check_rows(specs, basis)
+
+
+def test_the_explicit_specs_are_the_two_shapes():
+    # (k) is a ScalarMix of Dirac terms; (k,l) nests ScalarMix factors in a Compose
+    assert isinstance(explicit_hsd(weight(3), 3).spec, ScalarMix)
+    spec = explicit_hsd(weight(2, 1), 5).spec
+    assert isinstance(spec, Compose) and any(isinstance(part, ScalarMix) for part in spec.specs)
+
+
+@pytest.mark.parametrize("lam,m", [((1,), 3), ((1, 1), 5)])
+def test_casimir_matrix_is_the_per_element_matrix(lam, m):
+    ambient = simplicial_harmonic_ambient(weight(*lam), m)
+    spec = casimir_spec(m, ambient.k)
+    got = operator_matrix(spec, ambient.basis, ambient.basis)
+    assert got == per_element_matrix(spec, ambient.basis, ambient.basis)
+    assert not got.is_zero()
+
+
+def image_rows(op):
+    """The rows of [A_1 ... A_m] as a multiset of {(i, j): rational (re, im)}."""
+    rows = {}
+    for sig, mat in op.deriv_op.terms.items():
+        i = sig.index(1)
+        for r, row in enumerate(mat.num):
+            for j, (re, im) in row.items():
+                rows.setdefault(r, {})[i, j] = (Fraction(re, mat.den), Fraction(im, mat.den))
+    return Counter(frozenset(row.items()) for row in rows.values())
+
+
+@pytest.mark.parametrize("lam,m", [((2,), 3), ((1, 1), 5)])
+def test_degree_one_images_are_the_per_element_images(lam, m):
+    op = explicit_hsd(weight(*lam), m)
+    d = len(op.source_basis)
+    want, den = per_element_rows([op.spec], shifted_monogenic(lam, m))
+    ref = Counter(
+        frozenset(((c // d, c % d), (Fraction(re, den), Fraction(im, den))) for c, (re, im) in row.items())
+        for row in want.values()
+    )
+    assert image_rows(op) == ref
+    assert all(mat.nrows == len(want) for mat in op.deriv_op.terms.values())
+
+
+def test_empty_domains():
+    dom = homogeneous_basis(3, 0, (1,))
+    cod = homogeneous_basis(3, 0, (0,))
+    assert stacked_rows([Dirac(0)], []) == ({}, 1)
+    assert stacked_rows([], dom) == ({}, 1)
+    assert joint_kernel([Dirac(0)], []) == []
+    mat = operator_matrix(Dirac(0), [], cod)
+    assert (mat.nrows, mat.ncols) == (len(cod), 0)
+    mat = operator_matrix(IDENTITY, [], [])
+    assert (mat.nrows, mat.ncols) == (0, 0)

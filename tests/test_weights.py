@@ -167,3 +167,12 @@ def test_summand_weights_multiplicity_free():
         for w in got:
             assert w.spin and is_dominant(w)
             assert all(a - b in (0, 1) for a, b in zip(lam.entries, w.entries))
+
+
+def test_weight_hash_is_stored_and_equality_is_by_value():
+    a, b = weight(2, 1), Weight((2, 1))
+    assert a is not b and a == b and hash(a) == hash(b) == a._hash
+    assert {a: 1}[b] == 1
+    assert a != weight(2, 1, spin=True) and a < weight(3, 0)
+    # the stored hash is not a field: repr, ordering and equality ignore it
+    assert repr(a) == "Weight(entries=(2, 1), spin=False)"
