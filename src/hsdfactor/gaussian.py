@@ -7,8 +7,8 @@ the dense matrices of `linalg.Mat`, the polynomials of
 which take and return those numerators.  QQi goes in and comes out only
 at the boundary (entries, rows, traces, matrix-vector products,
 polynomial coordinates, a particular solution of `solve_sparse`).
-`linalg.SpanSolver` is the last elimination on QQi rows.  There is no
-floating point anywhere.
+Only the tests' reference `linalg.SpanSolver` eliminates on QQi rows.
+There is no floating point anywhere.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from .polyspace import (
 from .repthy import (
     ProjectorSet,
     RealizedSpace,
+    _rank_of,
     casimir_projectors,
     pad_weight,
     simplicial_monogenic_basis,
@@ -263,7 +264,7 @@ def _degree_one_images(spec, basis: list, m: int) -> DerivOp:
 
 
 def _summand_basis(ps: ProjectorSet, kappa: Weight) -> list:
-    """The columns of C (pivot columns of the projector), as value-space polynomials."""
+    """The columns of C (a basis of the Casimir eigenspace), as value-space polynomials."""
     c = ps.frame(kappa)[0]
     return [
         combination(ps.ambient.basis, {i: row[j] for i, row in enumerate(c.num) if j in row}, c.den)
@@ -278,7 +279,7 @@ def generic_twistor_hsd(lam: Weight, m: int) -> list:
     ones the twistors.  Pairs at distance >= 2 are verified to give the
     zero operator (termwise, hence in every x-degree).
     """
-    ps = casimir_projectors(lam, m, cap=DEFAULT_CELL_CAP)
+    ps = casimir_projectors(pad_weight(lam, _rank_of(m)), m, cap=DEFAULT_CELL_CAP)
     op_between = _step_ops(ps)
     out = []
     values = {kappa: _summand_basis(ps, kappa) for kappa in ps.weights}
@@ -416,9 +417,10 @@ def verify_identities(lam: Weight, m: int, x_degree: int, cap: int = DEFAULT_CEL
     summand coordinates, so each identity reduces to finitely many exact
     matrix equalities, valid uniformly in the x-degree; the stated
     x_degree is echoed into the report and used for the evaluation spot
-    checks.  cap bounds the eliminations of `casimir_projectors`.
+    checks.  cap bounds the eliminations of `casimir_projectors`, keyed
+    on the padded weight as in the theorem.
     """
-    ps = casimir_projectors(lam, m, cap=cap)
+    ps = casimir_projectors(pad_weight(lam, _rank_of(m)), m, cap=cap)
     block = _step_ops(ps)
     checks = []
     splitting = {}  # summand -> both sides of identity (1)

@@ -7,10 +7,10 @@ denominator, so products and sums run on Python ints and divide once
 per operation.  The large eliminations all run in `sparse_rref`, on the
 Gaussian-integer rows `{col: (re, im)}` that callers already hold (the
 numerators of a `Mat` or of polynomial images), in the spirit of
-Bareiss's integer-preserving elimination; `int_nullspace` and
-`solve_sparse` build on it.  `SpanSolver` is the last elimination on
-QQi rows.  All pivoting is deterministic, so bases come out in a
-reproducible order.
+Bareiss's integer-preserving elimination; `int_nullspace`,
+`solve_sparse` and `span_coords` build on it.  `SpanSolver`, on QQi
+rows, is only the tests' reference now.  All pivoting is
+deterministic, so bases come out in a reproducible order.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from math import gcd, lcm
 from .gaussian import QQi, QQI_ONE, QQI_ZERO
 
 
-class SpanError(ValueError):
-    """A vector fell outside the span it was required to lie in."""
+class SpanError(AssertionError):
+    """An engine self-check failed: a vector left its span, or a basis was dependent."""
 
 
 class ResourceCapError(RuntimeError):
@@ -388,11 +388,33 @@ def solve_sparse(rows, rhs, ncols):
     return particular, _nullspace_of_rref(pivots, pivot_rows, ncols)
 
 
+def span_coords(rows, nb, ncols):
+    """X with B X = V, from one `sparse_rref` of the Gaussian-integer rows [B | V].
+
+    B holds columns 0..nb-1 and V the rest.  Returns (num, den): row i of
+    X is num[i] / den, the V part of the pivot row of column i over its
+    pivot, with V's columns renumbered from 0.  SpanError when B's
+    columns are dependent or V leaves their span.
+    """
+    pivots, pivot_rows = sparse_rref(rows, ncols)
+    if pivots[:nb] != list(range(nb)):
+        raise SpanError("basis vectors are linearly dependent")
+    if len(pivots) > nb:
+        raise SpanError("image leaves the span of the basis")
+    units = [row[i][0] for i, row in enumerate(pivot_rows)]
+    den = lcm(1, *units)
+    return [
+        {j - nb: (re * (den // u), im * (den // u)) for j, (re, im) in row.items() if j >= nb}
+        for u, row in zip(units, pivot_rows)
+    ], den
+
+
 class SpanSolver:
     """Repeatedly express vectors in the span of a fixed basis.
 
     Basis vectors are sparse dicts over arbitrary hashable coordinate
-    keys.  coords() raises SpanError when a query leaves the span.
+    keys.  coords() raises SpanError when a query leaves the span.  Only
+    the tests call it, as an independent reference for `span_coords`.
     """
 
     def __init__(self, basis_vectors):

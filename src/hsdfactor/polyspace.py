@@ -11,9 +11,9 @@ imaged as one polynomial: element j carries a trailing exponent
 coordinate j that no spec touches (`_tagged`), so `stacked_rows` and
 `operator_matrix` apply each spec once per domain and split the image
 back into columns.  The eliminations take the images' numerators as
-they are (`stacked_rows`); QQi appears only at the boundary: constructor
-inputs, scalar coefficients, `coordinates()` and `operator_matrix`,
-whose `SpanSolver` is the last elimination on QQi rows.
+they are (`stacked_rows`), `operator_matrix` included (`span_coords`);
+QQi appears only at the boundary: constructor inputs, scalar
+coefficients and `coordinates()`.
 """
 
 from __future__ import annotations
@@ -23,18 +23,17 @@ from dataclasses import dataclass
 from math import lcm
 
 from .clifford import gamma_rep
-from .gaussian import QQi, QQI_ZERO
+from .gaussian import QQi
 from .linalg import (
     DEFAULT_CELL_CAP,
     Mat,
-    SpanError,
-    SpanSolver,
     _common_den,
     _content,
     _numerators,
     _qqi,
     check_cells,
     int_nullspace,
+    span_coords,
 )
 
 
@@ -504,25 +503,15 @@ def operator_matrix(spec, domain: list, codomain: list) -> Mat:
     """Matrix of an operator spec from span(domain) to span(codomain).
 
     Column j holds the codomain coordinates of the image of domain[j]:
-    the spec is applied once (`stacked_rows`), and each column of the
-    image is handed to one `SpanSolver`.  Construction fails loudly when
-    an image leaves the codomain span.
+    `span_coords` of [B | V] on integer rows, B the codomain
+    (`stacked_rows` of IDENTITY) and V the images (the spec is applied
+    once), rescaled by den_B / den_V.  A dependent codomain or an image
+    outside its span raises `SpanError`, an engine self-check.
     """
-    solver = SpanSolver([b.coordinates() for b in codomain])
-    rows, den = stacked_rows([spec], domain)
-    coords = [{} for _ in domain]
-    for (_, key), row in rows.items():
-        for j, (re, im) in row.items():
-            coords[j][key] = _qqi(re, im, den)
-    out = []
-    for column in coords:
-        if not column:
-            out.append([QQI_ZERO] * len(codomain))
-            continue
-        try:
-            out.append(solver.coords(column))
-        except SpanError as exc:
-            raise SpanError(f"operator image leaves the codomain span: {exc}") from exc
-    if not codomain:
-        return Mat.zero(0, len(domain))
-    return Mat([[col[i] for col in out] for i in range(len(codomain))])
+    b_rows, b_den = stacked_rows([IDENTITY], codomain)
+    v_rows, v_den = stacked_rows([spec], domain)
+    rows = {key: dict(row) for (_, key), row in b_rows.items()}
+    for (_, key), row in v_rows.items():
+        rows.setdefault(key, {}).update((len(codomain) + j, pair) for j, pair in row.items())
+    num, den = span_coords(list(rows.values()), len(codomain), len(codomain) + len(domain))
+    return Mat._reduced(num, den * v_den, len(domain)).scale(b_den)

@@ -5,19 +5,19 @@ irreducibles; their dimensions are cross-checked against an independent
 Weyl dimension oracle.  The tensor product of an integral irreducible
 with the spinor space is realized as simplicial harmonics tensored with
 spinor columns, and the quadratic Casimir splits it into isotypic
-pieces via Lagrange spectral projectors, all exactly.
+pieces: each summand's frame comes from the Casimir's eigenspace on
+integer rows, all exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
 
 from .clifford import gamma_rep
 from .gaussian import QQi
-from .linalg import DEFAULT_CELL_CAP, Mat, check_cells, sparse_rref
+from .linalg import DEFAULT_CELL_CAP, Mat, check_cells, int_nullspace, span_coords
 from .polyspace import (
     Compose,
     CoordOp,
@@ -217,14 +217,13 @@ def casimir_spec(m: int, k: int):
 
 @dataclass
 class ProjectorSet:
-    """Casimir spectral projectors of one ambient realization."""
+    """Casimir summand frames of one ambient realization."""
 
     ambient: RealizedSpace
     weights: list          # dominant half-integral summand labels
     eigenvalues: list      # matching Casimir eigenvalues
-    projectors: list       # matching Mat, acting on ambient coordinates
     casimir: Mat
-    frames: list           # matching (C, L): P = C L and L C = 1
+    frames: list           # matching (C, L): Cas C = c C, L_kappa C_iota = 1 or 0
     # (target, source) -> the block L_target . (id x Dirac) . C_source, filled by hsd._step_ops
     steps: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -233,12 +232,17 @@ class ProjectorSet:
             raise KeyError(f"{kappa} is not a summand")
         return self.weights.index(kappa)
 
+    @cached_property
+    def projectors(self) -> list:
+        """The spectral projectors P = C L, acting on ambient coordinates (built on first read)."""
+        return [c * l for c, l in self.frames]
+
     def projector(self, kappa: Weight) -> Mat:
         return self.projectors[self._index(kappa)]
 
     def frame(self, kappa: Weight) -> tuple:
-        """Summand coordinates (C, L): C the pivot columns of P (dim x d),
-        L its reduced rows (d x dim)."""
+        """Summand coordinates (C, L): C an integer basis of the Casimir
+        eigenspace (dim x d), L its rows of [C_1 | ... | C_r]^-1 (d x dim)."""
         return self.frames[self._index(kappa)]
 
     def dim(self, kappa: Weight) -> int:
@@ -251,63 +255,45 @@ def casimir_matrix(ambient: RealizedSpace) -> Mat:
 
 @lru_cache(maxsize=None)
 def casimir_projectors(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> ProjectorSet:
-    """Spectral projectors of the Casimir on the lam-tensor-spinor ambient.
+    """Summand frames of the Casimir on the lam-tensor-spinor ambient.
 
-    One projector per dominant summand weight, built by Lagrange
-    interpolation over the predicted eigenvalues; idempotence, mutual
-    orthogonality, completeness and the spectral property are all
-    verified exactly, and an eigenvalue collision is a hard error.  One
-    `sparse_rref` of each projector P gives its summand coordinates
-    (C, L), checked exactly to satisfy C L = P and L C = 1.  cap bounds
-    the ambient elimination and the d x d Casimir matrix.
+    One frame per dominant summand weight, from the Casimir's eigenspace
+    at its predicted eigenvalue, all on integer rows: C_kappa is the
+    `int_nullspace` of Cas - c_kappa * 1, and L is [C_1 | ... | C_r]^-1,
+    read off one elimination of [C | 1] (`span_coords`), L_kappa its
+    block of rows.  Checked exactly: Cas C_kappa = c_kappa C_kappa, the
+    C_kappa fill all d columns, and L_kappa C_kappa = 1; an eigenvalue
+    collision is a hard error.  The projectors P = C L are built only
+    when read.  cap bounds the ambient elimination and the d x d Casimir
+    matrix.
     """
-    n = _rank_of(m)
-    lam_full = pad_weight(lam, n)
-    kappas = summand_weights(lam_full)
+    kappas = summand_weights(pad_weight(lam, _rank_of(m)))
     eigs = [casimir_eigenvalue(w, m) for w in kappas]
     if len(set(eigs)) != len(eigs):
-        raise ArithmeticError(
-            f"Casimir eigenvalue collision among summands of {lam}: {eigs}"
-        )
+        raise ArithmeticError(f"Casimir eigenvalue collision among summands of {lam}: {eigs}")
     ambient = simplicial_harmonic_ambient(lam, m, cap=cap)
-    check_cells(ambient.dim, ambient.dim, cap)
-    cas = casimir_matrix(ambient)
     d = ambient.dim
-    ident = Mat.identity(d)
-    projectors = []
+    check_cells(d, d, cap)
+    cas = casimir_matrix(ambient)
+    cols = []
+    bases = []
     for kappa, ck in zip(kappas, eigs):
-        proj = ident
-        for other in eigs:
-            if other == ck:
-                continue
-            proj = (cas - ident.scale(QQi(other))) * proj
-            proj = proj.scale(QQi(1) / QQi(ck - other))
-        projectors.append(proj)
-    # exact structural checks
-    total = Mat.zero(d, d)
+        vecs = int_nullspace((cas - Mat.identity(d).scale(ck)).num, d)
+        c = Mat._reduced([{t: v[i] for t, v in enumerate(vecs) if i in v} for i in range(d)], 1, len(vecs))
+        if cas * c != c.scale(ck):
+            raise AssertionError(f"eigenspace for {kappa} misses its eigenvalue")
+        cols.extend(vecs)
+        bases.append(c)
+    if len(cols) != d:
+        raise AssertionError(f"Casimir eigenspaces fill {len(cols)} of {d} dimensions")
+    # X with [C_1 | ... | C_r] X = 1, read off [C | 1]
+    aug = [{t: v[i] for t, v in enumerate(cols) if i in v} | {d + i: (1, 0)} for i in range(d)]
+    inverse, den = span_coords(aug, d, 2 * d)
+    rows = iter(inverse)
     frames = []
-    for kappa, ck, p in zip(kappas, eigs, projectors):
-        if p * p != p:
-            raise AssertionError(f"projector for {kappa} is not idempotent")
-        if cas * p != p.scale(QQi(ck)):
-            raise AssertionError(f"projector for {kappa} misses its eigenvalue")
-        total = total + p
-        pivots, pivot_rows = sparse_rref(p.num, d)
-        cols = Mat._reduced([{t: r[c] for t, c in enumerate(pivots) if c in r} for r in p.num], p.den, len(pivots))
-        # L: the pivot rows over their pivot entries, positive integers
-        units = [row[c][0] for c, row in zip(pivots, pivot_rows)]
-        den = lcm(*units)
-        red = Mat._reduced([
-            {j: (re * (den // u), im * (den // u)) for j, (re, im) in row.items()}
-            for u, row in zip(units, pivot_rows)
-        ], den, d)
-        if cols * red != p or red * cols != Mat.identity(len(pivots)):
-            raise AssertionError(f"pivot columns and reduced rows do not factor the projector for {kappa}")
-        frames.append((cols, red))
-    for i in range(len(projectors)):
-        for j in range(len(projectors)):
-            if i != j and not (projectors[i] * projectors[j]).is_zero():
-                raise AssertionError("projectors are not mutually orthogonal")
-    if total != ident:
-        raise AssertionError("projectors do not sum to the identity")
-    return ProjectorSet(ambient, kappas, eigs, projectors, cas, frames)
+    for kappa, c in zip(kappas, bases):
+        left = Mat._reduced([next(rows) for _ in range(c.ncols)], den, d)
+        if left * c != Mat.identity(c.ncols):
+            raise AssertionError(f"frame rows do not invert the eigenspace for {kappa}")
+        frames.append((c, left))
+    return ProjectorSet(ambient, kappas, eigs, cas, frames)

@@ -143,6 +143,22 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert data == {"error": "internal", "type": "AssertionError", "message": "projector is not idempotent"}
 
 
+def test_span_failure_is_an_internal_error(capsys, monkeypatch):
+    """An image leaving the codomain span is an engine self-check: exit 3, not a usage error."""
+    from hsdfactor import repthy
+
+    def truncated(ambient):
+        spec = repthy.casimir_spec(ambient.m, ambient.k)
+        return repthy.operator_matrix(spec, ambient.basis, ambient.basis[:-1])
+
+    repthy.casimir_projectors.cache_clear()
+    monkeypatch.setattr(repthy, "casimir_matrix", truncated)
+    code, data = run_json(capsys, ["verify", "identities", "--mu", "1", "--m", "3", "--degree", "2"])
+    repthy.casimir_projectors.cache_clear()
+    assert code == 3
+    assert data == {"error": "internal", "type": "SpanError", "message": "image leaves the span of the basis"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

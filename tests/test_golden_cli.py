@@ -35,6 +35,7 @@ CASES = [
     ["verify", "identities", "--mu", "1,1", "--m", "5", "--degree", "2"],
     ["verify", "theorem", "--mu", "1,1", "--m", "5", "--power", "2", "--degree", "4"],
     ["verify", "theorem", "--mu", "1,1", "--m", "5", "--power", "2", "--degree", "6"],
+    ["verify", "identities", "--mu", "2,1", "--m", "5", "--degree", "2"],
 ]
 
 

@@ -383,6 +383,20 @@ def test_generic_operators_share_the_verifiers_projector_cache():
     assert (info.hits, info.misses) == (1, 1)
 
 
+def test_identities_and_theorem_share_one_cache_entry():
+    """verify_identities and generic_twistor_hsd pad the weight as the theorem does:
+    one ambient, one projector set."""
+    from hsdfactor.repthy import casimir_projectors
+
+    casimir_projectors.cache_clear()
+    assert verify_identities(weight(1), 5, 2).passed
+    assert verify_factorization_numeric(weight(1), 2, 5, 4).passed
+    info = casimir_projectors.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    generic_twistor_hsd(weight(1), 5)
+    assert casimir_projectors.cache_info().hits == 2
+
+
 def test_step_blocks_are_built_once_per_ambient():
     """The verifiers and generic_twistor_hsd share each L . (id x Dirac) . C block of one (lambda, m)."""
     from hsdfactor.linalg import DEFAULT_CELL_CAP

@@ -132,6 +132,20 @@ def test_operator_matrix_span_violation():
         operator_matrix(Dirac(0), dom, cod)
 
 
+def test_operator_matrix_span_failures_are_internal_errors():
+    """A truncated or a dependent codomain fails an engine self-check, an AssertionError."""
+    from hsdfactor.repthy import casimir_spec, simplicial_harmonic_ambient
+    from hsdfactor.weights import weight
+
+    amb = simplicial_harmonic_ambient(weight(1), 3)
+    spec = casimir_spec(3, amb.k)
+    with pytest.raises(AssertionError, match="leaves the span"):
+        operator_matrix(spec, amb.basis, amb.basis[:-1])
+    with pytest.raises(AssertionError, match="linearly dependent"):
+        operator_matrix(spec, amb.basis, amb.basis + amb.basis[:1])
+    assert issubclass(SpanError, AssertionError) and not issubclass(SpanError, ValueError)
+
+
 def test_dirac_squared_matrix_identity():
     for degrees in ((2,), (3,)):
         dom = homogeneous_basis(3, 0, degrees)

@@ -75,6 +75,21 @@ def test_three_summand_projectors():
     assert sum(ranks) == ps.ambient.dim == 40
 
 
+@pytest.mark.parametrize("lam,m", [((1,), 3), ((1,), 5), ((1, 1), 5)])
+def test_frames_are_eigenspaces_with_dual_rows(lam, m):
+    """Cas C_kappa = c_kappa C_kappa, and L_kappa C_iota is 1 for kappa = iota, 0 otherwise."""
+    ps = casimir_projectors(Weight(lam), m)
+    cas = ps.casimir
+    assert sum(c.ncols for c, _ in ps.frames) == ps.ambient.dim
+    for (c, _), ck, kappa in zip(ps.frames, ps.eigenvalues, ps.weights):
+        assert c.ncols == weyl_dim(kappa, m)
+        assert cas * c == c.scale(ck)
+    for i, (_, left) in enumerate(ps.frames):
+        for j, (c, _) in enumerate(ps.frames):
+            want = Mat.identity(c.ncols) if i == j else Mat.zero(left.nrows, c.ncols)
+            assert left * c == want
+
+
 def test_casimir_commutes_with_rotations():
     ps = casimir_projectors(weight(1), 5)
     amb = ps.ambient

@@ -12,10 +12,11 @@ the supports.
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsdfactor.gaussian import QQi, QQI_ONE, QQI_ZERO
-from hsdfactor.linalg import Mat, int_nullspace, solve_sparse, sparse_rref
+from hsdfactor.linalg import Mat, SpanError, int_nullspace, solve_sparse, span_coords, sparse_rref
 
 examples = settings(max_examples=150, deadline=None)
 
@@ -216,6 +217,36 @@ def test_solve_sparse_consistent_and_inconsistent(case, data):
     re, im = rhs[i] if i < len(rows) else (0, 0)
     shift = data.draw(gaussian_integers.filter(any))
     assert solve_sparse(rows + [extra_row], rhs + [(re + shift[0], im + shift[1])], ncols) is None
+
+
+@examples
+@given(sparse_matrices(), st.data())
+def test_span_coords_recovers_the_coordinates(case, data):
+    """[q B | B X] gives back X / q; a dependent B, or a V outside B's span, raises SpanError."""
+    rows, nb = case
+    rows = [int_row(r) for r in rows]
+    k = data.draw(st.integers(0, 3))
+    q = data.draw(st.integers(1, 6))
+    # rows of X with different contents, so the pivots of [q B | B X] differ
+    x = []
+    for _ in range(nb):
+        f = data.draw(st.integers(1, 6))
+        x.append([(f * re, f * im) for re, im in (data.draw(gaussian_integers) for _ in range(k))])
+    aug = []
+    for row in rows:
+        image = {nb + j: dot(row, {i: x[i][j] for i in range(nb)}) for j in range(k)}
+        aug.append({j: (q * re, q * im) for j, (re, im) in row.items()} | {c: p for c, p in image.items() if any(p)})
+    if len(sparse_rref(rows, nb)[0]) < nb:
+        with pytest.raises(SpanError, match="dependent"):
+            span_coords(aug, nb, nb + k)
+        return
+    num, den = span_coords(aug, nb, nb + k)
+    assert [over(r, den) for r in num] == [over({j: p for j, p in enumerate(xr) if any(p)}, q) for xr in x]
+    if len(rows) > nb:
+        # the unit vectors span every row coordinate, so one leaves B's span
+        units = [row | {nb + r: (1, 0)} for r, row in enumerate(rows)]
+        with pytest.raises(SpanError, match="leaves"):
+            span_coords(units, nb, nb + len(rows))
 
 
 def test_solve_sparse_inconsistent_example():

@@ -29,7 +29,12 @@ from hsdfactor.polyspace import (
     operator_matrix,
     stacked_rows,
 )
-from hsdfactor.repthy import casimir_spec, simplicial_harmonic_ambient, simplicial_monogenic_basis
+from hsdfactor.repthy import (
+    casimir_spec,
+    simplicial_harmonic_ambient,
+    simplicial_monogenic_basis,
+    so_generator_spec,
+)
 from hsdfactor.weights import weight
 
 
@@ -94,9 +99,19 @@ def test_the_explicit_specs_are_the_two_shapes():
 @pytest.mark.parametrize("lam,m", [((1,), 3), ((1, 1), 5)])
 def test_casimir_matrix_is_the_per_element_matrix(lam, m):
     ambient = simplicial_harmonic_ambient(weight(*lam), m)
-    spec = casimir_spec(m, ambient.k)
-    got = operator_matrix(spec, ambient.basis, ambient.basis)
-    assert got == per_element_matrix(spec, ambient.basis, ambient.basis)
+    for spec in (casimir_spec(m, ambient.k), so_generator_spec(0, m - 1, m, ambient.k)):
+        got = operator_matrix(spec, ambient.basis, ambient.basis)
+        assert got == per_element_matrix(spec, ambient.basis, ambient.basis)
+        assert not got.is_zero()
+
+
+def test_operator_matrix_on_a_codomain_with_mixed_denominators():
+    """L_12 on the (3), m = 3 monogenic basis: the den_B / den_V rescale of `operator_matrix`."""
+    basis = simplicial_monogenic_basis(weight(3), 3).basis
+    assert len({f.den for f in basis}) > 1
+    spec = so_generator_spec(1, 2, 3, basis[0].k)
+    got = operator_matrix(spec, basis, basis)
+    assert got == per_element_matrix(spec, basis, basis)
     assert not got.is_zero()
 
 
