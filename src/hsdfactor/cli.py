@@ -315,10 +315,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_non_negative(args):
-    for flag in ("degree", "cap"):
+    """A negative --degree or --power, or a --cap below 1, is a usage error:
+    the commands read a cap of 0 as no cap given."""
+    for flag in ("degree", "power"):
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise ValueError(f"--{flag} must be non-negative, got {value}")
+    if args.cap is not None and args.cap < 1:
+        raise ValueError(f"--cap must be at least 1, got {args.cap}")
 
 
 def run(argv) -> int:

@@ -1,8 +1,10 @@
 """Higher-spin Dirac and twistor operators with exact verification.
 
 Two realizations coexist: explicit first-order formulas for the shapes
-(k) and (k, l), and the generic construction P_kappa . (id x Dirac) .
-P_iota between two Casimir summands of one tensor-with-spinors ambient.
+(), (k) and (k, l), one spec prod_p (1 + u_p d_{u_p} / (2 lam_p + m - 2p))
+d_x, and the generic construction P_kappa . (id x Dirac) . P_iota
+between two Casimir summands of one tensor-with-spinors ambient (its
+gammas from `repthy.gamma_on_ambient`).
 The generic operators live in summand coordinates: with P = C L from
 `ProjectorSet.frame`, the block is L_kappa . (id x Dirac) . C_iota, a
 sum of (x-derivative monomial) x (d_kappa x d_iota matrix) terms, which
@@ -18,7 +20,6 @@ from fractions import Fraction
 from itertools import islice
 from math import comb, factorial, lcm, perm, prod
 
-from .clifford import _kron, gamma_rep
 from .gaussian import QQi, QQI_ZERO
 from .linalg import DEFAULT_CELL_CAP, Mat, ResourceCapError, check_cells, int_nullspace, solve_sparse
 from .opalgebra import expand_laplace_power
@@ -41,6 +42,7 @@ from .repthy import (
     RealizedSpace,
     _rank_of,
     casimir_projectors,
+    gamma_on_ambient,
     pad_weight,
     simplicial_monogenic_basis,
 )
@@ -120,16 +122,6 @@ class DerivOp:
         return out
 
 
-def gamma_on_ambient(ambient: RealizedSpace) -> list:
-    """Matrices of gamma_1..gamma_m on the ambient basis coordinates.
-
-    The ambient basis is scalar-major, spinor-minor, so each gamma is
-    1 (x) gamma_i, acting on consecutive spinor blocks."""
-    sdim = 2 ** ((ambient.m - 1) // 2)
-    ident = Mat.identity(ambient.dim // sdim)
-    return [_kron(ident, g) for g in gamma_rep(ambient.m).generators]
-
-
 def laplace_deriv_op(m: int, dim: int, power: int = 1) -> DerivOp:
     """Lap^power (x) 1 on dim coordinates: e!/prod k_i! at sig = 2k for |k| = e."""
     ident = Mat.identity(dim)
@@ -198,8 +190,9 @@ def x_shift(b: SpinorPoly, alpha: tuple) -> SpinorPoly:
 
 
 def explicit_hsd(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> HsdOperator:
-    """Explicit operator for shapes (k) and (k, l).
+    """Explicit operator for shapes (), (k) and (k, l): one factor per row p,
 
+    prod_p (1 + u_p d_{u_p} / (2 lam_p + m - 2p)) d_x, so
     (k):    (1 + u du / (2k+m-2)) d_x
     (k, l): (1 + u1 d1 / (2k+m-2)) (1 + u2 d2 / (2l+m-4)) d_x
     """
@@ -209,28 +202,12 @@ def explicit_hsd(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> HsdOperato
     if len(degrees) > 2:
         raise ValueError(f"explicit formulas cover shapes (k) and (k,l), not {lam}")
     space = simplicial_monogenic_basis(lam, m, cap=cap)
-    if len(degrees) == 0:
-        spec = Dirac(0)
-    elif len(degrees) == 1:
-        k = degrees[0]
-        den = 2 * k + m - 2
-        if den == 0:
-            raise ZeroDivisionError(f"vanishing normalization 2k+m-2 for k={k}, m={m}")
-        spec = ScalarMix(
-            (
-                (Fraction(1), Dirac(0)),
-                (Fraction(1, den), Compose((VectorMult(1), Dirac(1), Dirac(0)))),
-            )
-        )
-    else:
-        k, l = degrees
-        den1 = 2 * k + m - 2
-        den2 = 2 * l + m - 4
-        if den1 == 0 or den2 == 0:
-            raise ZeroDivisionError(f"vanishing normalization for (k,l)=({k},{l}), m={m}")
-        factor1 = ScalarMix(((Fraction(1), IDENTITY), (Fraction(1, den1), Compose((VectorMult(1), Dirac(1))))))
-        factor2 = ScalarMix(((Fraction(1), IDENTITY), (Fraction(1, den2), Compose((VectorMult(2), Dirac(2))))))
-        spec = Compose((factor1, factor2, Dirac(0)))
+    # every denominator is >= 3: lam_p >= 1 and p <= n = (m - 1) / 2
+    factors = tuple(
+        ScalarMix(((1, IDENTITY), (Fraction(1, 2 * lp + m - 2 * p), Compose((VectorMult(p), Dirac(p))))))
+        for p, lp in enumerate(degrees, 1)
+    )
+    spec = Compose((*factors, Dirac(0)))
     return HsdOperator(
         label=space.label,
         source_label=space.label,

@@ -5,8 +5,10 @@ A polynomial is a map from multi-exponents over the (k+1)*m coordinates
 fraction-free, like `linalg.Mat`: Gaussian-integer numerators over one
 reduced common denominator, so operators, sums and comparisons run on
 Python ints.  First-order invariant building blocks are assembled from
-OperatorSpec values and applied exactly in one accumulation pass;
-homogeneous components get exact matrix realizations.  A basis is
+OperatorSpec values and applied exactly in one accumulation pass; a spec
+reaches the spinor factor only through the gamma matrices of `Dirac` and
+`VectorMult` (the so(m) generators are matrices, built in `repthy`).
+Homogeneous components get exact matrix realizations.  A basis is
 imaged as one polynomial: element j carries a trailing exponent
 coordinate j that no spec touches (`_tagged`), so `stacked_rows` and
 `operator_matrix` apply each spec once per domain and split the image
@@ -212,10 +214,6 @@ def spinor_unit(m: int, k: int, index: int) -> SpinorPoly:
     return SpinorPoly.from_num(m, k, {(0,) * ((k + 1) * m): vec}, 1)
 
 
-def monomial(m: int, k: int, exponent, vec) -> SpinorPoly:
-    return SpinorPoly(m, k, {tuple(exponent): tuple(vec)})
-
-
 # ---------------------------------------------------------------------------
 # operator specs
 
@@ -239,11 +237,6 @@ class MixedEuler:
 
 
 @dataclass(frozen=True)
-class Euler:
-    var: int
-
-
-@dataclass(frozen=True)
 class LaplaceOp:
     var: int = 0
 
@@ -262,13 +255,6 @@ class CoordOp:
 
     mult: int
     deriv: int
-
-
-@dataclass(frozen=True)
-class SpinorMat:
-    """Constant matrix acting on the spinor factor alone."""
-
-    mat: Mat
 
 
 @dataclass(frozen=True)
@@ -347,7 +333,7 @@ def _sum_terms(f: SpinorPoly, terms) -> SpinorPoly:
 def apply(spec, f: SpinorPoly) -> SpinorPoly:
     """Apply an operator spec exactly."""
     m = f.m
-    if isinstance(spec, (Dirac, VectorMult, Euler, LaplaceOp)):
+    if isinstance(spec, (Dirac, VectorMult, LaplaceOp)):
         _check_var(f, spec.var)
         coords = range(spec.var * m, (spec.var + 1) * m)
         if isinstance(spec, Dirac):
@@ -356,8 +342,6 @@ def apply(spec, f: SpinorPoly) -> SpinorPoly:
         if isinstance(spec, VectorMult):
             gens = gamma_rep(m).generators
             return _sum_terms(f, [((), c, g) for c, g in zip(coords, gens)])
-        if isinstance(spec, Euler):
-            return _sum_terms(f, [((c,), c, None) for c in coords])
         return _sum_terms(f, [((c, c), None, None) for c in coords])
     if isinstance(spec, (MixedEuler, MixedLaplace)):
         _check_var(f, spec.p)
@@ -368,8 +352,6 @@ def apply(spec, f: SpinorPoly) -> SpinorPoly:
         return _sum_terms(f, [((q, p), None, None) for p, q in pairs])
     if isinstance(spec, CoordOp):
         return _sum_terms(f, [((spec.deriv,), spec.mult, None)])
-    if isinstance(spec, SpinorMat):
-        return _sum_terms(f, [((), None, spec.mat)])
     if isinstance(spec, Compose):
         out = f
         for part in reversed(spec.specs):

@@ -6,7 +6,9 @@ Weyl dimension oracle.  The tensor product of an integral irreducible
 with the spinor space is realized as simplicial harmonics tensored with
 spinor columns, and the quadratic Casimir splits it into isotypic
 pieces: each summand's frame comes from the Casimir's eigenspace on
-integer rows, all exactly.
+integer rows, all exactly.  The so(m) generators are matrices on the
+ambient basis, L_ab = O_ab (x) 1 + gamma_a gamma_b / 2, the orbital part
+taken on the scalar harmonics alone, and the Casimir is -sum L_ab L_ab.
 """
 
 from __future__ import annotations
@@ -15,18 +17,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .clifford import gamma_rep
+from .clifford import _kron, gamma_rep
 from .gaussian import QQi
 from .linalg import DEFAULT_CELL_CAP, Mat, check_cells, int_nullspace, span_coords
 from .polyspace import (
-    Compose,
     CoordOp,
     Dirac,
     LaplaceOp,
     MixedEuler,
     MixedLaplace,
     ScalarMix,
-    SpinorMat,
     SpinorPoly,
     homogeneous_basis,
     joint_kernel,
@@ -87,6 +87,20 @@ def casimir_eigenvalue(kappa: Weight, m: int) -> Fraction:
     return sum((v * (v + 2 * ri) for v, ri in zip(vals, rho(m))), Fraction(0))
 
 
+def _shape_rows(lam: Weight, m: int, kind: str) -> tuple:
+    """(n, the nonzero rows of lam), once lam is checked to be an integral
+    dominant shape with at most n = (m - 1) / 2 nonzero rows."""
+    if lam.spin:
+        raise ValueError(f"{kind} shapes are integral weights")
+    if not is_dominant(lam):
+        raise ValueError(f"{lam} is not dominant")
+    n = _rank_of(m)
+    degrees = tuple(e for e in lam.entries if e > 0)
+    if len(degrees) > n:
+        raise ValueError(f"{lam} has more than n = {n} nonzero rows")
+    return n, degrees
+
+
 @dataclass
 class RealizedSpace:
     """Explicit polynomial model of one space of values.
@@ -117,15 +131,8 @@ def simplicial_monogenic_basis(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP)
     the Weyl dimension of the spin-shifted label; that equality is
     asserted here because the two computations are fully independent.
     """
-    if lam.spin:
-        raise ValueError("simplicial shapes are integral weights")
-    if not is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    n = _rank_of(m)
-    degrees = tuple(e for e in lam.entries if e > 0)
+    n, degrees = _shape_rows(lam, m, "simplicial")
     k = len(degrees)
-    if k > n:
-        raise ValueError(f"{lam} has more than n = {n} nonzero rows")
     label = pad_weight(lam, n).spin_shifted()
     if k == 0:
         basis = [spinor_unit(m, 0, s) for s in range(2 ** n)]
@@ -151,15 +158,8 @@ def simplicial_harmonic_ambient(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP
     (spinor units); the scalar dimension is checked against the Weyl
     oracle for the integral label.
     """
-    if lam.spin:
-        raise ValueError("ambient shapes are integral weights")
-    if not is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    n = _rank_of(m)
-    degrees = tuple(e for e in lam.entries if e > 0)
+    n, degrees = _shape_rows(lam, m, "ambient")
     k = len(degrees)
-    if k > n:
-        raise ValueError(f"{lam} has more than n = {n} nonzero rows")
     label = pad_weight(lam, n)
     dim = 2 ** n
     if k == 0:
@@ -185,34 +185,45 @@ def simplicial_harmonic_ambient(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP
     return RealizedSpace(label, m, k, degrees, basis)
 
 
-def so_generator_spec(a: int, b: int, m: int, k: int):
-    """L_ab acting on dummy-variable polynomials with spinor values.
+def gamma_on_ambient(ambient: RealizedSpace) -> list:
+    """Matrices of gamma_1..gamma_m on the ambient basis coordinates.
 
-    Orbital part sum_p (u_{p,b} d_{p,a} - u_{p,a} d_{p,b}) plus the spin
-    part gamma_a gamma_b / 2; indices a, b are 0-based coordinates.  The
-    orbital sign is fixed by requiring both parts to close under the
-    same brackets ([L_12, L_13] = L_23), which the eigenvalue match in
-    the projector construction then confirms."""
-    parts = []
-    for p in range(1, k + 1):
-        base = p * m
-        parts.append((Fraction(1), CoordOp(base + b, base + a)))
-        parts.append((Fraction(-1), CoordOp(base + a, base + b)))
-    gam = gamma_rep(m)
+    The ambient basis is scalar-major, spinor-minor, so each gamma is
+    1 (x) gamma_i, acting on consecutive spinor blocks."""
+    sdim = 2 ** ((ambient.m - 1) // 2)
+    ident = Mat.identity(ambient.dim // sdim)
+    return [_kron(ident, g) for g in gamma_rep(ambient.m).generators]
+
+
+def orbital_spec(a: int, b: int, m: int, k: int) -> ScalarMix:
+    """O_ab = sum_p (u_{p,b} d_{p,a} - u_{p,a} d_{p,b}) on dummy-variable polynomials."""
+    return ScalarMix(tuple(
+        part
+        for base in range(m, (k + 1) * m, m)
+        for part in ((1, CoordOp(base + b, base + a)), (-1, CoordOp(base + a, base + b)))
+    ))
+
+
+def so_generators(ambient: RealizedSpace) -> dict:
+    """(a, b) -> L_ab on the ambient basis coordinates, for 0 <= a < b < m.
+
+    L_ab = O_ab (x) 1 + gamma_a gamma_b / 2, the orbital part one
+    `operator_matrix` of `orbital_spec` on the scalar harmonics (the
+    ambient basis at spinor index 0).  The orbital sign is fixed by
+    requiring both parts to close under the same brackets,
+    [L_ab, L_ac] = L_bc, which the eigenvalue match in the projector
+    construction then confirms."""
+    m = ambient.m
+    sdim = 2 ** ((m - 1) // 2)
+    scalars = ambient.basis[::sdim]
+    spin = Mat.identity(sdim)
+    gams = gamma_on_ambient(ambient)
     half = QQi(Fraction(1, 2))
-    spin_mat = (gam.generators[a] * gam.generators[b]).scale(half)
-    parts.append((Fraction(1), SpinorMat(spin_mat)))
-    return ScalarMix(tuple(parts))
-
-
-def casimir_spec(m: int, k: int):
-    """Quadratic Casimir, normalized so eigenvalues are <k, k + 2 rho>."""
-    parts = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            lab = so_generator_spec(a, b, m, k)
-            parts.append((Fraction(-1), Compose((lab, lab))))
-    return ScalarMix(tuple(parts))
+    return {
+        (a, b): _kron(operator_matrix(orbital_spec(a, b, m, ambient.k), scalars, scalars), spin)
+        + (gams[a] * gams[b]).scale(half)
+        for a in range(m) for b in range(a + 1, m)
+    }
 
 
 @dataclass
@@ -250,7 +261,11 @@ class ProjectorSet:
 
 
 def casimir_matrix(ambient: RealizedSpace) -> Mat:
-    return operator_matrix(casimir_spec(ambient.m, ambient.k), ambient.basis, ambient.basis)
+    """The quadratic Casimir -sum_{a<b} L_ab L_ab, with eigenvalues <kappa, kappa + 2 rho>."""
+    out = Mat.zero(ambient.dim, ambient.dim)
+    for lab in so_generators(ambient).values():
+        out = out - lab * lab
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -125,6 +125,11 @@ def test_json_file_and_determinism(tmp_path, capsys):
         ["verify", "corollary", "--mu", "1", "--m", "3", "--degree", "-1"],
         ["dims", "--mu", "1", "--m", "3", "--cap", "-5"],
         ["kernel", "--mu", "1", "--m", "3", "--degree", "1", "--cap", "-5"],
+        # a cap of 0 would read as no cap given, and a negative power as a valid one
+        ["factorize", "--mu", "2,1", "--power", "3", "--cap", "0"],
+        ["kernel", "--mu", "1", "--m", "3", "--degree", "1", "--cap", "0"],
+        ["paths", "--mu", "2,1", "--cap", "0"],
+        ["verify", "identities", "--mu", "1", "--m", "3", "--degree", "2", "--power", "-4"],
     ],
 )
 def test_negative_degree_or_cap_is_usage_error(capsys, argv):
@@ -148,7 +153,7 @@ def test_span_failure_is_an_internal_error(capsys, monkeypatch):
     from hsdfactor import repthy
 
     def truncated(ambient):
-        spec = repthy.casimir_spec(ambient.m, ambient.k)
+        spec = repthy.orbital_spec(0, ambient.m - 1, ambient.m, ambient.k)
         return repthy.operator_matrix(spec, ambient.basis, ambient.basis[:-1])
 
     repthy.casimir_projectors.cache_clear()

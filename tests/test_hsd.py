@@ -22,10 +22,11 @@ from test_acceptance import twistor_inversion
 
 def test_explicit_coefficients_shape_k():
     op = explicit_hsd(weight(1), 3)
-    mix = op.spec
+    mix, dx = op.spec.specs
     assert isinstance(mix, ScalarMix)
     assert mix.parts[0][0] == Fraction(1)
     assert mix.parts[1][0] == Fraction(1, 3)  # 1/(2k+m-2) at k=1, m=3
+    assert dx == Dirac(0)
 
 
 def test_explicit_coefficients_shape_kl():
@@ -40,7 +41,7 @@ def test_explicit_coefficients_shape_kl():
 
 def test_explicit_shape_zero_is_plain_dirac():
     op = explicit_hsd(weight(0), 3)
-    assert op.spec == Dirac(0)
+    assert op.spec == Compose((Dirac(0),))
 
 
 def test_value_preservation():

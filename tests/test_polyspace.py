@@ -9,7 +9,6 @@ from hsdfactor.linalg import SpanError
 from hsdfactor.polyspace import (
     Compose,
     Dirac,
-    Euler,
     IDENTITY,
     LaplaceOp,
     MixedEuler,
@@ -18,7 +17,6 @@ from hsdfactor.polyspace import (
     apply,
     homogeneous_basis,
     laplace,
-    monomial,
     operator_matrix,
     spinor_unit,
 )
@@ -29,7 +27,7 @@ def coord_monomial(m, k, assignments, vec):
     exp = [0] * ((k + 1) * m)
     for coord, e in assignments:
         exp[coord] = e
-    return monomial(m, k, exp, vec)
+    return SpinorPoly(m, k, {tuple(exp): tuple(vec)})
 
 
 def radius_squared(m, k, var=0):
@@ -47,7 +45,7 @@ def test_dirac_on_linear():
     image = apply(Dirac(0), f)
     g1 = gamma_rep(m).generators[0]
     expected_vec = tuple(g1.matvec([QQi(1), QQi(0)]))
-    assert image == monomial(m, k, (0,) * m, expected_vec)
+    assert image == SpinorPoly(m, k, {(0,) * m: expected_vec})
 
 
 def test_dirac_squared_is_minus_laplace():
@@ -73,10 +71,11 @@ def test_mixed_euler_kills_independent_polynomials():
 
 
 def test_euler_measures_degree():
+    # the Euler operator of one variable group is MixedEuler(v, v)
     m, k = 3, 1
     f = coord_monomial(m, k, [(0, 2), (m + 1, 1)], (QQi(1), QQi(2)))
-    assert apply(Euler(0), f) == f.scale(2)
-    assert apply(Euler(1), f) == f.scale(1)
+    assert apply(MixedEuler(0, 0), f) == f.scale(2)
+    assert apply(MixedEuler(1, 1), f) == f.scale(1)
 
 
 def test_mixed_euler_commutes_with_x_dirac():
@@ -134,11 +133,11 @@ def test_operator_matrix_span_violation():
 
 def test_operator_matrix_span_failures_are_internal_errors():
     """A truncated or a dependent codomain fails an engine self-check, an AssertionError."""
-    from hsdfactor.repthy import casimir_spec, simplicial_harmonic_ambient
+    from hsdfactor.repthy import orbital_spec, simplicial_harmonic_ambient
     from hsdfactor.weights import weight
 
     amb = simplicial_harmonic_ambient(weight(1), 3)
-    spec = casimir_spec(3, amb.k)
+    spec = orbital_spec(0, 2, 3, amb.k)
     with pytest.raises(AssertionError, match="leaves the span"):
         operator_matrix(spec, amb.basis, amb.basis[:-1])
     with pytest.raises(AssertionError, match="linearly dependent"):

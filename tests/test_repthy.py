@@ -2,13 +2,14 @@ import pytest
 from fractions import Fraction
 
 from hsdfactor.linalg import Mat
-from hsdfactor.polyspace import Dirac, MixedEuler, apply, operator_matrix
+from hsdfactor.polyspace import Dirac, MixedEuler, apply
 from hsdfactor.repthy import (
     casimir_eigenvalue,
     casimir_projectors,
     pad_weight,
+    simplicial_harmonic_ambient,
     simplicial_monogenic_basis,
-    so_generator_spec,
+    so_generators,
     weyl_dim,
 )
 from hsdfactor.weights import Weight, weight
@@ -92,12 +93,21 @@ def test_frames_are_eigenspaces_with_dual_rows(lam, m):
 
 def test_casimir_commutes_with_rotations():
     ps = casimir_projectors(weight(1), 5)
-    amb = ps.ambient
-    for a in range(5):
-        for b in range(a + 1, 5):
-            spec = so_generator_spec(a, b, 5, amb.k)
-            L = operator_matrix(spec, amb.basis, amb.basis)
-            assert ps.casimir * L == L * ps.casimir
+    gens = so_generators(ps.ambient)
+    assert len(gens) == 10
+    for L in gens.values():
+        assert ps.casimir * L == L * ps.casimir
+
+
+@pytest.mark.parametrize("lam,m", [((1,), 3), ((1, 1), 5)])
+def test_generators_close_under_brackets(lam, m):
+    """[L_ab, L_ac] = L_bc for every a < b < c, the convention `so_generators` states."""
+    gens = so_generators(simplicial_harmonic_ambient(Weight(lam), m))
+    for a in range(m):
+        for b in range(a + 1, m):
+            for c in range(b + 1, m):
+                lab, lac = gens[a, b], gens[a, c]
+                assert lab * lac - lac * lab == gens[b, c]
 
 
 def test_pad_weight():

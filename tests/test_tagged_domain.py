@@ -5,7 +5,10 @@ spec once, to the whole domain laid out as one polynomial with a column
 tag.  Every image is linear and exact and `SpinorPoly` is canonical, so
 the rows, their common denominator and the matrices must be those of
 applying the spec to each domain element on its own.  The domains mix
-denominators: they are simplicial monogenic bases.
+denominators: they are simplicial monogenic bases, or simplicial
+harmonics.  The Casimir matrix, built from generator matrices, is checked
+against the second-order spec -sum L_ab L_ab applied to each ambient
+element by the QQi oracle of `test_polyspace_oracle`.
 """
 
 from collections import Counter
@@ -14,11 +17,14 @@ from math import lcm
 
 import pytest
 
+from hsdfactor.clifford import gamma_rep
+from hsdfactor.gaussian import QQi
 from hsdfactor.hsd import explicit_hsd, x_shift
 from hsdfactor.linalg import Mat, SpanSolver
 from hsdfactor.polyspace import (
     IDENTITY,
     Compose,
+    CoordOp,
     Dirac,
     MixedEuler,
     ScalarMix,
@@ -30,12 +36,14 @@ from hsdfactor.polyspace import (
     stacked_rows,
 )
 from hsdfactor.repthy import (
-    casimir_spec,
+    casimir_matrix,
+    orbital_spec,
     simplicial_harmonic_ambient,
     simplicial_monogenic_basis,
-    so_generator_spec,
+    so_generators,
 )
 from hsdfactor.weights import weight
+from test_polyspace_oracle import SpinorMat, ref_apply, to_ref
 
 
 def per_element_rows(specs, domain):
@@ -57,6 +65,36 @@ def per_element_matrix(spec, domain, codomain):
     solver = SpanSolver([b.coordinates() for b in codomain])
     columns = [solver.coords(apply(spec, b).coordinates()) for b in domain]
     return Mat([[col[i] for col in columns] for i in range(len(codomain))])
+
+
+def ref_generator_spec(a, b, m, k):
+    """L_ab as one spec: sum_p (u_{p,b} d_{p,a} - u_{p,a} d_{p,b}) plus
+    gamma_a gamma_b / 2 as a `SpinorMat`."""
+    gam = gamma_rep(m).generators
+    parts = [(1, SpinorMat((gam[a] * gam[b]).scale(QQi(Fraction(1, 2)))))]
+    for p in range(1, k + 1):
+        parts += [(1, CoordOp(p * m + b, p * m + a)), (-1, CoordOp(p * m + a, p * m + b))]
+    return ScalarMix(tuple(parts))
+
+
+def ref_casimir_spec(m, k):
+    """The quadratic Casimir -sum_{a<b} L_ab L_ab as one second-order spec."""
+    gens = [ref_generator_spec(a, b, m, k) for a in range(m) for b in range(a + 1, m)]
+    return ScalarMix(tuple((-1, Compose((lab, lab))) for lab in gens))
+
+
+def ref_matrices(specs, basis):
+    """The matrix of each spec on span(basis), one element at a time: each
+    image from the QQi oracle `ref_apply`, its coordinates from `SpanSolver`."""
+    solver = SpanSolver([b.coordinates() for b in basis])
+    out = []
+    for spec in specs:
+        columns = []
+        for b in basis:
+            image = ref_apply(spec, to_ref(b))
+            columns.append(solver.coords({(exp, s): c for exp, vec in image.terms.items() for s, c in enumerate(vec)}))
+        out.append(Mat([[col[i] for col in columns] for i in range(len(basis))]))
+    return out
 
 
 def shifted_monogenic(lam, m):
@@ -81,7 +119,9 @@ def test_stacked_rows_of_the_explicit_spec(lam, m):
 
 def test_stacked_rows_of_the_casimir_and_of_several_specs():
     basis = simplicial_monogenic_basis(weight(3), 3).basis
-    check_rows([casimir_spec(3, 1)], basis)
+    # the orbital Casimir -sum O_ab O_ab: a second-order spec of nested mixes
+    orbitals = [orbital_spec(a, b, 3, 1) for a in range(3) for b in range(a + 1, 3)]
+    check_rows([ScalarMix(tuple((-1, Compose((o, o))) for o in orbitals))], basis)
     # the specs' images have different common denominators: 3, 2 and 4
     half = ScalarMix(((Fraction(1, 2), MixedEuler(1, 1)),))
     specs = [VectorMult(0), half, Compose((half, half))]
@@ -90,26 +130,29 @@ def test_stacked_rows_of_the_casimir_and_of_several_specs():
 
 
 def test_the_explicit_specs_are_the_two_shapes():
-    # (k) is a ScalarMix of Dirac terms; (k,l) nests ScalarMix factors in a Compose
-    assert isinstance(explicit_hsd(weight(3), 3).spec, ScalarMix)
-    spec = explicit_hsd(weight(2, 1), 5).spec
-    assert isinstance(spec, Compose) and any(isinstance(part, ScalarMix) for part in spec.specs)
+    # one form for (), (k) and (k,l): a Compose of one ScalarMix factor per row, then Dirac(0)
+    for lam, m in (((0,), 3), ((3,), 3), ((2, 1), 5)):
+        spec = explicit_hsd(weight(*lam), m).spec
+        assert isinstance(spec, Compose) and spec.specs[-1] == Dirac(0)
+        rows = len([e for e in lam if e])
+        assert len(spec.specs) == rows + 1 and all(isinstance(part, ScalarMix) for part in spec.specs[:-1])
 
 
-@pytest.mark.parametrize("lam,m", [((1,), 3), ((1, 1), 5)])
+@pytest.mark.parametrize("lam,m", [((1,), 3), ((1, 1), 5), ((2,), 3), ((1, 0), 5), ((2, 1), 5)])
 def test_casimir_matrix_is_the_per_element_matrix(lam, m):
     ambient = simplicial_harmonic_ambient(weight(*lam), m)
-    for spec in (casimir_spec(m, ambient.k), so_generator_spec(0, m - 1, m, ambient.k)):
-        got = operator_matrix(spec, ambient.basis, ambient.basis)
-        assert got == per_element_matrix(spec, ambient.basis, ambient.basis)
-        assert not got.is_zero()
+    a, b = 0, m - 1
+    cas, lab = ref_matrices([ref_casimir_spec(m, ambient.k), ref_generator_spec(a, b, m, ambient.k)], ambient.basis)
+    got = casimir_matrix(ambient)
+    assert got == cas and not got.is_zero()
+    assert so_generators(ambient)[a, b] == lab
 
 
 def test_operator_matrix_on_a_codomain_with_mixed_denominators():
-    """L_12 on the (3), m = 3 monogenic basis: the den_B / den_V rescale of `operator_matrix`."""
-    basis = simplicial_monogenic_basis(weight(3), 3).basis
-    assert len({f.den for f in basis}) > 1
-    spec = so_generator_spec(1, 2, 3, basis[0].k)
+    """O_12 on the (3), m = 3 harmonic scalars: the den_B / den_V rescale of `operator_matrix`."""
+    basis = simplicial_harmonic_ambient(weight(3), 3).basis[::2]
+    assert {f.den for f in basis} == {1, 3}
+    spec = orbital_spec(1, 2, 3, basis[0].k)
     got = operator_matrix(spec, basis, basis)
     assert got == per_element_matrix(spec, basis, basis)
     assert not got.is_zero()
