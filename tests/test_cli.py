@@ -67,7 +67,9 @@ def test_verify_box_command(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    assert cli.run(["kernel", "--mu", "1"]) == 2              # missing --m/--degree
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["kernel", "--mu", "1"])                      # missing --m/--degree
+    assert exc.value.code == 2
     capsys.readouterr()
     assert cli.run(["verify", "theorem", "--mu", "1", "--m", "3", "--power", "1", "--degree", "4"]) == 2
     capsys.readouterr()
@@ -129,7 +131,7 @@ def test_json_file_and_determinism(tmp_path, capsys):
         ["factorize", "--mu", "2,1", "--power", "3", "--cap", "0"],
         ["kernel", "--mu", "1", "--m", "3", "--degree", "1", "--cap", "0"],
         ["paths", "--mu", "2,1", "--cap", "0"],
-        ["verify", "identities", "--mu", "1", "--m", "3", "--degree", "2", "--power", "-4"],
+        ["verify", "theorem", "--mu", "1", "--m", "3", "--power", "-4", "--degree", "4"],
     ],
 )
 def test_negative_degree_or_cap_is_usage_error(capsys, argv):
@@ -139,10 +141,11 @@ def test_negative_degree_or_cap_is_usage_error(capsys, argv):
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
-    def broken(args, started):
+    def broken(args, mu):
         raise AssertionError("projector is not idempotent")
 
-    monkeypatch.setattr(cli, "_cmd_box", broken)
+    _, help_text, flags = cli._COMMANDS["box"]
+    monkeypatch.setitem(cli._COMMANDS, "box", (broken, help_text, flags))
     code, data = run_json(capsys, ["box", "--mu", "2,1"])
     assert code == 3
     assert data == {"error": "internal", "type": "AssertionError", "message": "projector is not idempotent"}
@@ -217,12 +220,13 @@ def test_verify_induction_honours_cap(capsys):
     "argv",
     [
         ["kernel", "--mu", "2,1", "--m", "5", "--degree", "0", "--cap", "1"],
-        ["verify", "corollary", "--mu", "2,1", "--m", "5", "--degree", "0", "--cap", "1"],
+        ["verify", "corollary", "--mu", "2,1", "--m", "5", "--degree", "4", "--cap", "1"],
     ],
 )
 def test_cap_bounds_the_value_space_basis(capsys, argv):
-    # at x-degree 0 the kernel elimination has no rows; the 300x300
-    # value-space basis of explicit_hsd is what the cap must refuse
+    # at x-degree 0, where the corollary also starts, the kernel elimination
+    # has no rows; the 300x300 value-space basis of explicit_hsd is what the
+    # cap must refuse
     code, data = run_json(capsys, argv)
     assert code == 2
     assert data == {"error": "resource_cap", "message": "elimination size 300x300 exceeds cap 1"}
@@ -313,3 +317,71 @@ def test_verify_theorem_cap_bounds_the_monomials(capsys):
     code, data = run_json(capsys, argv + ["--degree", "6", "--cap", "406"])
     assert code == 0
     assert data["passed"] is True
+
+
+# Each command's flags besides --mu, --rank and --json: the value given to
+# each required flag, and the default of each optional one.
+FLAG_TABLE = [
+    ("box", {}, {}),
+    ("verify box", {}, {}),
+    ("paths", {}, {"nu": None, "cap": 10000}),
+    ("verify path", {}, {"nu": None, "cap": 10000}),
+    ("factorize", {"power": 3}, {"cap": None}),
+    ("dims", {"m": 3}, {"cap": 4_000_000}),
+    ("kernel", {"m": 3, "degree": 2}, {"cap": 4_000_000}),
+    ("verify identities", {"m": 3, "degree": 2}, {"cap": 4_000_000}),
+    ("verify induction", {"m": 3, "degree": 2}, {"cap": 4_000_000}),
+    ("verify corollary", {"m": 3, "degree": 2}, {"cap": 4_000_000}),
+    ("verify theorem", {"m": 3, "power": 2, "degree": 4}, {"cap": 4_000_000}),
+]
+
+
+@pytest.mark.parametrize("command,required,optional", FLAG_TABLE, ids=[row[0] for row in FLAG_TABLE])
+def test_each_command_takes_exactly_its_flags(command, required, optional):
+    parser = cli._build_parser()
+    given = [x for flag, value in required.items() for x in (f"--{flag}", str(value))]
+    args = parser.parse_args(command.split() + ["--mu", "1"] + given)
+    assert vars(args) == {"command": command, "mu": "1", "rank": None, "json": None, **required, **optional}
+    for i in range(0, len(given), 2):  # each required flag left out
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(command.split() + ["--mu", "1"] + given[:i] + given[i + 2:])
+        assert exc.value.code == 2
+    for flag in {"nu", "m", "power", "degree", "cap"} - set(required) - set(optional):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(command.split() + ["--mu", "1"] + given + [f"--{flag}", "1"])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--mu", "1", "--m", "3", "--degree", "2", "--power", "7"],
+        ["factorize", "--mu", "2,1", "--power", "3", "--m", "3"],
+        ["verify", "box", "--mu", "2,1", "--cap", "1"],
+        ["dims", "--mu", "1", "--m", "3", "--degree", "2"],
+        ["box", "--mu", "2,1", "--m", "3"],
+        ["verify", "identities", "--mu", "1", "--m", "3", "--degree", "2", "--nu", "0"],
+    ],
+)
+def test_command_rejects_a_flag_it_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+
+
+def test_corollary_below_the_degree_floor_is_usage_error(capsys):
+    # orders at degree h are at most h/2 + 1, so the bound mu_1 + 1 needs h >= 2 mu_1
+    code, data = run_json(capsys, ["verify", "corollary", "--mu", "2", "--m", "3", "--degree", "3"])
+    assert code == 2
+    assert data == {"error": "usage", "message": "--degree must be at least 2*mu_1 = 4 to reach order 3, got 3"}
+    code, data = run_json(capsys, ["verify", "corollary", "--mu", "2", "--m", "3", "--degree", "4"])
+    assert code == 0
+    assert data["checks"][-1] == {"name": "bound_attained", "passed": True, "details": {"bound": 3}}
+
+
+def test_rank_mismatch_names_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["paths", "--mu", "2,1", "--nu", "1", "--rank", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: --nu has rank 1, but --rank 2 was given\n"
