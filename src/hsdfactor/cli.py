@@ -247,7 +247,10 @@ _COMMANDS = {
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+    """The argument parser, built once per process: parsing leaves it unchanged.
+
+    Its `commands` attribute maps each command to its own subparser.
+    """
     parser = argparse.ArgumentParser(
         prog="hsdfactor",
         description="Exact factorization of Laplace powers through higher-spin Dirac operators",
@@ -255,10 +258,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(required=True, metavar="command")
     verify = sub.add_parser("verify", help="run one verification suite")
     suites = verify.add_subparsers(required=True, metavar="suite")
+    parser.commands = {}
     for name, (_, help_text, flags) in _COMMANDS.items():
         *group, leaf = name.split()
         # no abbreviations: --m on a command without it would otherwise be read as --mu
-        p = (suites if group else sub).add_parser(leaf, help=help_text, allow_abbrev=False)
+        p = parser.commands[name] = (suites if group else sub).add_parser(leaf, help=help_text, allow_abbrev=False)
         p.set_defaults(command=name)
         p.add_argument("--mu", required=True, help="weight entries, e.g. 2,1")
         p.add_argument("--rank", type=int, help="expected rank of the weights (validation)")
@@ -282,7 +286,10 @@ def _check_non_negative(args):
 
 def run(argv) -> int:
     """Parse and execute one invocation; returns the exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # argparse would report these from the root parser, with its usage line
+        parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     started = time.time()
     try:
         _check_non_negative(args)

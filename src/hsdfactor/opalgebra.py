@@ -47,7 +47,7 @@ from .weights import (
     manhattan_distance,
 )
 from .linalg import ResourceCapError
-from .reports import Check, Report
+from .reports import Check, Report, jsonable
 
 
 @dataclass(frozen=True)
@@ -457,8 +457,6 @@ class VanishTrace:
         )
 
     def to_jsonable(self):
-        from .reports import jsonable
-
         return {
             "mu": jsonable(self.mu),
             "lambda": jsonable(self.lam),
@@ -546,8 +544,6 @@ class FactorizationCertificate:
         return sorted(self.coefficients, key=lambda w: w.entries, reverse=True)
 
     def to_jsonable(self):
-        from .reports import jsonable
-
         return {
             "mu": jsonable(self.mu),
             "power": self.power,
@@ -561,8 +557,6 @@ class FactorizationCertificate:
 
 
 def expr_jsonable(expr: OperatorExpr):
-    from .reports import jsonable
-
     terms = []
     for word, coeff in expr.sorted_terms():
         syms = []
@@ -674,44 +668,78 @@ def _bottom_position(word: OperatorWord):
 
 
 def _lowerings(w: Weight):
-    """Dominant weights one step below w, in coordinate order."""
+    """(i, w - e_i) for the dominant weights one step below w, in coordinate order."""
     for i in range(w.rank):
         lower = w.shifted(i, -1)
         if is_dominant(lower):
-            yield lower
+            yield i, lower
 
 
-def _add_spliced(terms: dict, target, head: tuple, x_terms: dict, tail: tuple, source, coeff, words: dict):
-    """terms += coeff * nf(head * x * tail) over the Laplace-free words x of x_terms, in place.
+def _twistor_splice(walk: tuple, i: int, top: int):
+    """Walk of T(v <- v-e_i) x T(v-e_i <- v), x a walk at v - e_i, top = v_i; None if it dies."""
+    seqs, n_hsd, lo, hi = walk
+    if i and lo[i - 1] < top:
+        return None
+    if hi[i] < top:
+        hi = hi[:i] + (top,) + hi[i + 1 :]
+    return seqs[:i] + ((-1,) + seqs[i] + (1,),) + seqs[i + 1 :], n_hsd, lo, hi
 
-    Each spliced word is normalized from its parts; none is built.
+
+def _walk_chain(v: Weight, walk: tuple, hsd: tuple, words: dict) -> tuple:
+    """Symbols of the canonical word of a walk at v, target first; hsd is (R(v),)."""
+    steps = tuple((c, d) for c, seq in enumerate(walk[0]) for d in seq)
+    return _canonical_chain(v, steps, words) + hsd * walk[1]
+
+
+def _eliminated_power(w: Weight, e: int, memo: dict, budget: WorkBudget) -> dict:
+    """E(w, e) of eliminate_laplace as {walk: int}, filling memo one power k at a time.
+
+    A word of E(v, k) is in normal form and closed at v, so it is fixed by
+    its walk (seqs, n_hsd, lo, hi): seqs[c] is the steps (+1/-1) of
+    coordinate c in order, n_hsd the HSD count, lo/hi each coordinate's
+    extremes on the walk, v included.  Each seqs[c] sums to 0, so has
+    even length.  The splices follow from _parts_normal_form's rules:
+
+    * R R x: both HSDs pass every twistor, an even number, so the sign
+      is +1 and the walk gains two HSDs; HSDs move no weight, so it lives.
+    * T(v <- v-e_i) x T(v-e_i <- v), in application order (i,-1), x's
+      HSDs, x's steps by coordinate, (i,+1): each HSD passes one twistor,
+      (i,-1) passes x's steps below i and (i,+1) those above it, an even
+      number; the sign is (-1)^n_hsd.  Only seqs[i] changes, to
+      (-1, *seqs[i], +1).  Coordinate i adds v_i and v_i - 1 (x's start),
+      so lo[i] stays and hi[i] rises to v_i at most.  x lives, so only
+      the pair (i-1, i) can fail: the word dies iff lo[i-1] < v_i.
+
+    E(v, 0) has no HSD, R R adds two and T x T none, so n_hsd is even and
+    every splice has sign +1.  Each weight's lowerings are worked out
+    once, while the layers are built, and those objects key memo.
     """
-    for x, c in x_terms.items():
-        sign, nf = _parts_normal_form(target, source, head + x.syms + tail, 0, words)
-        if sign:
-            _accumulate(terms, nf, sign * coeff * c)
-
-
-def _eliminated_power(w: Weight, e: int, memo: dict, budget: WorkBudget, words: dict) -> dict:
-    """E(w, e) of eliminate_laplace as {word: int}, filling memo one power k at a time."""
-    layers = [[w]]             # layers[d]: the weights d lowering steps below w
+    if (w, e) in memo:         # then so is every entry it was built from
+        return memo[w, e]
+    layers = [{w: w}]          # layers[d]: the weights d lowering steps below w
+    lowered = {}               # v -> [(i, v - e_i)], one object per weight
     for _ in range(e):
-        layers.append(list(dict.fromkeys(low for v in layers[-1] for low in _lowerings(v))))
+        below = {}
+        for v in layers[-1]:
+            lowered[v] = [(i, below.setdefault(low, low)) for i, low in _lowerings(v)]
+        layers.append(below)
     for k in range(e + 1):
-        for v in [u for layer in layers[: e - k + 1] for u in layer]:
-            if (v, k) in memo:
-                continue
-            budget.spend()
-            if k == 0:
-                memo[v, k] = {OperatorWord(v, v): 1} if is_dominant(v) else {}
-                continue
-            r = HsdSym(v)
-            total = {}
-            _add_spliced(total, v, (r, r), memo[v, k - 1], (), v, -1, words)
-            for low in _lowerings(v):
-                up, down = TwistorSym(v, low), TwistorSym(low, v)
-                _add_spliced(total, v, (up,), memo[low, k - 1], (down,), v, -1, words)
-            memo[v, k] = total
+        for layer in layers[: e - k + 1]:
+            for v in layer:
+                if (v, k) in memo:
+                    continue
+                budget.spend()
+                if k == 0:
+                    ents = v.entries
+                    memo[v, k] = {(((),) * len(ents), 0, ents, ents): 1} if is_dominant(v) else {}
+                    continue
+                total = {(seqs, n_hsd + 2, lo, hi): -c for (seqs, n_hsd, lo, hi), c in memo[v, k - 1].items()}
+                for i, low in lowered[v]:
+                    for x, c in memo[low, k - 1].items():
+                        walk = _twistor_splice(x, i, v.entries[i])
+                        if walk:
+                            _accumulate(total, walk, -c)
+                memo[v, k] = total
     return memo[w, e]
 
 
@@ -736,27 +764,33 @@ def eliminate_laplace(
         E(w, e) = -nf(R(w) R(w) E(w, e-1))
                   - sum_i nf(T(w <- w-e_i) E(w-e_i, e-1) T(w-e_i <- w)).
 
-    Each H * x * T is composable by construction: H ends and T starts at
-    w, and every word x of E(w, e) runs w -> w (likewise at w - e_i in
-    the recurrence).  So it is normalized from its three parts and never
-    built as a word.
-
-    memo holds E by (w, e) as {word: int}, since every coefficient of E
-    is an integer; words holds the canonical words of _parts_normal_form.
-    Both are shared between calls if passed; budget is spent once per
-    new entry of memo.  An integral coefficient of expr is taken as an
-    int, so the sums stay on integers unless expr itself has fractions.
+    memo holds E by (w, e) as integer coefficients on walks, spliced one
+    coordinate at a time (_eliminated_power).  Only the E(w, e) spliced
+    into expr become symbol chains; each H * x * T (H ends and T starts
+    at w, x runs w -> w) is normalized from its parts, not built, and
+    words is _parts_normal_form's canonical-word memo.  memo and words
+    are shared between calls if passed; budget is spent once per new
+    entry of memo.  Integral coefficients of expr are taken as ints.
     """
     memo = {} if memo is None else memo
     words = {} if words is None else words
     budget = WorkBudget() if budget is None else budget
+    spliced = {}               # (w, e) -> E(w, e) as [(canonical symbol chain, int)]
     total = {}
     for word, coeff in expr.terms.items():
         if coeff.denominator == 1:
             coeff = coeff.numerator
         j, w = _bottom_position(word)
-        x_terms = _eliminated_power(w, word.lap, memo, budget, words)
-        _add_spliced(total, word.target, word.syms[:j], x_terms, word.syms[j:], word.source, coeff, words)
+        x_terms = spliced.get((w, word.lap))
+        if x_terms is None:
+            hsd = (HsdSym(w),)
+            walks = _eliminated_power(w, word.lap, memo, budget).items()
+            x_terms = spliced[w, word.lap] = [(_walk_chain(w, walk, hsd, words), c) for walk, c in walks]
+        head, tail = word.syms[:j], word.syms[j:]
+        for x, c in x_terms:
+            sign, nf = _parts_normal_form(word.target, word.source, head + x + tail, 0, words)
+            if sign:
+                _accumulate(total, nf, sign * coeff * c)
     return OperatorExpr(total, expr.target, expr.source)
 
 

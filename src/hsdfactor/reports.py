@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gaussian import QQi, fraction_str
+from .weights import Path, Weight
 
 
 @dataclass
@@ -43,10 +44,16 @@ def jsonable(obj):
     """Recursively convert package values to JSON-ready structures.
 
     Rationals render as "num/den"; weights as integer arrays plus spin
-    flag; Gaussian rationals as a re/im pair.
+    flag; Gaussian rationals as a re/im pair.  The common exact types
+    are tested first, by identity of their class.
     """
-    from .weights import Weight, Path
-
+    cls = obj.__class__
+    if cls is str or cls is int or cls is bool or obj is None:
+        return obj
+    if cls is dict:
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if cls is list:
+        return [jsonable(x) for x in obj]
     if isinstance(obj, Fraction):
         return fraction_str(obj)
     if isinstance(obj, QQi):
@@ -65,6 +72,6 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(x) for x in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
+    if isinstance(obj, (str, int, float, bool)):
         return obj
     return str(obj)

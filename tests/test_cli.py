@@ -370,6 +370,25 @@ def test_command_rejects_a_flag_it_does_not_read(capsys, argv):
     assert "unrecognized arguments: --" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,prog",
+    [
+        (["kernel", "--mu", "1", "--m", "3", "--degree", "2", "--power", "7"], "hsdfactor kernel"),
+        (["box", "--mu", "2,1", "--m", "3"], "hsdfactor box"),
+        (["verify", "identities", "--mu", "1", "--m", "3", "--degree", "2", "--nu", "0"], "hsdfactor verify identities"),
+    ],
+)
+def test_unread_flag_is_reported_with_the_command_usage(capsys, argv, prog):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith(f"usage: {prog} [-h] --mu MU")
+    assert lines[-1] == f"{prog}: error: unrecognized arguments: {' '.join(argv[-2:])}"
+
+
 def test_corollary_below_the_degree_floor_is_usage_error(capsys):
     # orders at degree h are at most h/2 + 1, so the bound mu_1 + 1 needs h >= 2 mu_1
     code, data = run_json(capsys, ["verify", "corollary", "--mu", "2", "--m", "3", "--degree", "3"])

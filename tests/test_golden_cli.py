@@ -36,6 +36,8 @@ CASES = [
     ["verify", "theorem", "--mu", "1,1", "--m", "5", "--power", "2", "--degree", "4"],
     ["verify", "theorem", "--mu", "1,1", "--m", "5", "--power", "2", "--degree", "6"],
     ["verify", "identities", "--mu", "2,1", "--m", "5", "--degree", "2"],
+    ["factorize", "--mu", "4,1,1", "--power", "5"],
+    ["factorize", "--mu", "2,1,1,1", "--power", "4"],
 ]
 
 

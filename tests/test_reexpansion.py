@@ -26,7 +26,11 @@ from hsdfactor.opalgebra import (
     WorkBudget,
     _accumulate,
     _bottom_position,
+    _eliminated_power,
     _lowerings,
+    _parts_normal_form,
+    _twistor_splice,
+    _walk_chain,
     _word_normal_form,
     certificate_reexpands,
     eliminate_laplace,
@@ -211,7 +215,7 @@ def tree_expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = No
         contrib = closed * sigma * rev_sigma * _single_coeff(fwd) * _single_coeff(rev)
         _accumulate(coefficients, lam, contrib)
         # TT branches: descend one coordinate
-        for lower in reversed(list(_lowerings(lam))):
+        for _, lower in reversed(list(_lowerings(lam))):
             low_s = lower.spin_shifted()
             t_down = TwistorSym(low_s, lam_s)
             t_up = TwistorSym(lam_s, low_s)
@@ -420,6 +424,64 @@ def test_splice_lemma(parts):
         return
     sign, nf = _word_normal_form(_joined(h, nf_x, t), {})
     assert whole == ((sign_x * sign, nf) if sign else (0, None))
+
+
+# --- the one-coordinate splices of the memo ----------------------------------
+
+def walk_of(v: Weight, syms: tuple):
+    """The memo walk of a closed word at v, read off its symbols in application order."""
+    seqs = [[] for _ in v.entries]
+    cur, lo, hi = list(v.entries), list(v.entries), list(v.entries)
+    n_hsd = 0
+    for sym in reversed(syms):
+        if isinstance(sym, HsdSym):
+            n_hsd += 1
+            continue
+        i, delta = sym.step
+        seqs[i].append(delta)
+        cur[i] += delta
+        lo[i], hi[i] = min(lo[i], cur[i]), max(hi[i], cur[i])
+    assert tuple(cur) == v.entries
+    return tuple(map(tuple, seqs)), n_hsd, tuple(lo), tuple(hi)
+
+
+@st.composite
+def memo_weights(draw):
+    """A dominant half-integral v of rank 1-4 and a power k >= 1.
+
+    Every splice is checked against _parts_normal_form on the whole word
+    it stands for: the sign (+1, or the word dies) and the canonical word.
+    """
+    rank = draw(st.integers(1, 4))
+    v = Weight(tuple(sorted(draw(st.lists(st.integers(0, 4), min_size=rank, max_size=rank)), reverse=True)), spin=True)
+    return v, draw(st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(memo_weights())
+def test_one_coordinate_splice_matches_whole_word_normal_form(case):
+    v, k = case
+    memo = {}
+    _eliminated_power(v, k, memo, WorkBudget())
+    words = {}
+    r = HsdSym(v)
+    for x in memo[v, k - 1]:
+        chain = _walk_chain(v, x, (r,), words)
+        assert walk_of(v, chain) == x
+        sign, nf = _parts_normal_form(v, v, (r, r) + chain, 0, {})
+        assert sign == 1 and walk_of(v, nf.syms) == (x[0], x[1] + 2, x[2], x[3])
+    for i, low in _lowerings(v):
+        up, down = TwistorSym(v, low), TwistorSym(low, v)
+        for x in memo[low, k - 1]:
+            chain = _walk_chain(low, x, (HsdSym(low),), words)
+            assert walk_of(low, chain) == x
+            sign, nf = _parts_normal_form(v, v, (up,) + chain + (down,), 0, {})
+            walk = _twistor_splice(x, i, v.entries[i])
+            if walk is None:
+                assert (sign, nf) == (0, None)
+            else:
+                assert sign == 1 and walk == walk_of(v, nf.syms)
+                assert _walk_chain(v, walk, (r,), words) == nf.syms
 
 
 # --- tampered certificates -------------------------------------------------
