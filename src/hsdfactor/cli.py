@@ -299,7 +299,7 @@ def run(argv) -> int:
     except ResourceCapError as exc:
         print(json.dumps({"error": "resource_cap", "message": str(exc)}, sort_keys=True))
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}, sort_keys=True))
         return 2
     except (AssertionError, KeyError, ArithmeticError) as exc:

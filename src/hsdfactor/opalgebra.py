@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
-from operator import itemgetter
 
 from .weights import (
     Weight,
@@ -242,10 +242,24 @@ def normalization_sign(mu: Weight, p: int) -> int:
         raise ValueError(f"coordinate {p} out of range for rank {mu.rank}")
     if not is_dominant(mu):
         raise ValueError(f"{mu} is not dominant")
-    raised = mu.shifted(p - 1, 1)
-    if not is_dominant(raised):
+    if p > 1 and mu.entries[p - 2] == mu.entries[p - 1]:  # raising p would break dominance
         raise ValueError(f"{mu} + eps_{p} is not dominant")
     return -1 if sum(mu.entries[p:]) % 2 else 1
+
+
+def _path_word(nodes) -> tuple:
+    """(sign, word) of the twistor chain along nodes, integral nodes taken half-integral; sign is
+    the product of the steps' normalization signs, and (0, None) means a node is non-dominant."""
+    nodes = [w if w.spin else w.spin_shifted() for w in nodes]
+    if not all(map(is_dominant, nodes)):
+        return 0, None
+    sign, syms = 1, []
+    for a, b in zip(nodes, nodes[1:]):
+        sym = TwistorSym(b, a)
+        idx, delta = sym.step
+        sign *= normalization_sign((a if delta > 0 else b).integral_part(), idx + 1)
+        syms.append(sym)
+    return sign, OperatorWord(nodes[-1], nodes[0], tuple(reversed(syms)))
 
 
 def twistor(target: Weight, source: Weight) -> OperatorExpr:
@@ -254,13 +268,8 @@ def twistor(target: Weight, source: Weight) -> OperatorExpr:
         raise ValueError("twistor endpoints must both be half-integral")
     if manhattan_distance(target, source) != 1:
         raise ValueError(f"twistor endpoints {target}, {source} not at distance 1")
-    if not (is_dominant(target) and is_dominant(source)):
-        return ZERO
-    sym = TwistorSym(target, source)
-    idx, delta = sym.step
-    lower = source if delta > 0 else target
-    sign = normalization_sign(lower.integral_part(), idx + 1)
-    return OperatorExpr({OperatorWord(target, source, (sym,)): Fraction(sign)})
+    sign, word = _path_word((source, target))
+    return OperatorExpr({word: Fraction(sign)}) if sign else ZERO
 
 
 def hsd_sym(at: Weight) -> OperatorExpr:
@@ -283,20 +292,20 @@ def laplace_sym(at: Weight, power: int = 1) -> OperatorExpr:
 # normal form
 
 
-def _word_normal_form(word: OperatorWord, words: dict):
-    """Return (sign, canonical word) or (0, None) when the word dies; see _parts_normal_form."""
-    return _parts_normal_form(word.target, word.source, word.syms, word.lap, words)
+def _walk(source: Weight, syms: tuple):
+    """Read a chain (target first) from source into (sign, walk).
 
-
-def _parts_normal_form(target: Weight, source: Weight, syms: tuple, lap: int, words: dict):
-    """Normal form of the word (target, source, syms, lap), which is not built.
-
-    Returns (sign, canonical word) or (0, None) when the word dies.
+    The walk is (seqs, n_hsd, lo, hi): seqs[c] the steps (+1/-1) of
+    coordinate c in application order, n_hsd the HSD count, lo/hi each
+    coordinate's extremes, source included.  It fixes the normal form up
+    to sign (_canonical_word), the word dies iff _dies(lo, hi), and a
+    spliced word's walk is a join of its parts' (eliminate_laplace).
 
     HSD symbols migrate to the source end (sign flip per twistor
     passed).  The twistor chain then sorts into non-decreasing change
-    order as seen from the source; the sign picks up the parity of the
-    distinct-coordinate inversions removed.
+    order as seen from the source, each coordinate's steps keeping their
+    order; the sign picks up the parity of the distinct-coordinate
+    inversions removed.
 
     Zero detection: adjacent distinct-coordinate steps swap freely, and
     a swap whose alternate intermediate weight is non-dominant kills
@@ -306,59 +315,59 @@ def _parts_normal_form(target: Weight, source: Weight, syms: tuple, lap: int, wo
     pointwise by how many steps of each coordinate it has consumed.
     The chain therefore dies if and only if some count vector on that
     grid lands on a non-dominant weight.  Each dominance inequality links
-    two adjacent coordinates of that product grid, so with lo/hi the
-    extremes of each coordinate, it dies iff lo[c] < hi[c+1] or lo[n-1] < 0.
-
-    The canonical word depends only on the endpoints, the sorted steps,
-    the HSD count and the Laplace power.  words maps that key to the
-    word built for it, and each (weight, step) to its twistor symbol, so
-    a caller that passes one dict builds and validates each canonical
-    word and symbol once.
+    two adjacent coordinates of that product grid, so it dies iff
+    lo[c] < hi[c+1] or lo[n-1] < 0.
     """
-    src = source.entries
-    cur, lo, hi = list(src), list(src), list(src)
-    seen = [0] * len(src)      # steps met so far, per coordinate
-    app_steps = []             # twistor steps in application order
-    inversions = 0             # and, per HSD, the twistors it passes
+    seqs = [[] for _ in source.entries]  # each coordinate's steps met so far
+    inversions = 0                       # higher-coordinate steps each step passes, and twistors each HSD passes
     n_hsd = 0
     for sym in reversed(syms):
         if sym.__class__ is HsdSym:
             n_hsd += 1
-            inversions += len(app_steps)
+            inversions += sum(map(len, seqs))
             continue
-        idx, delta = step = sym.step
-        app_steps.append(step)
-        now = cur[idx] = cur[idx] + delta
-        if now < lo[idx]:
-            lo[idx] = now
-        elif now > hi[idx]:
-            hi[idx] = now
-        inversions += sum(seen[idx + 1:])
-        seen[idx] += 1
-    if lo[-1] < 0 or any(a < b for a, b in zip(lo, hi[1:])):
-        return 0, None
+        idx, delta = sym.step
+        inversions += sum(map(len, seqs[idx + 1 :]))
+        seqs[idx].append(delta)
+    heights = [tuple(accumulate(seq, initial=s)) for s, seq in zip(source.entries, seqs)]
     sign = -1 if inversions % 2 else 1
-
-    sorted_steps = tuple(sorted(app_steps, key=itemgetter(0)))
-    key = (target, source, sorted_steps, n_hsd, lap)
-    canonical = words.get(key)
-    if canonical is None:
-        chain = _canonical_chain(source, sorted_steps, words) + (HsdSym(source),) * n_hsd
-        canonical = words[key] = OperatorWord(target, source, chain, lap)
-    return sign, canonical
+    return sign, (tuple(map(tuple, seqs)), n_hsd, tuple(map(min, heights)), tuple(map(max, heights)))
 
 
-def _canonical_chain(source: Weight, steps: tuple, words: dict) -> tuple:
-    """Twistor chain from source along steps, target first; words keeps each symbol."""
-    chain = []
-    prev = source
-    for step in steps:
-        sym = words.get((prev, step))
-        if sym is None:
-            sym = words[prev, step] = TwistorSym(prev.shifted(*step), prev)
-        chain.append(sym)
-        prev = sym.target
-    return tuple(reversed(chain))
+def _dies(lo: tuple, hi: tuple) -> bool:
+    """The death test of _walk on a walk's extremes."""
+    return lo[-1] < 0 or any(a < b for a, b in zip(lo, hi[1:]))
+
+
+def _canonical_word(source: Weight, walk: tuple, lap: int, words: dict) -> OperatorWord:
+    """The normal-form word of a live walk from source: twistors coordinate by coordinate, HSDs last.
+
+    words maps (source, walk, lap) to the word built for it and each
+    (weight, step) to its twistor symbol, so a caller that passes one
+    dict builds and validates each canonical word and symbol once.
+    """
+    key = (source, walk, lap)
+    word = words.get(key)
+    if word is None:
+        chain = []
+        prev = source
+        for c, seq in enumerate(walk[0]):
+            for d in seq:
+                sym = words.get((prev, (c, d)))
+                if sym is None:
+                    sym = words[prev, (c, d)] = TwistorSym(prev.shifted(c, d), prev)
+                chain.append(sym)
+                prev = sym.target
+        word = words[key] = OperatorWord(prev, source, tuple(reversed(chain)) + (HsdSym(source),) * walk[1], lap)
+    return word
+
+
+def _word_normal_form(word: OperatorWord, words: dict):
+    """Return (sign, canonical word) or (0, None) when the word dies; words is _canonical_word's memo."""
+    sign, walk = _walk(word.source, word.syms)
+    if _dies(walk[2], walk[3]):
+        return 0, None
+    return sign, _canonical_word(word.source, walk, word.lap, words)
 
 
 def normal_form(expr: OperatorExpr, words: dict | None = None) -> OperatorExpr:
@@ -388,11 +397,8 @@ def path_operator(path: Path) -> OperatorExpr:
     forms) or of half-integral weights directly.  The reverse path gives
     the reversed composition.
     """
-    nodes = [w if w.spin else w.spin_shifted() for w in path.nodes]
-    expr = identity_expr(nodes[0])
-    for a, b in zip(nodes, nodes[1:]):
-        expr = twistor(b, a) * expr
-    return expr
+    sign, word = _path_word(path.nodes)  # a Path's nodes are dominant, so sign is +1 or -1
+    return OperatorExpr({word: Fraction(sign)})
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +504,7 @@ def vanish_outside_box(mu: Weight, lam: Weight) -> VanishTrace:
     alternate = lam_minus.shifted(i, 1)
     if is_dominant(alternate):
         raise AssertionError("alternate intermediate unexpectedly dominant")
-    route = (
-        path_operator(canonical_path(lam_plus, mu))
-        * twistor(lam_plus.spin_shifted(), lam_zero.spin_shifted())
-        * twistor(lam_zero.spin_shifted(), lam_minus.spin_shifted())
-        * path_operator(canonical_path(lam, lam_minus))
-    )
+    route = path_operator(Path(canonical_path(lam, lam_minus).nodes + (lam_zero,) + canonical_path(lam_plus, mu).nodes))
     canonical = path_operator(canonical_path(lam, mu))
     reverse = path_operator(canonical_path(lam, mu).reversed())
     return VanishTrace(
@@ -631,15 +632,13 @@ def expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = None) -
         chains = factorial(d)
         for ki in k:
             chains //= factorial(ki)
-        cpath = canonical_path(lam, mu)
-        fwd, rev = path_operator(cpath), path_operator(cpath.reversed())
+        nodes = canonical_path(lam, mu).nodes
+        sign, loop = _path_word(nodes[::-1] + nodes[1:])  # P(mu <- lam) P(lam <- mu)
         if d < p:
             coefficients[lam] = Fraction((-1) ** (d + 1) * chains)
-            term = fwd * laplace_sym(lam.spin_shifted(), p - d - 1) * rev
-            middle.update(term.scale(coefficients[lam]).terms)
+            middle[OperatorWord(mu_s, mu_s, loop.syms, p - d - 1)] = sign * coefficients[lam]
         else:
-            word = OperatorWord(mu_s, mu_s, next(iter(fwd.terms)).syms + next(iter(rev.terms)).syms)
-            residual.update(normal_form(OperatorExpr({word: (-1) ** p * chains})).terms)
+            residual.update(normal_form(OperatorExpr({loop: (-1) ** p * chains})).terms)
 
     if p > mu.entries[0]:
         if residual:
@@ -685,20 +684,12 @@ def _twistor_splice(walk: tuple, i: int, top: int):
     return seqs[:i] + ((-1,) + seqs[i] + (1,),) + seqs[i + 1 :], n_hsd, lo, hi
 
 
-def _walk_chain(v: Weight, walk: tuple, hsd: tuple, words: dict) -> tuple:
-    """Symbols of the canonical word of a walk at v, target first; hsd is (R(v),)."""
-    steps = tuple((c, d) for c, seq in enumerate(walk[0]) for d in seq)
-    return _canonical_chain(v, steps, words) + hsd * walk[1]
-
-
 def _eliminated_power(w: Weight, e: int, memo: dict, budget: WorkBudget) -> dict:
     """E(w, e) of eliminate_laplace as {walk: int}, filling memo one power k at a time.
 
     A word of E(v, k) is in normal form and closed at v, so it is fixed by
-    its walk (seqs, n_hsd, lo, hi): seqs[c] is the steps (+1/-1) of
-    coordinate c in order, n_hsd the HSD count, lo/hi each coordinate's
-    extremes on the walk, v included.  Each seqs[c] sums to 0, so has
-    even length.  The splices follow from _parts_normal_form's rules:
+    its walk (seqs, n_hsd, lo, hi) of _walk.  Each seqs[c] sums to 0, so
+    has even length.  The splices follow from _walk's rules:
 
     * R R x: both HSDs pass every twistor, an even number, so the sign
       is +1 and the walk gains two HSDs; HSDs move no weight, so it lives.
@@ -765,32 +756,39 @@ def eliminate_laplace(
                   - sum_i nf(T(w <- w-e_i) E(w-e_i, e-1) T(w-e_i <- w)).
 
     memo holds E by (w, e) as integer coefficients on walks, spliced one
-    coordinate at a time (_eliminated_power).  Only the E(w, e) spliced
-    into expr become symbol chains; each H * x * T (H ends and T starts
-    at w, x runs w -> w) is normalized from its parts, not built, and
-    words is _parts_normal_form's canonical-word memo.  memo and words
+    coordinate at a time (_eliminated_power).  Each H * x * T is joined
+    on walks, not built: H * T is read once (_walk), and x's steps go
+    after T's in each coordinate.  The sign is that of nf(H T): x's HSDs
+    pass T's twistors, H's HSDs x's twistors, x's steps in coordinate c
+    pass T's above c and H's steps in c pass x's above c, and x, closed,
+    has an even number of HSDs and of steps in each coordinate.  x's
+    walk leaves from w, which H * T passes, so the joined extremes are
+    the min and max of both, and _dies reads them; if H * T dies, every
+    H * x * T does.  words is _canonical_word's memo.  memo and words
     are shared between calls if passed; budget is spent once per new
     entry of memo.  Integral coefficients of expr are taken as ints.
     """
     memo = {} if memo is None else memo
     words = {} if words is None else words
     budget = WorkBudget() if budget is None else budget
-    spliced = {}               # (w, e) -> E(w, e) as [(canonical symbol chain, int)]
+    source = expr.source       # one object, so word-memo hits compare it by identity
     total = {}
     for word, coeff in expr.terms.items():
         if coeff.denominator == 1:
             coeff = coeff.numerator
         j, w = _bottom_position(word)
-        x_terms = spliced.get((w, word.lap))
-        if x_terms is None:
-            hsd = (HsdSym(w),)
-            walks = _eliminated_power(w, word.lap, memo, budget).items()
-            x_terms = spliced[w, word.lap] = [(_walk_chain(w, walk, hsd, words), c) for walk, c in walks]
-        head, tail = word.syms[:j], word.syms[j:]
-        for x, c in x_terms:
-            sign, nf = _parts_normal_form(word.target, word.source, head + x + tail, 0, words)
-            if sign:
-                _accumulate(total, nf, sign * coeff * c)
+        xs = _eliminated_power(w, word.lap, memo, budget)
+        sign, (seqs, n_hsd, lo, hi) = _walk(source, word.syms)
+        if _dies(lo, hi):
+            continue
+        cut = _walk(source, word.syms[j:])[1][0]   # T's steps, per coordinate
+        ends = [(s[: len(t)], s[len(t) :]) for s, t in zip(seqs, cut)]
+        coeff *= sign
+        for (x_seqs, x_hsd, x_lo, x_hi), c in xs.items():
+            joined_lo, joined_hi = tuple(map(min, lo, x_lo)), tuple(map(max, hi, x_hi))
+            if not _dies(joined_lo, joined_hi):
+                joined = tuple(t + x + h for (t, h), x in zip(ends, x_seqs)), n_hsd + x_hsd, joined_lo, joined_hi
+                _accumulate(total, _canonical_word(source, joined, 0, words), coeff * c)
     return OperatorExpr(total, expr.target, expr.source)
 
 

@@ -151,6 +151,18 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert data == {"error": "internal", "type": "AssertionError", "message": "projector is not idempotent"}
 
 
+def test_zero_division_is_an_internal_error(capsys, monkeypatch):
+    """No usage check divides by zero, so a ZeroDivisionError is an engine fault: exit 3, not 2."""
+    def broken(args, mu):
+        raise ZeroDivisionError("QQi division by zero")
+
+    _, help_text, flags = cli._COMMANDS["box"]
+    monkeypatch.setitem(cli._COMMANDS, "box", (broken, help_text, flags))
+    code, data = run_json(capsys, ["box", "--mu", "2,1"])
+    assert code == 3
+    assert data == {"error": "internal", "type": "ZeroDivisionError", "message": "QQi division by zero"}
+
+
 def test_span_failure_is_an_internal_error(capsys, monkeypatch):
     """An image leaving the codomain span is an engine self-check: exit 3, not a usage error."""
     from hsdfactor import repthy

@@ -355,7 +355,7 @@ def test_reexpansion_builds_each_twistor_symbol_once(monkeypatch):
 # --- the parts-based splice on integer coefficients --------------------------
 
 def test_reexpansion_builds_no_spliced_words(monkeypatch):
-    # each H * x * T is normalized from its parts; only canonical words,
+    # each H * x * T is joined on walks; only canonical words,
     # identities and the assembled certificate are built (4,246 words
     # when every spliced word was built and validated)
     cert = expand_laplace_power(weight(6, 4, 2), 7)

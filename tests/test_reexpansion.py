@@ -5,8 +5,10 @@ they replaced.
 The oracles below are the earlier production code, kept verbatim apart
 from their names: `grid_word_normal_form` visits every count vector of
 the step grid, `tree_eliminate_laplace` rewrites one Laplace factor per
-step until no word carries one, and `tree_expand_laplace_power` walks
-every chain of lowerings that the Laplace power unfolds into.
+step until no word carries one, `tree_expand_laplace_power` walks
+every chain of lowerings that the Laplace power unfolds into, and
+`product_path_operator` multiplies one `product_twistor` expression per
+edge.
 """
 
 import dataclasses
@@ -26,28 +28,48 @@ from hsdfactor.opalgebra import (
     WorkBudget,
     _accumulate,
     _bottom_position,
+    _canonical_word,
     _eliminated_power,
     _lowerings,
-    _parts_normal_form,
     _twistor_splice,
-    _walk_chain,
     _word_normal_form,
     certificate_reexpands,
     eliminate_laplace,
     expand_laplace_power,
     hsd_sym,
+    identity_expr,
     laplace_sym,
     normal_form,
+    normalization_sign,
     path_operator,
+    twistor,
 )
 from hsdfactor.linalg import ResourceCapError
-from hsdfactor.weights import Weight, box, canonical_path, is_dominant, manhattan_distance, weight
+from hsdfactor.weights import Weight, box, canonical_path, enumerate_paths, is_dominant, manhattan_distance, weight
 
 
 # --- oracles ---------------------------------------------------------------
 
 def _dominant_entries(entries) -> bool:
     return all(entries[i] >= entries[i + 1] for i in range(len(entries) - 1)) and entries[-1] >= 0
+
+
+def product_twistor(target: Weight, source: Weight) -> OperatorExpr:
+    if not (is_dominant(target) and is_dominant(source)):
+        return ZERO
+    sym = TwistorSym(target, source)
+    idx, delta = sym.step
+    lower = source if delta > 0 else target
+    sign = normalization_sign(lower.integral_part(), idx + 1)
+    return OperatorExpr({OperatorWord(target, source, (sym,)): Fraction(sign)})
+
+
+def product_path_operator(path) -> OperatorExpr:
+    nodes = [w if w.spin else w.spin_shifted() for w in path.nodes]
+    expr = identity_expr(nodes[0])
+    for a, b in zip(nodes, nodes[1:]):
+        expr = product_twistor(b, a) * expr
+    return expr
 
 
 def grid_word_normal_form(word: OperatorWord):
@@ -323,6 +345,43 @@ def test_closed_form_enumerates_only_weights_within_p_steps():
     assert len(cert.residual.terms) == 3
 
 
+# --- path and certificate words against products of one-symbol expressions -
+
+CERTS = [(weight(2, 1), 3), (weight(3, 1, 0), 4), (weight(2, 1), 2), (weight(1, 1, 1), 1)]
+
+
+@pytest.mark.parametrize("mu", [weight(2, 1), weight(3, 2, 1), weight(3, 1, 1), weight(2, 2, 1, 1)])
+def test_path_operator_matches_product_of_twistors(mu):
+    """Every path from every dominant nu below mu, both directions."""
+    count = 0
+    for entries in itertools.product(*(range(m + 1) for m in mu.entries)):
+        nu = Weight(entries)
+        if is_dominant(nu):
+            for path in enumerate_paths(nu, mu).paths:
+                for walk in (path, path.reversed()):
+                    assert path_operator(walk) == product_path_operator(walk), (nu, mu, walk.changes)
+                    count += 1
+    assert count == {(2, 1): 14, (3, 2, 1): 136, (3, 1, 1): 50, (2, 2, 1, 1): 80}[mu.entries]
+
+
+def test_twistor_matches_the_product_oracle_on_single_steps():
+    ws = [Weight(e, spin=True) for e in itertools.product(range(-1, 3), repeat=2)]
+    pairs = [(t, s) for t in ws for s in ws if manhattan_distance(t, s) == 1]
+    assert all(twistor(t, s) == product_twistor(t, s) for t, s in pairs)
+    assert any(twistor(t, s).is_zero() for t, s in pairs) and any(not twistor(t, s).is_zero() for t, s in pairs)
+
+
+@pytest.mark.parametrize("mu,p", CERTS)
+def test_middle_matches_product_of_path_operators(mu, p):
+    cert = expand_laplace_power(mu, p)
+    middle = ZERO
+    for lam, c in cert.coefficients.items():
+        cpath = canonical_path(lam, mu)
+        lap = laplace_sym(lam.spin_shifted(), p - manhattan_distance(mu, lam) - 1)
+        middle = middle + (product_path_operator(cpath) * lap * product_path_operator(cpath.reversed())).scale(c)
+    assert cert.middle == middle
+
+
 # --- random words ----------------------------------------------------------
 
 examples = settings(max_examples=150, deadline=None)
@@ -426,6 +485,39 @@ def test_splice_lemma(parts):
     assert whole == ((sign_x * sign, nf) if sign else (0, None))
 
 
+# --- the walk join of H * x * T ---------------------------------------------
+
+def check_walk_join(word: OperatorWord, k: int) -> set:
+    """eliminate_laplace on word * Lap^k, with E(w, k) set to one walk x at a
+    time, against _word_normal_form of the chain H x T; returns which of
+    "dead" and "alive" the joined words were."""
+    j, w = _bottom_position(word)
+    seen = set()
+    for x in _eliminated_power(w, k, {}, WorkBudget()):
+        expr = OperatorExpr({dataclasses.replace(word, lap=k): 1})
+        joined = eliminate_laplace(expr, {(w, k): {x: 1}})
+        chain = word.syms[:j] + _canonical_word(w, x, 0, {}).syms + word.syms[j:]
+        sign, nf = _word_normal_form(OperatorWord(word.target, word.source, chain), {})
+        assert joined == (OperatorExpr({nf: sign}) if sign else ZERO), (str(word), x)
+        seen.add("alive" if sign else "dead")
+    return seen
+
+
+@examples
+@given(words(), st.integers(1, 3))
+def test_walk_join_matches_whole_chain_normal_form(word, k):
+    check_walk_join(word, k)
+
+
+def test_walk_join_kills_words_that_only_the_join_makes_dead():
+    # H * T = T((1,1)' <- (1,0)') T((1,0)' <- (1,1)') lives, with bottom (1,0)';
+    # an x lowering coordinate 1 there meets coordinate 2 at 1 and dies
+    a, b = weight(1, 1, spin=True), weight(1, 0, spin=True)
+    word = OperatorWord(a, a, (TwistorSym(a, b), TwistorSym(b, a)))
+    assert _word_normal_form(word, {})[0]
+    assert check_walk_join(word, 1) == {"dead", "alive"}
+
+
 # --- the one-coordinate splices of the memo ----------------------------------
 
 def walk_of(v: Weight, syms: tuple):
@@ -449,7 +541,7 @@ def walk_of(v: Weight, syms: tuple):
 def memo_weights(draw):
     """A dominant half-integral v of rank 1-4 and a power k >= 1.
 
-    Every splice is checked against _parts_normal_form on the whole word
+    Every splice is checked against _word_normal_form on the whole word
     it stands for: the sign (+1, or the word dies) and the canonical word.
     """
     rank = draw(st.integers(1, 4))
@@ -466,27 +558,25 @@ def test_one_coordinate_splice_matches_whole_word_normal_form(case):
     words = {}
     r = HsdSym(v)
     for x in memo[v, k - 1]:
-        chain = _walk_chain(v, x, (r,), words)
+        chain = _canonical_word(v, x, 0, words).syms
         assert walk_of(v, chain) == x
-        sign, nf = _parts_normal_form(v, v, (r, r) + chain, 0, {})
+        sign, nf = _word_normal_form(OperatorWord(v, v, (r, r) + chain), {})
         assert sign == 1 and walk_of(v, nf.syms) == (x[0], x[1] + 2, x[2], x[3])
     for i, low in _lowerings(v):
         up, down = TwistorSym(v, low), TwistorSym(low, v)
         for x in memo[low, k - 1]:
-            chain = _walk_chain(low, x, (HsdSym(low),), words)
+            chain = _canonical_word(low, x, 0, words).syms
             assert walk_of(low, chain) == x
-            sign, nf = _parts_normal_form(v, v, (up,) + chain + (down,), 0, {})
+            sign, nf = _word_normal_form(OperatorWord(v, v, (up,) + chain + (down,)), {})
             walk = _twistor_splice(x, i, v.entries[i])
             if walk is None:
                 assert (sign, nf) == (0, None)
             else:
                 assert sign == 1 and walk == walk_of(v, nf.syms)
-                assert _walk_chain(v, walk, (r,), words) == nf.syms
+                assert _canonical_word(v, walk, 0, words) == nf
 
 
 # --- tampered certificates -------------------------------------------------
-
-CERTS = [(weight(2, 1), 3), (weight(3, 1, 0), 4), (weight(2, 1), 2), (weight(1, 1, 1), 1)]
 
 
 def _first_term(expr):
