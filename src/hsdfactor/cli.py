@@ -5,12 +5,12 @@ path | box | theorem | induction | corollary.  `_COMMANDS` gives each its
 handler, its help and the flags it reads besides --mu, --rank and --json;
 argparse rejects any other flag.
 Exit codes: 0 success / all checks passed, 1 some verification check
-failed, 2 usage or resource error, 3 internal error (an exact self-check
-of the engine failed, or an unexpected lookup or arithmetic error; printed
-as ``{"error": "internal", ...}``, with the traceback on stderr, so it is
-never read as a failed check).
-Reports are deterministic JSON (sorted keys); the wall-time field is the
-only varying part.
+failed, 2 usage or resource error or a report that cannot be written, 3
+internal error (an exact self-check of the engine failed, or an unexpected
+lookup or arithmetic error; printed as ``{"error": "internal", ...}``,
+with the traceback on stderr, so it is never read as a failed check).
+Reports are deterministic JSON in the layout of json.dumps(sort_keys=True,
+indent=2); the wall-time field is the only varying part.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 import time
 
@@ -41,7 +42,7 @@ from .hsd import (
     verify_induction_dims,
 )
 from .repthy import simplicial_monogenic_basis, weyl_dim
-from .reports import Check, Report
+from .reports import Check, Report, render
 from .weights import Weight, box, canonical_path, enumerate_paths, is_dominant
 
 
@@ -67,15 +68,28 @@ def _dominants_below(mu: Weight):
 
 
 def _emit(report: Report, command: str, args, started: float) -> int:
-    payload = report.to_jsonable()
+    """Write the report; a report that cannot be written is a usage error (exit 2), not a failed check."""
+    payload = report.fields()
     payload["command"] = command
     payload["wall_time_s"] = round(time.time() - started, 3)
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = render(payload)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write the report: {exc}") from exc
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone; point stdout at devnull so the flush at exit cannot fail again
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            print("error: stdout was closed before the report was written", file=sys.stderr)
+            return 2
     return 0 if report.passed else 1
 
 
@@ -145,8 +159,9 @@ def _verify_path(args, mu):
             raise ValueError(f"{w} is not dominant")
     checks = []
     details = []
+    words: dict = {}  # edges and canonical words, shared by every pair of this command
     for nu in nus:
-        rep = verify_path_independence(nu, mu, cap=args.cap)
+        rep = verify_path_independence(nu, mu, cap=args.cap, words=words)
         if rep.results["truncated"]:
             raise ResourceCapError(f"more than {args.cap} paths from {nu} to {mu}")
         checks.append(Check(f"paths_{nu}_{mu}", rep.passed, {"count": rep.results["path_count"]}))
@@ -162,10 +177,11 @@ def _verify_path(args, mu):
 def _verify_box(args, mu):
     inside = set(box(mu))
     checks = []
+    words: dict = {}  # edges and canonical words, shared by the box's paths
     for lam in _dominants_below(mu):
         if lam in inside:
             path = canonical_path(lam, mu)
-            ok = not any(normal_form(path_operator(p)).is_zero() for p in (path, path.reversed()))
+            ok = not any(normal_form(path_operator(p, words), words=words).is_zero() for p in (path, path.reversed()))
             details = {"in_box": True}
         else:  # the trace's verdict covers the normal forms of the canonical and the reversed path
             trace = vanish_outside_box(mu, lam)

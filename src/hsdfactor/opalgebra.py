@@ -247,19 +247,31 @@ def normalization_sign(mu: Weight, p: int) -> int:
     return -1 if sum(mu.entries[p:]) % 2 else 1
 
 
-def _path_word(nodes) -> tuple:
+def _path_word(nodes, edges: dict) -> tuple:
     """(sign, word) of the twistor chain along nodes, integral nodes taken half-integral; sign is
-    the product of the steps' normalization signs, and (0, None) means a node is non-dominant."""
-    nodes = [w if w.spin else w.spin_shifted() for w in nodes]
-    if not all(map(is_dominant, nodes)):
+    the product of the steps' normalization signs, and (0, None) means a node is non-dominant.
+
+    edges maps each step (a, b) met to its (sign, symbol), so a caller that
+    passes one dict builds and validates each edge once.  Each symbol is
+    also filed under _canonical_word's (source, step) key, so edges may be
+    normal_form's words memo, and both then share one symbol per edge.
+    """
+    if not is_dominant(nodes[0]):  # the edges check every other node
         return 0, None
     sign, syms = 1, []
     for a, b in zip(nodes, nodes[1:]):
-        sym = TwistorSym(b, a)
-        idx, delta = sym.step
-        sign *= normalization_sign((a if delta > 0 else b).integral_part(), idx + 1)
-        syms.append(sym)
-    return sign, OperatorWord(nodes[-1], nodes[0], tuple(reversed(syms)))
+        edge = edges.get((a, b))
+        if edge is None:
+            if not (is_dominant(a) and is_dominant(b)):
+                return 0, None
+            sym = TwistorSym(*(w if w.spin else w.spin_shifted() for w in (b, a)))
+            sym = edges.setdefault((sym.source, sym.step), sym)
+            idx, delta = sym.step
+            edge = edges[a, b] = (normalization_sign((a if delta > 0 else b).integral_part(), idx + 1), sym)
+        sign *= edge[0]
+        syms.append(edge[1])
+    target, source = (w if w.spin else w.spin_shifted() for w in (nodes[-1], nodes[0]))
+    return sign, OperatorWord(target, source, tuple(reversed(syms)))
 
 
 def twistor(target: Weight, source: Weight) -> OperatorExpr:
@@ -268,7 +280,7 @@ def twistor(target: Weight, source: Weight) -> OperatorExpr:
         raise ValueError("twistor endpoints must both be half-integral")
     if manhattan_distance(target, source) != 1:
         raise ValueError(f"twistor endpoints {target}, {source} not at distance 1")
-    sign, word = _path_word((source, target))
+    sign, word = _path_word((source, target), {})
     return OperatorExpr({word: Fraction(sign)}) if sign else ZERO
 
 
@@ -390,14 +402,15 @@ def normal_form(expr: OperatorExpr, words: dict | None = None) -> OperatorExpr:
     return OperatorExpr(terms, expr.target, expr.source)
 
 
-def path_operator(path: Path) -> OperatorExpr:
+def path_operator(path: Path, edges: dict | None = None) -> OperatorExpr:
     """Composition of normalized twistor symbols along a path.
 
     Accepts paths of integral weights (shifted to their half-integral
     forms) or of half-integral weights directly.  The reverse path gives
-    the reversed composition.
+    the reversed composition.  edges is _path_word's memo: callers that
+    build many path operators pass one dict and drop it when done.
     """
-    sign, word = _path_word(path.nodes)  # a Path's nodes are dominant, so sign is +1 or -1
+    sign, word = _path_word(path.nodes, {} if edges is None else edges)  # a Path's nodes are dominant: sign is +-1
     return OperatorExpr({word: Fraction(sign)})
 
 
@@ -405,8 +418,12 @@ def path_operator(path: Path) -> OperatorExpr:
 # verification helpers
 
 
-def verify_path_independence(nu: Weight, mu: Weight, cap: int = 10000) -> Report:
-    """All paths (and all reverse paths) give one normal form each way."""
+def verify_path_independence(nu: Weight, mu: Weight, cap: int = 10000, words: dict | None = None) -> Report:
+    """All paths (and all reverse paths) give one normal form each way.
+
+    words is the memo of normal_form and of path_operator's edges; a
+    caller that checks many pairs may pass one dict to all of them.
+    """
     if not bruhat_leq(nu, mu):
         raise ValueError(f"{nu} is not below {mu}")
     enum = enumerate_paths(nu, mu, cap=cap)
@@ -416,10 +433,10 @@ def verify_path_independence(nu: Weight, mu: Weight, cap: int = 10000) -> Report
         # agreement among the first cap paths proves nothing; skip the normal forms
         checks = [Check("enumeration_complete", False, {"cap": cap})]
     else:
-        words: dict = {}
+        words = {} if words is None else words
         for p in enum.paths:
-            forward_forms.append(normal_form(path_operator(p), words=words))
-            reverse_forms.append(normal_form(path_operator(p.reversed()), words=words))
+            forward_forms.append(normal_form(path_operator(p, words), words=words))
+            reverse_forms.append(normal_form(path_operator(p.reversed(), words), words=words))
         fwd_ok = all(f == forward_forms[0] for f in forward_forms) if forward_forms else True
         rev_ok = all(r == reverse_forms[0] for r in reverse_forms) if reverse_forms else True
         checks = [
@@ -504,9 +521,11 @@ def vanish_outside_box(mu: Weight, lam: Weight) -> VanishTrace:
     alternate = lam_minus.shifted(i, 1)
     if is_dominant(alternate):
         raise AssertionError("alternate intermediate unexpectedly dominant")
-    route = path_operator(Path(canonical_path(lam, lam_minus).nodes + (lam_zero,) + canonical_path(lam_plus, mu).nodes))
-    canonical = path_operator(canonical_path(lam, mu))
-    reverse = path_operator(canonical_path(lam, mu).reversed())
+    words: dict = {}  # the memo of path_operator and normal_form, for this trace alone
+    route = Path(canonical_path(lam, lam_minus).nodes + (lam_zero,) + canonical_path(lam_plus, mu).nodes)
+    route = path_operator(route, words)
+    canonical = path_operator(canonical_path(lam, mu), words)
+    reverse = path_operator(canonical_path(lam, mu).reversed(), words)
     return VanishTrace(
         mu=mu,
         lam=lam,
@@ -515,9 +534,9 @@ def vanish_outside_box(mu: Weight, lam: Weight) -> VanishTrace:
         lam_zero=lam_zero,
         lam_plus=lam_plus,
         alternate=alternate,
-        route_normal_form=normal_form(route),
-        canonical_normal_form=normal_form(canonical),
-        reverse_normal_form=normal_form(reverse),
+        route_normal_form=normal_form(route, words=words),
+        canonical_normal_form=normal_form(canonical, words=words),
+        reverse_normal_form=normal_form(reverse, words=words),
     )
 
 
@@ -622,6 +641,7 @@ def expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = None) -
     mu_s = mu.spin_shifted()
     budget = WorkBudget() if budget is None else budget
 
+    words: dict = {}  # the memo of _path_word's edges and of normal_form
     coefficients: dict[Weight, Fraction] = {}
     middle: dict[OperatorWord, Fraction] = {}
     residual: dict[OperatorWord, Fraction] = {}
@@ -633,12 +653,12 @@ def expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = None) -
         for ki in k:
             chains //= factorial(ki)
         nodes = canonical_path(lam, mu).nodes
-        sign, loop = _path_word(nodes[::-1] + nodes[1:])  # P(mu <- lam) P(lam <- mu)
+        sign, loop = _path_word(nodes[::-1] + nodes[1:], words)  # P(mu <- lam) P(lam <- mu)
         if d < p:
             coefficients[lam] = Fraction((-1) ** (d + 1) * chains)
             middle[OperatorWord(mu_s, mu_s, loop.syms, p - d - 1)] = sign * coefficients[lam]
         else:
-            residual.update(normal_form(OperatorExpr({loop: (-1) ** p * chains})).terms)
+            residual.update(normal_form(OperatorExpr({loop: (-1) ** p * chains}), words=words).terms)
 
     if p > mu.entries[0]:
         if residual:
@@ -734,15 +754,29 @@ def _eliminated_power(w: Weight, e: int, memo: dict, budget: WorkBudget) -> dict
     return memo[w, e]
 
 
-def eliminate_laplace(
-    expr: OperatorExpr, memo: dict | None = None, budget: WorkBudget | None = None, words: dict | None = None
-) -> OperatorExpr:
+def eliminate_laplace(expr: OperatorExpr, memo: dict | None = None, budget: WorkBudget | None = None) -> OperatorExpr:
     """Rewrite every Laplace power away via the expander's convention.
 
     Each elimination slides one Laplace factor to the chain's bottom
     weight w and replaces it by -R(w)^2 - sum_i T(w <- w-e_i)
     T(w-e_i <- w); the result is a pure twistor/HSD expression in
-    normal form, suitable for exact equality checks.
+    normal form, suitable for exact equality checks.  It is
+    _eliminated_walks(expr), whose memo and budget these are, with each
+    walk built into its canonical word.
+    """
+    walks = _eliminated_walks(expr, {} if memo is None else memo, WorkBudget() if budget is None else budget)
+    words: dict = {}
+    return OperatorExpr(
+        {_canonical_word(expr.source, walk, 0, words): c for walk, c in walks.items()}, expr.target, expr.source
+    )
+
+
+def _eliminated_walks(expr: OperatorExpr, memo: dict, budget: WorkBudget) -> dict:
+    """eliminate_laplace(expr) as {walk from expr.source: coefficient}, with no word built.
+
+    _canonical_word is injective on the walks from one source, so two
+    expressions from one source eliminate to the same expression iff
+    their walk dicts are equal.
 
     The inserted symbols keep the bottom among them, so H * Lap(w)^e * T
     (bottom w) rewrites to the words H * X * T, X running over the
@@ -764,14 +798,11 @@ def eliminate_laplace(
     has an even number of HSDs and of steps in each coordinate.  x's
     walk leaves from w, which H * T passes, so the joined extremes are
     the min and max of both, and _dies reads them; if H * T dies, every
-    H * x * T does.  words is _canonical_word's memo.  memo and words
-    are shared between calls if passed; budget is spent once per new
-    entry of memo.  Integral coefficients of expr are taken as ints.
+    H * x * T does.  memo is shared between calls if the caller passes
+    one dict; budget is spent once per new entry of memo.  Integral
+    coefficients of expr are taken as ints.
     """
-    memo = {} if memo is None else memo
-    words = {} if words is None else words
-    budget = WorkBudget() if budget is None else budget
-    source = expr.source       # one object, so word-memo hits compare it by identity
+    source = expr.source
     total = {}
     for word, coeff in expr.terms.items():
         if coeff.denominator == 1:
@@ -788,16 +819,18 @@ def eliminate_laplace(
             joined_lo, joined_hi = tuple(map(min, lo, x_lo)), tuple(map(max, hi, x_hi))
             if not _dies(joined_lo, joined_hi):
                 joined = tuple(t + x + h for (t, h), x in zip(ends, x_seqs)), n_hsd + x_hsd, joined_lo, joined_hi
-                _accumulate(total, _canonical_word(source, joined, 0, words), coeff * c)
-    return OperatorExpr(total, expr.target, expr.source)
+                _accumulate(total, joined, coeff * c)
+    return total
 
 
 def certificate_reexpands(cert: FactorizationCertificate, budget: WorkBudget | None = None) -> bool:
-    """Exact check, one pair of memos for both sides: R * middle * R + residual = Lap(mu)^power."""
+    """Exact check, one memo for both sides: R * middle * R + residual = Lap(mu)^power.
+
+    Both sides start at mu', so they are compared as walk dicts, without
+    building their words (_eliminated_walks).
+    """
     mu_s = cert.mu.spin_shifted()
     assembled = hsd_sym(mu_s) * cert.middle * hsd_sym(mu_s) + cert.residual
     memo: dict = {}
-    words: dict = {}
-    lhs = eliminate_laplace(laplace_sym(mu_s, cert.power), memo, budget, words)
-    rhs = eliminate_laplace(assembled, memo, budget, words)
-    return lhs == rhs
+    budget = WorkBudget() if budget is None else budget
+    return _eliminated_walks(laplace_sym(mu_s, cert.power), memo, budget) == _eliminated_walks(assembled, memo, budget)

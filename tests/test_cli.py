@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -416,3 +420,26 @@ def test_rank_mismatch_names_the_flag(capsys):
         cli.run(["paths", "--mu", "2,1", "--nu", "1", "--rank", "2"])
     assert exc.value.code == 2
     assert capsys.readouterr().err == "error: --nu has rank 1, but --rank 2 was given\n"
+
+
+def test_unwritable_report_is_a_usage_error(capsys, tmp_path):
+    # exit 1 means a failed check; a report that cannot be written is not one
+    target = tmp_path / "missing" / "r.json"
+    code, data = run_json(capsys, ["box", "--mu", "2,1", "--json", str(target)])
+    assert code == 2
+    assert data["error"] == "usage"
+    assert data["message"].startswith("cannot write the report: ") and str(target) in data["message"]
+    assert not target.exists()
+
+
+def test_closed_stdout_exits_2_with_one_line_on_stderr():
+    # the report (about 93 kB) is larger than a pipe holds, so the reader's exit breaks the write
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "hsdfactor.cli", "factorize", "--mu", "6,4,2", "--power", "7"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err.splitlines() == ["error: stdout was closed before the report was written"]

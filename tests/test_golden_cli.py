@@ -1,8 +1,9 @@
 """Byte-identity of the CLI reports on a fixed list of cheap commands.
 
 Every report is compared in full (params, checks, results, passed and
-the exit code), minus `wall_time_s`, against `golden_cli.json`.  To
-record the file again from the current source:
+the exit code), minus `wall_time_s`, against `golden_cli.json`, and its
+raw text against the layout of `json.dumps(sort_keys=True, indent=2)`.
+To record the file again from the current source:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -41,24 +42,27 @@ CASES = [
 ]
 
 
-def run_case(argv) -> dict:
+def run_case(argv) -> tuple:
+    """(the golden record of one command, without wall_time_s; its raw stdout)."""
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = cli.run(argv)
     report = json.loads(buf.getvalue())
     report.pop("wall_time_s", None)
-    return {"argv": argv, "exit": code, "report": report}
+    return {"argv": argv, "exit": code, "report": report}, buf.getvalue()
 
 
 @pytest.mark.parametrize("index", range(len(CASES)), ids=[" ".join(c) for c in CASES])
 def test_cli_report_matches_golden(index):
     golden = json.loads(GOLDEN.read_text())
     assert [g["argv"] for g in golden] == CASES
-    got = run_case(CASES[index])
+    got, out = run_case(CASES[index])
     assert json.dumps(got, sort_keys=True) == json.dumps(golden[index], sort_keys=True)
+    # the layout is part of the contract, not only the parsed values
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 if __name__ == "__main__":
-    records = [run_case(argv) for argv in CASES]
+    records = [run_case(argv)[0] for argv in CASES]
     GOLDEN.write_text(json.dumps(records, sort_keys=True, indent=1) + "\n")
     sys.stderr.write(f"wrote {len(records)} reports to {GOLDEN}\n")

@@ -599,6 +599,36 @@ def test_tampered_certificates_do_not_reexpand(mu, p):
     assert not certificate_reexpands(dataclasses.replace(cert, residual=extra))
 
 
+@st.composite
+def tampered_certificates(draw):
+    """A certificate of certificate_cases(), as built or with its middle or residual changed."""
+    mu, p = draw(certificate_cases())
+    cert = expand_laplace_power(mu, p)
+    mu_s = mu.spin_shifted()
+    words = sorted(cert.middle.terms, key=lambda w: w.sort_key())
+    change = draw(st.sampled_from(["none", "bump", "drop", "residual"]))
+    if change == "bump" and words:
+        bumped = dict(cert.middle.terms)
+        bumped[draw(st.sampled_from(words))] += draw(st.integers(-2, 2))
+        return dataclasses.replace(cert, middle=OperatorExpr(bumped, mu_s, mu_s))
+    if change == "drop" and words:
+        word = draw(st.sampled_from(words))
+        kept = {w: c for w, c in cert.middle.terms.items() if w != word}
+        return dataclasses.replace(cert, middle=OperatorExpr(kept, mu_s, mu_s))
+    if change == "residual":
+        extra = draw(st.sampled_from([hsd_sym(mu_s) * hsd_sym(mu_s), laplace_sym(mu_s, draw(st.integers(1, 2)))]))
+        return dataclasses.replace(cert, residual=cert.residual + extra.scale(draw(st.integers(-2, 2))))
+    return cert
+
+
+@settings(max_examples=80, deadline=None)
+@given(tampered_certificates())
+def test_walk_comparison_matches_the_word_comparison(cert):
+    # certificate_reexpands compares walk dicts; eliminate_laplace builds the words
+    lhs, rhs = sides(cert)
+    assert certificate_reexpands(cert) == (eliminate_laplace(lhs) == eliminate_laplace(rhs))
+
+
 # --- the work budget -------------------------------------------------------
 
 def test_budget_counts_expander_states_plus_memo_entries():
