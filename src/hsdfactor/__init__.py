@@ -1,7 +1,6 @@
 """Exact engine for factoring Laplace powers through higher-spin Dirac operators."""
 
 from .weights import (
-    Path,
     Weight,
     box,
     bruhat_leq,
@@ -9,6 +8,7 @@ from .weights import (
     enumerate_paths,
     is_dominant,
     manhattan_distance,
+    path_changes,
     summand_weights,
     weight,
 )

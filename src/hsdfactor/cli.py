@@ -43,7 +43,7 @@ from .hsd import (
 )
 from .repthy import simplicial_monogenic_basis, weyl_dim
 from .reports import Check, Report, render
-from .weights import Weight, box, canonical_path, enumerate_paths, is_dominant
+from .weights import Weight, box, canonical_path, enumerate_paths, is_dominant, path_changes
 
 
 def _parse_weight(flag: str, text: str, rank=None) -> Weight:
@@ -101,6 +101,7 @@ def _box(args, mu):
 def _paths(args, mu):
     nu = _parse_weight("--nu", args.nu, args.rank) if args.nu else Weight((0,) * mu.rank)
     enum = enumerate_paths(nu, mu, cap=args.cap)
+    canonical = canonical_path(nu, mu)
     return Report(
         title="paths",
         params={"nu": nu, "mu": mu, "cap": args.cap},
@@ -108,8 +109,8 @@ def _paths(args, mu):
         results={
             "count": len(enum.paths),
             "truncated": enum.truncated,
-            "change_sequences": [list(p.changes) for p in enum.paths],
-            "canonical": canonical_path(nu, mu),
+            "change_sequences": [list(path_changes(p)) for p in enum.paths],
+            "canonical": {"nodes": canonical, "changes": path_changes(canonical), "direction": "forward"},
         },
     )
 
@@ -181,10 +182,10 @@ def _verify_box(args, mu):
     for lam in _dominants_below(mu):
         if lam in inside:
             path = canonical_path(lam, mu)
-            ok = not any(normal_form(path_operator(p, words), words=words).is_zero() for p in (path, path.reversed()))
+            ok = not any(normal_form(path_operator(p, words), words=words).is_zero() for p in (path, path[::-1]))
             details = {"in_box": True}
         else:  # the trace's verdict covers the normal forms of the canonical and the reversed path
-            trace = vanish_outside_box(mu, lam)
+            trace = vanish_outside_box(mu, lam, words)
             ok = trace.vanished
             details = {"in_box": False, "trace": trace.to_jsonable()}
         checks.append(Check(f"box_{lam}", ok, details))

@@ -499,7 +499,7 @@ def verify_factorization_numeric(
     chains = []
     for lam in support:
         # P(mu <- lam) Lap^e P(lam <- mu), built from the inside out
-        nodes = [w.spin_shifted() for w in canonical_path(lam, mu).nodes]
+        nodes = [w.spin_shifted() for w in canonical_path(lam, mu)]
         mid = laplace_deriv_op(m, ps.dim(nodes[0]), p - manhattan_distance(mu, lam) - 1)
         for a, b in zip(nodes, nodes[1:]):
             mid = op_between(b, a).compose(mid).compose(op_between(a, b))

@@ -38,13 +38,13 @@ from math import factorial
 
 from .weights import (
     Weight,
-    Path,
     box,
     bruhat_leq,
     canonical_path,
     enumerate_paths,
     is_dominant,
     manhattan_distance,
+    path_changes,
 )
 from .linalg import ResourceCapError
 from .reports import Check, Report, jsonable
@@ -402,16 +402,18 @@ def normal_form(expr: OperatorExpr, words: dict | None = None) -> OperatorExpr:
     return OperatorExpr(terms, expr.target, expr.source)
 
 
-def path_operator(path: Path, edges: dict | None = None) -> OperatorExpr:
-    """Composition of normalized twistor symbols along a path.
+def path_operator(nodes, edges: dict | None = None) -> OperatorExpr:
+    """Composition of normalized twistor symbols along a path's nodes.
 
-    Accepts paths of integral weights (shifted to their half-integral
-    forms) or of half-integral weights directly.  The reverse path gives
-    the reversed composition.  edges is _path_word's memo: callers that
-    build many path operators pass one dict and drop it when done.
+    Accepts nodes of integral weights (shifted to their half-integral
+    forms) or of half-integral weights directly; zero when a node is
+    non-dominant, and a step that is not a unit step raises.  The
+    reversed nodes give the reversed composition.  edges is _path_word's
+    memo: callers that build many path operators pass one dict and drop
+    it when done.
     """
-    sign, word = _path_word(path.nodes, {} if edges is None else edges)  # a Path's nodes are dominant: sign is +-1
-    return OperatorExpr({word: Fraction(sign)})
+    sign, word = _path_word(nodes, {} if edges is None else edges)
+    return OperatorExpr({word: Fraction(sign)}) if sign else ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +438,7 @@ def verify_path_independence(nu: Weight, mu: Weight, cap: int = 10000, words: di
         words = {} if words is None else words
         for p in enum.paths:
             forward_forms.append(normal_form(path_operator(p, words), words=words))
-            reverse_forms.append(normal_form(path_operator(p.reversed(), words), words=words))
+            reverse_forms.append(normal_form(path_operator(p[::-1], words), words=words))
         fwd_ok = all(f == forward_forms[0] for f in forward_forms) if forward_forms else True
         rev_ok = all(r == reverse_forms[0] for r in reverse_forms) if reverse_forms else True
         checks = [
@@ -450,7 +452,7 @@ def verify_path_independence(nu: Weight, mu: Weight, cap: int = 10000, words: di
         results={
             "path_count": len(enum.paths),
             "truncated": enum.truncated,
-            "change_sequences": [list(p.changes) for p in enum.paths],
+            "change_sequences": [list(path_changes(p)) for p in enum.paths],
             "normal_form": None if enum.truncated else str(forward_forms[0]) if forward_forms else "0",
         },
     )
@@ -490,13 +492,14 @@ class VanishTrace:
         }
 
 
-def vanish_outside_box(mu: Weight, lam: Weight) -> VanishTrace:
+def vanish_outside_box(mu: Weight, lam: Weight, words: dict | None = None) -> VanishTrace:
     """Trace the annihilation of P(mu <- lam) for lam below mu, outside its box.
 
     The route passes through the triple lam_minus -> lam_zero -> lam_plus
     around the failing coordinate; the two-step composition across that
     corner has a non-dominant alternate intermediate and is therefore
-    zero, which the rewriting engine detects on its own.
+    zero, which the rewriting engine detects on its own.  words is the
+    memo of path_operator and normal_form, as in verify_path_independence.
     """
     if not bruhat_leq(lam, mu):
         raise ValueError(f"{lam} is not below {mu}")
@@ -521,11 +524,16 @@ def vanish_outside_box(mu: Weight, lam: Weight) -> VanishTrace:
     alternate = lam_minus.shifted(i, 1)
     if is_dominant(alternate):
         raise AssertionError("alternate intermediate unexpectedly dominant")
-    words: dict = {}  # the memo of path_operator and normal_form, for this trace alone
-    route = Path(canonical_path(lam, lam_minus).nodes + (lam_zero,) + canonical_path(lam_plus, mu).nodes)
-    route = path_operator(route, words)
-    canonical = path_operator(canonical_path(lam, mu), words)
-    reverse = path_operator(canonical_path(lam, mu).reversed(), words)
+    # a non-dominant node would make the route's operator zero, and "vanished" would prove nothing;
+    # canonical_path checks the other ends, and the nodes between dominant ends are dominant
+    for w in (lam_minus, lam_zero, lam_plus):
+        if not is_dominant(w):
+            raise AssertionError(f"vanishing route node {w} is not dominant")
+    words = {} if words is None else words
+    route = path_operator(canonical_path(lam, lam_minus) + (lam_zero,) + canonical_path(lam_plus, mu), words)
+    path = canonical_path(lam, mu)
+    canonical = path_operator(path, words)
+    reverse = path_operator(path[::-1], words)
     return VanishTrace(
         mu=mu,
         lam=lam,
@@ -652,7 +660,7 @@ def expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = None) -
         chains = factorial(d)
         for ki in k:
             chains //= factorial(ki)
-        nodes = canonical_path(lam, mu).nodes
+        nodes = canonical_path(lam, mu)
         sign, loop = _path_word(nodes[::-1] + nodes[1:], words)  # P(mu <- lam) P(lam <- mu)
         if d < p:
             coefficients[lam] = Fraction((-1) ** (d + 1) * chains)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .gaussian import QQi, fraction_str
-from .weights import Path, Weight
+from .weights import Weight
 
 
 @dataclass
@@ -65,12 +65,6 @@ def jsonable(obj):
         return {"re": fraction_str(obj.re), "im": fraction_str(obj.im)}
     if isinstance(obj, Weight):
         return {"entries": list(obj.entries), "spin": obj.spin}
-    if isinstance(obj, Path):
-        return {
-            "nodes": [jsonable(n) for n in obj.nodes],
-            "changes": list(obj.changes),
-            "direction": obj.direction,
-        }
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -121,112 +121,83 @@ def box(mu: Weight) -> list[Weight]:
     return out
 
 
-@dataclass(frozen=True)
-class Path:
-    """Lattice path between comparable dominant weights.
+def path_changes(nodes) -> tuple[int, ...]:
+    """1-based coordinate changed at each step of a path's nodes, in traversal order."""
+    return tuple(
+        next(i for i, (x, y) in enumerate(zip(a.entries, b.entries), 1) if x != y) for a, b in zip(nodes, nodes[1:])
+    )
 
-    nodes lists the weights in traversal order.  A forward path ascends
-    from nu to mu one epsilon step at a time; the reverse path walks the
-    same nodes downward.  Every node must be dominant.
+
+def _check_path_ends(nu: Weight, mu: Weight):
+    """Paths ascend from nu to mu, comparable dominant weights of one rank and spin.
+
+    Between such ends every node a path builder visits is dominant, so
+    the ends are all there is to check.
     """
-
-    nodes: tuple[Weight, ...]
-    direction: str = "forward"
-
-    def __post_init__(self):
-        if self.direction not in ("forward", "reverse"):
-            raise ValueError("direction must be 'forward' or 'reverse'")
-        step = 1 if self.direction == "forward" else -1
-        for a, b in zip(self.nodes, self.nodes[1:]):
-            diff = [y - x for x, y in zip(a.entries, b.entries)]
-            if sorted(diff) != sorted([0] * (len(diff) - 1) + [step]):
-                raise ValueError(f"nodes {a} -> {b} are not a single step")
-        for node in self.nodes:
-            if not is_dominant(node):
-                raise ValueError(f"path node {node} is not dominant")
-
-    @property
-    def changes(self) -> tuple[int, ...]:
-        """1-based coordinate changed at each step, in traversal order."""
-        out = []
-        for a, b in zip(self.nodes, self.nodes[1:]):
-            for i, (x, y) in enumerate(zip(a.entries, b.entries)):
-                if x != y:
-                    out.append(i + 1)
-                    break
-        return tuple(out)
-
-    @property
-    def length(self) -> int:
-        return len(self.nodes) - 1
-
-    @property
-    def start(self) -> Weight:
-        return self.nodes[0]
-
-    @property
-    def end(self) -> Weight:
-        return self.nodes[-1]
-
-    def reversed(self) -> "Path":
-        d = "reverse" if self.direction == "forward" else "forward"
-        return Path(tuple(reversed(self.nodes)), d)
+    if not bruhat_leq(nu, mu):
+        raise ValueError(f"{nu} is not below {mu} in the Bruhat order")
+    for w in (nu, mu):
+        if not is_dominant(w):
+            raise ValueError(f"path node {w} is not dominant")
 
 
 @dataclass(frozen=True)
 class PathEnumeration:
-    paths: tuple[Path, ...]
+    paths: tuple[tuple[Weight, ...], ...]  # each path is the tuple of its nodes
     truncated: bool
 
 
 def enumerate_paths(nu: Weight, mu: Weight, cap: int = 10000) -> PathEnumeration:
-    """All ascending paths nu -> mu through dominant weights.
+    """All ascending paths nu -> mu through dominant weights, as node tuples.
 
     Ordered lexicographically by change sequence and truncated at cap
-    (the flag records whether truncation happened).
+    (the flag records whether truncation happened).  Each lattice point
+    is one Weight object, shared by every path through it.
     """
-    _check_compatible(nu, mu)
-    if not bruhat_leq(nu, mu):
-        raise ValueError(f"{nu} is not below {mu} in the Bruhat order")
+    _check_path_ends(nu, mu)
     if cap < 1:
         raise ValueError("cap must be positive")
+    top = mu.entries
+    points = {top: mu}
     paths = []
+    nodes = [nu]
     truncated = False
 
-    def rec(current: Weight, nodes):
+    def rec(current: Weight):
         nonlocal truncated
-        if truncated:
-            return
-        if current == mu:
+        e = current.entries
+        if e == top:
             if len(paths) >= cap:
                 truncated = True
-                return
-            paths.append(Path(tuple(nodes)))
+            else:
+                paths.append(tuple(nodes))
             return
-        for i in range(current.rank):
-            if current.entries[i] < mu.entries[i]:
-                nxt = current.shifted(i, 1)
-                if is_dominant(nxt):
-                    rec(nxt, nodes + [nxt])
+        for i in range(len(e)):
+            # raising coordinate i keeps a dominant weight dominant unless it catches up with i - 1
+            if e[i] < top[i] and (i == 0 or e[i - 1] > e[i]) and not truncated:
+                up = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                nxt = points.get(up)
+                if nxt is None:
+                    nxt = points[up] = Weight(up, mu.spin)
+                nodes.append(nxt)
+                rec(nxt)
+                nodes.pop()
 
-    rec(nu, [nu])
+    rec(nu)
     return PathEnumeration(tuple(paths), truncated)
 
 
-def canonical_path(nu: Weight, mu: Weight) -> Path:
-    """The path with non-decreasing change sequence: fill coordinate 1
-    up to mu_1 first, then coordinate 2, and so on.  Every intermediate
-    node is dominant because the partially-raised vector interlaces."""
-    _check_compatible(nu, mu)
-    if not bruhat_leq(nu, mu):
-        raise ValueError(f"{nu} is not below {mu} in the Bruhat order")
+def canonical_path(nu: Weight, mu: Weight) -> tuple[Weight, ...]:
+    """The nodes of the path with non-decreasing change sequence: fill
+    coordinate 1 up to mu_1 first, then coordinate 2, and so on.  Every
+    intermediate node is dominant because the partially-raised vector
+    interlaces."""
+    _check_path_ends(nu, mu)
     nodes = [nu]
-    current = nu
     for i in range(nu.rank):
-        while current.entries[i] < mu.entries[i]:
-            current = current.shifted(i, 1)
-            nodes.append(current)
-    return Path(tuple(nodes))
+        for _ in range(mu.entries[i] - nu.entries[i]):
+            nodes.append(nodes[-1].shifted(i, 1))
+    return tuple(nodes)
 
 
 def summand_weights(lam: Weight) -> list[Weight]:

@@ -163,7 +163,7 @@ def test_criterion_2_box_vanishing():
                 if not bruhat_leq(lam, mu):
                     continue
                 fwd = normal_form(path_operator(canonical_path(lam, mu)))
-                rev = normal_form(path_operator(canonical_path(lam, mu).reversed()))
+                rev = normal_form(path_operator(canonical_path(lam, mu)[::-1]))
                 expected_zero = lam not in inside
                 ok = ok and fwd.is_zero() == expected_zero
                 ok = ok and rev.is_zero() == expected_zero

@@ -196,6 +196,20 @@ def test_verify_path_rejects_non_dominant_weights(capsys, argv):
     assert data["error"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "argv,node",
+    [
+        (["paths", "--mu", "2,1", "--nu", "0,1"], "(0,1)"),
+        (["paths", "--mu", "0,1"], "(0,1)"),
+        (["paths", "--mu", "0,1,1"], "(0,1,1)"),  # the end, not the first non-dominant node on the way
+    ],
+)
+def test_paths_rejects_a_non_dominant_end(capsys, argv, node):
+    code, data = run_json(capsys, argv)
+    assert code == 2
+    assert data == {"error": "usage", "message": f"path node {node} is not dominant"}
+
+
 def test_factorize_honours_cap(capsys):
     code, data = run_json(capsys, ["factorize", "--mu", "2,1", "--power", "3", "--cap", "5"])
     assert code == 2

@@ -9,6 +9,7 @@ from hsdfactor.opalgebra import (
     OperatorExpr,
     OperatorWord,
     TwistorSym,
+    ZERO,
     _path_word,
     _word_normal_form,
     certificate_reexpands,
@@ -128,10 +129,17 @@ def test_path_operator_examples():
     assert abs(coeff) == 1 and len(word.syms) == 3
     empty = path_operator(canonical_path(weight(1, 1), weight(1, 1)))
     assert empty == identity_expr(sw(1, 1))
-    a, b = (path_operator(q) for q in
-            __import__("hsdfactor.weights", fromlist=["enumerate_paths"]).enumerate_paths(
-                weight(1, 0), weight(2, 1)).paths)
+    a, b = (path_operator(q) for q in enumerate_paths(weight(1, 0), weight(2, 1)).paths)
     assert normal_form(a) == normal_form(b)
+
+
+def test_path_operator_is_zero_on_a_non_dominant_node_and_rejects_a_long_step():
+    assert path_operator((weight(0, 0), weight(0, 1), weight(1, 1))) == ZERO
+    assert path_operator((weight(1, 1), weight(1, 2))) == ZERO
+    assert path_operator((sw(0, -1),)) == ZERO
+    for nodes in [(weight(0, 0), weight(2, 0)), (weight(0, 0), weight(1, 1)), (weight(1, 0), weight(1, 0))]:
+        with pytest.raises(ValueError, match="not at distance 1"):
+            path_operator(nodes)
 
 
 def test_path_independence_reports():
@@ -162,6 +170,18 @@ def test_vanish_outside_box_trace():
         vanish_outside_box(weight(2, 2, 0), weight(2, 1, 0))  # box member
 
 
+def test_vanish_route_through_a_non_dominant_node_is_an_internal_error(monkeypatch, capsys):
+    # such a route's operator is zero whatever the corner does, so "vanished" would prove nothing
+    from hsdfactor import cli, opalgebra
+
+    real = opalgebra.is_dominant
+    monkeypatch.setattr(opalgebra, "is_dominant", lambda w: w != weight(2, 1) and real(w))
+    with pytest.raises(AssertionError, match=r"route node \(2,1\) is not dominant"):
+        vanish_outside_box(weight(2, 2), weight(1, 1))  # the route runs (1,1) -> (2,1) -> (2,2)
+    assert cli.run(["verify", "box", "--mu", "2,2"]) == 3
+    capsys.readouterr()
+
+
 def test_box_vanishing_characterization_rank2():
     for mu in dominants(2, 3):
         inside = set(box(mu))
@@ -169,7 +189,7 @@ def test_box_vanishing_characterization_rank2():
             if not bruhat_leq(lam, mu):
                 continue
             fwd = normal_form(path_operator(canonical_path(lam, mu)))
-            rev = normal_form(path_operator(canonical_path(lam, mu).reversed()))
+            rev = normal_form(path_operator(canonical_path(lam, mu)[::-1]))
             assert fwd.is_zero() == (lam not in inside)
             assert rev.is_zero() == (lam not in inside)
 
@@ -412,7 +432,7 @@ def test_shared_edge_memo_matches_fresh_calls_on_every_path(mu):
         if not bruhat_leq(nu, mu):
             continue
         for path in enumerate_paths(nu, mu).paths:
-            for nodes in (path.nodes, path.nodes[::-1], tuple(w.spin_shifted() for w in path.nodes)):
+            for nodes in (path, path[::-1], tuple(w.spin_shifted() for w in path)):
                 got = _path_word(nodes, edges)
                 assert got == _path_word(nodes, {}) == _scratch_path_word(nodes)
                 assert got[0] in (1, -1)
@@ -433,9 +453,8 @@ def test_non_dominant_node_gives_no_path_word():
         assert _path_word(nodes, edges) == (0, None) == _scratch_path_word(nodes)
 
 
-def test_verify_path_builds_one_twistor_symbol_per_edge(monkeypatch, capsys):
-    # one memo serves every start weight, for path words and canonical
-    # words alike: 220 distinct symbols, against 241 k built without it
+def _twistor_symbols_built(monkeypatch, capsys, argv):
+    """The (target, source) of every TwistorSym built while the command runs; the command must pass."""
     from hsdfactor import cli
 
     built = []
@@ -446,6 +465,21 @@ def test_verify_path_builds_one_twistor_symbol_per_edge(monkeypatch, capsys):
         built.append((self.target, self.source))
 
     monkeypatch.setattr(TwistorSym, "__post_init__", counted)
-    assert cli.run(["verify", "path", "--mu", "6,4,2"]) == 0
+    assert cli.run(argv) == 0
     capsys.readouterr()
+    return built
+
+
+def test_verify_path_builds_one_twistor_symbol_per_edge(monkeypatch, capsys):
+    # one memo serves every start weight, for path words and canonical
+    # words alike: 220 distinct symbols, against 241 k built without it
+    built = _twistor_symbols_built(monkeypatch, capsys, ["verify", "path", "--mu", "6,4,2"])
     assert len(built) == len(set(built)) == 220
+
+
+def test_verify_box_builds_one_twistor_symbol_per_edge(monkeypatch, capsys):
+    # one memo serves the whole box, inside and out: 642 distinct symbols, against 4,955 built
+    # with a memo per trace; a path edge whose symbol a canonical word filed first is built
+    # again before _path_word finds the filed one, which happens twice here
+    built = _twistor_symbols_built(monkeypatch, capsys, ["verify", "box", "--mu", "8,6,4,2"])
+    assert len(set(built)) == 642 and len(built) == 644

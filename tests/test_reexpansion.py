@@ -45,7 +45,16 @@ from hsdfactor.opalgebra import (
     twistor,
 )
 from hsdfactor.linalg import ResourceCapError
-from hsdfactor.weights import Weight, box, canonical_path, enumerate_paths, is_dominant, manhattan_distance, weight
+from hsdfactor.weights import (
+    Weight,
+    box,
+    canonical_path,
+    enumerate_paths,
+    is_dominant,
+    manhattan_distance,
+    path_changes,
+    weight,
+)
 
 
 # --- oracles ---------------------------------------------------------------
@@ -65,7 +74,7 @@ def product_twistor(target: Weight, source: Weight) -> OperatorExpr:
 
 
 def product_path_operator(path) -> OperatorExpr:
-    nodes = [w if w.spin else w.spin_shifted() for w in path.nodes]
+    nodes = [w if w.spin else w.spin_shifted() for w in path]
     expr = identity_expr(nodes[0])
     for a, b in zip(nodes, nodes[1:]):
         expr = product_twistor(b, a) * expr
@@ -227,7 +236,7 @@ def tree_expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = No
         if lam not in cache:
             cpath = canonical_path(lam, mu)
             fwd = path_operator(cpath)
-            rev = path_operator(cpath.reversed())
+            rev = path_operator(cpath[::-1])
             # the reverse-path word is generally not in normal form; its
             # normal-form sign enters the change of basis to path operators
             rev_word = next(iter(rev.terms))
@@ -358,8 +367,8 @@ def test_path_operator_matches_product_of_twistors(mu):
         nu = Weight(entries)
         if is_dominant(nu):
             for path in enumerate_paths(nu, mu).paths:
-                for walk in (path, path.reversed()):
-                    assert path_operator(walk) == product_path_operator(walk), (nu, mu, walk.changes)
+                for walk in (path, path[::-1]):
+                    assert path_operator(walk) == product_path_operator(walk), (nu, mu, path_changes(walk))
                     count += 1
     assert count == {(2, 1): 14, (3, 2, 1): 136, (3, 1, 1): 50, (2, 2, 1, 1): 80}[mu.entries]
 
@@ -378,7 +387,7 @@ def test_middle_matches_product_of_path_operators(mu, p):
     for lam, c in cert.coefficients.items():
         cpath = canonical_path(lam, mu)
         lap = laplace_sym(lam.spin_shifted(), p - manhattan_distance(mu, lam) - 1)
-        middle = middle + (product_path_operator(cpath) * lap * product_path_operator(cpath.reversed())).scale(c)
+        middle = middle + (product_path_operator(cpath) * lap * product_path_operator(cpath[::-1])).scale(c)
     assert cert.middle == middle
 
 

@@ -19,14 +19,14 @@ def weights(draw):
 
 @st.composite
 def paths(draw):
-    """A canonical path between dominant weights, forward or reversed."""
+    """The nodes of a canonical path between dominant weights, forward or reversed."""
     rank = draw(st.integers(1, 3))
     mu = sorted(draw(st.lists(st.integers(0, 4), min_size=rank, max_size=rank)), reverse=True)
     nu = []
     for bound in mu:
         nu.append(draw(st.integers(0, min([bound] + nu[-1:]))))
     path = canonical_path(Weight(tuple(nu)), Weight(tuple(mu)))
-    return path.reversed() if draw(st.booleans()) else path
+    return path[::-1] if draw(st.booleans()) else path
 
 
 texts = st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é", " ", "😀", "</script>"])

@@ -1,9 +1,9 @@
 import itertools
+import re
 
 import pytest
 
 from hsdfactor.weights import (
-    Path,
     RankMismatchError,
     Weight,
     box,
@@ -12,6 +12,7 @@ from hsdfactor.weights import (
     enumerate_paths,
     is_dominant,
     manhattan_distance,
+    path_changes,
     summand_weights,
     weight,
 )
@@ -101,23 +102,24 @@ def test_enumerate_paths_against_oracle():
             if bruhat_leq(nu, mu):
                 enum = enumerate_paths(nu, mu)
                 assert not enum.truncated
-                got = [tuple(c - 1 for c in p.changes) for p in enum.paths]
+                got = [tuple(c - 1 for c in path_changes(p)) for p in enum.paths]
                 assert got == brute_force_paths(nu, mu)
 
 
 def test_enumerate_paths_examples():
     enum = enumerate_paths(weight(0, 0), weight(2, 1))
-    assert [p.changes for p in enum.paths] == [(1, 1, 2), (1, 2, 1)]
+    assert [path_changes(p) for p in enum.paths] == [(1, 1, 2), (1, 2, 1)]
     assert len(enumerate_paths(weight(1, 0), weight(2, 1)).paths) == 2
     same = enumerate_paths(weight(1, 1), weight(1, 1))
-    assert len(same.paths) == 1 and same.paths[0].length == 0
+    assert same.paths == ((weight(1, 1),),) and path_changes(same.paths[0]) == ()
 
 
 def test_enumerate_paths_lengths_and_cap():
     mu, nu = weight(2, 2), weight(0, 0)
     enum = enumerate_paths(nu, mu)
     for p in enum.paths:
-        assert p.length == manhattan_distance(mu, nu)
+        assert len(p) - 1 == manhattan_distance(mu, nu)
+        assert p[0] == nu and p[-1] == mu and all(map(is_dominant, p))
     capped = enumerate_paths(nu, mu, cap=1)
     assert capped.truncated and len(capped.paths) == 1
     with pytest.raises(ValueError):
@@ -126,10 +128,11 @@ def test_enumerate_paths_lengths_and_cap():
 
 def test_canonical_path():
     p = canonical_path(weight(0, 0), weight(2, 1))
-    assert p.nodes == (weight(0, 0), weight(1, 0), weight(2, 0), weight(2, 1))
+    assert p == (weight(0, 0), weight(1, 0), weight(2, 0), weight(2, 1))
+    assert path_changes(p[::-1]) == (2, 1, 1)
     q = canonical_path(weight(0), weight(3))
-    assert q.length == 3
-    assert canonical_path(weight(1, 0), weight(2, 1)).changes == (1, 2)
+    assert len(q) - 1 == 3
+    assert path_changes(canonical_path(weight(1, 0), weight(2, 1))) == (1, 2)
 
 
 def test_canonical_is_enumerated_first():
@@ -140,12 +143,24 @@ def test_canonical_is_enumerated_first():
                 assert canonical_path(nu, mu) == enum.paths[0]
 
 
-def test_path_reversal_and_validation():
-    p = canonical_path(weight(0, 0), weight(2, 1))
-    r = p.reversed()
-    assert r.direction == "reverse" and r.nodes == tuple(reversed(p.nodes))
-    with pytest.raises(ValueError):
-        Path((weight(0, 1), weight(1, 1)))  # non-dominant start
+def test_path_builders_reject_a_non_dominant_end():
+    for nu, mu in [(weight(0, 1), weight(1, 1)), (weight(0, 0), weight(0, 1)), (weight(0, 0, 0), weight(0, 1, 1))]:
+        bad = nu if not is_dominant(nu) else mu
+        for build in (enumerate_paths, canonical_path):
+            with pytest.raises(ValueError, match=re.escape(f"path node {bad} is not dominant")):
+                build(nu, mu)
+    with pytest.raises(ValueError, match="Bruhat"):
+        canonical_path(weight(1, 1), weight(2, 0))
+    with pytest.raises(RankMismatchError):
+        canonical_path(weight(0), weight(1, 0))
+
+
+def test_enumerated_paths_share_one_weight_per_lattice_point():
+    objects = {}
+    for p in enumerate_paths(weight(0, 0, 0), weight(3, 2, 1)).paths:
+        for w in p:
+            objects.setdefault(w, set()).add(id(w))
+    assert len(objects) > 10 and all(len(ids) == 1 for ids in objects.values())
 
 
 def test_summand_weights_examples():
