@@ -28,8 +28,7 @@ from .opalgebra import (
     WorkBudget,
     certificate_reexpands,
     expand_laplace_power,
-    normal_form,
-    path_operator,
+    path_forms,
     vanish_outside_box,
     verify_path_independence,
 )
@@ -160,9 +159,8 @@ def _verify_path(args, mu):
             raise ValueError(f"{w} is not dominant")
     checks = []
     details = []
-    words: dict = {}  # edges and canonical words, shared by every pair of this command
     for nu in nus:
-        rep = verify_path_independence(nu, mu, cap=args.cap, words=words)
+        rep = verify_path_independence(nu, mu, cap=args.cap)
         if rep.results["truncated"]:
             raise ResourceCapError(f"more than {args.cap} paths from {nu} to {mu}")
         checks.append(Check(f"paths_{nu}_{mu}", rep.passed, {"count": rep.results["path_count"]}))
@@ -178,14 +176,12 @@ def _verify_path(args, mu):
 def _verify_box(args, mu):
     inside = set(box(mu))
     checks = []
-    words: dict = {}  # edges and canonical words, shared by the box's paths
     for lam in _dominants_below(mu):
         if lam in inside:
-            path = canonical_path(lam, mu)
-            ok = not any(normal_form(path_operator(p, words), words=words).is_zero() for p in (path, path[::-1]))
+            ok = all(sign for sign, _ in path_forms(canonical_path(lam, mu)))
             details = {"in_box": True}
         else:  # the trace's verdict covers the normal forms of the canonical and the reversed path
-            trace = vanish_outside_box(mu, lam, words)
+            trace = vanish_outside_box(mu, lam)
             ok = trace.vanished
             details = {"in_box": False, "trace": trace.to_jsonable()}
         checks.append(Check(f"box_{lam}", ok, details))

@@ -39,6 +39,7 @@ from math import factorial
 from .weights import (
     Weight,
     box,
+    box_offsets,
     bruhat_leq,
     canonical_path,
     enumerate_paths,
@@ -76,6 +77,7 @@ class TwistorSym:
 @dataclass(frozen=True)
 class HsdSym:
     at: Weight
+    step = None  # an HSD moves no coordinate; _walk reads it among twistor steps
 
     def __post_init__(self):
         if not self.at.spin:
@@ -231,6 +233,16 @@ def identity_expr(at: Weight) -> OperatorExpr:
     return OperatorExpr({OperatorWord(at, at): Fraction(1)})
 
 
+def _step_sign(entries, c: int) -> int:
+    """Normalization sign of a step in 0-based coordinate c at entries e: (-1)^(e_{c+2} + ... + e_n).
+
+    In 1-based terms the step raises or lowers coordinate p = c + 1 and the
+    sign is (-1)^(e_{p+1} + ... + e_n).  A step leaves the coordinates above
+    its own alone, so either end of it gives the same sign.
+    """
+    return -1 if sum(entries[c + 1 :]) % 2 else 1
+
+
 def normalization_sign(mu: Weight, p: int) -> int:
     """Sign attached to the step raising coordinate p (1-based) at mu.
 
@@ -244,43 +256,31 @@ def normalization_sign(mu: Weight, p: int) -> int:
         raise ValueError(f"{mu} is not dominant")
     if p > 1 and mu.entries[p - 2] == mu.entries[p - 1]:  # raising p would break dominance
         raise ValueError(f"{mu} + eps_{p} is not dominant")
-    return -1 if sum(mu.entries[p:]) % 2 else 1
+    return _step_sign(mu.entries, p - 1)
 
 
-def _path_word(nodes, edges: dict) -> tuple:
-    """(sign, word) of the twistor chain along nodes, integral nodes taken half-integral; sign is
-    the product of the steps' normalization signs, and (0, None) means a node is non-dominant.
+def _path_word(nodes) -> tuple:
+    """(sign, word) of the twistor chain along half-integral nodes; sign is the product
+    of the steps' normalization signs, and (0, None) means a node is non-dominant.
 
-    edges maps each step (a, b) met to its (sign, symbol), so a caller that
-    passes one dict builds and validates each edge once.  Each symbol is
-    also filed under _canonical_word's (source, step) key, so edges may be
-    normal_form's words memo, and both then share one symbol per edge.
+    Each edge is validated by its TwistorSym first, so a step that is not
+    a unit step raises whatever the nodes' dominance.
     """
-    if not is_dominant(nodes[0]):  # the edges check every other node
+    syms = [TwistorSym(b, a) for a, b in zip(nodes, nodes[1:])]
+    if not all(map(is_dominant, nodes)):
         return 0, None
-    sign, syms = 1, []
-    for a, b in zip(nodes, nodes[1:]):
-        edge = edges.get((a, b))
-        if edge is None:
-            if not (is_dominant(a) and is_dominant(b)):
-                return 0, None
-            sym = TwistorSym(*(w if w.spin else w.spin_shifted() for w in (b, a)))
-            sym = edges.setdefault((sym.source, sym.step), sym)
-            idx, delta = sym.step
-            edge = edges[a, b] = (normalization_sign((a if delta > 0 else b).integral_part(), idx + 1), sym)
-        sign *= edge[0]
-        syms.append(edge[1])
-    target, source = (w if w.spin else w.spin_shifted() for w in (nodes[-1], nodes[0]))
-    return sign, OperatorWord(target, source, tuple(reversed(syms)))
+    sign = 1
+    for a, sym in zip(nodes, syms):
+        sign *= _step_sign(a.entries, sym.step[0])
+    return sign, OperatorWord(nodes[-1], nodes[0], tuple(reversed(syms)))
 
 
 def twistor(target: Weight, source: Weight) -> OperatorExpr:
-    """Normalized twistor symbol; zero when either weight is non-dominant."""
-    if target.spin != source.spin or not target.spin:
-        raise ValueError("twistor endpoints must both be half-integral")
-    if manhattan_distance(target, source) != 1:
-        raise ValueError(f"twistor endpoints {target}, {source} not at distance 1")
-    sign, word = _path_word((source, target), {})
+    """Normalized twistor symbol; zero when either weight is non-dominant.
+
+    TwistorSym rejects endpoints that are not half-integral or not at distance 1.
+    """
+    sign, word = _path_word((source, target))
     return OperatorExpr({word: Fraction(sign)}) if sign else ZERO
 
 
@@ -304,8 +304,12 @@ def laplace_sym(at: Weight, power: int = 1) -> OperatorExpr:
 # normal form
 
 
-def _walk(source: Weight, syms: tuple):
-    """Read a chain (target first) from source into (sign, walk).
+def _walk(source: Weight, steps):
+    """Read a chain's steps from source into (sign, walk).
+
+    steps are in application order: (0-based coordinate, +1 or -1) for
+    a twistor and None for an HSD; a word passes
+    [s.step for s in reversed(word.syms)].
 
     The walk is (seqs, n_hsd, lo, hi): seqs[c] the steps (+1/-1) of
     coordinate c in application order, n_hsd the HSD count, lo/hi each
@@ -333,12 +337,12 @@ def _walk(source: Weight, syms: tuple):
     seqs = [[] for _ in source.entries]  # each coordinate's steps met so far
     inversions = 0                       # higher-coordinate steps each step passes, and twistors each HSD passes
     n_hsd = 0
-    for sym in reversed(syms):
-        if sym.__class__ is HsdSym:
+    for step in steps:
+        if step is None:
             n_hsd += 1
             inversions += sum(map(len, seqs))
             continue
-        idx, delta = sym.step
+        idx, delta = step
         inversions += sum(map(len, seqs[idx + 1 :]))
         seqs[idx].append(delta)
     heights = [tuple(accumulate(seq, initial=s)) for s, seq in zip(source.entries, seqs)]
@@ -351,50 +355,32 @@ def _dies(lo: tuple, hi: tuple) -> bool:
     return lo[-1] < 0 or any(a < b for a, b in zip(lo, hi[1:]))
 
 
-def _canonical_word(source: Weight, walk: tuple, lap: int, words: dict) -> OperatorWord:
-    """The normal-form word of a live walk from source: twistors coordinate by coordinate, HSDs last.
-
-    words maps (source, walk, lap) to the word built for it and each
-    (weight, step) to its twistor symbol, so a caller that passes one
-    dict builds and validates each canonical word and symbol once.
-    """
-    key = (source, walk, lap)
-    word = words.get(key)
-    if word is None:
-        chain = []
-        prev = source
-        for c, seq in enumerate(walk[0]):
-            for d in seq:
-                sym = words.get((prev, (c, d)))
-                if sym is None:
-                    sym = words[prev, (c, d)] = TwistorSym(prev.shifted(c, d), prev)
-                chain.append(sym)
-                prev = sym.target
-        word = words[key] = OperatorWord(prev, source, tuple(reversed(chain)) + (HsdSym(source),) * walk[1], lap)
-    return word
+def _canonical_word(source: Weight, walk: tuple, lap: int) -> OperatorWord:
+    """The normal-form word of a live walk from source: twistors coordinate by coordinate, HSDs last."""
+    chain = []
+    prev = source
+    for c, seq in enumerate(walk[0]):
+        for d in seq:
+            chain.append(TwistorSym(prev.shifted(c, d), prev))
+            prev = chain[-1].target
+    return OperatorWord(prev, source, tuple(reversed(chain)) + (HsdSym(source),) * walk[1], lap)
 
 
-def _word_normal_form(word: OperatorWord, words: dict):
-    """Return (sign, canonical word) or (0, None) when the word dies; words is _canonical_word's memo."""
-    sign, walk = _walk(word.source, word.syms)
+def _word_normal_form(word: OperatorWord):
+    """Return (sign, canonical word) or (0, None) when the word dies."""
+    sign, walk = _walk(word.source, [s.step for s in reversed(word.syms)])
     if _dies(walk[2], walk[3]):
         return 0, None
-    return sign, _canonical_word(word.source, walk, word.lap, words)
+    return sign, _canonical_word(word.source, walk, word.lap)
 
 
-def normal_form(expr: OperatorExpr, words: dict | None = None) -> OperatorExpr:
-    """Confluent normal form of an expression (total function).
-
-    words is the canonical-word memo of _word_normal_form; callers that
-    normalize many expressions pass one dict (by keyword) and drop it
-    when done; a bare call uses a fresh one.
-    """
+def normal_form(expr: OperatorExpr) -> OperatorExpr:
+    """Confluent normal form of an expression (total function)."""
     if expr.is_zero():
         return ZERO
-    words = {} if words is None else words
     terms = {}
     for word, coeff in expr.terms.items():
-        sign, nf = _word_normal_form(word, words)
+        sign, nf = _word_normal_form(word)
         if sign:
             _accumulate(terms, nf, sign * coeff)
     if not terms:
@@ -402,49 +388,67 @@ def normal_form(expr: OperatorExpr, words: dict | None = None) -> OperatorExpr:
     return OperatorExpr(terms, expr.target, expr.source)
 
 
-def path_operator(nodes, edges: dict | None = None) -> OperatorExpr:
+def path_operator(nodes) -> OperatorExpr:
     """Composition of normalized twistor symbols along a path's nodes.
 
     Accepts nodes of integral weights (shifted to their half-integral
     forms) or of half-integral weights directly; zero when a node is
     non-dominant, and a step that is not a unit step raises.  The
-    reversed nodes give the reversed composition.  edges is _path_word's
-    memo: callers that build many path operators pass one dict and drop
-    it when done.
+    reversed nodes give the reversed composition.
     """
-    sign, word = _path_word(nodes, {} if edges is None else edges)
+    sign, word = _path_word([w if w.spin else w.spin_shifted() for w in nodes])
     return OperatorExpr({word: Fraction(sign)}) if sign else ZERO
+
+
+def _path_walk(source: Weight, steps: list) -> tuple:
+    """(sign, walk) of the normalized twistor path taking steps from source, (0, None) if it dies.
+
+    _walk reads the steps and each step's normalization sign is multiplied
+    in, so this is normal_form of the path operator with no symbol built
+    (_canonical_word(source', walk, 0) is its word).  A path through a
+    non-dominant node dies, since its nodes lie on the walk's grid.
+    """
+    sign, entries = 1, list(source.entries)
+    for c, d in steps:
+        sign *= _step_sign(entries, c)
+        entries[c] += d
+    walk_sign, walk = _walk(source, steps)
+    return (0, None) if _dies(walk[2], walk[3]) else (sign * walk_sign, walk)
+
+
+def path_forms(nodes, changes=None) -> tuple:
+    """The normal forms of the ascending path along nodes and of its reverse, as (sign, walk) each.
+
+    changes is path_changes(nodes), for a caller that holds it already.
+    Two forms from one source are equal iff their normal forms are.
+    """
+    up = [(c - 1, 1) for c in (path_changes(nodes) if changes is None else changes)]
+    return _path_walk(nodes[0], up), _path_walk(nodes[-1], [(c, -1) for c, _ in reversed(up)])
 
 
 # ---------------------------------------------------------------------------
 # verification helpers
 
 
-def verify_path_independence(nu: Weight, mu: Weight, cap: int = 10000, words: dict | None = None) -> Report:
-    """All paths (and all reverse paths) give one normal form each way.
-
-    words is the memo of normal_form and of path_operator's edges; a
-    caller that checks many pairs may pass one dict to all of them.
-    """
+def verify_path_independence(nu: Weight, mu: Weight, cap: int = 10000) -> Report:
+    """All paths (and all reverse paths) give one normal form each way, compared as path_forms."""
     if not bruhat_leq(nu, mu):
         raise ValueError(f"{nu} is not below {mu}")
     enum = enumerate_paths(nu, mu, cap=cap)
-    forward_forms = []
-    reverse_forms = []
+    changes = [path_changes(p) for p in enum.paths]
     if enum.truncated:
         # agreement among the first cap paths proves nothing; skip the normal forms
         checks = [Check("enumeration_complete", False, {"cap": cap})]
+        printed = None
     else:
-        words = {} if words is None else words
-        for p in enum.paths:
-            forward_forms.append(normal_form(path_operator(p, words), words=words))
-            reverse_forms.append(normal_form(path_operator(p[::-1], words), words=words))
-        fwd_ok = all(f == forward_forms[0] for f in forward_forms) if forward_forms else True
-        rev_ok = all(r == reverse_forms[0] for r in reverse_forms) if reverse_forms else True
+        forward, reverse = zip(*(path_forms(p, c) for p, c in zip(enum.paths, changes)))
         checks = [
-            Check("forward_paths_agree", fwd_ok, {"count": len(forward_forms)}),
-            Check("reverse_paths_agree", rev_ok, {"count": len(reverse_forms)}),
+            Check("forward_paths_agree", len(set(forward)) == 1, {"count": len(forward)}),
+            Check("reverse_paths_agree", len(set(reverse)) == 1, {"count": len(reverse)}),
         ]
+        sign, walk = forward[0]
+        source = nu if nu.spin else nu.spin_shifted()
+        printed = str(OperatorExpr({_canonical_word(source, walk, 0): Fraction(sign)}) if sign else ZERO)
     return Report(
         title="path_independence",
         params={"nu": nu, "mu": mu, "cap": cap},
@@ -452,8 +456,8 @@ def verify_path_independence(nu: Weight, mu: Weight, cap: int = 10000, words: di
         results={
             "path_count": len(enum.paths),
             "truncated": enum.truncated,
-            "change_sequences": [list(path_changes(p)) for p in enum.paths],
-            "normal_form": None if enum.truncated else str(forward_forms[0]) if forward_forms else "0",
+            "change_sequences": [list(c) for c in changes],
+            "normal_form": printed,
         },
     )
 
@@ -469,17 +473,13 @@ class VanishTrace:
     lam_zero: Weight
     lam_plus: Weight
     alternate: Weight          # the non-dominant alternate intermediate
-    route_normal_form: OperatorExpr
-    canonical_normal_form: OperatorExpr
-    reverse_normal_form: OperatorExpr
+    route_sign: int            # the signs of the three normal forms (path_forms): 0 when one is zero
+    canonical_sign: int
+    reverse_sign: int
 
     @property
     def vanished(self) -> bool:
-        return (
-            self.route_normal_form.is_zero()
-            and self.canonical_normal_form.is_zero()
-            and self.reverse_normal_form.is_zero()
-        )
+        return not (self.route_sign or self.canonical_sign or self.reverse_sign)
 
     def to_jsonable(self):
         return {
@@ -492,14 +492,13 @@ class VanishTrace:
         }
 
 
-def vanish_outside_box(mu: Weight, lam: Weight, words: dict | None = None) -> VanishTrace:
+def vanish_outside_box(mu: Weight, lam: Weight) -> VanishTrace:
     """Trace the annihilation of P(mu <- lam) for lam below mu, outside its box.
 
     The route passes through the triple lam_minus -> lam_zero -> lam_plus
     around the failing coordinate; the two-step composition across that
     corner has a non-dominant alternate intermediate and is therefore
-    zero, which the rewriting engine detects on its own.  words is the
-    memo of path_operator and normal_form, as in verify_path_independence.
+    zero, which the rewriting engine detects on its own.
     """
     if not bruhat_leq(lam, mu):
         raise ValueError(f"{lam} is not below {mu}")
@@ -529,11 +528,8 @@ def vanish_outside_box(mu: Weight, lam: Weight, words: dict | None = None) -> Va
     for w in (lam_minus, lam_zero, lam_plus):
         if not is_dominant(w):
             raise AssertionError(f"vanishing route node {w} is not dominant")
-    words = {} if words is None else words
-    route = path_operator(canonical_path(lam, lam_minus) + (lam_zero,) + canonical_path(lam_plus, mu), words)
-    path = canonical_path(lam, mu)
-    canonical = path_operator(path, words)
-    reverse = path_operator(path[::-1], words)
+    (route_sign, _), _ = path_forms(canonical_path(lam, lam_minus) + (lam_zero,) + canonical_path(lam_plus, mu))
+    (canonical_sign, _), (reverse_sign, _) = path_forms(canonical_path(lam, mu))
     return VanishTrace(
         mu=mu,
         lam=lam,
@@ -542,9 +538,9 @@ def vanish_outside_box(mu: Weight, lam: Weight, words: dict | None = None) -> Va
         lam_zero=lam_zero,
         lam_plus=lam_plus,
         alternate=alternate,
-        route_normal_form=normal_form(route, words=words),
-        canonical_normal_form=normal_form(canonical, words=words),
-        reverse_normal_form=normal_form(reverse, words=words),
+        route_sign=route_sign,
+        canonical_sign=canonical_sign,
+        reverse_sign=reverse_sign,
     )
 
 
@@ -618,16 +614,6 @@ class WorkBudget:
             raise ResourceCapError(f"more than {self.cap} certificate weights and re-expansion entries")
 
 
-def _box_offsets(gaps, left):
-    """Every k with 0 <= k_i <= gaps[i] and |k| <= left."""
-    if not gaps:
-        yield ()
-        return
-    for ki in range(min(gaps[0], left) + 1):
-        for rest in _box_offsets(gaps[1:], left - ki):
-            yield (ki,) + rest
-
-
 def expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = None) -> FactorizationCertificate:
     """Expand Lap(mu)^p through the HSD sandwich, in closed form.
 
@@ -649,24 +635,23 @@ def expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = None) -
     mu_s = mu.spin_shifted()
     budget = WorkBudget() if budget is None else budget
 
-    words: dict = {}  # the memo of _path_word's edges and of normal_form
     coefficients: dict[Weight, Fraction] = {}
     middle: dict[OperatorWord, Fraction] = {}
     residual: dict[OperatorWord, Fraction] = {}
-    for k in _box_offsets([a - b for a, b in zip(mu.entries, mu.entries[1:] + (0,))], p):
+    for k in box_offsets(mu, p):
         budget.spend()
         lam = Weight(tuple(a - b for a, b in zip(mu.entries, k)))
         d = sum(k)
         chains = factorial(d)
         for ki in k:
             chains //= factorial(ki)
-        nodes = canonical_path(lam, mu)
-        sign, loop = _path_word(nodes[::-1] + nodes[1:], words)  # P(mu <- lam) P(lam <- mu)
+        nodes = canonical_path(lam.spin_shifted(), mu_s)
+        sign, loop = _path_word(nodes[::-1] + nodes[1:])  # P(mu <- lam) P(lam <- mu)
         if d < p:
             coefficients[lam] = Fraction((-1) ** (d + 1) * chains)
             middle[OperatorWord(mu_s, mu_s, loop.syms, p - d - 1)] = sign * coefficients[lam]
         else:
-            residual.update(normal_form(OperatorExpr({loop: (-1) ** p * chains}), words=words).terms)
+            residual.update(normal_form(OperatorExpr({loop: (-1) ** p * chains})).terms)
 
     if p > mu.entries[0]:
         if residual:
@@ -773,10 +758,7 @@ def eliminate_laplace(expr: OperatorExpr, memo: dict | None = None, budget: Work
     walk built into its canonical word.
     """
     walks = _eliminated_walks(expr, {} if memo is None else memo, WorkBudget() if budget is None else budget)
-    words: dict = {}
-    return OperatorExpr(
-        {_canonical_word(expr.source, walk, 0, words): c for walk, c in walks.items()}, expr.target, expr.source
-    )
+    return OperatorExpr({_canonical_word(expr.source, walk, 0): c for walk, c in walks.items()}, expr.target, expr.source)
 
 
 def _eliminated_walks(expr: OperatorExpr, memo: dict, budget: WorkBudget) -> dict:
@@ -817,10 +799,11 @@ def _eliminated_walks(expr: OperatorExpr, memo: dict, budget: WorkBudget) -> dic
             coeff = coeff.numerator
         j, w = _bottom_position(word)
         xs = _eliminated_power(w, word.lap, memo, budget)
-        sign, (seqs, n_hsd, lo, hi) = _walk(source, word.syms)
+        steps = [s.step for s in reversed(word.syms)]
+        sign, (seqs, n_hsd, lo, hi) = _walk(source, steps)
         if _dies(lo, hi):
             continue
-        cut = _walk(source, word.syms[j:])[1][0]   # T's steps, per coordinate
+        cut = _walk(source, steps[: len(steps) - j])[1][0]   # T's steps, per coordinate
         ends = [(s[: len(t)], s[len(t) :]) for s, t in zip(seqs, cut)]
         coeff *= sign
         for (x_seqs, x_hsd, x_lo, x_hi), c in xs.items():

@@ -95,30 +95,37 @@ def manhattan_distance(mu: Weight, nu: Weight) -> int:
     return sum(abs(m - n) for m, n in zip(mu.entries, nu.entries))
 
 
+def box_offsets(mu: Weight, left: int):
+    """Every k with 0 <= k_i <= mu_i - mu_{i+1} (mu_{n+1} = 0) and |k| <= left, lazily, in lexicographic order.
+
+    mu - k runs over the members of the box of mu at distance |k| <= left.
+    """
+    e = mu.entries
+    gaps = [a - b for a, b in zip(e, e[1:] + (0,))]
+
+    def offsets(i, left):
+        if i == len(gaps):
+            yield ()
+            return
+        for ki in range(min(gaps[i], left) + 1):
+            for rest in offsets(i + 1, left - ki):
+                yield (ki,) + rest
+
+    return offsets(0, left)
+
+
 def box(mu: Weight) -> list[Weight]:
     """All dominant integral lambda with mu_i >= lambda_i >= mu_{i+1}.
 
     The ranges interlace, so every member is automatically dominant.
-    Returned in decreasing lexicographic order starting from mu itself.
+    Returned in decreasing lexicographic order starting from mu itself;
+    no offset of the box exceeds mu_1 = the sum of mu's gaps.
     """
     if mu.spin:
         raise ValueError("box is defined for integral weights")
     if not is_dominant(mu):
         raise ValueError(f"box requires a dominant weight, got {mu}")
-    n = mu.rank
-    out = []
-
-    def rec(prefix):
-        i = len(prefix)
-        if i == n:
-            out.append(Weight(tuple(prefix)))
-            return
-        lo = mu.entries[i + 1] if i + 1 < n else 0
-        for v in range(mu.entries[i], lo - 1, -1):
-            rec(prefix + [v])
-
-    rec([])
-    return out
+    return [Weight(tuple(a - b for a, b in zip(mu.entries, k))) for k in box_offsets(mu, mu.entries[0])]
 
 
 def path_changes(nodes) -> tuple[int, ...]:

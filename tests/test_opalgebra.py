@@ -10,7 +10,8 @@ from hsdfactor.opalgebra import (
     OperatorWord,
     TwistorSym,
     ZERO,
-    _path_word,
+    _canonical_word,
+    _walk,
     _word_normal_form,
     certificate_reexpands,
     eliminate_laplace,
@@ -21,12 +22,22 @@ from hsdfactor.opalgebra import (
     laplace_sym,
     normal_form,
     normalization_sign,
+    path_forms,
     path_operator,
     twistor,
     vanish_outside_box,
     verify_path_independence,
 )
-from hsdfactor.weights import Weight, box, bruhat_leq, canonical_path, enumerate_paths, is_dominant, weight
+from hsdfactor.weights import (
+    Weight,
+    box,
+    bruhat_leq,
+    canonical_path,
+    enumerate_paths,
+    is_dominant,
+    path_changes,
+    weight,
+)
 
 
 def sw(*entries):
@@ -48,8 +59,14 @@ def test_symbol_constructors():
     assert twistor(sw(1, 2), sw(1, 1)).is_zero()  # non-dominant target
     assert len(hsd_sym(sw(3)).terms) == 1
     assert laplace_sym(sw(0, -1)).is_zero()
-    with pytest.raises(ValueError):
-        twistor(sw(2, 0), sw(0, 0))  # distance 2
+    for target, source in [
+        (sw(2, 0), sw(0, 0)),  # distance 2
+        (sw(0, 2), sw(1, 0)),  # distance 3, non-dominant target: invalid before it is zero
+        (weight(1, 0), weight(0, 0)),  # integral
+        (sw(1, 0), weight(0, 0)),  # mixed
+    ]:
+        with pytest.raises(ValueError):
+            twistor(target, source)
 
 
 def test_normalization_sign_examples():
@@ -270,7 +287,7 @@ def test_path_independence_on_random_dominant_pairs(pair):
     assert not rep.results["truncated"]
 
 
-# --- the per-call canonical-word memo ---------------------------------------
+# --- canonical words ------------------------------------------------------
 
 @st.composite
 def composable_words(draw):
@@ -290,26 +307,25 @@ def composable_words(draw):
 
 
 def _variants(word):
-    """word, word * R(source) and word with one more Laplace factor: keys that differ in one part."""
+    """word, word * R(source) and word with one more Laplace factor: words that differ in one part."""
     with_hsd = OperatorWord(word.target, word.source, word.syms + (HsdSym(word.source),), word.lap)
     return [word, with_hsd, OperatorWord(word.target, word.source, word.syms, word.lap + 1)]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(composable_words(), min_size=1, max_size=4))
-def test_shared_word_memo_matches_fresh_memos(drawn):
-    word_list = [v for word in drawn for v in _variants(word)]
-    shared = {}
-    for word in word_list:
-        expr = OperatorExpr({word: 1})
-        assert normal_form(expr, words=shared) == normal_form(expr, words={}) == normal_form(expr)
-    for word in word_list:
-        sign, nf = _word_normal_form(word, shared)
-        again = _word_normal_form(word, shared)
-        assert again == (sign, nf)
-        if sign:
-            assert again[1] is nf
-            assert nf == _word_normal_form(word, {})[1]
+@given(composable_words())
+def test_normal_forms_keep_hsd_count_and_laplace_power_apart(word):
+    forms = []
+    for variant in _variants(word):
+        sign, nf = _word_normal_form(variant)
+        assert normal_form(OperatorExpr({variant: 1})) == (OperatorExpr({nf: sign}) if sign else ZERO)
+        forms.append(nf)
+    # an HSD moves no weight and a Laplace factor is central, so the variants live or die together
+    assert len({nf is None for nf in forms}) == 1
+    if forms[0] is not None:
+        assert len(set(forms)) == 3
+        assert forms[1].syms.count(HsdSym(word.source)) == forms[0].syms.count(HsdSym(word.source)) + 1
+        assert (forms[1].lap, forms[2].lap) == (word.lap, word.lap + 1)
 
 
 def test_equal_keys_share_one_canonical_word():
@@ -317,27 +333,8 @@ def test_equal_keys_share_one_canonical_word():
     a, b, c, d = sw(1, 0), sw(2, 0), sw(1, 1), sw(2, 1)
     one = OperatorWord(d, a, (TwistorSym(d, b), TwistorSym(b, a)))
     two = OperatorWord(d, a, (TwistorSym(d, c), TwistorSym(c, a)))
-    words = {}
-    (s1, n1), (s2, n2) = _word_normal_form(one, words), _word_normal_form(two, words)
-    assert s1 and s2 and n1 is n2
-
-
-def test_internal_callers_pass_the_memo_by_keyword(monkeypatch):
-    # the expression is normal_form's only positional argument, so a
-    # wrapper taking (expr, **kwargs) serves every caller in the package
-    import hsdfactor.opalgebra as opalgebra
-
-    inner = opalgebra.normal_form
-    calls = []
-
-    def one_positional(expr, **kwargs):
-        calls.append(sorted(kwargs))
-        return inner(expr, **kwargs)
-
-    monkeypatch.setattr(opalgebra, "normal_form", one_positional)
-    assert certificate_reexpands(expand_laplace_power(weight(2, 1), 3))
-    assert verify_path_independence(weight(0, 0), weight(2, 1)).passed
-    assert calls and all(kw == ["words"] for kw in calls)
+    (s1, n1), (s2, n2) = _word_normal_form(one), _word_normal_form(two)
+    assert s1 and s2 and n1 == n2
 
 
 def _live_words():
@@ -408,10 +405,10 @@ def test_fractional_coefficients_reexpand_exactly():
         assert any(c.denominator == 3 for c in scaled.terms.values())
 
 
-# --- the per-call edge memo of path words -----------------------------------
+# --- path forms: the walk route of the path checks --------------------------
 
 def _scratch_path_word(nodes):
-    """_path_word without a memo: every node shifted and checked, every edge built."""
+    """path_operator's word from scratch: every node shifted and checked, every edge built."""
     nodes = [w if w.spin else w.spin_shifted() for w in nodes]
     if not all(map(is_dominant, nodes)):
         return 0, None
@@ -424,25 +421,39 @@ def _scratch_path_word(nodes):
     return sign, OperatorWord(nodes[-1], nodes[0], tuple(reversed(syms)))
 
 
+def _scratch_form(nodes):
+    """The (sign, walk) of the scratch path word's normal form, read by _walk; (0, None) when it is zero."""
+    sign, word = _scratch_path_word(nodes)
+    if not sign:
+        return 0, None
+    nf = normal_form(OperatorExpr({word: sign}))
+    if nf.is_zero():
+        return 0, None
+    (canonical, coeff), = nf.terms.items()
+    walk_sign, walk = _walk(word.source, [s.step for s in reversed(word.syms)])
+    assert _canonical_word(word.source, walk, 0) == canonical and walk_sign * sign == coeff
+    return int(coeff), walk
+
+
 @pytest.mark.parametrize("mu", [weight(2, 1), weight(3, 1, 0), weight(4, 2, 1), weight(2, 2, 1, 1)])
-def test_shared_edge_memo_matches_fresh_calls_on_every_path(mu):
-    edges = {}
+def test_path_forms_match_the_scratch_oracle_on_every_path(mu):
     count = 0
     for nu in dominants(mu.rank, mu.entries[0]):
         if not bruhat_leq(nu, mu):
             continue
         for path in enumerate_paths(nu, mu).paths:
+            forms = path_forms(path)
+            assert forms == path_forms(path, path_changes(path)) == (_scratch_form(path), _scratch_form(path[::-1]))
+            assert all(sign in (1, -1) for sign, _ in forms) == (nu in box(mu))
             for nodes in (path, path[::-1], tuple(w.spin_shifted() for w in path)):
-                got = _path_word(nodes, edges)
-                assert got == _path_word(nodes, {}) == _scratch_path_word(nodes)
-                assert got[0] in (1, -1)
+                assert path_operator(nodes) == OperatorExpr(dict([_scratch_path_word(nodes)[::-1]]))
                 count += 1
     assert count > 3 * len(box(mu))
 
 
 def test_non_dominant_node_gives_no_path_word():
-    edges = {}
-    assert _path_word((weight(2, 1), weight(2, 2)), edges)[0] == 1
+    (up, _), (down, _) = path_forms((weight(2, 1), weight(2, 2)))
+    assert up == down == 1
     for nodes in [
         (weight(1, 2),),
         (weight(1, 1), weight(1, 2)),
@@ -450,7 +461,8 @@ def test_non_dominant_node_gives_no_path_word():
         (weight(0, 0), weight(0, 1), weight(1, 1)),
         (sw(0, -1), sw(0, 0)),
     ]:
-        assert _path_word(nodes, edges) == (0, None) == _scratch_path_word(nodes)
+        assert path_operator(nodes) == ZERO and _scratch_path_word(nodes) == (0, None)
+        assert path_forms(nodes) == ((0, None), (0, None))
 
 
 def _twistor_symbols_built(monkeypatch, capsys, argv):
@@ -470,16 +482,17 @@ def _twistor_symbols_built(monkeypatch, capsys, argv):
     return built
 
 
-def test_verify_path_builds_one_twistor_symbol_per_edge(monkeypatch, capsys):
-    # one memo serves every start weight, for path words and canonical
-    # words alike: 220 distinct symbols, against 241 k built without it
+def test_verify_path_builds_only_the_printed_normal_forms(monkeypatch, capsys):
+    # paths are compared as (sign, walk); only each start weight's printed normal form is built,
+    # one symbol per step of its canonical word, and it is zero (printed "0") outside the box
+    # (220 distinct symbols with a memo shared by the 55 start weights, 241 k without one)
     built = _twistor_symbols_built(monkeypatch, capsys, ["verify", "path", "--mu", "6,4,2"])
-    assert len(built) == len(set(built)) == 220
+    mu = weight(6, 4, 2)
+    steps = [sum(mu.entries) - sum(nu.entries) for nu in box(mu)]
+    assert len(steps) == 27 and len(built) == sum(steps) == 81
 
 
-def test_verify_box_builds_one_twistor_symbol_per_edge(monkeypatch, capsys):
-    # one memo serves the whole box, inside and out: 642 distinct symbols, against 4,955 built
-    # with a memo per trace; a path edge whose symbol a canonical word filed first is built
-    # again before _path_word finds the filed one, which happens twice here
-    built = _twistor_symbols_built(monkeypatch, capsys, ["verify", "box", "--mu", "8,6,4,2"])
-    assert len(set(built)) == 642 and len(built) == 644
+def test_verify_box_builds_no_twistor_symbol(monkeypatch, capsys):
+    # inside the box and out, the path checks read signs off walks (644 symbols with the
+    # shared memo, 4,955 with a memo per trace)
+    assert _twistor_symbols_built(monkeypatch, capsys, ["verify", "box", "--mu", "8,6,4,2"]) == []

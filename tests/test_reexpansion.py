@@ -223,8 +223,8 @@ def tree_expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = No
         coeff, up, lam, e, down = stack.pop()
         budget.spend()
         lam_s = lam.spin_shifted()
-        sigma = (_word_normal_form(OperatorWord(mu_s, lam_s, up), {})[0]
-                 * _word_normal_form(OperatorWord(lam_s, mu_s, down), {})[0])
+        sigma = (_word_normal_form(OperatorWord(mu_s, lam_s, up))[0]
+                 * _word_normal_form(OperatorWord(lam_s, mu_s, down))[0])
         if sigma == 0:
             continue  # dead chain; extending it can never revive it
         if e == 0:
@@ -240,7 +240,7 @@ def tree_expand_laplace_power(mu: Weight, p: int, budget: WorkBudget | None = No
             # the reverse-path word is generally not in normal form; its
             # normal-form sign enters the change of basis to path operators
             rev_word = next(iter(rev.terms))
-            rev_sigma, _ = _word_normal_form(rev_word, {})
+            rev_sigma, _ = _word_normal_form(rev_word)
             cache[lam] = (fwd, rev, rev_sigma)
         fwd, rev, rev_sigma = cache[lam]
         contrib = closed * sigma * rev_sigma * _single_coeff(fwd) * _single_coeff(rev)
@@ -323,7 +323,7 @@ def test_normal_form_matches_grid_on_certificate_words():
         cert = expand_laplace_power(mu, p)
         for expr in (cert.middle, cert.residual):
             for word in expr.terms:
-                assert _word_normal_form(word, {}) == grid_word_normal_form(word), (mu, p, str(word))
+                assert _word_normal_form(word) == grid_word_normal_form(word), (mu, p, str(word))
 
 
 # --- the closed-form certificate against the tree walker ------------------
@@ -466,7 +466,7 @@ def spliced(draw):
 @examples
 @given(words())
 def test_linear_death_test_matches_grid(word):
-    assert _word_normal_form(word, {}) == grid_word_normal_form(word)
+    assert _word_normal_form(word) == grid_word_normal_form(word)
 
 
 @examples
@@ -474,7 +474,7 @@ def test_linear_death_test_matches_grid(word):
 def test_normal_form_is_idempotent(word, lap, coeff):
     once = normal_form(OperatorExpr({dataclasses.replace(word, lap=lap): coeff}))
     assert normal_form(once) == once
-    assert all(_word_normal_form(w, {}) == (1, w) for w in once.terms)
+    assert all(_word_normal_form(w) == (1, w) for w in once.terms)
 
 
 def _joined(h, x, t):
@@ -485,12 +485,12 @@ def _joined(h, x, t):
 @given(spliced())
 def test_splice_lemma(parts):
     h, x, t = parts
-    sign_x, nf_x = _word_normal_form(x, {})
-    whole = _word_normal_form(_joined(h, x, t), {})
+    sign_x, nf_x = _word_normal_form(x)
+    whole = _word_normal_form(_joined(h, x, t))
     if not sign_x:
         assert whole == (0, None)
         return
-    sign, nf = _word_normal_form(_joined(h, nf_x, t), {})
+    sign, nf = _word_normal_form(_joined(h, nf_x, t))
     assert whole == ((sign_x * sign, nf) if sign else (0, None))
 
 
@@ -505,8 +505,8 @@ def check_walk_join(word: OperatorWord, k: int) -> set:
     for x in _eliminated_power(w, k, {}, WorkBudget()):
         expr = OperatorExpr({dataclasses.replace(word, lap=k): 1})
         joined = eliminate_laplace(expr, {(w, k): {x: 1}})
-        chain = word.syms[:j] + _canonical_word(w, x, 0, {}).syms + word.syms[j:]
-        sign, nf = _word_normal_form(OperatorWord(word.target, word.source, chain), {})
+        chain = word.syms[:j] + _canonical_word(w, x, 0).syms + word.syms[j:]
+        sign, nf = _word_normal_form(OperatorWord(word.target, word.source, chain))
         assert joined == (OperatorExpr({nf: sign}) if sign else ZERO), (str(word), x)
         seen.add("alive" if sign else "dead")
     return seen
@@ -523,7 +523,7 @@ def test_walk_join_kills_words_that_only_the_join_makes_dead():
     # an x lowering coordinate 1 there meets coordinate 2 at 1 and dies
     a, b = weight(1, 1, spin=True), weight(1, 0, spin=True)
     word = OperatorWord(a, a, (TwistorSym(a, b), TwistorSym(b, a)))
-    assert _word_normal_form(word, {})[0]
+    assert _word_normal_form(word)[0]
     assert check_walk_join(word, 1) == {"dead", "alive"}
 
 
@@ -564,25 +564,24 @@ def test_one_coordinate_splice_matches_whole_word_normal_form(case):
     v, k = case
     memo = {}
     _eliminated_power(v, k, memo, WorkBudget())
-    words = {}
     r = HsdSym(v)
     for x in memo[v, k - 1]:
-        chain = _canonical_word(v, x, 0, words).syms
+        chain = _canonical_word(v, x, 0).syms
         assert walk_of(v, chain) == x
-        sign, nf = _word_normal_form(OperatorWord(v, v, (r, r) + chain), {})
+        sign, nf = _word_normal_form(OperatorWord(v, v, (r, r) + chain))
         assert sign == 1 and walk_of(v, nf.syms) == (x[0], x[1] + 2, x[2], x[3])
     for i, low in _lowerings(v):
         up, down = TwistorSym(v, low), TwistorSym(low, v)
         for x in memo[low, k - 1]:
-            chain = _canonical_word(low, x, 0, words).syms
+            chain = _canonical_word(low, x, 0).syms
             assert walk_of(low, chain) == x
-            sign, nf = _word_normal_form(OperatorWord(v, v, (up,) + chain + (down,)), {})
+            sign, nf = _word_normal_form(OperatorWord(v, v, (up,) + chain + (down,)))
             walk = _twistor_splice(x, i, v.entries[i])
             if walk is None:
                 assert (sign, nf) == (0, None)
             else:
                 assert sign == 1 and walk == walk_of(v, nf.syms)
-                assert _canonical_word(v, walk, 0, words) == nf
+                assert _canonical_word(v, walk, 0) == nf
 
 
 # --- tampered certificates -------------------------------------------------

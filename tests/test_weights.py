@@ -7,6 +7,7 @@ from hsdfactor.weights import (
     RankMismatchError,
     Weight,
     box,
+    box_offsets,
     bruhat_leq,
     canonical_path,
     enumerate_paths,
@@ -94,6 +95,21 @@ def test_box_invariants():
             assert bruhat_leq(lam, mu)
             assert manhattan_distance(mu, lam) <= mu.entries[0]
         assert max(manhattan_distance(mu, lam) for lam in members) == mu.entries[0]
+
+
+def test_box_matches_the_interlacing_ranges_and_offsets():
+    # oracle: every lambda with mu_i >= lambda_i >= mu_{i+1}, in decreasing lexicographic order
+    count = 0
+    for rank in range(1, 5):
+        for mu in dominants(rank, 5):
+            ranges = [range(a, b - 1, -1) for a, b in zip(mu.entries, mu.entries[1:] + (0,))]
+            members = [Weight(t) for t in itertools.product(*ranges)]
+            assert box(mu) == members
+            for left in range(mu.entries[0] + 2):
+                near = [lam for lam in members if manhattan_distance(mu, lam) <= left]
+                assert [Weight(tuple(a - b for a, b in zip(mu.entries, k))) for k in box_offsets(mu, left)] == near
+            count += 1
+    assert count == 209
 
 
 def test_enumerate_paths_against_oracle():
