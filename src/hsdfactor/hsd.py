@@ -21,7 +21,7 @@ from itertools import islice
 from math import comb, factorial, lcm, perm, prod
 
 from .gaussian import QQi, QQI_ZERO
-from .linalg import DEFAULT_CELL_CAP, Mat, ResourceCapError, check_cells, int_nullspace, solve_sparse
+from .linalg import DEFAULT_CELL_CAP, Mat, ResourceCapError, check_cells, int_nullspace, nullity, solve_sparse
 from .opalgebra import expand_laplace_power
 from .polyspace import (
     Compose,
@@ -286,16 +286,8 @@ def generic_twistor_hsd(lam: Weight, m: int) -> list:
     return out
 
 
-def kernel_basis(op: HsdOperator, h: int, cap: int = DEFAULT_CELL_CAP) -> list:
-    """Exact basis of the degree-h kernel: one vector {(alpha, j): (re, im)}
-    per free column, standing for sum (re + im i) x^alpha (x) source_basis[j].
-
-    R(x^alpha (x) b_j) = sum_i alpha_i x^(alpha - e_i) (x) A_i b_j, so the
-    kernel is the null space of an integer matrix, rows (beta, r), columns
-    (alpha, j) alpha-major.  The vectors are the reduced-row-echelon basis,
-    each as a primitive Gaussian-integer multiple.  No entries cancel: the
-    cap sees |exponents(m, h-1)| x (rows r live in some A_i) before assembly.
-    """
+def _kernel_rows(op: HsdOperator, h: int, cap: int) -> tuple:
+    """(rows, ncols) of `kernel_basis`'s integer matrix, columns (alpha, j) alpha-major."""
     dop = op.deriv_op
     d = len(op.source_basis)
     alphas = list(exponents(op.m, h))
@@ -310,10 +302,23 @@ def kernel_basis(op: HsdOperator, h: int, cap: int = DEFAULT_CELL_CAP) -> list:
                 out = rows.setdefault((beta, r), {})
                 for j, (re, im) in row.items():
                     out[a * d + j] = (re * scale, im * scale)
-    return [
-        {(alphas[c // d], c % d): v for c, v in vec.items()}
-        for vec in int_nullspace(rows.values(), len(alphas) * d)
-    ]
+    return rows.values(), len(alphas) * d
+
+
+def kernel_basis(op: HsdOperator, h: int, cap: int = DEFAULT_CELL_CAP) -> list:
+    """Exact basis of the degree-h kernel: one vector {(alpha, j): (re, im)}
+    per free column, standing for sum (re + im i) x^alpha (x) source_basis[j].
+
+    R(x^alpha (x) b_j) = sum_i alpha_i x^(alpha - e_i) (x) A_i b_j, so the
+    kernel is the null space of an integer matrix, rows (beta, r), columns
+    (alpha, j) alpha-major (`_kernel_rows`).  The vectors are the
+    reduced-row-echelon basis, each as a primitive Gaussian-integer
+    multiple.  No entries cancel: the cap sees |exponents(m, h-1)| x (rows
+    r live in some A_i) before assembly.
+    """
+    d = len(op.source_basis)
+    alphas = list(exponents(op.m, h))
+    return [{(alphas[c // d], c % d): v for c, v in vec.items()} for vec in int_nullspace(*_kernel_rows(op, h, cap))]
 
 
 def double_monogenic_basis(m: int, h: int, k: int, cap: int = DEFAULT_CELL_CAP) -> list:
@@ -348,32 +353,26 @@ def polyharmonic_order(f: dict) -> int:
 def verify_induction_dims(k: int, h: int, m: int, cap: int = DEFAULT_CELL_CAP) -> Report:
     """dim ker_h R_k = dim M_(h,k) + dim ker_(h-1) R_(k-1), all exact.
 
-    The three dimensions come from three independent null-space
-    computations; for k = 0 the operator one step down is zero by
-    convention and the second term is absent.
+    Three independent eliminations, each counted by its pivots (`nullity`):
+    `kernel_basis`'s rows for R_k and R_(k-1), and the rows of Dirac in x
+    and in u on (h, k)-homogeneous polynomials.  No basis is built, and
+    the three cap checks run first.  For k = 0 the operator one step down
+    is zero by convention and the second term is absent.
     """
-    op = explicit_hsd(Weight((k,)) if k else Weight((0,)), m, cap)
-    dim_ker = len(kernel_basis(op, h, cap))
-    dim_double = len(double_monogenic_basis(m, h, k, cap))
-    if k == 0:
-        dim_prev = 0
-    elif h == 0:
-        dim_prev = 0  # no degree -1 polynomials
-    else:
-        op_prev = explicit_hsd(Weight((k - 1,)) if k > 1 else Weight((0,)), m, cap)
-        dim_prev = len(kernel_basis(op_prev, h - 1, cap))
-    ok = dim_ker == dim_double + dim_prev
+    counted = [_kernel_rows(explicit_hsd(Weight((k,)), m, cap), h, cap)]
+    domain = homogeneous_basis(m, 1, (h, k))
+    rows = stacked_rows([Dirac(0), Dirac(1)], domain)[0]
+    check_cells(len(rows), len(domain), cap)
+    counted.append((rows.values(), len(domain)))
+    # absent for k = 0, and for h = 0: no degree -1 polynomials
+    counted.append(_kernel_rows(explicit_hsd(Weight((k - 1,)), m, cap), h - 1, cap) if k and h else ((), 0))
+    dims = dict(zip(("ker", "double_monogenic", "previous_kernel"), (nullity(*c) for c in counted)))
+    ok = dims["ker"] == dims["double_monogenic"] + dims["previous_kernel"]
     return Report(
         title="induction_dims",
         params={"k": k, "h": h, "m": m},
-        checks=[
-            Check(
-                "kernel_dimension_splits",
-                ok,
-                {"ker": dim_ker, "double_monogenic": dim_double, "previous_kernel": dim_prev},
-            )
-        ],
-        results={"ker": dim_ker, "double_monogenic": dim_double, "previous_kernel": dim_prev},
+        checks=[Check("kernel_dimension_splits", ok, dims)],
+        results=dims,
     )
 
 

@@ -7,10 +7,12 @@ denominator, so products and sums run on Python ints and divide once
 per operation.  The large eliminations all run in `sparse_rref`, on the
 Gaussian-integer rows `{col: (re, im)}` that callers already hold (the
 numerators of a `Mat` or of polynomial images), in the spirit of
-Bareiss's integer-preserving elimination; `int_nullspace`,
-`solve_sparse` and `span_coords` build on it.  `SpanSolver`, on QQi
-rows, is only the tests' reference now.  All pivoting is
-deterministic, so bases come out in a reproducible order.
+Bareiss's integer-preserving elimination: forward elimination
+(`_echelon`), then one back substitution.  `int_nullspace`,
+`solve_sparse` and `span_coords` build on it; `nullity` and `Mat.rank`
+need only the pivots of the forward phase.  `SpanSolver`, on QQi rows,
+is only the tests' reference now.  All pivoting is deterministic, so
+bases come out in a reproducible order.
 """
 
 from __future__ import annotations
@@ -203,22 +205,6 @@ class Mat:
 
     __rmul__ = scale
 
-    def matvec(self, vec):
-        """The product with a column of Gaussian rationals, as a list of QQi."""
-        vec = [QQi.coerce(v) for v in vec]
-        vden = _common_den(vec)
-        vnum = [_numerators(v, vden) for v in vec]
-        den = self.den * vden
-        out = []
-        for row in self.num:
-            re = im = 0
-            for j, (ar, ai) in row.items():
-                br, bi = vnum[j]
-                re += ar * br - ai * bi
-                im += ar * bi + ai * br
-            out.append(_qqi(re, im, den))
-        return out
-
     def is_zero(self):
         return not any(self.num)
 
@@ -233,18 +219,9 @@ class Mat:
     def anticommutator(self, other):
         return self * other + other * self
 
-    def trace(self):
-        re = im = 0
-        for i in range(min(self.nrows, self.ncols)):
-            entry = self.num[i].get(i)
-            if entry is not None:
-                re += entry[0]
-                im += entry[1]
-        return _qqi(re, im, self.den)
-
     def rank(self):
         # the common denominator does not change the rank
-        return len(sparse_rref(self.num, self.ncols)[0])
+        return self.ncols - nullity(self.num, self.ncols)
 
     def __repr__(self):
         return "Mat(" + "; ".join(" ".join(repr(x) for x in row) for row in self.rows) + ")"
@@ -296,19 +273,10 @@ def _cross_eliminate(target, pivot_row, col):
     return _primitive(out)
 
 
-def sparse_rref(rows, ncols):
-    """Reduced row echelon form of Gaussian-integer rows (dict col -> (re, im)).
-
-    Returns (pivots, pivot_rows): pivots is the increasing list of pivot
-    columns, and each pivot row is the primitive multiple of the matching
-    reduced row whose pivot entry is a positive integer, with every other
-    pivot column cleared.  Elimination is t <- p*t - t[col]*prow with the
-    content divided out (Bareiss's integer-preserving idea); every row
-    held is a nonzero multiple of the row Gaussian-rational elimination
-    would hold, so supports, pivot choices and the result agree with it.
-    rows is a sized collection and is left untouched; a returned row can
-    be one of the caller's own, so treat the results as read-only.
-    """
+def _echelon(rows, ncols):
+    """Forward elimination: (pivots, pivot_rows), each row primitive with a
+    positive integer pivot and no column left of it, earlier pivot
+    columns not cleared.  rows is left untouched."""
     work = [_primitive(r) for r in rows if r]
     # a live row holds no column left of the current one, so the rows
     # holding col are the ones whose leading column is col
@@ -333,12 +301,51 @@ def sparse_rref(rows, ncols):
                 r = work[i] = _cross_eliminate(work[i], prow, col)
                 if r:
                     by_lead.setdefault(min(r), []).append(i)
-        for k, prev in enumerate(pivot_rows):
-            if col in prev:
-                pivot_rows[k] = _cross_eliminate(prev, prow, col)
         pivots.append(col)
         pivot_rows.append(prow)
     return pivots, pivot_rows
+
+
+def sparse_rref(rows, ncols):
+    """Reduced row echelon form of Gaussian-integer rows (dict col -> (re, im)).
+
+    Returns (pivots, pivot_rows): pivots is the increasing list of pivot
+    columns, and each pivot row is the primitive multiple of the matching
+    reduced row whose pivot entry is a positive integer, with every other
+    pivot column cleared.  Two phases: `_echelon`, then one back
+    substitution from the last row up.  The rows below row i are then
+    reduced, so each holds no pivot column but its own, and one sweep
+    clears all of row i's: s * row minus s*t/p times each row below, s the
+    lcm of p / gcd(p, t) over row i's entries t at later pivots p.  Fill
+    lands only in free columns.  Every row held is a nonzero multiple of
+    the row Gaussian-rational elimination would hold, and the RREF with
+    primitive rows and positive pivots is unique, so the result is that
+    of clearing each new pivot from every earlier row.
+    rows is a sized collection and is left untouched; a returned row can
+    be one of the caller's own, so treat the results as read-only.
+    """
+    pivots, pivot_rows = _echelon(rows, ncols)
+    where = dict(zip(pivots, pivot_rows))
+    for i in range(len(pivots) - 2, -1, -1):
+        col, row = pivots[i], pivot_rows[i]
+        hits = [(where[j], j, t) for j, t in row.items() if j != col and j in where]
+        if hits:
+            s = lcm(*(prow[j][0] // gcd(prow[j][0], *t) for prow, j, t in hits))
+            acc = {j: [re * s, im * s] for j, (re, im) in row.items() if j == col or j not in where}
+            for prow, j, (tr, ti) in hits:
+                tr, ti = tr * s // prow[j][0], ti * s // prow[j][0]
+                for c, (re, im) in prow.items():
+                    if c != j:  # at j, s*t cancels exactly
+                        cur = acc.setdefault(c, [0, 0])
+                        cur[0] -= tr * re - ti * im
+                        cur[1] -= tr * im + ti * re
+            pivot_rows[i] = where[col] = _primitive({c: (re, im) for c, (re, im) in acc.items() if re or im})
+    return pivots, pivot_rows
+
+
+def nullity(rows, ncols):
+    """Dimension of the null space of Gaussian-integer rows, from `_echelon` alone."""
+    return ncols - len(_echelon(rows, ncols)[0])
 
 
 def _nullspace_of_rref(pivots, pivot_rows, ncols):

@@ -131,15 +131,6 @@ class SpinorPoly:
 
     __hash__ = None
 
-    def degree(self, var: int) -> int:
-        """Homogeneity degree in variable group var (0 = x, 1..k = u_p)."""
-        if not self.num:
-            return 0
-        degs = {sum(exp[var * self.m:(var + 1) * self.m]) for exp in self.num}
-        if len(degs) != 1:
-            raise ValueError(f"polynomial not homogeneous in variable {var}")
-        return degs.pop()
-
     def coordinates(self):
         """Sparse dict (exponent, spinor index) -> QQi for exact solving."""
         den = self.den
@@ -482,18 +473,28 @@ def joint_kernel(specs, domain: list, cap: int = DEFAULT_CELL_CAP) -> list:
 
 
 def operator_matrix(spec, domain: list, codomain: list) -> Mat:
-    """Matrix of an operator spec from span(domain) to span(codomain).
+    """Matrix of an operator spec from span(domain) to span(codomain) (`operator_matrices`)."""
+    return operator_matrices([spec], domain, codomain)[0]
+
+
+def operator_matrices(specs, domain: list, codomain: list) -> list:
+    """The matrix of each spec from span(domain) to span(codomain), from one elimination.
 
     Column j holds the codomain coordinates of the image of domain[j]:
-    `span_coords` of [B | V] on integer rows, B the codomain
-    (`stacked_rows` of IDENTITY) and V the images (the spec is applied
-    once), rescaled by den_B / den_V.  A dependent codomain or an image
-    outside its span raises `SpanError`, an engine self-check.
+    `span_coords` of [B | V_0 | V_1 | ...] on integer rows, B the codomain
+    (`stacked_rows` of IDENTITY) and V_s the images under specs[s] (each
+    applied once), rescaled by den_B / den_V.  A dependent codomain or an
+    image outside its span raises `SpanError`, an engine self-check.
     """
     b_rows, b_den = stacked_rows([IDENTITY], codomain)
-    v_rows, v_den = stacked_rows([spec], domain)
+    v_rows, v_den = stacked_rows(specs, domain)
+    nb, nd = len(codomain), len(domain)
     rows = {key: dict(row) for (_, key), row in b_rows.items()}
-    for (_, key), row in v_rows.items():
-        rows.setdefault(key, {}).update((len(codomain) + j, pair) for j, pair in row.items())
-    num, den = span_coords(list(rows.values()), len(codomain), len(codomain) + len(domain))
-    return Mat._reduced(num, den * v_den, len(domain)).scale(b_den)
+    for (si, key), row in v_rows.items():
+        rows.setdefault(key, {}).update((nb + si * nd + j, pair) for j, pair in row.items())
+    num, den = span_coords(list(rows.values()), nb, nb + len(specs) * nd)
+    parts = [[{} for _ in num] for _ in specs]
+    for r, row in enumerate(num):
+        for c, pair in row.items():
+            parts[c // nd][r][c % nd] = pair
+    return [Mat._reduced(part, den * v_den, nd).scale(b_den) for part in parts]

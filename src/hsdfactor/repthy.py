@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .clifford import _kron, gamma_rep
 from .gaussian import QQi
@@ -30,7 +30,7 @@ from .polyspace import (
     SpinorPoly,
     homogeneous_basis,
     joint_kernel,
-    operator_matrix,
+    operator_matrices,
     spinor_unit,
 )
 from .weights import Weight, is_dominant, summand_weights
@@ -207,10 +207,10 @@ def orbital_spec(a: int, b: int, m: int, k: int) -> ScalarMix:
 def so_generators(ambient: RealizedSpace) -> dict:
     """(a, b) -> L_ab on the ambient basis coordinates, for 0 <= a < b < m.
 
-    L_ab = O_ab (x) 1 + gamma_a gamma_b / 2, the orbital part one
-    `operator_matrix` of `orbital_spec` on the scalar harmonics (the
-    ambient basis at spinor index 0).  The orbital sign is fixed by
-    requiring both parts to close under the same brackets,
+    L_ab = O_ab (x) 1 + gamma_a gamma_b / 2, the orbital parts all from
+    one `operator_matrices` of the `orbital_spec`s on the scalar
+    harmonics (the ambient basis at spinor index 0).  The orbital sign is
+    fixed by requiring both parts to close under the same brackets,
     [L_ab, L_ac] = L_bc, which the eigenvalue match in the projector
     construction then confirms."""
     m = ambient.m
@@ -219,10 +219,10 @@ def so_generators(ambient: RealizedSpace) -> dict:
     spin = Mat.identity(sdim)
     gams = gamma_on_ambient(ambient)
     half = QQi(Fraction(1, 2))
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    orbital = operator_matrices([orbital_spec(a, b, m, ambient.k) for a, b in pairs], scalars, scalars)
     return {
-        (a, b): _kron(operator_matrix(orbital_spec(a, b, m, ambient.k), scalars, scalars), spin)
-        + (gams[a] * gams[b]).scale(half)
-        for a in range(m) for b in range(a + 1, m)
+        (a, b): _kron(o, spin) + (gams[a] * gams[b]).scale(half) for (a, b), o in zip(pairs, orbital)
     }
 
 
@@ -242,14 +242,6 @@ class ProjectorSet:
         if kappa not in self.weights:
             raise KeyError(f"{kappa} is not a summand")
         return self.weights.index(kappa)
-
-    @cached_property
-    def projectors(self) -> list:
-        """The spectral projectors P = C L, acting on ambient coordinates (built on first read)."""
-        return [c * l for c, l in self.frames]
-
-    def projector(self, kappa: Weight) -> Mat:
-        return self.projectors[self._index(kappa)]
 
     def frame(self, kappa: Weight) -> tuple:
         """Summand coordinates (C, L): C an integer basis of the Casimir
@@ -278,8 +270,8 @@ def casimir_projectors(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> Proj
     read off one elimination of [C | 1] (`span_coords`), L_kappa its
     block of rows.  Checked exactly: Cas C_kappa = c_kappa C_kappa, the
     C_kappa fill all d columns, and L_kappa C_kappa = 1; an eigenvalue
-    collision is a hard error.  The projectors P = C L are built only
-    when read.  cap bounds the ambient elimination and the d x d Casimir
+    collision is a hard error.  The projectors P = C L are never
+    formed.  cap bounds the ambient elimination and the d x d Casimir
     matrix.
     """
     kappas = summand_weights(pad_weight(lam, _rank_of(m)))

@@ -5,13 +5,16 @@ of its degree-1 images.  The route here applies the operator to every
 domain element x^alpha (x) b_j as a polynomial and takes the joint kernel
 of the images, as the engine did before; `ref_polyharmonic_order` applies
 the Laplacian to polynomials rather than to coefficient vectors.
+
+It also holds the matrix and polynomial readings that only the tests take
+(`matvec`, `trace`, `degree`, `projectors`, `projector`).
 """
 
 from math import lcm
 
-from hsdfactor.gaussian import QQI_ZERO
+from hsdfactor.gaussian import QQi, QQI_ZERO
 from hsdfactor.hsd import x_shift
-from hsdfactor.linalg import Mat, SpanSolver
+from hsdfactor.linalg import Mat, SpanSolver, _common_den, _numerators, _qqi
 from hsdfactor.polyspace import (
     SpinorPoly,
     apply,
@@ -19,6 +22,46 @@ from hsdfactor.polyspace import (
     exponents,
     laplace,
 )
+
+
+def matvec(mat: Mat, vec) -> list:
+    """The product with a column of Gaussian rationals, as a list of QQi."""
+    vec = [QQi.coerce(v) for v in vec]
+    vden = _common_den(vec)
+    vnum = [_numerators(v, vden) for v in vec]
+    out = []
+    for row in mat.num:
+        re = im = 0
+        for j, (ar, ai) in row.items():
+            br, bi = vnum[j]
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
+        out.append(_qqi(re, im, mat.den * vden))
+    return out
+
+
+def trace(mat: Mat):
+    return sum((mat[i, i] for i in range(min(mat.nrows, mat.ncols))), QQI_ZERO)
+
+
+def degree(f: SpinorPoly, var: int) -> int:
+    """Homogeneity degree in variable group var (0 = x, 1..k = u_p)."""
+    if not f.num:
+        return 0
+    degs = {sum(exp[var * f.m:(var + 1) * f.m]) for exp in f.num}
+    if len(degs) != 1:
+        raise ValueError(f"polynomial not homogeneous in variable {var}")
+    return degs.pop()
+
+
+def projectors(ps) -> list:
+    """The spectral projectors P = C L of a `ProjectorSet`, on ambient coordinates."""
+    return [c * left for c, left in ps.frames]
+
+
+def projector(ps, kappa):
+    c, left = ps.frame(kappa)
+    return c * left
 
 
 def domain_basis(op, h: int) -> list:
@@ -43,9 +86,9 @@ def apply_op(op, f: SpinorPoly) -> SpinorPoly:
         by_x.setdefault(exp[:m], {})[((0,) * m + exp[m:], s)] = c
     out = SpinorPoly(m, op.value_space.k)
     for alpha, coords in by_x.items():
-        w = op.source_coords.matvec(solver.coords(coords))
+        w = matvec(op.source_coords, solver.coords(coords))
         for beta, mat in op.deriv_op.apply_monomial(alpha).items():
-            out = out + x_shift(combination(op.target_values, mat.matvec(w)), beta)
+            out = out + x_shift(combination(op.target_values, matvec(mat, w)), beta)
     return out
 
 
@@ -90,7 +133,7 @@ def ref_polyharmonic_order(f: SpinorPoly) -> int:
     """Least p with the p-th Laplace power killing f (bounded search)."""
     if f.is_zero():
         return 1
-    bound = f.degree(0) // 2 + 1
+    bound = degree(f, 0) // 2 + 1
     g = f
     for p in range(1, bound + 1):
         g = laplace(0, g)

@@ -169,11 +169,11 @@ def test_zero_division_is_an_internal_error(capsys, monkeypatch):
 
 def test_span_failure_is_an_internal_error(capsys, monkeypatch):
     """An image leaving the codomain span is an engine self-check: exit 3, not a usage error."""
-    from hsdfactor import repthy
+    from hsdfactor import polyspace, repthy
 
     def truncated(ambient):
         spec = repthy.orbital_spec(0, ambient.m - 1, ambient.m, ambient.k)
-        return repthy.operator_matrix(spec, ambient.basis, ambient.basis[:-1])
+        return polyspace.operator_matrix(spec, ambient.basis, ambient.basis[:-1])
 
     repthy.casimir_projectors.cache_clear()
     monkeypatch.setattr(repthy, "casimir_matrix", truncated)
@@ -244,6 +244,21 @@ def test_verify_induction_honours_cap(capsys):
     code, data = run_json(capsys, ["verify", "induction", "--mu", "1", "--m", "3", "--degree", "2", "--cap", "100000"])
     assert code == 0
     assert data["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # the kernel's check comes first ...
+        (["verify", "induction", "--mu", "2", "--m", "7", "--degree", "2"], "elimination size 1568x4704 exceeds cap 4000000"),
+        # ... then the double-monogenic one
+        (["verify", "induction", "--mu", "4", "--m", "3", "--degree", "10"], "elimination size 2970x1980 exceeds cap 4000000"),
+    ],
+)
+def test_verify_induction_cap_checks_keep_their_order(capsys, argv, message):
+    code, data = run_json(capsys, argv)
+    assert code == 2
+    assert data == {"error": "resource_cap", "message": message}
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,16 @@ polynomial route in `hsd_oracle`, and so must the polyharmonic orders.
 
 import pytest
 
-from hsdfactor import cli
-from hsdfactor.hsd import DerivOp, explicit_hsd, generic_twistor_hsd, kernel_basis, polyharmonic_order
+from hsdfactor import cli, hsd, linalg, polyspace, repthy
+from hsdfactor.hsd import (
+    DerivOp,
+    double_monogenic_basis,
+    explicit_hsd,
+    generic_twistor_hsd,
+    kernel_basis,
+    polyharmonic_order,
+    verify_induction_dims,
+)
 from hsdfactor.linalg import ResourceCapError, int_nullspace
 from hsdfactor.polyspace import combination
 from hsdfactor.weights import weight
@@ -101,3 +109,35 @@ def test_projector_kernels_match_the_polynomial_route():
             domain = domain_basis(op, h)
             want = int_nullspace(ref_rows(op, h), len(domain))
             assert [as_columns(op, h, vec) for vec in kernel_basis(op, h)] == want, (op.label, op.source_label, h)
+
+
+INDUCTION_CASES = [(k, h, 3) for k in range(5) for h in range(5)] + [(k, h, 5) for k in range(3) for h in range(3)]
+
+
+@pytest.mark.parametrize("k,h,m", INDUCTION_CASES)
+def test_induction_counts_are_the_basis_lengths(k, h, m):
+    """Each pivot count of `verify_induction_dims` is the length of the basis it stands for."""
+    rep = verify_induction_dims(k, h, m)
+    previous = len(kernel_basis(explicit_hsd(weight(k - 1), m), h - 1)) if k and h else 0
+    assert rep.results == {
+        "ker": len(kernel_basis(explicit_hsd(weight(k), m), h)),
+        "double_monogenic": len(double_monogenic_basis(m, h, k)),
+        "previous_kernel": previous,
+    }
+    assert rep.passed
+
+
+def test_induction_builds_no_null_space_vector_and_no_polynomial(monkeypatch):
+    # the value spaces of R_k and R_(k-1) are cached bases; build them first
+    explicit_hsd(weight(3), 3)
+    explicit_hsd(weight(2), 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_induction_dims built a basis")
+
+    for module in (linalg, polyspace, hsd, repthy):
+        for name in ("int_nullspace", "combination"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    rep = verify_induction_dims(3, 4, 3)
+    assert rep.passed and rep.results == {"ker": 40, "double_monogenic": 16, "previous_kernel": 24}

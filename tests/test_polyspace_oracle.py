@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from hsdfactor.clifford import gamma_rep
 from hsdfactor.gaussian import QQi, QQI_ZERO
 from hsdfactor.linalg import Mat
+from hsd_oracle import matvec
 from hsdfactor.polyspace import (
     Compose,
     CoordOp,
@@ -100,7 +101,7 @@ def _coord_mult(f, coord):
 
 def _gamma_apply(f, i):
     g = gamma_rep(f.m).generators[i]
-    return RefPoly(f.m, f.k, {exp: tuple(g.matvec(list(vec))) for exp, vec in f.terms.items()})
+    return RefPoly(f.m, f.k, {exp: tuple(matvec(g, list(vec))) for exp, vec in f.terms.items()})
 
 
 def ref_apply(spec, f):

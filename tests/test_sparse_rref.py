@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsdfactor.gaussian import QQi, QQI_ONE, QQI_ZERO
-from hsdfactor.linalg import Mat, SpanError, int_nullspace, solve_sparse, span_coords, sparse_rref
+from hsdfactor.linalg import Mat, SpanError, int_nullspace, nullity, solve_sparse, span_coords, sparse_rref
 
 examples = settings(max_examples=150, deadline=None)
 
@@ -247,6 +247,60 @@ def test_span_coords_recovers_the_coordinates(case, data):
         units = [row | {nb + r: (1, 0)} for r, row in enumerate(rows)]
         with pytest.raises(SpanError, match="leaves"):
             span_coords(units, nb, nb + len(rows))
+
+
+# scalings that leave a pivot non-unit or purely imaginary: 2, 1 + i and i
+SCALES = [(2, 0), (1, 1), (0, 1)]
+
+
+def mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+@st.composite
+def staircase_matrices(draw):
+    """Gaussian-integer rows in echelon shape whose entries at later pivot
+    columns are nonzero, each scaled by 2, 1 + i or i, plus combinations
+    of them, shuffled: back substitution has to clear every later pivot,
+    through pivots that are neither 1 nor real."""
+    ncols = draw(st.integers(2, 7))
+    pivots = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=2, max_size=ncols)))
+    rows = []
+    for col in pivots:
+        row = {col: draw(st.sampled_from([(2, 0), (3, 0), (1, 1), (0, 2), (0, -3), (-2, 1)]))}
+        for j in range(col + 1, ncols):
+            if j in pivots or draw(st.booleans()):
+                row[j] = draw(gaussian_integers.filter(any))
+        scale = draw(st.sampled_from(SCALES))
+        rows.append({j: mul(v, scale) for j, v in row.items()})
+    for _ in range(draw(st.integers(0, 3))):
+        row = {}
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3)):
+            c = draw(st.sampled_from(SCALES + [(1, 0), (-1, 0)]))
+            for j, v in rows[i].items():
+                re, im = mul(v, c)
+                re, im = re + row.get(j, (0, 0))[0], im + row.get(j, (0, 0))[1]
+                row[j] = (re, im)
+        rows.append({j: v for j, v in row.items() if any(v)})
+    return draw(st.permutations(rows)), ncols
+
+
+@examples
+@given(staircase_matrices())
+def test_back_substitution_through_non_unit_and_imaginary_pivots(case):
+    rows, ncols = case
+    snapshot = [dict(r) for r in rows]
+    qqi_rows = [over(r, 1) for r in rows]
+    pivots, pivot_rows = sparse_rref(rows, ncols)
+    assert rows == snapshot  # inputs untouched
+    assert (pivots, [over(row, row[col][0]) for col, row in zip(pivots, pivot_rows)]) == ref_sparse_rref(qqi_rows, ncols)
+    for col, row in zip(pivots, pivot_rows):
+        assert row[col][0] > 0 and row[col][1] == 0
+        assert primitive(row)
+        assert not any(other in row for other in pivots if other != col)
+    dense = [[v.get(j, QQI_ZERO) for j in range(ncols)] for v in qqi_rows]
+    assert nullity(rows, ncols) == len(int_nullspace(rows, ncols)) == ncols - Mat(dense).rank()
+    assert rows == snapshot
 
 
 def test_solve_sparse_inconsistent_example():
