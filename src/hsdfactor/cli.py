@@ -6,8 +6,8 @@ handler, its help and the flags it reads besides --mu, --rank and --json;
 argparse rejects any other flag.
 Exit codes: 0 success / all checks passed, 1 some verification check
 failed, 2 usage or resource error or a report that cannot be written, 3
-internal error (an exact self-check of the engine failed, or an unexpected
-lookup or arithmetic error; printed as ``{"error": "internal", ...}``,
+internal error (an exact self-check of the engine failed, matrices of
+mismatched shapes met, or an unexpected lookup or arithmetic error; printed as ``{"error": "internal", ...}``,
 with the traceback on stderr, so it is never read as a failed check).
 Reports are deterministic JSON in the layout of json.dumps(sort_keys=True,
 indent=2); the wall-time field is the only varying part.

@@ -72,29 +72,11 @@ class DerivOp:
                     self.terms[tuple(sig)] = mat
 
     def compose(self, other: "DerivOp") -> "DerivOp":
-        terms = {}
-        for s1, m1 in self.terms.items():
-            for s2, m2 in other.terms.items():
-                sig = tuple(a + b for a, b in zip(s1, s2))
-                prod = m1 * m2
-                if sig in terms:
-                    terms[sig] = terms[sig] + prod
-                else:
-                    terms[sig] = prod
-        return DerivOp(self.m, terms)
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for sig, mat in other.terms.items():
-            terms[sig] = terms[sig] + mat if sig in terms else mat
-        return DerivOp(self.m, terms)
+        return compose_sum(self.m, [(self, other)])
 
     def scale(self, c) -> "DerivOp":
         c = QQi.coerce(c)
         return DerivOp(self.m, {s: mat.scale(c) for s, mat in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -120,6 +102,26 @@ class DerivOp:
             if coeff:
                 out[tuple(a - s for a, s in zip(alpha, sig))] = mat.scale(coeff)
         return out
+
+
+def _by_signature(m: int, terms) -> DerivOp:
+    """The operator with matrix sum a * b at each signature sig, over the
+    terms (sig, a, b): one `Mat.sum_of_products` per signature."""
+    groups = {}
+    for sig, a, b in terms:
+        groups.setdefault(sig, []).append((a, b))
+    return DerivOp(m, {sig: Mat.sum_of_products(pairs) for sig, pairs in groups.items()})
+
+
+def compose_sum(m: int, pairs) -> DerivOp:
+    """sum_k p_k . q_k over the pairs (p_k, q_k): every product of a term of
+    p_k and a term of q_k lands at the sum of their signatures."""
+    return _by_signature(m, (
+        (tuple(a + b for a, b in zip(s1, s2)), m1, m2)
+        for p, q in pairs
+        for s1, m1 in p.terms.items()
+        for s2, m2 in q.terms.items()
+    ))
 
 
 def laplace_deriv_op(m: int, dim: int, power: int = 1) -> DerivOp:
@@ -402,17 +404,16 @@ def verify_identities(lam: Weight, m: int, x_degree: int, cap: int = DEFAULT_CEL
     splitting = {}  # summand -> both sides of identity (1)
     for kappa in ps.weights:
         lhs = laplace_deriv_op(m, ps.dim(kappa)).scale(-1)
-        rhs = block(kappa, kappa).compose(block(kappa, kappa))
-        for omega in ps.weights:
-            if manhattan_distance(kappa, omega) == 1:
-                rhs = rhs + block(kappa, omega).compose(block(omega, kappa))
+        rhs = compose_sum(m, [(block(kappa, kappa), block(kappa, kappa))] + [
+            (block(kappa, omega), block(omega, kappa))
+            for omega in ps.weights if manhattan_distance(kappa, omega) == 1
+        ])
         splitting[kappa] = (lhs, rhs)
         checks.append(Check(f"splitting_of_laplace_at_{kappa}", lhs == rhs, {"summand": kappa}))
     pairs = [(kappa, iota) for kappa in ps.weights for iota in ps.weights]
     for kappa, iota in pairs:
         if manhattan_distance(kappa, iota) == 1:
-            anti = block(kappa, iota).compose(block(iota, iota))
-            anti = anti + block(kappa, kappa).compose(block(kappa, iota))
+            anti = compose_sum(m, [(block(kappa, iota), block(iota, iota)), (block(kappa, kappa), block(kappa, iota))])
             checks.append(
                 Check(f"edge_anticommutation_{kappa}_{iota}", anti.is_zero(), {"target": kappa, "source": iota})
             )
@@ -421,19 +422,16 @@ def verify_identities(lam: Weight, m: int, x_degree: int, cap: int = DEFAULT_CEL
         if kappa == iota or manhattan_distance(kappa, iota) != 2:
             continue
         dist2 += 1
-        acc = None
-        legs = 0
-        for theta in ps.weights:
-            if manhattan_distance(kappa, theta) == 1 and manhattan_distance(theta, iota) == 1:
-                legs += 1
-                term = block(kappa, theta).compose(block(theta, iota))
-                acc = term if acc is None else acc + term
-        passed = acc is None or acc.is_zero()
+        legs = [
+            theta for theta in ps.weights
+            if manhattan_distance(kappa, theta) == 1 and manhattan_distance(theta, iota) == 1
+        ]
+        turns = compose_sum(m, [(block(kappa, theta), block(theta, iota)) for theta in legs])
         checks.append(
             Check(
                 f"turn_cancellation_{kappa}_{iota}",
-                passed,
-                {"target": kappa, "source": iota, "dominant_intermediates": legs},
+                turns.is_zero(),
+                {"target": kappa, "source": iota, "dominant_intermediates": len(legs)},
             )
         )
     # evaluation spot check: both sides on a few monomials of the requested degree
@@ -454,6 +452,32 @@ def verify_identities(lam: Weight, m: int, x_degree: int, cap: int = DEFAULT_CEL
 
 # ---------------------------------------------------------------------------
 # numeric factorization check
+
+
+def theorem_chains(ps: ProjectorSet, mu: Weight, p: int, support: list) -> list:
+    """r_mu P(mu <- lam) P(lam <- mu) r_mu . (Lap^e (x) 1) for each lam of the
+    support, e = p - |mu - lam| - 1, on the summand coordinates of mu'.
+
+    P(mu <- lam) composes the steps of the canonical path from lam up to
+    mu, P(lam <- mu) those back down.  Lap^e (x) 1 commutes with every
+    step, so it is composed last, once, and not at all when e = 0: the
+    first-order factors' products never see its terms.
+    """
+    op_between = _step_ops(ps)
+    mu_s = mu.spin_shifted()
+    r_mu = op_between(mu_s, mu_s)
+    dim = ps.dim(mu_s)
+    chains = []
+    for lam in support:
+        nodes = [w.spin_shifted() for w in canonical_path(lam, mu)]
+        walk = nodes[::-1] + nodes[1:]  # mu down to lam and back up
+        chain = r_mu
+        for a, b in zip(walk, walk[1:]):
+            chain = chain.compose(op_between(a, b))
+        chain = chain.compose(r_mu)
+        e = p - manhattan_distance(mu, lam) - 1
+        chains.append(chain.compose(laplace_deriv_op(ps.ambient.m, dim, e)) if e else chain)
+    return chains
 
 
 def verify_factorization_numeric(
@@ -490,20 +514,9 @@ def verify_factorization_numeric(
     monomials = sum(comb(m + d - 1, d) for d in range(2 * p, x_degree + 1))
     if monomials > cap:
         raise ResourceCapError(f"{monomials} monomials of degrees {2 * p}..{x_degree} exceed cap {cap}")
-    op_between = _step_ops(ps)
-    mu_s = mu.spin_shifted()
-    r_mu = op_between(mu_s, mu_s)
-
     support = cert.support()
-    chains = []
-    for lam in support:
-        # P(mu <- lam) Lap^e P(lam <- mu), built from the inside out
-        nodes = [w.spin_shifted() for w in canonical_path(lam, mu)]
-        mid = laplace_deriv_op(m, ps.dim(nodes[0]), p - manhattan_distance(mu, lam) - 1)
-        for a, b in zip(nodes, nodes[1:]):
-            mid = op_between(b, a).compose(mid).compose(op_between(a, b))
-        chains.append(r_mu.compose(mid).compose(r_mu))
-    dim = ps.dim(mu_s)
+    chains = theorem_chains(ps, mu, p, support)
+    dim = ps.dim(mu.spin_shifted())
     target = laplace_deriv_op(m, dim, p)
 
     checks = []
@@ -559,10 +572,9 @@ def verify_factorization_numeric(
         checks.append(
             Check("normalization_solve", True, {"degree": solve_degree, "scalars": list(map(str, scalars))})
         )
-        combined = None
-        for c, chain in zip(scalars, chains):
-            term = chain.scale(QQi(c))
-            combined = term if combined is None else combined + term
+        combined = _by_signature(m, (
+            (sig, mat, c) for c, chain in zip(scalars, chains) for sig, mat in chain.terms.items()
+        ))
         # termwise equality makes the identity degree-independent; still
         # instantiate and compare on every requested degree explicitly
         identity_holds = combined == target

@@ -3,8 +3,9 @@
 `Mat` holds the small matrices (gamma matrices, Casimir matrices,
 projectors, the coefficients of derivative operators) fraction-free:
 sparse rows of Gaussian-integer numerators over one reduced common
-denominator, so products and sums run on Python ints and divide once
-per operation.  The large eliminations all run in `sparse_rref`, on the
+denominator.  Products, sums and whole sums of products run through
+one kernel, `Mat.sum_of_products`, on Python ints, and divide once per
+sum.  The large eliminations all run in `sparse_rref`, on the
 Gaussian-integer rows `{col: (re, im)}` that callers already hold (the
 numerators of a `Mat` or of polynomial images), in the spirit of
 Bareiss's integer-preserving elimination: forward elimination
@@ -25,6 +26,10 @@ from .gaussian import QQi, QQI_ONE, QQI_ZERO
 
 class SpanError(AssertionError):
     """An engine self-check failed: a vector left its span, or a basis was dependent."""
+
+
+class ShapeError(AssertionError):
+    """Matrices of mismatched shapes met in a product or a sum: an engine error."""
 
 
 class ResourceCapError(RuntimeError):
@@ -75,8 +80,9 @@ class Mat:
     common denominator ``den``.  ``den`` is reduced so that its gcd with
     every numerator component is 1 (the zero matrix has ``den == 1``), which
     makes the form canonical: equality and ``is_zero`` compare integers.
-    Products, sums and scalings run on integers and divide once, in that
-    reduction.  ``rows`` materialises the ``QQi`` view on demand.
+    A product, a sum or a whole sum of products runs on integers and
+    divides once, in that reduction.  ``rows`` materialises the ``QQi``
+    view on demand.
     """
 
     __slots__ = ("num", "den", "nrows", "ncols")
@@ -139,34 +145,83 @@ class Mat:
         entry = self.num[i].get(j)
         return QQI_ZERO if entry is None else _qqi(*entry, self.den)
 
-    def _combine(self, other, sign):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} +- {other.nrows}x{other.ncols}")
-        den = lcm(self.den, other.den)
-        fa = den // self.den
-        fb = sign * (den // other.den)
-        out = []
-        for arow, brow in zip(self.num, other.num):
-            row = {j: (re * fa, im * fa) for j, (re, im) in arow.items()} if fa != 1 else dict(arow)
-            for j, (re, im) in brow.items():
-                cur = row.get(j)
-                if cur is None:
-                    row[j] = (re * fb, im * fb)
-                else:
-                    re = cur[0] + re * fb
-                    im = cur[1] + im * fb
-                    if re or im:
+    @staticmethod
+    def sum_of_products(terms):
+        """The sum of a_k * b_k over the nonempty terms (a_k, b_k).
+
+        b_k is a Mat, or an exact scalar c_k for the term c_k * a_k.  Every
+        term is brought to the common denominator of all of them, the
+        integers accumulate in place, and the sum is reduced once.  A
+        shape mismatch, within a product or between terms, is a
+        ShapeError.
+        """
+        shape = None
+        plan = []  # (a, b or None, scalar numerators or None, the term's denominator)
+        for a, b in terms:
+            if isinstance(b, Mat):
+                if a.ncols != b.nrows:
+                    raise ShapeError(f"shape mismatch {a.nrows}x{a.ncols} * {b.nrows}x{b.ncols}")
+                plan.append((a, b, None, a.den * b.den))
+                out = (a.nrows, b.ncols)
+            else:
+                c = QQi.coerce(b)
+                cd = _common_den([c])
+                plan.append((a, None, _numerators(c, cd), a.den * cd))
+                out = (a.nrows, a.ncols)
+            if shape is None:
+                shape = out
+            elif out != shape:
+                raise ShapeError(f"terms of shapes {shape[0]}x{shape[1]} and {out[0]}x{out[1]} in one sum")
+        den = lcm(*(term[3] for term in plan))
+        # a first contribution is a product of nonzero Gaussian integers, so
+        # only a sum can vanish, and it is dropped where it does
+        num = [{} for _ in range(shape[0])]
+        for a, b, c, term_den in plan:
+            f = den // term_den
+            if b is None:
+                cr, ci = c[0] * f, c[1] * f
+                if not (cr or ci):
+                    continue
+                for arow, row in zip(a.num, num):
+                    if not row:
+                        row.update(arow if cr == 1 and not ci else
+                                   {j: (re * cr - im * ci, re * ci + im * cr) for j, (re, im) in arow.items()})
+                        continue
+                    for j, (ar, ai) in arow.items():
+                        re = ar * cr - ai * ci
+                        im = ar * ci + ai * cr
+                        cur = row.get(j)
+                        if cur is not None:
+                            re += cur[0]
+                            im += cur[1]
+                            if not (re or im):
+                                del row[j]
+                                continue
                         row[j] = (re, im)
-                    else:
-                        del row[j]
-            out.append(row)
-        return Mat._reduced(out, den, self.ncols)
+                continue
+            bnum = b.num
+            for arow, row in zip(a.num, num):
+                for j, (ar, ai) in arow.items():
+                    if f != 1:
+                        ar, ai = ar * f, ai * f
+                    for t, (br, bi) in bnum[j].items():
+                        re = ar * br - ai * bi
+                        im = ar * bi + ai * br
+                        cur = row.get(t)
+                        if cur is not None:
+                            re += cur[0]
+                            im += cur[1]
+                            if not (re or im):
+                                del row[t]
+                                continue
+                        row[t] = (re, im)
+        return Mat._reduced(num, den, shape[1])
 
     def __add__(self, other):
-        return self._combine(other, 1)
+        return Mat.sum_of_products([(self, 1), (other, 1)])
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return Mat.sum_of_products([(self, 1), (other, -1)])
 
     def __neg__(self):
         return self.scale(-1)
@@ -184,24 +239,7 @@ class Mat:
         return Mat._reduced(num, self.den * cd, self.ncols)
 
     def __mul__(self, other):
-        if not isinstance(other, Mat):
-            return self.scale(other)
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        bnum = other.num
-        out = []
-        for arow in self.num:
-            acc = {}
-            for j, (ar, ai) in arow.items():
-                for t, (br, bi) in bnum[j].items():
-                    cur = acc.get(t)
-                    if cur is None:
-                        acc[t] = [ar * br - ai * bi, ar * bi + ai * br]
-                    else:
-                        cur[0] += ar * br - ai * bi
-                        cur[1] += ar * bi + ai * br
-            out.append({t: (re, im) for t, (re, im) in acc.items() if re or im})
-        return Mat._reduced(out, self.den * other.den, other.ncols)
+        return Mat.sum_of_products([(self, other)])
 
     __rmul__ = scale
 

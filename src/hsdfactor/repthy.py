@@ -254,10 +254,7 @@ class ProjectorSet:
 
 def casimir_matrix(ambient: RealizedSpace) -> Mat:
     """The quadratic Casimir -sum_{a<b} L_ab L_ab, with eigenvalues <kappa, kappa + 2 rho>."""
-    out = Mat.zero(ambient.dim, ambient.dim)
-    for lab in so_generators(ambient).values():
-        out = out - lab * lab
-    return out
+    return Mat.sum_of_products([(-lab, lab) for lab in so_generators(ambient).values()])
 
 
 @lru_cache(maxsize=None)

@@ -7,13 +7,16 @@ of the images, as the engine did before; `ref_polyharmonic_order` applies
 the Laplacian to polynomials rather than to coefficient vectors.
 
 It also holds the matrix and polynomial readings that only the tests take
-(`matvec`, `trace`, `degree`, `projectors`, `projector`).
+(`matvec`, `trace`, `degree`, `projectors`, `projector`), and the
+pairwise `DerivOp` arithmetic (`add_ops`, `sub_ops`, `pairwise_compose`):
+one `Mat` product or sum at a time, the reference for the engine's
+sums grouped by signature.
 """
 
 from math import lcm
 
 from hsdfactor.gaussian import QQi, QQI_ZERO
-from hsdfactor.hsd import x_shift
+from hsdfactor.hsd import DerivOp, x_shift
 from hsdfactor.linalg import Mat, SpanSolver, _common_den, _numerators, _qqi
 from hsdfactor.polyspace import (
     SpinorPoly,
@@ -52,6 +55,29 @@ def degree(f: SpinorPoly, var: int) -> int:
     if len(degs) != 1:
         raise ValueError(f"polynomial not homogeneous in variable {var}")
     return degs.pop()
+
+
+def add_ops(a: DerivOp, b: DerivOp) -> DerivOp:
+    """a + b, one `Mat` sum per shared signature."""
+    terms = dict(a.terms)
+    for sig, mat in b.terms.items():
+        terms[sig] = terms[sig] + mat if sig in terms else mat
+    return DerivOp(a.m, terms)
+
+
+def sub_ops(a: DerivOp, b: DerivOp) -> DerivOp:
+    return add_ops(a, b.scale(-1))
+
+
+def pairwise_compose(p: DerivOp, q: DerivOp) -> DerivOp:
+    """p . q, one `Mat` product and one `Mat` sum per pair of terms."""
+    terms = {}
+    for s1, m1 in p.terms.items():
+        for s2, m2 in q.terms.items():
+            sig = tuple(a + b for a, b in zip(s1, s2))
+            prod = m1 * m2
+            terms[sig] = terms[sig] + prod if sig in terms else prod
+    return DerivOp(p.m, terms)
 
 
 def projectors(ps) -> list:

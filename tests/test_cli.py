@@ -184,6 +184,38 @@ def test_span_failure_is_an_internal_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "extra_cols,message",
+    [(0, "shape mismatch 5x4 * 5x4"), (1, "terms of shapes 5x5 and 4x4 in one sum")],
+)
+def test_shape_mismatch_is_an_internal_error(capsys, monkeypatch, extra_cols, message):
+    """A step block of the wrong shape is an engine fault: exit 3, not a usage error."""
+    from hsdfactor import hsd
+    from hsdfactor.linalg import Mat
+
+    real = hsd._step_ops
+
+    def widened(ps):
+        op_between = real(ps)
+        top = ps.weights[0]
+
+        def block(target, source):
+            op = op_between(target, source)
+            if target != top or source != top:
+                return op
+            # one zero row more, and extra_cols zero columns more
+            return hsd.DerivOp(op.m, {
+                sig: Mat._reduced(mat.num + [{}], mat.den, mat.ncols + extra_cols) for sig, mat in op.terms.items()
+            })
+
+        return block
+
+    monkeypatch.setattr(hsd, "_step_ops", widened)
+    code, data = run_json(capsys, ["verify", "identities", "--mu", "1", "--m", "3", "--degree", "2"])
+    assert code == 3
+    assert data == {"error": "internal", "type": "ShapeError", "message": message}
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "path", "--mu", "1,2"],

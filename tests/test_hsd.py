@@ -16,7 +16,20 @@ from hsdfactor.hsd import (
 )
 from hsdfactor.polyspace import Compose, Dirac, ScalarMix, SpinorPoly, VectorMult, apply, laplace, spinor_unit
 from hsdfactor.weights import Weight, weight
-from hsd_oracle import apply_op, as_poly, degree, domain_basis, matvec, op_matrix, projector, ref_polyharmonic_order, trace
+from hsd_oracle import (
+    add_ops,
+    apply_op,
+    as_poly,
+    degree,
+    domain_basis,
+    matvec,
+    op_matrix,
+    pairwise_compose,
+    projector,
+    ref_polyharmonic_order,
+    sub_ops,
+    trace,
+)
 from test_acceptance import twistor_inversion
 
 
@@ -159,7 +172,7 @@ def test_identities_match_explicit_matrix_route():
             blocks[(k, i)] = const(projector(ps, k)).compose(dop).compose(const(projector(ps, i)))
     rhs = blocks[(top, top)].compose(blocks[(top, top)])
     bottom = Weight((0,), spin=True)
-    rhs = rhs + blocks[(top, bottom)].compose(blocks[(bottom, top)])
+    rhs = add_ops(rhs, blocks[(top, bottom)].compose(blocks[(bottom, top)]))
     # evaluate both on the full degree-2 component
     for alpha in [(2, 0, 0), (1, 1, 0), (0, 1, 1)]:
         assert lhs.apply_monomial(alpha) == rhs.apply_monomial(alpha)
@@ -204,7 +217,7 @@ def test_apply_monomial_matches_the_vector_oracle(lam, m):
         rhs = block(kappa, kappa).compose(block(kappa, kappa))
         for omega in ps.weights:
             if manhattan_distance(kappa, omega) == 1:
-                rhs = rhs + block(kappa, omega).compose(block(omega, kappa))
+                rhs = add_ops(rhs, block(kappa, omega).compose(block(omega, kappa)))
         ops += [(laplace_deriv_op(m, ps.dim(kappa)).scale(-1), ps.dim(kappa)), (rhs, ps.dim(kappa))]
     for op, ncols in ops:
         for degree in range(4):
@@ -241,12 +254,74 @@ def test_derivop_canonical_form(lam, m):
     blocks = [((ps.dim(k), ps.dim(i)), op_between(k, i)) for k in ps.weights for i in ps.weights]
     assert any(not a.is_zero() for _, a in blocks)
     for shape_a, a in blocks:
-        assert (a - a).is_zero()
-        assert a - a == DerivOp(m)
+        assert sub_ops(a, a).is_zero()
+        assert sub_ops(a, a) == DerivOp(m)
         assert a.scale(0).is_zero()
         for shape_b, b in blocks:
             if shape_a == shape_b:
-                assert (a + b) - b == a
+                assert sub_ops(add_ops(a, b), b) == a
+
+
+@pytest.mark.parametrize("lam,m", [((1,), 3), ((1, 0), 5), ((1, 1), 5)])
+def test_fused_compositions_match_the_pairwise_route(lam, m):
+    """compose and compose_sum, one sum of products per signature, equal
+    composing one Mat product at a time and adding the operators after."""
+    from hsdfactor.hsd import _step_ops, compose_sum
+    from hsdfactor.repthy import casimir_projectors
+
+    ps = casimir_projectors(Weight(lam), m)
+    block = _step_ops(ps)
+    w = ps.weights
+    for kappa in w:
+        for theta in w:
+            for iota in w:
+                assert block(kappa, theta).compose(block(theta, iota)) == pairwise_compose(
+                    block(kappa, theta), block(theta, iota)
+                )
+            pairs = [(block(kappa, omega), block(omega, theta)) for omega in w]
+            expected = DerivOp(m)
+            for p, q in pairs:
+                expected = add_ops(expected, pairwise_compose(p, q))
+            assert compose_sum(m, pairs) == expected
+            # a sum that cancels leaves no term at all
+            p, q = pairs[0]
+            assert compose_sum(m, [(p, q), (p, q.scale(-1))]).terms == {}
+
+
+def lap_first_chains(ps, mu, p, support):
+    """The chains P(mu <- lam) Lap^e P(lam <- mu) built from the inside out,
+    then r_mu on both sides: the order before Lap^e was composed last."""
+    from hsdfactor.hsd import _step_ops, laplace_deriv_op
+    from hsdfactor.weights import canonical_path, manhattan_distance
+
+    op_between = _step_ops(ps)
+    mu_s = mu.spin_shifted()
+    r_mu = op_between(mu_s, mu_s)
+    chains = []
+    for lam in support:
+        nodes = [x.spin_shifted() for x in canonical_path(lam, mu)]
+        mid = laplace_deriv_op(ps.ambient.m, ps.dim(nodes[0]), p - manhattan_distance(mu, lam) - 1)
+        for a, b in zip(nodes, nodes[1:]):
+            mid = pairwise_compose(pairwise_compose(op_between(b, a), mid), op_between(a, b))
+        chains.append(pairwise_compose(pairwise_compose(r_mu, mid), r_mu))
+    return chains
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("mu,m", [((1,), 3), ((1, 0), 5), ((1, 0, 0), 7)])
+def test_laplace_last_chains_equal_laplace_first_chains(mu, m, p):
+    """Lap^e (x) 1 commutes with every step: the chains agree term by term."""
+    from hsdfactor.hsd import theorem_chains
+    from hsdfactor.opalgebra import expand_laplace_power
+    from hsdfactor.repthy import casimir_projectors
+
+    mu = Weight(mu)
+    support = expand_laplace_power(mu, p).support()
+    ps = casimir_projectors(mu, m)
+    got = theorem_chains(ps, mu, p, support)
+    want = lap_first_chains(ps, mu, p, support)
+    assert [c.terms for c in got] == [c.terms for c in want]
+    assert all(not c.is_zero() for c in got)
 
 
 def test_polyharmonic_order_examples():

@@ -154,3 +154,67 @@ def test_qqi_on_the_left_reaches_mat_rmul(pair, c):
     assert c * Mat(a) == Mat(a) * c
     with pytest.raises(TypeError):
         c * 0.5  # no floating point: any operand but QQi, int or Fraction is refused
+
+
+@st.composite
+def sums_of_products(draw):
+    """1-4 terms of one n x m output: products a * b, and scalings c * a."""
+    n, m = draw(dims), draw(dims)
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            inner = draw(dims)
+            terms.append((draw(matrices(n, inner)), draw(matrices(inner, m))))
+        else:
+            terms.append((draw(matrices(n, m)), draw(scalars)))
+    return terms
+
+
+def naive_term(a, b):
+    return naive_mul(a, b) if isinstance(b, list) else [[b * x for x in row] for row in a]
+
+
+def as_operand(b):
+    return Mat(b) if isinstance(b, list) else b
+
+
+@examples
+@given(sums_of_products())
+def test_sum_of_products_matches_reference_and_pairwise_route(terms):
+    """Mixed denominators and imaginary parts: the naive QQi sum, and the sum of
+    `*` one term at a time folded with `+`, give the same canonical matrix."""
+    fused = Mat.sum_of_products([(Mat(a), as_operand(b)) for a, b in terms])
+    assert_canonical(fused)
+    expected = naive_term(*terms[0])
+    for a, b in terms[1:]:
+        expected = [[x + y for x, y in zip(r, s)] for r, s in zip(expected, naive_term(a, b))]
+    assert fused.rows == expected
+    pairwise = Mat(terms[0][0]) * as_operand(terms[0][1])
+    for a, b in terms[1:]:
+        pairwise = pairwise + Mat(a) * as_operand(b)
+    assert fused == pairwise
+
+
+@examples
+@given(sums_of_products())
+def test_sum_of_products_that_cancels_is_the_canonical_zero(terms):
+    negated = [(a, Mat(b).scale(-1) if isinstance(b, list) else -b) for a, b in terms]
+    pairs = [(Mat(a), as_operand(b)) for a, b in terms] + [(Mat(a), b) for a, b in negated]
+    total = Mat.sum_of_products(pairs)
+    assert total.is_zero() and total.den == 1
+    assert total == Mat.zero(len(terms[0][0]), total.ncols)
+
+
+def test_shape_mismatches_are_engine_errors():
+    from hsdfactor.linalg import ShapeError
+
+    a, b = Mat.identity(2), Mat.identity(3)
+    assert issubclass(ShapeError, AssertionError) and not issubclass(ShapeError, ValueError)
+    with pytest.raises(ShapeError, match="shape mismatch 2x2 \\* 3x3"):
+        a * b
+    with pytest.raises(ShapeError, match="terms of shapes 2x2 and 3x3 in one sum"):
+        a + b
+    with pytest.raises(ShapeError, match="shape mismatch 2x2 \\* 3x3"):
+        Mat.sum_of_products([(a, a), (a, b)])  # the second pair is checked too
+    with pytest.raises(ShapeError, match="terms of shapes 2x2 and 3x3 in one sum"):
+        Mat.sum_of_products([(a, a), (b, 2)])
