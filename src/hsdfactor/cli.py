@@ -7,7 +7,7 @@ argparse rejects any other flag.
 Exit codes: 0 success / all checks passed, 1 some verification check
 failed, 2 usage or resource error or a report that cannot be written, 3
 internal error (an exact self-check of the engine failed, matrices of
-mismatched shapes met, or an unexpected lookup or arithmetic error; printed as ``{"error": "internal", ...}``,
+mismatched shapes met, or an unexpected lookup, index, type or arithmetic error; printed as ``{"error": "internal", ...}``,
 with the traceback on stderr, so it is never read as a failed check).
 Reports are deterministic JSON in the layout of json.dumps(sort_keys=True,
 indent=2); the wall-time field is the only varying part.
@@ -315,7 +315,7 @@ def run(argv) -> int:
     except ValueError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}, sort_keys=True))
         return 2
-    except (AssertionError, KeyError, ArithmeticError) as exc:
+    except (AssertionError, LookupError, TypeError, ArithmeticError) as exc:
         import traceback  # only on this path: it would add to every start-up
 
         traceback.print_exc(file=sys.stderr)

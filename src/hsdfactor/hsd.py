@@ -17,21 +17,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import comb, factorial, lcm, perm, prod
 
 from .gaussian import QQi, QQI_ZERO
 from .linalg import DEFAULT_CELL_CAP, Mat, ResourceCapError, check_cells, int_nullspace, nullity, solve_sparse
 from .opalgebra import expand_laplace_power
 from .polyspace import (
+    BlockPoly,
     Compose,
     Dirac,
     IDENTITY,
     ScalarMix,
-    SpinorPoly,
     VectorMult,
     apply,  # unused here; kept as hsd.apply, which the benchmark tracer patches
-    combination,
+    combinations,
     exponents,
     homogeneous_basis,
     joint_kernel,
@@ -61,7 +61,7 @@ class DerivOp:
     Zero matrices are dropped and `Mat` is canonical, so `terms` is too.
     """
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m", "terms", "_top")
 
     def __init__(self, m: int, terms=None):
         self.m = m
@@ -70,6 +70,7 @@ class DerivOp:
             for sig, mat in terms.items():
                 if not mat.is_zero():
                     self.terms[tuple(sig)] = mat
+        self._top = max((max(sig) for sig in self.terms), default=0)  # largest signature entry
 
     def compose(self, other: "DerivOp") -> "DerivOp":
         return compose_sum(self.m, [(self, other)])
@@ -92,15 +93,17 @@ class DerivOp:
         """Action on x^alpha: output exponent beta -> the matrix sending the
         coefficient vector of x^alpha to that of x^beta.
 
-        (d/dx)^sig x^alpha = prod perm(alpha_i, sig_i) x^(alpha - sig), and
-        perm is 0 when sig_i > alpha_i.  Distinct signatures give distinct
-        exponents, and every stored matrix is nonzero, so no entry is zero.
+        (d/dx)^sig x^alpha = prod perm(alpha_i, sig_i) x^(alpha - sig), which
+        vanishes unless sig <= alpha.  So only the signatures sig <= alpha
+        with no entry above the largest of any term's are visited: they are
+        enumerated and intersected with the terms at C speed.  Distinct
+        signatures give distinct exponents, and every stored matrix is
+        nonzero, so no entry is zero.
         """
+        terms = self.terms
         out = {}
-        for sig, mat in self.terms.items():
-            coeff = prod(map(perm, alpha, sig))
-            if coeff:
-                out[tuple(a - s for a, s in zip(alpha, sig))] = mat.scale(coeff)
+        for sig in terms.keys() & product(*(range(min(a, self._top) + 1) for a in alpha)):
+            out[tuple(a - s for a, s in zip(alpha, sig))] = terms[sig].scale(prod(map(perm, alpha, sig)))
         return out
 
 
@@ -185,12 +188,6 @@ class HsdOperator:
     source_coords: Mat = None        # projector kind: L of the source summand
 
 
-def x_shift(b: SpinorPoly, alpha: tuple) -> SpinorPoly:
-    """Multiply a dummy-variable polynomial by the x-monomial x^alpha."""
-    m = b.m
-    return b.reindexed(b.k, lambda exp: alpha + exp[m:])
-
-
 def explicit_hsd(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> HsdOperator:
     """Explicit operator for shapes (), (k) and (k, l): one factor per row p,
 
@@ -229,12 +226,16 @@ def _degree_one_images(spec, basis: list, m: int) -> DerivOp:
     Column j of A_i is spec(x_i (x) basis[j]), over the images' common
     denominator, in their (exponent, spinor) coordinates numbered as
     `stacked_rows` returns them.  The spec is applied once, to the m*d
-    elements x_i (x) b_j: column c of `stacked_rows` is (i, j) =
-    (c // d, c % d).
+    elements x_i (x) b_j as one `BlockPoly`: b_j's blocks moved to
+    x-exponent e_i, and column c = i*d + j.
     """
     d = len(basis)
     units = [tuple(int(t == i) for t in range(m)) for i in range(m)]
-    rows, den = stacked_rows([spec], [x_shift(b, e) for e in units for b in basis])
+    base = BlockPoly.of(basis)
+    rows, den = stacked_rows([spec], BlockPoly(m, base.k, m * d, {
+        e + exp[m:]: Mat._reduced([{i * d + j: v for j, v in row.items()} for row in b.num], b.den, m * d)
+        for i, e in enumerate(units) for exp, b in base.blocks.items()
+    }))
     nums = [[{} for _ in rows] for _ in units]
     for r, row in enumerate(rows.values()):
         for c, pair in row.items():
@@ -244,11 +245,7 @@ def _degree_one_images(spec, basis: list, m: int) -> DerivOp:
 
 def _summand_basis(ps: ProjectorSet, kappa: Weight) -> list:
     """The columns of C (a basis of the Casimir eigenspace), as value-space polynomials."""
-    c = ps.frame(kappa)[0]
-    return [
-        combination(ps.ambient.basis, {i: row[j] for i, row in enumerate(c.num) if j in row}, c.den)
-        for j in range(c.ncols)
-    ]
+    return combinations(ps.ambient.basis, ps.frame(kappa)[0])
 
 
 def generic_twistor_hsd(lam: Weight, m: int) -> list:

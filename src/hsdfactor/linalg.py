@@ -163,6 +163,9 @@ class Mat:
                     raise ShapeError(f"shape mismatch {a.nrows}x{a.ncols} * {b.nrows}x{b.ncols}")
                 plan.append((a, b, None, a.den * b.den))
                 out = (a.nrows, b.ncols)
+            elif isinstance(b, int):
+                plan.append((a, None, (b, 0), a.den))
+                out = (a.nrows, a.ncols)
             else:
                 c = QQi.coerce(b)
                 cd = _common_den([c])
@@ -183,6 +186,8 @@ class Mat:
                 if not (cr or ci):
                     continue
                 for arow, row in zip(a.num, num):
+                    if not arow:
+                        continue
                     if not row:
                         row.update(arow if cr == 1 and not ci else
                                    {j: (re * cr - im * ci, re * ci + im * cr) for j, (re, im) in arow.items()})

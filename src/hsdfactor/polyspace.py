@@ -4,18 +4,20 @@ A polynomial is a map from multi-exponents over the (k+1)*m coordinates
 (x first, then each u_p) to spinor vectors of length 2^n.  It is stored
 fraction-free, like `linalg.Mat`: Gaussian-integer numerators over one
 reduced common denominator, so operators, sums and comparisons run on
-Python ints.  First-order invariant building blocks are assembled from
-OperatorSpec values and applied exactly in one accumulation pass; a spec
-reaches the spinor factor only through the gamma matrices of `Dirac` and
-`VectorMult` (the so(m) generators are matrices, built in `repthy`).
-Homogeneous components get exact matrix realizations.  A basis is
-imaged as one polynomial: element j carries a trailing exponent
-coordinate j that no spec touches (`_tagged`), so `stacked_rows` and
-`operator_matrix` apply each spec once per domain and split the image
-back into columns.  The eliminations take the images' numerators as
-they are (`stacked_rows`), `operator_matrix` included (`span_coords`);
-QQi appears only at the boundary: constructor inputs, scalar
-coefficients and `coordinates()`.
+Python ints.  A `BlockPoly` holds several side by side, one spinor_dim
+x n `Mat` per exponent.  First-order invariant building blocks are
+assembled from OperatorSpec values, and `apply` runs them on blocks:
+each spec term moves an exponent to one exponent with an integer
+factor, and one `Mat.sum_of_products` per exponent sums the terms
+landing there.  That kernel does every product and sum here: a
+`SpinorPoly` is the one-column case, and linear combinations are block
+products.  A spec reaches the spinor factor only through the gammas of
+`Dirac` and `VectorMult` (the so(m) generators are matrices, built in
+`repthy`).  `stacked_rows` and `operator_matrix` apply each spec once
+to a whole domain and read the rows off the image blocks, and the
+eliminations take those numerators as they are (`span_coords`).  QQi
+appears only at the boundary: constructor inputs, scalar coefficients
+and `coordinates()`.
 """
 
 from __future__ import annotations
@@ -95,10 +97,6 @@ class SpinorPoly:
         out.den = den
         return out
 
-    def reindexed(self, k: int, exp_map) -> "SpinorPoly":
-        """The polynomial in k dummy variables with each exponent e moved to exp_map(e), an injective map."""
-        return SpinorPoly.from_num(self.m, k, {exp_map(e): vec for e, vec in self.num.items()}, self.den)
-
     @property
     def spinor_dim(self):
         return 2 ** ((self.m - 1) // 2)
@@ -108,17 +106,17 @@ class SpinorPoly:
 
     def __add__(self, other):
         self._check(other)
-        return _weighted_sum(self.m, self.k, ((self, 1), (other, 1)))
+        return combination([self, other], [1, 1])
 
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
         self._check(other)
-        return _weighted_sum(self.m, self.k, ((self, 1), (other, -1)))
+        return combination([self, other], [1, -1])
 
     def scale(self, c):
-        return _weighted_sum(self.m, self.k, ((self, c),))
+        return combination([self], [c])
 
     def _check(self, other):
         if self.m != other.m or self.k != other.k:
@@ -147,56 +145,65 @@ class SpinorPoly:
         return f"SpinorPoly({len(self.num)} monomials, m={self.m}, k={self.k})"
 
 
-def _finish(m: int, k: int, acc: dict, den: int) -> SpinorPoly:
-    """The polynomial acc / den from flat accumulators [re0, im0, re1, im1, ...]."""
-    num = {}
-    for exp, out in acc.items():
-        if any(out):
-            flat = iter(out)
-            num[exp] = tuple([(re, im) if re or im else _ZERO_PAIR for re, im in zip(flat, flat)])
-    return SpinorPoly.from_num(m, k, num, den)
+class BlockPoly:
+    """ncols polynomials of one space side by side, one `Mat` per exponent.
 
-
-def _weighted_sum(m: int, k: int, items) -> SpinorPoly:
-    """sum c * p over pairs (p, c), over the lcm of the denominators.
-
-    c is a Gaussian rational or a Gaussian integer (re, im).  Each p is
-    added as items yields it, the sum so far rescaled when the common
-    denominator grows, so the images a generator yields (the parts of a
-    `ScalarMix`) are never all held at once.
+    ``blocks`` maps an exponent to a spinor_dim x ncols Mat whose column j
+    is polynomial j's coefficient vector there; exponents where every
+    column vanishes are absent.  Each block is canonical, so the lcm of
+    the blocks' denominators is the columns' common denominator.
     """
-    den = 1
-    acc = {}
-    for p, c in items:
-        if isinstance(c, tuple):
-            (cr, ci), cd = c, 1
-        elif isinstance(c, int):
-            cr, ci, cd = c, 0, 1
-        else:
-            c = QQi.coerce(c)
-            cd = _common_den([c])
-            cr, ci = _numerators(c, cd)
-        if not p.num or not (cr or ci):
-            continue
-        d = cd * p.den
-        grown = lcm(den, d)
-        if grown != den:
-            g = grown // den
-            for out in acc.values():
-                out[:] = [v * g for v in out]
-            den = grown
-        f = den // d
-        cr *= f
-        ci *= f
-        for exp, vec in p.num.items():
-            out = acc.get(exp)
-            if out is None:
-                out = acc[exp] = [0] * (2 * len(vec))
-            for s, (re, im) in enumerate(vec):
-                if re or im:
-                    out[2 * s] += cr * re - ci * im
-                    out[2 * s + 1] += cr * im + ci * re
-    return _finish(m, k, acc, den)
+
+    __slots__ = ("m", "k", "ncols", "blocks")
+
+    def __init__(self, m: int, k: int, ncols: int, blocks: dict):
+        self.m = m
+        self.k = k
+        self.ncols = ncols
+        self.blocks = blocks
+
+    @classmethod
+    def of(cls, polys: list) -> "BlockPoly":
+        """The nonempty list polys of one space, column j holding polys[j]."""
+        m, k, n = polys[0].m, polys[0].k, len(polys)
+        dim = polys[0].spinor_dim
+        den = lcm(*(p.den for p in polys))
+        nums = {}
+        for j, p in enumerate(polys):
+            f = den // p.den
+            for exp, vec in p.num.items():
+                rows = nums.get(exp)
+                if rows is None:
+                    rows = nums[exp] = [{} for _ in range(dim)]
+                for row, (re, im) in zip(rows, vec):
+                    if re or im:
+                        row[j] = (re * f, im * f)
+        return cls(m, k, n, {exp: Mat._reduced(rows, den, n) for exp, rows in nums.items()})
+
+    def summed(self, groups: dict, ncols: int = None) -> "BlockPoly":
+        """The blocks in this space whose exponent e holds the sum of
+        products of groups[e] (`Mat.sum_of_products`), zero sums dropped."""
+        blocks = {}
+        for exp, terms in groups.items():
+            block = Mat.sum_of_products(terms)
+            if not block.is_zero():
+                blocks[exp] = block
+        return BlockPoly(self.m, self.k, self.ncols if ncols is None else ncols, blocks)
+
+    def columns(self) -> list:
+        """The polynomials, one per column, each in canonical form."""
+        dim = 2 ** ((self.m - 1) // 2)
+        den = lcm(1, *(block.den for block in self.blocks.values()))
+        nums = [{} for _ in range(self.ncols)]
+        for exp, block in self.blocks.items():
+            f = den // block.den
+            for s, row in enumerate(block.num):
+                for j, (re, im) in row.items():
+                    vec = nums[j].get(exp)
+                    if vec is None:
+                        vec = nums[j][exp] = [_ZERO_PAIR] * dim
+                    vec[s] = (re * f, im * f)
+        return [SpinorPoly.from_num(self.m, self.k, {e: tuple(v) for e, v in num.items()}, den) for num in nums]
 
 
 def spinor_unit(m: int, k: int, index: int) -> SpinorPoly:
@@ -261,96 +268,95 @@ class ScalarMix:
 IDENTITY = Compose(())
 
 
-def _check_var(f: SpinorPoly, var: int):
+def _check_var(f: BlockPoly, var: int):
     if not 0 <= var <= f.k:
         raise IndexError(f"variable index {var} out of range 0..{f.k}")
 
 
-def _sum_terms(f: SpinorPoly, terms) -> SpinorPoly:
-    """sum of mat . x_mult . d_derivs f over terms (derivs, mult, mat), in one pass.
-
-    derivs is a tuple of flat coordinates to differentiate by, mult a
-    coordinate to multiply by or None, and mat a Mat on the spinor factor
-    or None (the identity); all arithmetic is on the integer numerators.
-    """
-    den = lcm(*(mat.den for _, _, mat in terms if mat is not None))
-    prepared = []
-    for derivs, mult, mat in terms:
-        cols = None
-        if mat is not None:
-            # scattered by column: spinor vectors are mostly zero pairs
-            f_mat = den // mat.den
-            cols = [[] for _ in range(mat.ncols)]
-            for t, row in enumerate(mat.num):
-                for j, (re, im) in row.items():
-                    cols[j].append((2 * t, re * f_mat, im * f_mat))
-        prepared.append((derivs, mult, cols))
-    width = 2 * f.spinor_dim
-    acc = {}
-    for exp, vec in f.num.items():
-        for derivs, mult, cols in prepared:
-            coeff = 1
-            new = list(exp)
-            for c in derivs:
-                e = new[c]
-                if not e:
-                    break
-                coeff *= e
-                new[c] = e - 1
-            else:
-                if mult is not None:
-                    new[mult] += 1
-                key = tuple(new)
-                out = acc.get(key)
-                if out is None:
-                    out = acc[key] = [0] * width
-                if cols is None:
-                    coeff *= den
-                    for s, (re, im) in enumerate(vec):
-                        if re or im:
-                            out[2 * s] += coeff * re
-                            out[2 * s + 1] += coeff * im
-                    continue
-                for j, (re, im) in enumerate(vec):
-                    if re or im:
-                        cre = coeff * re
-                        cim = coeff * im
-                        for t, gr, gi in cols[j]:
-                            out[t] += gr * cre - gi * cim
-                            out[t + 1] += gr * cim + gi * cre
-    return _finish(f.m, f.k, acc, f.den * den)
-
-
-def apply(spec, f: SpinorPoly) -> SpinorPoly:
-    """Apply an operator spec exactly."""
+def _leaf_terms(spec, f: BlockPoly):
+    """The terms of a first- or second-order spec, or None for a Compose or
+    a ScalarMix.  A term (derivs, mult, mat) is mat . x_mult . d_derivs:
+    derivs the flat coordinates to differentiate by, mult one to multiply
+    by or None, mat a Mat on the spinor factor or None (the identity)."""
     m = f.m
     if isinstance(spec, (Dirac, VectorMult, LaplaceOp)):
         _check_var(f, spec.var)
         coords = range(spec.var * m, (spec.var + 1) * m)
+        if isinstance(spec, LaplaceOp):
+            return [((c, c), None, None) for c in coords]
+        gens = gamma_rep(m).generators
         if isinstance(spec, Dirac):
-            gens = gamma_rep(m).generators
-            return _sum_terms(f, [((c,), None, g) for c, g in zip(coords, gens)])
-        if isinstance(spec, VectorMult):
-            gens = gamma_rep(m).generators
-            return _sum_terms(f, [((), c, g) for c, g in zip(coords, gens)])
-        return _sum_terms(f, [((c, c), None, None) for c in coords])
+            return [((c,), None, g) for c, g in zip(coords, gens)]
+        return [((), c, g) for c, g in zip(coords, gens)]
     if isinstance(spec, (MixedEuler, MixedLaplace)):
         _check_var(f, spec.p)
         _check_var(f, spec.q)
         pairs = [(spec.p * m + i, spec.q * m + i) for i in range(m)]
         if isinstance(spec, MixedEuler):
-            return _sum_terms(f, [((q,), p, None) for p, q in pairs])
-        return _sum_terms(f, [((q, p), None, None) for p, q in pairs])
+            return [((q,), p, None) for p, q in pairs]
+        return [((q, p), None, None) for p, q in pairs]
     if isinstance(spec, CoordOp):
-        return _sum_terms(f, [((spec.deriv,), spec.mult, None)])
+        return [((spec.deriv,), spec.mult, None)]
+    if isinstance(spec, (Compose, ScalarMix)):
+        return None
+    raise TypeError(f"unknown operator spec {spec!r}")
+
+
+def _add_terms(groups: dict, f: BlockPoly, terms, weight):
+    """Add weight * sum of the terms applied to f into groups, by output exponent.
+
+    A term sends the block at e to one exponent with an integer factor c,
+    as the product (weight c mat, block), or (block, weight c) when mat is
+    None.
+    """
+    scaled = {}  # (term, c) -> weight * c * mat
+    for exp, block in f.blocks.items():
+        for t, (derivs, mult, mat) in enumerate(terms):
+            c = 1
+            new = list(exp)
+            for i in derivs:
+                e = new[i]
+                if not e:
+                    break
+                c *= e
+                new[i] = e - 1
+            else:
+                if mult is not None:
+                    new[mult] += 1
+                if mat is None:
+                    term = (block, weight * c)
+                else:
+                    a = scaled.get((t, c))
+                    if a is None:
+                        a = scaled[t, c] = mat if weight * c == 1 else mat.scale(weight * c)
+                    term = (a, block)
+                groups.setdefault(tuple(new), []).append(term)
+
+
+def apply(spec, f):
+    """Apply an operator spec exactly to a `BlockPoly`, column by column,
+    or to a `SpinorPoly`, its one-column case.
+
+    A leaf spec is a one-part `ScalarMix`.  The leaf parts of a mix add
+    their terms, and the other parts their image blocks, to one sum of
+    products per output exponent.
+    """
+    if isinstance(f, SpinorPoly):
+        return apply(spec, BlockPoly.of([f])).columns()[0]
     if isinstance(spec, Compose):
         out = f
         for part in reversed(spec.specs):
             out = apply(part, out)
         return out
-    if isinstance(spec, ScalarMix):
-        return _weighted_sum(m, f.k, ((apply(part, f), coeff) for coeff, part in spec.parts))
-    raise TypeError(f"unknown operator spec {spec!r}")
+    groups = {}
+    for weight, part in spec.parts if isinstance(spec, ScalarMix) else ((1, spec),):
+        terms = _leaf_terms(part, f)
+        if terms is None:
+            for exp, block in apply(part, f).blocks.items():
+                groups.setdefault(exp, []).append((block, weight))
+        else:
+            _add_terms(groups, f, terms, weight)
+    return f.summed(groups)
 
 
 def laplace(var: int, f: SpinorPoly) -> SpinorPoly:
@@ -396,35 +402,23 @@ def homogeneous_basis(m: int, k: int, degrees) -> list:
     return out
 
 
+def combinations(basis: list, coeffs: Mat) -> list:
+    """The polynomials sum_j coeffs[j, c] basis[j], one per column c of coeffs:
+    one block product per exponent."""
+    domain = BlockPoly.of(basis)
+    return domain.summed({e: [(b, coeffs)] for e, b in domain.blocks.items()}, coeffs.ncols).columns()
+
+
 def combination(basis: list, coeffs, den: int = 1) -> SpinorPoly:
     """sum_j coeffs[j] basis[j] / den; coeffs is a dict index -> scalar or a list.
 
-    A scalar is a Gaussian rational or a Gaussian integer (re, im).  One
-    pass over the integer numerators, over the lcm of the denominators.
+    A scalar is a Gaussian rational or a Gaussian integer (re, im).
     """
-    items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
-    out = _weighted_sum(basis[0].m, basis[0].k, ((basis[j], c) for j, c in items))
-    return out if den == 1 else SpinorPoly.from_num(out.m, out.k, out.num, out.den * den)
-
-
-def _tagged(domain: list) -> SpinorPoly:
-    """The domain as one polynomial: domain[j] gets one trailing exponent
-    coordinate holding j, which no spec touches, over the lcm of the
-    domain's denominators.  domain must not be empty.
-
-    Every image is linear and exact, and `SpinorPoly` is canonical, so
-    the image of the tagged domain, split by that coordinate, is the
-    image of each element over the lcm of their denominators.
-    """
-    den = lcm(*(b.den for b in domain))
-    num = {}
-    for j, b in enumerate(domain):
-        f = den // b.den
-        for exp, vec in b.num.items():
-            num[exp + (j,)] = vec if f == 1 else tuple(
-                (re * f, im * f) if re or im else _ZERO_PAIR for re, im in vec
-            )
-    return SpinorPoly.from_num(domain[0].m, domain[0].k, num, den)
+    items = list(coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs))
+    if not items:
+        return SpinorPoly(basis[0].m, basis[0].k)
+    column = Mat([[QQi(*c) if isinstance(c, tuple) else c] for _, c in items]).scale(QQi(1) / den)
+    return combinations([basis[j] for j, _ in items], column)[0]
 
 
 def stacked_rows(specs, domain: list) -> tuple:
@@ -432,32 +426,26 @@ def stacked_rows(specs, domain: list) -> tuple:
 
     Returns (rows, den).  rows maps (spec index, (exponent, spinor
     index)) to a dict column -> (re, im): column j holds the image of
-    domain[j], each entry a numerator over den, the lcm of the images'
-    denominators.  The order of the rows, and of the columns within a
-    row, is not part of the contract.  Each spec is applied once, to the
-    tagged domain, and its image is turned into rows before the next one
-    is applied.  An empty domain gives ({}, 1).
+    domain[j] (of a list of polynomials, or of a `BlockPoly`), each
+    entry a numerator over den, the lcm of the images' denominators.
+    The order of the rows, and of the columns within a row, is not part
+    of the contract, though two calls give the same.  Each spec is
+    applied once, to the domain's blocks, and row (spec, (e, s)) is row
+    s of its image's block at e, maybe that block's own dict: treat the
+    rows as read-only.  An empty domain gives ({}, 1).
     """
     if not domain:
         return {}, 1
-    tagged = _tagged(domain)
+    blocks = domain if isinstance(domain, BlockPoly) else BlockPoly.of(domain)
+    images = [apply(spec, blocks).blocks for spec in specs]
+    den = lcm(1, *(block.den for image in images for block in image.values()))
     rows = {}
-    dens = []
-    for si, spec in enumerate(specs):
-        image = apply(spec, tagged)
-        dens.append(image.den)
-        for exp, vec in image.num.items():
-            j, key = exp[-1], exp[:-1]
-            for s, pair in enumerate(vec):
-                if pair[0] or pair[1]:
-                    rows.setdefault((si, (key, s)), {})[j] = pair
-        del image  # before the next spec is applied
-    den = lcm(*dens)
-    if any(d != den for d in dens):
-        for (si, _), row in rows.items():
-            scale = den // dens[si]
-            for j, (re, im) in row.items():
-                row[j] = (re * scale, im * scale)
+    for si, image in enumerate(images):
+        for exp, block in image.items():
+            f = den // block.den
+            for s, row in enumerate(block.num):
+                if row:
+                    rows[si, (exp, s)] = row if f == 1 else {j: (re * f, im * f) for j, (re, im) in row.items()}
     return rows, den
 
 
@@ -465,11 +453,19 @@ def joint_kernel(specs, domain: list, cap: int = DEFAULT_CELL_CAP) -> list:
     """Basis of the common kernel of specs on span(domain), one polynomial per free column.
 
     Each is an `int_nullspace` vector divided by its free entry, its last
-    column: the reduced-row-echelon basis.
+    column: the reduced-row-echelon basis, all of them from one product
+    of the domain's blocks (`combinations`).
     """
     rows = list(stacked_rows(specs, domain)[0].values())
     check_cells(len(rows), len(domain), cap)
-    return [combination(domain, vec, vec[max(vec)][0]) for vec in int_nullspace(rows, len(domain))]
+    null = int_nullspace(rows, len(domain))
+    den = lcm(1, *(vec[max(vec)][0] for vec in null))
+    num = [{} for _ in domain]
+    for c, vec in enumerate(null):
+        f = den // vec[max(vec)][0]
+        for j, (re, im) in vec.items():
+            num[j][c] = (re * f, im * f)
+    return combinations(domain, Mat._reduced(num, den, len(null))) if null else []
 
 
 def operator_matrix(spec, domain: list, codomain: list) -> Mat:

@@ -7,16 +7,17 @@ of the images, as the engine did before; `ref_polyharmonic_order` applies
 the Laplacian to polynomials rather than to coefficient vectors.
 
 It also holds the matrix and polynomial readings that only the tests take
-(`matvec`, `trace`, `degree`, `projectors`, `projector`), and the
+(`x_shift`, `matvec`, `trace`, `degree`, `projectors`, `projector`), the
 pairwise `DerivOp` arithmetic (`add_ops`, `sub_ops`, `pairwise_compose`):
 one `Mat` product or sum at a time, the reference for the engine's
-sums grouped by signature.
+sums grouped by signature, and `all_terms_apply_monomial`, the loop
+over every signature that `DerivOp.apply_monomial` prunes.
 """
 
-from math import lcm
+from math import lcm, perm, prod
 
 from hsdfactor.gaussian import QQi, QQI_ZERO
-from hsdfactor.hsd import DerivOp, x_shift
+from hsdfactor.hsd import DerivOp
 from hsdfactor.linalg import Mat, SpanSolver, _common_den, _numerators, _qqi
 from hsdfactor.polyspace import (
     SpinorPoly,
@@ -25,6 +26,12 @@ from hsdfactor.polyspace import (
     exponents,
     laplace,
 )
+
+
+def x_shift(b: SpinorPoly, alpha: tuple) -> SpinorPoly:
+    """Multiply a dummy-variable polynomial by the x-monomial x^alpha."""
+    m = b.m
+    return SpinorPoly.from_num(m, b.k, {alpha + exp[m:]: vec for exp, vec in b.num.items()}, b.den)
 
 
 def matvec(mat: Mat, vec) -> list:
@@ -78,6 +85,17 @@ def pairwise_compose(p: DerivOp, q: DerivOp) -> DerivOp:
             prod = m1 * m2
             terms[sig] = terms[sig] + prod if sig in terms else prod
     return DerivOp(p.m, terms)
+
+
+def all_terms_apply_monomial(op: DerivOp, alpha: tuple) -> dict:
+    """`DerivOp.apply_monomial` by a pass over every term: perm is 0 where
+    sig_i > alpha_i, and those terms are dropped."""
+    out = {}
+    for sig, mat in op.terms.items():
+        coeff = prod(map(perm, alpha, sig))
+        if coeff:
+            out[tuple(a - s for a, s in zip(alpha, sig))] = mat.scale(coeff)
+    return out
 
 
 def projectors(ps) -> list:

@@ -111,7 +111,7 @@ def _promote_to_one_dummy(g: SpinorPoly) -> SpinorPoly:
     if g.k != 0:
         raise ValueError("expected a polynomial in x alone or x and one dummy variable")
     pad = (0,) * g.m
-    return g.reindexed(1, lambda exp: exp + pad)
+    return SpinorPoly.from_num(g.m, 1, {exp + pad: vec for exp, vec in g.num.items()}, g.den)
 
 
 def fischer_inner(f: SpinorPoly, g: SpinorPoly) -> QQi:

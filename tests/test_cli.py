@@ -183,6 +183,22 @@ def test_span_failure_is_an_internal_error(capsys, monkeypatch):
     assert data == {"error": "internal", "type": "SpanError", "message": "image leaves the span of the basis"}
 
 
+@pytest.mark.parametrize("error", [IndexError, TypeError])
+def test_engine_index_and_type_errors_are_internal_errors(capsys, monkeypatch, error):
+    """An IndexError or TypeError inside the engine is a fault: exit 3, not a crash read as a failed check."""
+    from hsdfactor import polyspace, repthy
+
+    def broken(f, var):
+        raise error(f"variable index {var} out of range")
+
+    repthy.simplicial_monogenic_basis.cache_clear()
+    monkeypatch.setattr(polyspace, "_check_var", broken)
+    code, data = run_json(capsys, ["dims", "--mu", "1", "--m", "3"])
+    repthy.simplicial_monogenic_basis.cache_clear()
+    assert code == 3
+    assert data == {"error": "internal", "type": error.__name__, "message": "variable index 1 out of range"}
+
+
 @pytest.mark.parametrize(
     "extra_cols,message",
     [(0, "shape mismatch 5x4 * 5x4"), (1, "terms of shapes 5x5 and 4x4 in one sum")],

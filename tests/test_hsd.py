@@ -1,6 +1,8 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from hsdfactor.gaussian import QQi
 from hsdfactor.hsd import (
     DerivOp,
@@ -12,12 +14,12 @@ from hsdfactor.hsd import (
     verify_factorization_numeric,
     verify_identities,
     verify_induction_dims,
-    x_shift,
 )
 from hsdfactor.polyspace import Compose, Dirac, ScalarMix, SpinorPoly, VectorMult, apply, laplace, spinor_unit
 from hsdfactor.weights import Weight, weight
 from hsd_oracle import (
     add_ops,
+    all_terms_apply_monomial,
     apply_op,
     as_poly,
     degree,
@@ -29,6 +31,7 @@ from hsd_oracle import (
     ref_polyharmonic_order,
     sub_ops,
     trace,
+    x_shift,
 )
 from test_acceptance import twistor_inversion
 
@@ -199,6 +202,31 @@ def ref_apply_monomial(op, alpha, w):
             vec = [QQi(v.re * coeff, v.im * coeff) for v in vec]
         out[beta] = vec
     return {b: v for b, v in out.items() if any(v)}
+
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_apply_monomial_visits_what_the_all_terms_loop_keeps(data):
+    """Signatures of mixed degrees, each coordinate 0..3, on exponents that
+    lie below some of them: the pruned lookup keeps exactly the live terms."""
+    from hsdfactor.linalg import Mat
+
+    m = data.draw(st.sampled_from([3, 5]))
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    entries = st.builds(QQi, rationals, rationals)
+    sigs = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * m), max_size=10, unique=True))
+    op = DerivOp(m, {
+        sig: Mat(data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+        for sig in sigs
+    })
+    for _ in range(3):
+        alpha = data.draw(st.tuples(*[st.integers(0, 3)] * m))
+        got = op.apply_monomial(alpha)
+        assert got == all_terms_apply_monomial(op, alpha)
+        assert len(got) == sum(all(s <= a for s, a in zip(sig, alpha)) for sig in op.terms)
 
 
 @pytest.mark.parametrize("lam,m", [((1,), 3), ((1, 0), 5)])

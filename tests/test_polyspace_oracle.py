@@ -30,8 +30,9 @@ from hsdfactor.polyspace import (
     MixedLaplace,
     ScalarMix,
     SpinorPoly,
+    BlockPoly,
     VectorMult,
-    _sum_terms,
+    _add_terms,
     apply,
     combination,
 )
@@ -254,15 +255,18 @@ def test_every_leaf_kind_matches_oracle(data):
 @examples
 @given(st.data())
 def test_one_pass_over_matrices_with_different_denominators(data):
-    # gamma generators share one denominator; the one-pass sum must also
-    # bring spinor matrices with different denominators over their lcm
+    # gamma generators share one denominator; the per-exponent sums must
+    # also bring spinor matrices with different denominators over their lcm
     m, k = data.draw(spaces)
     f = data.draw(polys(m, k))
     dim = f.spinor_dim
     a, b = (data.draw(st.tuples(*[st.tuples(*[scalars] * dim)] * dim)) for _ in range(2))
-    got = _sum_terms(f, [((), None, Mat(a)), ((0,), 1, Mat(b))])
+    weight = data.draw(scalars)
+    blocks, groups = BlockPoly.of([f]), {}
+    _add_terms(groups, blocks, [((), None, Mat(a)), ((0,), 1, Mat(b))], weight)
+    (got,) = blocks.summed(groups).columns()
     rf = to_ref(f)
-    want = ref_apply(SpinorMat(Mat(a)), rf) + ref_apply(SpinorMat(Mat(b)), _coord_mult(_deriv(rf, 0), 1))
+    want = (ref_apply(SpinorMat(Mat(a)), rf) + ref_apply(SpinorMat(Mat(b)), _coord_mult(_deriv(rf, 0), 1))).scale(weight)
     assert to_ref(got).terms == want.terms
     assert_canonical(got)
 

@@ -1,14 +1,17 @@
 """Specs applied once per domain, against the per-element route.
 
 `stacked_rows`, `operator_matrix` and `hsd._degree_one_images` apply a
-spec once, to the whole domain laid out as one polynomial with a column
-tag.  Every image is linear and exact and `SpinorPoly` is canonical, so
-the rows, their common denominator and the matrices must be those of
+spec once, to the whole domain held as a `BlockPoly`: one
+spinor_dim x len(domain) `Mat` per exponent, column j holding domain[j].
+Every image is linear and exact and each block is canonical, so the
+rows, their common denominator and the matrices must be those of
 applying the spec to each domain element on its own.  The domains mix
 denominators: they are simplicial monogenic bases, or simplicial
-harmonics.  The Casimir matrix, built from generator matrices, is checked
-against the second-order spec -sum L_ab L_ab applied to each ambient
-element by the QQi oracle of `test_polyspace_oracle`.
+harmonics, or random polynomials with a zero element among them, imaged
+under random spec trees and checked against the QQi oracle `ref_apply`.
+The Casimir matrix, built from generator matrices, is checked against
+the second-order spec -sum L_ab L_ab applied to each ambient element by
+the same oracle.
 """
 
 from collections import Counter
@@ -16,18 +19,22 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsdfactor.clifford import gamma_rep
 from hsdfactor.gaussian import QQi
-from hsdfactor.hsd import explicit_hsd, x_shift
+from hsdfactor.hsd import explicit_hsd
 from hsdfactor.linalg import Mat, SpanSolver
 from hsdfactor.polyspace import (
     IDENTITY,
     Compose,
     CoordOp,
     Dirac,
+    LaplaceOp,
     MixedEuler,
+    MixedLaplace,
     ScalarMix,
+    SpinorPoly,
     VectorMult,
     apply,
     homogeneous_basis,
@@ -43,7 +50,8 @@ from hsdfactor.repthy import (
     so_generators,
 )
 from hsdfactor.weights import weight
-from test_polyspace_oracle import SpinorMat, ref_apply, to_ref
+from hsd_oracle import x_shift
+from test_polyspace_oracle import SpinorMat, polys, rationals, ref_apply, spaces, to_ref
 
 
 def per_element_rows(specs, domain):
@@ -127,6 +135,63 @@ def test_stacked_rows_of_the_casimir_and_of_several_specs():
     specs = [VectorMult(0), half, Compose((half, half))]
     assert [lcm(*(apply(spec, b).den for b in basis)) for spec in specs] == [3, 2, 4]
     check_rows(specs, basis)
+
+
+def spec_trees(m, k):
+    """Trees over all eight spec kinds, mixed with Fraction and Gaussian coefficients."""
+    var = st.integers(0, k)
+    coord = st.integers(0, (k + 1) * m - 1)
+    leaf = st.one_of(
+        st.builds(Dirac, var),
+        st.builds(VectorMult, var),
+        st.builds(MixedEuler, var, var),
+        st.builds(LaplaceOp, var),
+        st.builds(MixedLaplace, var, var),
+        st.builds(CoordOp, coord, coord),
+    )
+    weights = st.one_of(rationals, st.builds(QQi, rationals, rationals))
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3).map(lambda parts: Compose(tuple(parts))),
+            st.lists(st.tuples(weights, inner), min_size=1, max_size=3).map(lambda parts: ScalarMix(tuple(parts))),
+        ),
+        max_leaves=5,
+    )
+
+
+@st.composite
+def specs_and_domain(draw):
+    """Spec trees plus one spec whose image is empty, on a domain with a zero
+    element and an element over a denominator divisible by 3."""
+    m, k = draw(spaces)
+    specs = draw(st.lists(spec_trees(m, k), min_size=1, max_size=3))
+    cancel = draw(spec_trees(m, k))
+    specs.append(ScalarMix(((1, cancel), (-1, cancel))))
+    domain = draw(st.lists(polys(m, k), min_size=1, max_size=4))
+    domain += [SpinorPoly(m, k), domain[0].scale(QQi(Fraction(1, 3), Fraction(2, 3)))]
+    return draw(st.permutations(specs)), draw(st.permutations(domain))
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs_and_domain())
+def test_stacked_rows_are_the_oracle_coordinates(case):
+    specs, domain = case
+    want = {}
+    for si, spec in enumerate(specs):
+        for j, b in enumerate(domain):
+            for exp, vec in ref_apply(spec, to_ref(b)).terms.items():
+                for s, c in enumerate(vec):
+                    if c:
+                        want.setdefault((si, (exp, s)), {})[j] = c
+    want_den = lcm(1, *(x.denominator for row in want.values() for c in row.values() for x in (c.re, c.im)))
+    rows, den = stacked_rows(specs, domain)
+    assert den == want_den
+    assert {
+        key: {j: QQi(Fraction(re, den), Fraction(im, den)) for j, (re, im) in row.items()}
+        for key, row in rows.items()
+    } == want
+    assert list(rows) == list(stacked_rows(specs, domain)[0])
 
 
 def test_the_explicit_specs_are_the_two_shapes():
