@@ -20,6 +20,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 import time
 
@@ -45,13 +46,23 @@ from .reports import Check, Report, render
 from .weights import Weight, box, canonical_path, enumerate_paths, is_dominant, path_changes
 
 
+# an integer as the flags take it: int() alone would also read 1_0, +1 and non-ASCII digits
+_INTEGER = re.compile(r"\s*-?[0-9]+\s*")
+
+
+def _integer(text: str) -> int:
+    """The type of the integer flags: argparse reports a mismatch as it does for int."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_weight(flag: str, text: str, rank=None) -> Weight:
-    try:
-        entries = tuple(int(x) for x in text.split(","))
-    except ValueError:
+    parts = text.split(",")
+    if not all(map(_INTEGER.fullmatch, parts)):
         print(f"error: cannot parse {flag} {text!r}; expected comma-separated integers", file=sys.stderr)
         raise SystemExit(2)
-    w = Weight(entries)
+    w = Weight(tuple(map(int, parts)))
     if rank is not None and w.rank != rank:
         print(f"error: {flag} has rank {w.rank}, but --rank {rank} was given", file=sys.stderr)
         raise SystemExit(2)
@@ -233,10 +244,10 @@ _REQUIRED = object()  # the default of a flag that argparse requires
 
 _FLAGS = {
     "nu": {"help": "start weight (default: zero; for verify path, every dominant weight below --mu)"},
-    "m": {"type": int, "help": "ambient odd dimension m = 2n+1"},
-    "power": {"type": int, "help": "Laplace power"},
-    "degree": {"type": int, "help": "x-degree"},
-    "cap": {"type": int, "help": "resource cap (paths / matrix cells / monomials)"},
+    "m": {"type": _integer, "help": "ambient odd dimension m = 2n+1"},
+    "power": {"type": _integer, "help": "Laplace power"},
+    "degree": {"type": _integer, "help": "x-degree"},
+    "cap": {"type": _integer, "help": "resource cap (paths / matrix cells / monomials)"},
 }
 _PATHS = {"nu": None, "cap": 10000}
 _KERNEL = {"m": _REQUIRED, "degree": _REQUIRED, "cap": DEFAULT_CELL_CAP}
@@ -278,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = parser.commands[name] = (suites if group else sub).add_parser(leaf, help=help_text, allow_abbrev=False)
         p.set_defaults(command=name)
         p.add_argument("--mu", required=True, help="weight entries, e.g. 2,1")
-        p.add_argument("--rank", type=int, help="expected rank of the weights (validation)")
+        p.add_argument("--rank", type=_integer, help="expected rank of the weights (validation)")
         for flag, default in flags.items():
             p.add_argument(f"--{flag}", required=default is _REQUIRED, default=default, **_FLAGS[flag])
         p.add_argument("--json", help="write the report to this file instead of stdout")

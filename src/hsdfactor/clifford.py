@@ -9,17 +9,19 @@ Pauli tensor construction; the factor i that squares the generators to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .gaussian import QQi, QQI_I
 from .linalg import Mat
+from .weights import Frozen, _set
 
 
-@dataclass(frozen=True)
-class GammaRep:
-    m: int
-    generators: tuple  # m matrices of size 2^n
+class GammaRep(Frozen):
+    __slots__ = ("m", "generators")
+
+    def __init__(self, m: int, generators: tuple):
+        _set(self, "m", m)
+        _set(self, "generators", generators)  # m matrices of size 2^n
 
     @property
     def spinor_dim(self) -> int:

@@ -15,7 +15,6 @@ both kinds are null spaces of integer matrices built from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 from math import comb, factorial, lcm, perm, prod
@@ -160,7 +159,6 @@ def _step_ops(ps: ProjectorSet):
 # operators
 
 
-@dataclass
 class HsdOperator:
     """One invariant first-order operator with an explicit realization.
 
@@ -173,19 +171,22 @@ class HsdOperator:
     `stacked_rows` returns them.
     kind 'projector': P_target . (id x Dirac) . P_source between two
     Casimir summands of one ambient, in summand coordinates (rows are
-    target_values); source_coords is the source's L.
+    target_values); source_coords is the source's L.  Each kind leaves
+    the other's field (spec or source_coords) None.
     """
 
-    label: Weight            # target summand (half-integral)
-    source_label: Weight     # source summand
-    m: int
-    kind: str
-    value_space: RealizedSpace
-    source_basis: list       # value-space basis of the source side
-    target_values: list      # value-space basis of the target side
-    deriv_op: DerivOp
-    spec: object = None              # explicit kind
-    source_coords: Mat = None        # projector kind: L of the source summand
+    def __init__(self, label: Weight, source_label: Weight, m: int, kind: str, value_space: RealizedSpace,
+                 source_basis: list, target_values: list, deriv_op: DerivOp, spec=None, source_coords: Mat = None):
+        self.label = label                  # target summand (half-integral)
+        self.source_label = source_label    # source summand
+        self.m = m
+        self.kind = kind
+        self.value_space = value_space
+        self.source_basis = source_basis    # value-space basis of the source side
+        self.target_values = target_values  # value-space basis of the target side
+        self.deriv_op = deriv_op
+        self.spec = spec
+        self.source_coords = source_coords
 
 
 def explicit_hsd(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> HsdOperator:

@@ -31,13 +31,14 @@ independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial
 
 from .weights import (
+    Frozen,
     Weight,
+    _set,
     box,
     box_offsets,
     bruhat_leq,
@@ -51,37 +52,50 @@ from .linalg import ResourceCapError
 from .reports import Check, Report, jsonable
 
 
-@dataclass(frozen=True)
-class TwistorSym:
-    target: Weight
-    source: Weight
+class TwistorSym(Frozen):
+    __slots__ = ("target", "source", "step", "_hash")
 
-    def __post_init__(self):
-        if not (self.target.spin and self.source.spin):
+    def __init__(self, target: Weight, source: Weight):
+        if not (target.spin and source.spin):
             raise ValueError("twistor symbols live on half-integral weights")
-        if manhattan_distance(self.target, self.source) != 1:
-            raise ValueError(f"twistor endpoints {self.target}, {self.source} not at distance 1")
+        if manhattan_distance(target, source) != 1:
+            raise ValueError(f"twistor endpoints {target}, {source} not at distance 1")
+        _set(self, "target", target)
+        _set(self, "source", source)
         # step: (0-based coordinate, +1 or -1) from source to target; both it
         # and the hash are read on every rewrite, so they are fixed here
-        i = next(i for i, (t, s) in enumerate(zip(self.target.entries, self.source.entries)) if t != s)
-        object.__setattr__(self, "step", (i, self.target.entries[i] - self.source.entries[i]))
-        object.__setattr__(self, "_hash", hash((self.target, self.source)))
+        i = next(i for i, (t, s) in enumerate(zip(target.entries, source.entries)) if t != s)
+        _set(self, "step", (i, target.entries[i] - source.entries[i]))
+        _set(self, "_hash", hash((target, source)))
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.target == other.target and self.source == other.source
 
     def __str__(self):
         return f"T[{self.target}<-{self.source}]"
 
 
-@dataclass(frozen=True)
-class HsdSym:
-    at: Weight
+class HsdSym(Frozen):
+    __slots__ = ("at",)
     step = None  # an HSD moves no coordinate; _walk reads it among twistor steps
 
-    def __post_init__(self):
-        if not self.at.spin:
+    def __init__(self, at: Weight):
+        if not at.spin:
             raise ValueError("HSD symbols live on half-integral weights")
+        _set(self, "at", at)
+
+    def __hash__(self):
+        return hash((self.at,))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.at == other.at
 
     @property
     def target(self) -> Weight:
@@ -95,31 +109,39 @@ class HsdSym:
         return f"R[{self.at}]"
 
 
-@dataclass(frozen=True)
-class OperatorWord:
+class OperatorWord(Frozen):
     """Composable symbol chain with a central Laplace power."""
 
-    target: Weight
-    source: Weight
-    syms: tuple = ()
-    lap: int = 0
+    __slots__ = ("target", "source", "syms", "lap", "_hash")
 
-    def __post_init__(self):
-        if self.lap < 0:
+    def __init__(self, target: Weight, source: Weight, syms: tuple = (), lap: int = 0):
+        if lap < 0:
             raise ValueError("negative Laplace power")
-        if self.syms:
-            if self.syms[0].target != self.target or self.syms[-1].source != self.source:
+        if syms:
+            if syms[0].target != target or syms[-1].source != source:
                 raise ValueError("word endpoints do not match its symbols")
-            for left, right in zip(self.syms, self.syms[1:]):
+            for left, right in zip(syms, syms[1:]):
                 if left.source is not right.target and left.source != right.target:
                     raise ValueError(f"non-composable symbols {left} * {right}")
-        elif self.target != self.source:
+        elif target != source:
             raise ValueError("empty word must have equal endpoints")
+        _set(self, "target", target)
+        _set(self, "source", source)
+        _set(self, "syms", syms)
+        _set(self, "lap", lap)
         # words are dict keys throughout; hashing one walks every symbol
-        object.__setattr__(self, "_hash", hash((self.target, self.source, self.syms, self.lap)))
+        _set(self, "_hash", hash((target, source, syms, lap)))
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.target == other.target and self.source == other.source
+            and self.syms == other.syms and self.lap == other.lap
+        )
 
     def sort_key(self):
         return (self.lap, len(self.syms), str(self))
@@ -462,20 +484,21 @@ def verify_path_independence(nu: Weight, mu: Weight, cap: int = 10000) -> Report
     )
 
 
-@dataclass
 class VanishTrace:
     """Record of how a path operator outside the box is annihilated."""
 
-    mu: Weight
-    lam: Weight
-    pivot: int                 # 1-based index i with lam_i < mu_{i+1}
-    lam_minus: Weight
-    lam_zero: Weight
-    lam_plus: Weight
-    alternate: Weight          # the non-dominant alternate intermediate
-    route_sign: int            # the signs of the three normal forms (path_forms): 0 when one is zero
-    canonical_sign: int
-    reverse_sign: int
+    def __init__(self, mu, lam, pivot, lam_minus, lam_zero, lam_plus, alternate, route_sign, canonical_sign,
+                 reverse_sign):
+        self.mu = mu
+        self.lam = lam
+        self.pivot = pivot                    # 1-based index i with lam_i < mu_{i+1}
+        self.lam_minus = lam_minus
+        self.lam_zero = lam_zero
+        self.lam_plus = lam_plus
+        self.alternate = alternate            # the non-dominant alternate intermediate
+        self.route_sign = route_sign          # the signs of the three normal forms (path_forms): 0 when one is zero
+        self.canonical_sign = canonical_sign
+        self.reverse_sign = reverse_sign
 
     @property
     def vanished(self) -> bool:
@@ -548,7 +571,6 @@ def vanish_outside_box(mu: Weight, lam: Weight) -> VanishTrace:
 # Laplace-power expansion
 
 
-@dataclass
 class FactorizationCertificate:
     """Data of one factorization Lap^p = R * middle * R + residual.
 
@@ -558,11 +580,12 @@ class FactorizationCertificate:
     residual is empty and the support lies inside the box of mu.
     """
 
-    mu: Weight
-    power: int
-    coefficients: dict
-    middle: OperatorExpr
-    residual: OperatorExpr
+    def __init__(self, mu: Weight, power: int, coefficients: dict, middle: OperatorExpr, residual: OperatorExpr):
+        self.mu = mu
+        self.power = power
+        self.coefficients = coefficients
+        self.middle = middle
+        self.residual = residual
 
     def support(self):
         return sorted(self.coefficients, key=lambda w: w.entries, reverse=True)

@@ -23,7 +23,6 @@ and `coordinates()`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import lcm
 
 from .clifford import gamma_rep
@@ -39,6 +38,7 @@ from .linalg import (
     int_nullspace,
     span_coords,
 )
+from .weights import Frozen, _set
 
 
 # one shared object for the zero spinor components, most of a vector's entries
@@ -216,53 +216,86 @@ def spinor_unit(m: int, k: int, index: int) -> SpinorPoly:
 # operator specs
 
 
-@dataclass(frozen=True)
-class Dirac:
-    var: int = 0
+class _Spec(Frozen):
+    """An operator spec: a value equal to another of its own class with equal fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
-@dataclass(frozen=True)
-class VectorMult:
-    var: int
+class Dirac(_Spec):
+    __slots__ = ("var",)
+
+    def __init__(self, var: int = 0):
+        _set(self, "var", var)
 
 
-@dataclass(frozen=True)
-class MixedEuler:
+class VectorMult(_Spec):
+    __slots__ = ("var",)
+
+    def __init__(self, var: int):
+        _set(self, "var", var)
+
+
+class MixedEuler(_Spec):
     """sum_i u_{p,i} d/du_{q,i}"""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        _set(self, "p", p)
+        _set(self, "q", q)
 
 
-@dataclass(frozen=True)
-class LaplaceOp:
-    var: int = 0
+class LaplaceOp(_Spec):
+    __slots__ = ("var",)
+
+    def __init__(self, var: int = 0):
+        _set(self, "var", var)
 
 
-@dataclass(frozen=True)
-class MixedLaplace:
+class MixedLaplace(_Spec):
     """sum_i d/du_{p,i} d/du_{q,i}"""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        _set(self, "p", p)
+        _set(self, "q", q)
 
 
-@dataclass(frozen=True)
-class CoordOp:
+class CoordOp(_Spec):
     """Multiply by one flat coordinate after deriving by another."""
 
-    mult: int
-    deriv: int
+    __slots__ = ("mult", "deriv")
+
+    def __init__(self, mult: int, deriv: int):
+        _set(self, "mult", mult)
+        _set(self, "deriv", deriv)
 
 
-@dataclass(frozen=True)
-class Compose:
-    specs: tuple  # applied right to left
+class Compose(_Spec):
+    __slots__ = ("specs",)
+
+    def __init__(self, specs: tuple):
+        _set(self, "specs", specs)  # applied right to left
 
 
-@dataclass(frozen=True)
-class ScalarMix:
-    parts: tuple  # tuple of (Fraction, spec)
+class ScalarMix(_Spec):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        _set(self, "parts", parts)  # tuple of (Fraction, spec)
 
 
 IDENTITY = Compose(())

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -11,19 +10,19 @@ from .gaussian import QQi, fraction_str
 from .weights import Weight
 
 
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
+    def __init__(self, name: str, passed: bool, details: dict | None = None):
+        self.name = name
+        self.passed = passed
+        self.details = {} if details is None else details
 
 
-@dataclass
 class Report:
-    title: str
-    params: dict
-    checks: list
-    results: dict = field(default_factory=dict)
+    def __init__(self, title: str, params: dict, checks: list, results: dict | None = None):
+        self.title = title
+        self.params = params
+        self.checks = checks
+        self.results = {} if results is None else results
 
     @property
     def passed(self) -> bool:

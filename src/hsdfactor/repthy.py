@@ -13,7 +13,6 @@ taken on the scalar harmonics alone, and the Casimir is -sum L_ab L_ab.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -101,7 +100,6 @@ def _shape_rows(lam: Weight, m: int, kind: str) -> tuple:
     return n, degrees
 
 
-@dataclass
 class RealizedSpace:
     """Explicit polynomial model of one space of values.
 
@@ -110,11 +108,12 @@ class RealizedSpace:
     polynomials in the dummy variables only (x-degree 0).
     """
 
-    label: Weight
-    m: int
-    k: int
-    degrees: tuple
-    basis: list
+    def __init__(self, label: Weight, m: int, k: int, degrees: tuple, basis: list):
+        self.label = label
+        self.m = m
+        self.k = k
+        self.degrees = degrees
+        self.basis = basis
 
     @property
     def dim(self) -> int:
@@ -226,17 +225,17 @@ def so_generators(ambient: RealizedSpace) -> dict:
     }
 
 
-@dataclass
 class ProjectorSet:
     """Casimir summand frames of one ambient realization."""
 
-    ambient: RealizedSpace
-    weights: list          # dominant half-integral summand labels
-    eigenvalues: list      # matching Casimir eigenvalues
-    casimir: Mat
-    frames: list           # matching (C, L): Cas C = c C, L_kappa C_iota = 1 or 0
-    # (target, source) -> the block L_target . (id x Dirac) . C_source, filled by hsd._step_ops
-    steps: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, ambient: RealizedSpace, weights: list, eigenvalues: list, casimir: Mat, frames: list):
+        self.ambient = ambient
+        self.weights = weights          # dominant half-integral summand labels
+        self.eigenvalues = eigenvalues  # matching Casimir eigenvalues
+        self.casimir = casimir
+        self.frames = frames            # matching (C, L): Cas C = c C, L_kappa C_iota = 1 or 0
+        # (target, source) -> the block L_target . (id x Dirac) . C_source, filled by hsd._step_ops
+        self.steps = {}
 
     def _index(self, kappa: Weight) -> int:
         if kappa not in self.weights:

@@ -6,34 +6,80 @@ which keeps all lattice arithmetic in plain integers.  Rank is explicit
 and trailing zeros are significant: (1, 0) and (1) are different
 weights.  Non-dominant weights are representable on purpose — the
 operator layer maps symbols at non-dominant weights to zero.
+
+`Frozen` is the base of the package's immutable value types (weights,
+operator symbols and words, operator specs, gamma representations).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+
+_set = object.__setattr__  # how a Frozen constructor writes its slots
+
+
+class Frozen:
+    """An immutable value: its constructor sets each slot once with _set, and assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of an immutable {type(self).__name__}")
 
 
 class RankMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
-    entries: tuple[int, ...]
-    spin: bool = False
+class Weight(Frozen):
+    """Integer entries plus the spin flag; equal, hashed and ordered as (entries, spin)."""
 
-    def __post_init__(self):
-        if len(self.entries) < 1:
+    __slots__ = ("entries", "spin", "_hash")
+
+    def __init__(self, entries: tuple[int, ...], spin: bool = False):
+        if len(entries) < 1:
             raise ValueError("weight needs rank >= 1")
-        if not all(isinstance(e, int) for e in self.entries):
+        if not all(isinstance(e, int) for e in entries):
             raise ValueError("entries must be integers (use spin=True for the half shift)")
+        _set(self, "entries", entries)
+        _set(self, "spin", spin)
         # weights key the certificate memos; hashing one walks its entries
-        object.__setattr__(self, "_hash", hash((self.entries, self.spin)))
+        _set(self, "_hash", hash((entries, spin)))
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries and self.spin == other.spin
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.spin) < (other.entries, other.spin)
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.spin) <= (other.entries, other.spin)
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.spin) > (other.entries, other.spin)
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.spin) >= (other.entries, other.spin)
+
+    def __repr__(self):
+        return f"Weight(entries={self.entries!r}, spin={self.spin!r})"
 
     @property
     def rank(self) -> int:
@@ -148,10 +194,12 @@ def _check_path_ends(nu: Weight, mu: Weight):
             raise ValueError(f"path node {w} is not dominant")
 
 
-@dataclass(frozen=True)
-class PathEnumeration:
-    paths: tuple[tuple[Weight, ...], ...]  # each path is the tuple of its nodes
-    truncated: bool
+class PathEnumeration(Frozen):
+    __slots__ = ("paths", "truncated")
+
+    def __init__(self, paths: tuple[tuple[Weight, ...], ...], truncated: bool):
+        _set(self, "paths", paths)  # each path is the tuple of its nodes
+        _set(self, "truncated", truncated)
 
 
 def enumerate_paths(nu: Weight, mu: Weight, cap: int = 10000) -> PathEnumeration:

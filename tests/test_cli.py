@@ -499,6 +499,40 @@ def test_rank_mismatch_names_the_flag(capsys):
     assert capsys.readouterr().err == "error: --nu has rank 1, but --rank 2 was given\n"
 
 
+@pytest.mark.parametrize("entry", ["1_0", "+1", "\u0661", "\uff11", "1.0", "0x1", "", " "])
+def test_weight_entries_are_ascii_decimal_integers(capsys, entry):
+    # int() reads 1_0 as 10, +1 as 1 and non-ASCII digits as theirs
+    for flag, argv in [("--mu", ["factorize", "--power", "11", "--mu"]), ("--nu", ["paths", "--mu", "9,9", "--nu"])]:
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv + [f"{entry},0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse {flag} ") and err.endswith("expected comma-separated integers\n")
+
+
+@pytest.mark.parametrize("value", ["1_1", "+1", "\u0661", "1.0", "", "--"])
+@pytest.mark.parametrize("flag", ["--m", "--degree", "--cap", "--rank"])
+def test_integer_flags_are_ascii_decimal_integers(capsys, flag, value):
+    argv = ["kernel", "--mu", "1", "--m", "3", "--degree", "2"]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hsdfactor kernel ")
+    assert f"error: argument {flag}: " in err
+
+
+def test_integers_may_carry_surrounding_whitespace(capsys):
+    code, data = run_json(capsys, ["factorize", "--mu", " 2, -0 ", "--power", " 3 ", "--rank", "2 "])
+    assert code == 0 and data["params"]["mu"] == {"entries": [2, 0], "spin": False}
+    code, data = run_json(capsys, ["factorize", "--mu", "-1", "--power", "1"])  # parsed, then not dominant
+    assert code == 2 and data["error"] == "usage"
+
+
 def test_unwritable_report_is_a_usage_error(capsys, tmp_path):
     # exit 1 means a failed check; a report that cannot be written is not one
     target = tmp_path / "missing" / "r.json"

@@ -352,13 +352,13 @@ def test_no_word_memo_outlives_the_reexpansion():
 def _built_during_reexpansion(monkeypatch, cls, cert) -> int:
     """How many cls objects certificate_reexpands(cert) constructs."""
     built = []
-    post_init = cls.__post_init__
+    init = cls.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         built.append(1)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cls, "__post_init__", counted)
+    monkeypatch.setattr(cls, "__init__", counted)
     assert certificate_reexpands(cert)
     return len(built)
 
@@ -470,13 +470,13 @@ def _twistor_symbols_built(monkeypatch, capsys, argv):
     from hsdfactor import cli
 
     built = []
-    post_init = TwistorSym.__post_init__
+    init = TwistorSym.__init__
 
-    def counted(self):
-        post_init(self)
+    def counted(self, target, source):
+        init(self, target, source)
         built.append((self.target, self.source))
 
-    monkeypatch.setattr(TwistorSym, "__post_init__", counted)
+    monkeypatch.setattr(TwistorSym, "__init__", counted)
     assert cli.run(argv) == 0
     capsys.readouterr()
     return built

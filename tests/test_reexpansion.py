@@ -11,7 +11,6 @@ every chain of lowerings that the Laplace power unfolds into, and
 edge.
 """
 
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -469,10 +468,15 @@ def test_linear_death_test_matches_grid(word):
     assert _word_normal_form(word) == grid_word_normal_form(word)
 
 
+def with_lap(word: OperatorWord, lap: int) -> OperatorWord:
+    """word with its Laplace power set to lap."""
+    return OperatorWord(word.target, word.source, word.syms, lap)
+
+
 @examples
 @given(words(), st.integers(0, 3), st.integers(-3, 3).filter(bool))
 def test_normal_form_is_idempotent(word, lap, coeff):
-    once = normal_form(OperatorExpr({dataclasses.replace(word, lap=lap): coeff}))
+    once = normal_form(OperatorExpr({with_lap(word, lap): coeff}))
     assert normal_form(once) == once
     assert all(_word_normal_form(w) == (1, w) for w in once.terms)
 
@@ -503,7 +507,7 @@ def check_walk_join(word: OperatorWord, k: int) -> set:
     j, w = _bottom_position(word)
     seen = set()
     for x in _eliminated_power(w, k, {}, WorkBudget()):
-        expr = OperatorExpr({dataclasses.replace(word, lap=k): 1})
+        expr = OperatorExpr({with_lap(word, k): 1})
         joined = eliminate_laplace(expr, {(w, k): {x: 1}})
         chain = word.syms[:j] + _canonical_word(w, x, 0).syms + word.syms[j:]
         sign, nf = _word_normal_form(OperatorWord(word.target, word.source, chain))
@@ -587,6 +591,17 @@ def test_one_coordinate_splice_matches_whole_word_normal_form(case):
 # --- tampered certificates -------------------------------------------------
 
 
+def with_parts(cert, middle=None, residual=None) -> FactorizationCertificate:
+    """cert with its middle or its residual replaced."""
+    return FactorizationCertificate(
+        cert.mu,
+        cert.power,
+        cert.coefficients,
+        cert.middle if middle is None else middle,
+        cert.residual if residual is None else residual,
+    )
+
+
 def _first_term(expr):
     return min(expr.terms, key=lambda w: w.sort_key())
 
@@ -600,11 +615,11 @@ def test_tampered_certificates_do_not_reexpand(mu, p):
         word = _first_term(cert.middle)
         bumped = dict(cert.middle.terms)
         bumped[word] += 1
-        assert not certificate_reexpands(dataclasses.replace(cert, middle=OperatorExpr(bumped)))
+        assert not certificate_reexpands(with_parts(cert, middle=OperatorExpr(bumped)))
         dropped = {w: c for w, c in cert.middle.terms.items() if w != word}
-        assert not certificate_reexpands(dataclasses.replace(cert, middle=OperatorExpr(dropped, mu_s, mu_s)))
+        assert not certificate_reexpands(with_parts(cert, middle=OperatorExpr(dropped, mu_s, mu_s)))
     extra = cert.residual + hsd_sym(mu_s) * hsd_sym(mu_s)
-    assert not certificate_reexpands(dataclasses.replace(cert, residual=extra))
+    assert not certificate_reexpands(with_parts(cert, residual=extra))
 
 
 @st.composite
@@ -618,14 +633,14 @@ def tampered_certificates(draw):
     if change == "bump" and words:
         bumped = dict(cert.middle.terms)
         bumped[draw(st.sampled_from(words))] += draw(st.integers(-2, 2))
-        return dataclasses.replace(cert, middle=OperatorExpr(bumped, mu_s, mu_s))
+        return with_parts(cert, middle=OperatorExpr(bumped, mu_s, mu_s))
     if change == "drop" and words:
         word = draw(st.sampled_from(words))
         kept = {w: c for w, c in cert.middle.terms.items() if w != word}
-        return dataclasses.replace(cert, middle=OperatorExpr(kept, mu_s, mu_s))
+        return with_parts(cert, middle=OperatorExpr(kept, mu_s, mu_s))
     if change == "residual":
         extra = draw(st.sampled_from([hsd_sym(mu_s) * hsd_sym(mu_s), laplace_sym(mu_s, draw(st.integers(1, 2)))]))
-        return dataclasses.replace(cert, residual=cert.residual + extra.scale(draw(st.integers(-2, 2))))
+        return with_parts(cert, residual=cert.residual + extra.scale(draw(st.integers(-2, 2))))
     return cert
 
 
