@@ -2,8 +2,12 @@
 
 Commands: box, paths, factorize, dims, kernel, and verify identities |
 path | box | theorem | induction | corollary.  `_COMMANDS` gives each its
-handler, its help and the flags it reads besides --mu, --rank and --json;
-argparse rejects any other flag.
+handler, its help and the flags it reads besides --mu, --rank and --json.
+`run` reads a plain valid argv (the command words, then `--flag value`
+pairs of the command's own flags, each at most once, with every required
+one) straight off that table; argparse is imported and its parser built
+only for any other argv, so it alone prints help and usage errors and
+rejects every other flag.
 Exit codes: 0 success / all checks passed, 1 some verification check
 failed, 2 usage or resource error or a report that cannot be written, 3
 internal error (an exact self-check of the engine failed, matrices of
@@ -15,7 +19,6 @@ indent=2); the wall-time field is the only varying part.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
@@ -23,6 +26,7 @@ import os
 import re
 import sys
 import time
+import types
 
 from .linalg import DEFAULT_CELL_CAP, ResourceCapError
 from .opalgebra import (
@@ -53,6 +57,8 @@ _INTEGER = re.compile(r"\s*-?[0-9]+\s*")
 def _integer(text: str) -> int:
     """The type of the integer flags: argparse reports a mismatch as it does for int."""
     if not _INTEGER.fullmatch(text):
+        import argparse  # only argparse calls this, so it is loaded already
+
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
 
@@ -81,9 +87,9 @@ def _emit(report: Report, command: str, args, started: float) -> int:
     """Write the report; a report that cannot be written is a usage error (exit 2), not a failed check."""
     payload = report.fields()
     payload["command"] = command
-    payload["wall_time_s"] = round(time.time() - started, 3)
+    payload["wall_time_s"] = round(time.perf_counter() - started, 3)
     text = render(payload)
-    if args.json:
+    if args.json is not None:
         try:
             with open(args.json, "w") as fh:
                 fh.write(text + "\n")
@@ -109,7 +115,7 @@ def _box(args, mu):
 
 
 def _paths(args, mu):
-    nu = _parse_weight("--nu", args.nu, args.rank) if args.nu else Weight((0,) * mu.rank)
+    nu = _parse_weight("--nu", args.nu, args.rank) if args.nu is not None else Weight((0,) * mu.rank)
     enum = enumerate_paths(nu, mu, cap=args.cap)
     canonical = canonical_path(nu, mu)
     return Report(
@@ -164,7 +170,7 @@ def _kernel(args, mu):
 
 
 def _verify_path(args, mu):
-    nus = [_parse_weight("--nu", args.nu, args.rank)] if args.nu else list(_dominants_below(mu))
+    nus = [_parse_weight("--nu", args.nu, args.rank)] if args.nu is not None else list(_dominants_below(mu))
     for w in (mu, *nus):
         if not is_dominant(w):
             raise ValueError(f"{w} is not dominant")
@@ -240,14 +246,17 @@ def _verify_corollary(args, mu):
     )
 
 
-_REQUIRED = object()  # the default of a flag that argparse requires
+_REQUIRED = object()  # the default of a flag every invocation must give
 
 _FLAGS = {
+    "mu": {"help": "weight entries, e.g. 2,1"},
+    "rank": {"type": _integer, "help": "expected rank of the weights (validation)"},
     "nu": {"help": "start weight (default: zero; for verify path, every dominant weight below --mu)"},
     "m": {"type": _integer, "help": "ambient odd dimension m = 2n+1"},
     "power": {"type": _integer, "help": "Laplace power"},
     "degree": {"type": _integer, "help": "x-degree"},
     "cap": {"type": _integer, "help": "resource cap (paths / matrix cells / monomials)"},
+    "json": {"help": "write the report to this file instead of stdout"},
 }
 _PATHS = {"nu": None, "cap": 10000}
 _KERNEL = {"m": _REQUIRED, "degree": _REQUIRED, "cap": DEFAULT_CELL_CAP}
@@ -269,12 +278,47 @@ _COMMANDS = {
 }
 
 
+def _all_flags(flags: dict) -> dict:
+    """Every flag of a command with its default, in the order of its usage line."""
+    return {"mu": _REQUIRED, "rank": None, **flags, "json": None}
+
+
+def _read_plain(argv: list):
+    """The namespace argparse gives a plain valid argv, or None for any other argv.
+
+    Plain: the command words, then `--flag value` pairs of the command's own
+    flags, each at most once and with every required one, where no value
+    starts with "-" and every integer flag's value matches _INTEGER.
+    """
+    words = 2 if argv[:1] == ["verify"] else 1
+    command = " ".join(argv[:words])
+    if command not in _COMMANDS or (len(argv) - words) % 2:
+        return None
+    values = _all_flags(_COMMANDS[command][2])
+    given = {}
+    for flag, text in zip(argv[words::2], argv[words + 1::2]):
+        name = flag[2:]
+        if not flag.startswith("--") or name not in values or name in given or text.startswith("-"):
+            return None
+        if _FLAGS[name].get("type") is _integer:
+            if not _INTEGER.fullmatch(text):
+                return None
+            text = int(text)
+        given[name] = text
+    values.update(given)
+    if _REQUIRED in values.values():
+        return None
+    return types.SimpleNamespace(command=command, **values)
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged.
+def _build_parser():
+    """The argparse parser, built once per process: parsing leaves it unchanged.
 
     Its `commands` attribute maps each command to its own subparser.
     """
+    import argparse  # only for help and usage errors: it would add to every start-up
+
     parser = argparse.ArgumentParser(
         prog="hsdfactor",
         description="Exact factorization of Laplace powers through higher-spin Dirac operators",
@@ -288,11 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
         # no abbreviations: --m on a command without it would otherwise be read as --mu
         p = parser.commands[name] = (suites if group else sub).add_parser(leaf, help=help_text, allow_abbrev=False)
         p.set_defaults(command=name)
-        p.add_argument("--mu", required=True, help="weight entries, e.g. 2,1")
-        p.add_argument("--rank", type=_integer, help="expected rank of the weights (validation)")
-        for flag, default in flags.items():
+        for flag, default in _all_flags(flags).items():
             p.add_argument(f"--{flag}", required=default is _REQUIRED, default=default, **_FLAGS[flag])
-        p.add_argument("--json", help="write the report to this file instead of stdout")
     return parser
 
 
@@ -310,11 +351,13 @@ def _check_non_negative(args):
 
 def run(argv) -> int:
     """Parse and execute one invocation; returns the exit code."""
-    parser = _build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if extra:  # argparse would report these from the root parser, with its usage line
-        parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
-    started = time.time()
+    args = _read_plain(list(argv))
+    if args is None:
+        parser = _build_parser()
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # argparse would report these from the root parser, with its usage line
+            parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+    started = time.perf_counter()
     try:
         _check_non_negative(args)
         mu = _parse_weight("--mu", args.mu, args.rank)

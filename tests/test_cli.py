@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -6,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsdfactor import cli
 from hsdfactor.reports import Check, Report
@@ -104,7 +108,7 @@ def test_failed_check_exits_1(tmp_path):
     class Args:
         json = str(tmp_path / "r.json")
 
-    code = cli._emit(report, "synthetic", Args(), time.time())
+    code = cli._emit(report, "synthetic", Args(), time.perf_counter())
     assert code == 1
     data = json.loads((tmp_path / "r.json").read_text())
     assert data["passed"] is False
@@ -395,6 +399,11 @@ def test_one_parser_serves_successive_runs(capsys):
     assert cli._build_parser.cache_info().misses == 1
     assert [code for code, _, _ in separate] == [0, ("exit", 2), 0, 2, 0]
     assert separate[2][1]["params"]["nu"]["entries"] == [0, 0]
+    # a valid argv is read off the command table: no parser is built for it
+    cli._build_parser.cache_clear()
+    valid = [argv for argv in sequence if "--bogus" not in argv]
+    assert [outputs(argv) for argv in valid] == [out for argv, out in zip(sequence, separate) if argv in valid]
+    assert cli._build_parser.cache_info().misses == 0
 
 
 def test_verify_theorem_cap_bounds_the_monomials(capsys):
@@ -554,3 +563,104 @@ def test_closed_stdout_exits_2_with_one_line_on_stderr():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 2
     assert err.splitlines() == ["error: stdout was closed before the report was written"]
+
+
+@pytest.mark.parametrize("argv", [["paths", "--mu", "2,1", "--nu", ""], ["verify", "path", "--mu", "2,1", "--nu", ""]])
+def test_empty_nu_is_not_an_absent_nu(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot parse --nu ''; expected comma-separated integers\n"
+
+
+def test_empty_json_is_an_unwritable_report(capsys):
+    code, data = run_json(capsys, ["box", "--mu", "2,1", "--json", ""])
+    assert code == 2
+    assert data["error"] == "usage"
+    assert data["message"].startswith("cannot write the report: ")
+
+
+def test_wall_time_ignores_steps_of_the_wall_clock(capsys, monkeypatch):
+    clock = itertools.count(10**6, -1000)  # the wall clock steps back 1000 s at every reading
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    code, data = run_json(capsys, ["box", "--mu", "2,1"])
+    assert code == 0
+    assert 0 <= data["wall_time_s"] < 60
+
+
+def _argparse_namespace(argv) -> dict:
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            args, extra = cli._build_parser().parse_known_args(argv)
+    except SystemExit:
+        pytest.fail(f"argparse rejects {argv}")
+    assert extra == []
+    return vars(args)
+
+
+_INTEGER_FLAGS = {flag for flag, spec in cli._FLAGS.items() if spec.get("type") is cli._integer}
+_TEXTS = st.sampled_from(["1", "2,1", " 3 ", "0 ", " -2", "1_0", "+1", "x", "a=b", "", " ", "-1", "-", "--", "-x"])
+
+
+@st.composite
+def _argvs(draw):
+    """A command's argv with every required flag given, then mangled: pieces
+    added, repeated, spelled with "=", abbreviated or dropped."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS) + ["verify", "nonsense", "verify nonsense"]))
+    flags = cli._all_flags(cli._COMMANDS.get(command, (None, None, {}))[2])
+    pieces = [[f"--{flag}", draw(_TEXTS)] for flag, default in flags.items() if default is cli._REQUIRED]
+    names = sorted(cli._FLAGS) + ["bogus", "help", "command"]
+    extra = st.one_of(
+        st.tuples(st.sampled_from(names), _TEXTS).map(lambda nv: [f"--{nv[0]}", nv[1]]),
+        st.tuples(st.sampled_from(names), _TEXTS).map(lambda nv: [f"--{nv[0]}={nv[1]}"]),
+        st.sampled_from(names).map(lambda name: [f"--{name}"]),  # a flag without its value
+        st.sampled_from(names).map(lambda name: [f"--{name[:2]}"]),  # an abbreviation
+        st.sampled_from([["-h"], ["--help"], ["--"], ["1"]]),
+    )
+    for piece in draw(st.lists(extra, max_size=3)):
+        pieces.insert(draw(st.integers(0, len(pieces))), piece)
+    if pieces and draw(st.booleans()):
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    return command.split() + [word for piece in pieces for word in piece]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs())
+def test_an_accepted_argv_reads_as_argparse_reads_it(argv):
+    args = cli._read_plain(argv)
+    if args is not None:
+        assert vars(args) == _argparse_namespace(argv)
+
+
+@st.composite
+def _plain_argvs(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = cli._all_flags(cli._COMMANDS[command][2])
+    given_flags = [flag for flag, default in flags.items() if default is cli._REQUIRED or draw(st.booleans())]
+    pairs = []
+    for flag in draw(st.permutations(given_flags)):
+        if flag in _INTEGER_FLAGS:
+            text = draw(st.sampled_from(["", " "])) + str(draw(st.integers(0, 99))) + draw(st.sampled_from(["", " "]))
+        else:
+            text = draw(st.sampled_from(["", "2,1", " 1, 0", "x", "a=b", "out.json"]))
+        pairs += [f"--{flag}", text]
+    return command.split() + pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plain_argvs())
+def test_a_plain_argv_is_read_off_the_table(argv):
+    args = cli._read_plain(argv)
+    assert args is not None
+    assert vars(args) == _argparse_namespace(argv)
+
+
+def test_every_golden_argv_is_read_off_the_table():
+    golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+    assert len(golden) == 18
+    for case in golden:
+        args = cli._read_plain(case["argv"])
+        assert args is not None, case["argv"]
+        assert vars(args) == _argparse_namespace(case["argv"])

@@ -1,6 +1,6 @@
 """The package's value types: plain classes with slots, compared field by field
 within one class, hashed consistently, ordered (weights) and immutable; and a
-CLI start-up that never loads `dataclasses`."""
+CLI start-up that never loads `dataclasses`, nor `argparse` for a valid run."""
 
 import os
 import subprocess
@@ -40,6 +40,14 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     added = _loaded_modules("import hsdfactor.cli") - _loaded_modules("pass")
     assert "hsdfactor.cli" in added
     assert not {"dataclasses", "inspect"} & added
+
+
+def test_a_valid_run_does_not_load_argparse():
+    run = ("import contextlib, io\nfrom hsdfactor import cli\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.run(['box', '--mu', '2,1']) == 0")
+    added = _loaded_modules(run) - _loaded_modules("pass")
+    assert "hsdfactor.cli" in added
+    assert "argparse" not in added
 
 
 def _twistor():
