@@ -170,7 +170,8 @@ def _kernel(args, mu):
 
 
 def _verify_path(args, mu):
-    nus = [_parse_weight("--nu", args.nu, args.rank)] if args.nu is not None else list(_dominants_below(mu))
+    start = _parse_weight("--nu", args.nu, args.rank) if args.nu is not None else None
+    nus = [start] if start is not None else list(_dominants_below(mu))
     for w in (mu, *nus):
         if not is_dominant(w):
             raise ValueError(f"{w} is not dominant")
@@ -184,7 +185,7 @@ def _verify_path(args, mu):
         details.append({"nu": nu, "paths": rep.results["path_count"]})
     return Report(
         title="verify_path",
-        params={"mu": mu, "nu": args.nu, "cap": args.cap},
+        params={"mu": mu, "nu": start, "cap": args.cap},
         checks=checks,
         results={"pairs": details},
     )

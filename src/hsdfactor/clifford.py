@@ -13,19 +13,6 @@ from functools import lru_cache
 
 from .gaussian import QQi, QQI_I
 from .linalg import Mat
-from .weights import Frozen, _set
-
-
-class GammaRep(Frozen):
-    __slots__ = ("m", "generators")
-
-    def __init__(self, m: int, generators: tuple):
-        _set(self, "m", m)
-        _set(self, "generators", generators)  # m matrices of size 2^n
-
-    @property
-    def spinor_dim(self) -> int:
-        return 2 ** ((self.m - 1) // 2)
 
 
 _PAULI_X = Mat([[0, 1], [1, 0]])
@@ -44,8 +31,8 @@ def _kron(a: Mat, b: Mat) -> Mat:
 
 
 @lru_cache(maxsize=None)
-def gamma_rep(m: int) -> GammaRep:
-    """Deterministic gamma matrices for odd m with gamma_i^2 = -1.
+def gamma_rep(m: int) -> tuple:
+    """The m deterministic 2^n x 2^n gamma matrices for odd m, gamma_i^2 = -1.
 
     The construction is the standard Pauli chain for Euclidean Clifford
     generators squaring to +1, multiplied by i to flip the signature.
@@ -74,5 +61,5 @@ def gamma_rep(m: int) -> GammaRep:
             expected = minus_two_id if i == j else Mat.zero(dim, dim)
             if anti != expected:
                 raise AssertionError(f"gamma anticommutator failed at ({i+1},{j+1})")
-    return GammaRep(m, gens)
+    return gens
 

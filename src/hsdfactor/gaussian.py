@@ -75,9 +75,6 @@ class QQi:
     def __rtruediv__(self, other):
         return QQi(other) / self if isinstance(other, _RATIONAL) else NotImplemented
 
-    def conj(self) -> "QQi":
-        return QQi(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

@@ -518,29 +518,27 @@ def verify_factorization_numeric(
     target = laplace_deriv_op(m, dim, p)
 
     checks = []
-    # solve scalars on the lowest admissible degree: one row per nonzero
-    # entry of the chain matrices and Lap^p on each monomial, over the
-    # common denominator of the matrices at each output exponent
+    # solve scalars on the lowest admissible degree 2p: every chain and Lap^p
+    # has order exactly 2p, so on x^alpha each gives alpha! times its matrix
+    # at signature alpha.  One row per nonzero entry of those matrices, over
+    # their common denominator; Lap^p enters as column `unknowns`, split off
+    # as the right-hand side
     solve_degree = 2 * p
     unknowns = len(support)
     rows = []
     rhs = []
     for alpha in exponents(m, solve_degree):
-        outs = [chain.apply_monomial(alpha) for chain in chains]
-        want = target.apply_monomial(alpha)
-        for beta in set(want).union(*outs):
-            # Lap^p enters as column `unknowns`, split off as the right-hand side
-            mats = [(jj, o[beta]) for jj, o in enumerate(outs + [want]) if beta in o]
-            den = lcm(*(a.den for _, a in mats))
-            for i in range(dim):
-                eqs = {}
-                for jj, a in mats:
-                    scale = den // a.den
-                    for j, (re, im) in a.num[i].items():
-                        eqs.setdefault(j, {})[jj] = (re * scale, im * scale)
-                for j in sorted(eqs):
-                    rhs.append(eqs[j].pop(unknowns, (0, 0)))
-                    rows.append(eqs[j])
+        mats = [(jj, op.terms[alpha]) for jj, op in enumerate(chains + [target]) if alpha in op.terms]
+        den = lcm(*(a.den for _, a in mats))
+        for i in range(dim):
+            eqs = {}
+            for jj, a in mats:
+                scale = den // a.den
+                for j, (re, im) in a.num[i].items():
+                    eqs.setdefault(j, {})[jj] = (re * scale, im * scale)
+            for j in sorted(eqs):
+                rhs.append(eqs[j].pop(unknowns, (0, 0)))
+                rows.append(eqs[j])
         if len(rows) >= 12 * unknowns:
             break
     solved = solve_sparse(rows, rhs, unknowns)

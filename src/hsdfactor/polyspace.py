@@ -216,86 +216,48 @@ def spinor_unit(m: int, k: int, index: int) -> SpinorPoly:
 # operator specs
 
 
-class _Spec(Frozen):
-    """An operator spec: a value equal to another of its own class with equal fields."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-
-class Dirac(_Spec):
+class Dirac(Frozen):
     __slots__ = ("var",)
 
     def __init__(self, var: int = 0):
         _set(self, "var", var)
 
 
-class VectorMult(_Spec):
+class VectorMult(Frozen):
     __slots__ = ("var",)
 
-    def __init__(self, var: int):
-        _set(self, "var", var)
 
-
-class MixedEuler(_Spec):
+class MixedEuler(Frozen):
     """sum_i u_{p,i} d/du_{q,i}"""
 
     __slots__ = ("p", "q")
 
-    def __init__(self, p: int, q: int):
-        _set(self, "p", p)
-        _set(self, "q", q)
 
-
-class LaplaceOp(_Spec):
+class LaplaceOp(Frozen):
     __slots__ = ("var",)
 
     def __init__(self, var: int = 0):
         _set(self, "var", var)
 
 
-class MixedLaplace(_Spec):
+class MixedLaplace(Frozen):
     """sum_i d/du_{p,i} d/du_{q,i}"""
 
     __slots__ = ("p", "q")
 
-    def __init__(self, p: int, q: int):
-        _set(self, "p", p)
-        _set(self, "q", q)
 
-
-class CoordOp(_Spec):
+class CoordOp(Frozen):
     """Multiply by one flat coordinate after deriving by another."""
 
     __slots__ = ("mult", "deriv")
 
-    def __init__(self, mult: int, deriv: int):
-        _set(self, "mult", mult)
-        _set(self, "deriv", deriv)
+
+class Compose(Frozen):
+    __slots__ = ("specs",)  # applied right to left
 
 
-class Compose(_Spec):
-    __slots__ = ("specs",)
-
-    def __init__(self, specs: tuple):
-        _set(self, "specs", specs)  # applied right to left
-
-
-class ScalarMix(_Spec):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple):
-        _set(self, "parts", parts)  # tuple of (Fraction, spec)
+class ScalarMix(Frozen):
+    __slots__ = ("parts",)  # tuple of (Fraction, spec)
 
 
 IDENTITY = Compose(())
@@ -317,7 +279,7 @@ def _leaf_terms(spec, f: BlockPoly):
         coords = range(spec.var * m, (spec.var + 1) * m)
         if isinstance(spec, LaplaceOp):
             return [((c, c), None, None) for c in coords]
-        gens = gamma_rep(m).generators
+        gens = gamma_rep(m)
         if isinstance(spec, Dirac):
             return [((c,), None, g) for c, g in zip(coords, gens)]
         return [((), c, g) for c, g in zip(coords, gens)]

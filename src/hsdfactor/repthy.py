@@ -191,7 +191,7 @@ def gamma_on_ambient(ambient: RealizedSpace) -> list:
     1 (x) gamma_i, acting on consecutive spinor blocks."""
     sdim = 2 ** ((ambient.m - 1) // 2)
     ident = Mat.identity(ambient.dim // sdim)
-    return [_kron(ident, g) for g in gamma_rep(ambient.m).generators]
+    return [_kron(ident, g) for g in gamma_rep(ambient.m)]
 
 
 def orbital_spec(a: int, b: int, m: int, k: int) -> ScalarMix:

@@ -8,7 +8,7 @@ weights.  Non-dominant weights are representable on purpose — the
 operator layer maps symbols at non-dominant weights to zero.
 
 `Frozen` is the base of the package's immutable value types (weights,
-operator symbols and words, operator specs, gamma representations).
+operator symbols and words, operator specs, path enumerations).
 """
 
 from __future__ import annotations
@@ -20,9 +20,30 @@ _set = object.__setattr__  # how a Frozen constructor writes its slots
 
 
 class Frozen:
-    """An immutable value: its constructor sets each slot once with _set, and assignment raises."""
+    """An immutable value: one field per slot, set once, and equal to another
+    of its own class with equal fields.
+
+    The default constructor takes one value per slot, in slot order; a
+    class that checks or derives fields writes each slot once with _set.
+    No subclass is subclassed further, so its own __slots__ are its fields.
+    """
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r} of an immutable {type(self).__name__}")
@@ -36,7 +57,7 @@ class RankMismatchError(ValueError):
 
 
 class Weight(Frozen):
-    """Integer entries plus the spin flag; equal, hashed and ordered as (entries, spin)."""
+    """Integer entries plus the spin flag; equal and hashed as (entries, spin)."""
 
     __slots__ = ("entries", "spin", "_hash")
 
@@ -47,36 +68,18 @@ class Weight(Frozen):
             raise ValueError("entries must be integers (use spin=True for the half shift)")
         _set(self, "entries", entries)
         _set(self, "spin", spin)
-        # weights key the certificate memos; hashing one walks its entries
+        # weights key the certificate memos (50k hashes a certify pool pass);
+        # hashing one walks its entries, so the hash is stored
         _set(self, "_hash", hash((entries, spin)))
 
     def __hash__(self):
         return self._hash
 
+    # hand-written for speed: a certify pool pass compares 26.4k weights
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.entries == other.entries and self.spin == other.spin
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.entries, self.spin) < (other.entries, other.spin)
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.entries, self.spin) <= (other.entries, other.spin)
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.entries, self.spin) > (other.entries, other.spin)
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.entries, self.spin) >= (other.entries, other.spin)
 
     def __repr__(self):
         return f"Weight(entries={self.entries!r}, spin={self.spin!r})"
@@ -195,11 +198,7 @@ def _check_path_ends(nu: Weight, mu: Weight):
 
 
 class PathEnumeration(Frozen):
-    __slots__ = ("paths", "truncated")
-
-    def __init__(self, paths: tuple[tuple[Weight, ...], ...], truncated: bool):
-        _set(self, "paths", paths)  # each path is the tuple of its nodes
-        _set(self, "truncated", truncated)
+    __slots__ = ("paths", "truncated")  # each path is the tuple of its nodes
 
 
 def enumerate_paths(nu: Weight, mu: Weight, cap: int = 10000) -> PathEnumeration:

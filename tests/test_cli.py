@@ -35,6 +35,16 @@ def test_paths_command(capsys):
     assert data["results"]["change_sequences"] == [[1, 1, 2], [1, 2, 1]]
 
 
+def test_verify_path_echoes_the_parsed_start_weight(capsys):
+    reports = []
+    for nu in ("1,0", " 1,0"):
+        assert cli.run(["verify", "path", "--mu", "2,1", "--nu", nu]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+        reports[-1].pop("wall_time_s")
+    assert json.dumps(reports[0], indent=2) == json.dumps(reports[1], indent=2)
+    assert reports[1]["params"]["nu"] == {"entries": [1, 0], "spin": False}
+
+
 def test_factorize_command(capsys):
     code, data = run_json(capsys, ["factorize", "--mu", "1,0", "--power", "2"])
     assert code == 0

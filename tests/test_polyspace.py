@@ -44,7 +44,7 @@ def test_dirac_on_linear():
     m, k = 3, 0
     f = coord_monomial(m, k, [(0, 1)], (QQi(1), QQi(0)))  # x_1 * s0
     image = apply(Dirac(0), f)
-    g1 = gamma_rep(m).generators[0]
+    g1 = gamma_rep(m)[0]
     expected_vec = tuple(matvec(g1, [QQi(1), QQi(0)]))
     assert image == SpinorPoly(m, k, {(0,) * m: expected_vec})
 

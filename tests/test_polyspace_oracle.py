@@ -101,7 +101,7 @@ def _coord_mult(f, coord):
 
 
 def _gamma_apply(f, i):
-    g = gamma_rep(f.m).generators[i]
+    g = gamma_rep(f.m)[i]
     return RefPoly(f.m, f.k, {exp: tuple(matvec(g, list(vec))) for exp, vec in f.terms.items()})
 
 

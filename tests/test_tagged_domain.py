@@ -78,7 +78,7 @@ def per_element_matrix(spec, domain, codomain):
 def ref_generator_spec(a, b, m, k):
     """L_ab as one spec: sum_p (u_{p,b} d_{p,a} - u_{p,a} d_{p,b}) plus
     gamma_a gamma_b / 2 as a `SpinorMat`."""
-    gam = gamma_rep(m).generators
+    gam = gamma_rep(m)
     parts = [(1, SpinorMat((gam[a] * gam[b]).scale(QQi(Fraction(1, 2)))))]
     for p in range(1, k + 1):
         parts += [(1, CoordOp(p * m + b, p * m + a)), (-1, CoordOp(p * m + a, p * m + b))]
