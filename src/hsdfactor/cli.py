@@ -45,7 +45,7 @@ from .hsd import (
     verify_identities,
     verify_induction_dims,
 )
-from .repthy import simplicial_monogenic_basis, weyl_dim
+from .repthy import simplicial_monogenic_dim, weyl_dim
 from .reports import Check, Report, render
 from .weights import Weight, box, canonical_path, enumerate_paths, is_dominant, path_changes
 
@@ -147,13 +147,13 @@ def _factorize(args, mu):
 
 
 def _dims(args, mu):
-    space = simplicial_monogenic_basis(mu, args.m, cap=args.cap)
-    expected = weyl_dim(space.label, args.m)
+    label, realized = simplicial_monogenic_dim(mu, args.m, cap=args.cap)
+    expected = weyl_dim(label, args.m)
     return Report(
         title="dims",
         params={"mu": mu, "m": args.m},
-        checks=[Check("realized_matches_weyl", space.dim == expected, {"realized": space.dim, "weyl": expected})],
-        results={"label": space.label, "dimension": space.dim, "weyl": expected},
+        checks=[Check("realized_matches_weyl", realized == expected, {"realized": realized, "weyl": expected})],
+        results={"label": label, "dimension": realized, "weyl": expected},
     )
 
 

@@ -20,7 +20,7 @@ from itertools import islice, product
 from math import comb, factorial, lcm, perm, prod
 
 from .gaussian import QQi, QQI_ZERO
-from .linalg import DEFAULT_CELL_CAP, Mat, ResourceCapError, check_cells, int_nullspace, nullity, solve_sparse
+from .linalg import DEFAULT_CELL_CAP, Mat, ResourceCapError, _echelon, check_cells, int_nullspace, nullity, solve_sparse
 from .opalgebra import expand_laplace_power
 from .polyspace import (
     BlockPoly,
@@ -286,39 +286,53 @@ def generic_twistor_hsd(lam: Weight, m: int) -> list:
     return out
 
 
-def _kernel_rows(op: HsdOperator, h: int, cap: int) -> tuple:
-    """(rows, ncols) of `kernel_basis`'s integer matrix, columns (alpha, j) alpha-major."""
-    dop = op.deriv_op
-    d = len(op.source_basis)
-    alphas = list(exponents(op.m, h))
-    live = {r for mat in dop.terms.values() for r, row in enumerate(mat.num) if row}
-    check_cells(comb(op.m + h - 2, h - 1) * len(live) if h else 0, len(alphas) * d, cap)
-    den = lcm(*(mat.den for mat in dop.terms.values()))
-    rows = {}
-    for a, alpha in enumerate(alphas):
-        for beta, mat in dop.apply_monomial(alpha).items():
-            scale = den // mat.den
-            for r, row in enumerate(mat.num):
-                out = rows.setdefault((beta, r), {})
-                for j, (re, im) in row.items():
-                    out[a * d + j] = (re * scale, im * scale)
-    return rows.values(), len(alphas) * d
+def _kernel_rows(deriv_op: DerivOp, d: int, h: int, cap: int) -> tuple:
+    """(rows, ncols) of the integer matrix of a first-order sum_i d/dx_i (x) A_i
+    on degree-h polynomials valued in d coordinates, columns (alpha, j) alpha-major.
+
+    R(x^alpha (x) b_j) = sum_i alpha_i x^(alpha - e_i) (x) A_i b_j, so the
+    rows at one beta of degree h - 1 are the rows of [A_1 | ... | A_m]
+    under one linear map: entry (i, j) moves to column (beta + e_i, j),
+    times beta_i + 1.  The integer echelon rows of [A_1 | ... | A_m]
+    (`_echelon`, once) span the same row space, so one row (beta, e) per
+    echelon row e gives the same null space.  The cap counts the
+    unreduced rows, |exponents(m, h - 1)| x (rows live in some A_i).
+    """
+    m, terms = deriv_op.m, deriv_op.terms
+    index = {alpha: a * d for a, alpha in enumerate(exponents(m, h))}
+    den = lcm(*(mat.den for mat in terms.values()))
+    stacked = {}  # image coordinate r -> row r of [A_1 | ... | A_m], zero rows absent
+    for sig, mat in terms.items():
+        i, f = sig.index(1), den // mat.den
+        for r, row in enumerate(mat.num):
+            if row:
+                stacked.setdefault(r, {}).update((i * d + j, (re * f, im * f)) for j, (re, im) in row.items())
+    check_cells(comb(m + h - 2, h - 1) * len(stacked) if h else 0, len(index) * d, cap)
+    echelon = _echelon(stacked.values(), m * d)[1] if h else ()
+    rows = []
+    for beta in exponents(m, h - 1):  # none for h = 0
+        place = [(index[beta[:i] + (b + 1,) + beta[i + 1:]], b + 1) for i, b in enumerate(beta)]
+        for e in echelon:
+            out = {}
+            for c, (re, im) in e.items():
+                col, f = place[c // d]
+                out[col + c % d] = (re * f, im * f)
+            rows.append(out)
+    return rows, len(index) * d
 
 
 def kernel_basis(op: HsdOperator, h: int, cap: int = DEFAULT_CELL_CAP) -> list:
     """Exact basis of the degree-h kernel: one vector {(alpha, j): (re, im)}
     per free column, standing for sum (re + im i) x^alpha (x) source_basis[j].
 
-    R(x^alpha (x) b_j) = sum_i alpha_i x^(alpha - e_i) (x) A_i b_j, so the
-    kernel is the null space of an integer matrix, rows (beta, r), columns
-    (alpha, j) alpha-major (`_kernel_rows`).  The vectors are the
-    reduced-row-echelon basis, each as a primitive Gaussian-integer
-    multiple.  No entries cancel: the cap sees |exponents(m, h-1)| x (rows
-    r live in some A_i) before assembly.
+    The kernel is the null space of `_kernel_rows`'s integer matrix, rows
+    (beta, echelon row of the degree-1 images), columns (alpha, j)
+    alpha-major.  The vectors are the reduced-row-echelon basis, each as
+    a primitive Gaussian-integer multiple.
     """
-    d = len(op.source_basis)
-    alphas = list(exponents(op.m, h))
-    return [{(alphas[c // d], c % d): v for c, v in vec.items()} for vec in int_nullspace(*_kernel_rows(op, h, cap))]
+    d, alphas = len(op.source_basis), list(exponents(op.m, h))
+    rows, ncols = _kernel_rows(op.deriv_op, d, h, cap)
+    return [{(alphas[c // d], c % d): v for c, v in vec.items()} for vec in int_nullspace(rows, ncols)]
 
 
 def double_monogenic_basis(m: int, h: int, k: int, cap: int = DEFAULT_CELL_CAP) -> list:
@@ -353,19 +367,22 @@ def polyharmonic_order(f: dict) -> int:
 def verify_induction_dims(k: int, h: int, m: int, cap: int = DEFAULT_CELL_CAP) -> Report:
     """dim ker_h R_k = dim M_(h,k) + dim ker_(h-1) R_(k-1), all exact.
 
-    Three independent eliminations, each counted by its pivots (`nullity`):
-    `kernel_basis`'s rows for R_k and R_(k-1), and the rows of Dirac in x
-    and in u on (h, k)-homogeneous polynomials.  No basis is built, and
-    the three cap checks run first.  For k = 0 the operator one step down
-    is zero by convention and the second term is absent.
+    Each term is the `nullity` of a `_kernel_rows` matrix: R_k, R_(k-1)
+    one degree down, and D_x on P_h (x) M_k, for D_u acts on u alone and
+    M_k = ker D_u is R_k's value space.  No basis is built, and each
+    matrix is priced before it is assembled, M_(h,k) as the direct matrix
+    of D_x and D_u on (h, k)-homogeneous polynomials (rows: images of
+    degrees (h-1, k) and (h, k-1)).  For k = 0 the operator one step down
+    is zero by convention and the third term is absent.
     """
-    counted = [_kernel_rows(explicit_hsd(Weight((k,)), m, cap), h, cap)]
-    domain = homogeneous_basis(m, 1, (h, k))
-    rows = stacked_rows([Dirac(0), Dirac(1)], domain)[0]
-    check_cells(len(rows), len(domain), cap)
-    counted.append((rows.values(), len(domain)))
-    # absent for k = 0, and for h = 0: no degree -1 polynomials
-    counted.append(_kernel_rows(explicit_hsd(Weight((k - 1,)), m, cap), h - 1, cap) if k and h else ((), 0))
+    r_k = explicit_hsd(Weight((k,)), m, cap)
+    counted = [_kernel_rows(r_k.deriv_op, len(r_k.source_basis), h, cap)]
+    s = 2 ** ((m - 1) // 2)  # spinor dimension
+    n = {e: comb(m + e - 1, e) if e >= 0 else 0 for e in (h - 1, h, k - 1, k)}  # |exponents(m, e)|
+    check_cells(s * (n[h - 1] * n[k] + n[h] * n[k - 1]), s * n[h] * n[k], cap)
+    counted.append(_kernel_rows(_degree_one_images(Dirac(0), r_k.source_basis, m), len(r_k.source_basis), h, cap))
+    below = explicit_hsd(Weight((k - 1,)), m, cap) if k and h else None  # h = 0: no degree -1 polynomials
+    counted.append(_kernel_rows(below.deriv_op, len(below.source_basis), h - 1, cap) if below else ((), 0))
     dims = dict(zip(("ker", "double_monogenic", "previous_kernel"), (nullity(*c) for c in counted)))
     ok = dims["ker"] == dims["double_monogenic"] + dims["previous_kernel"]
     return Report(

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .clifford import _kron, gamma_rep
 from .gaussian import QQi
-from .linalg import DEFAULT_CELL_CAP, Mat, check_cells, int_nullspace, span_coords
+from .linalg import DEFAULT_CELL_CAP, Mat, check_cells, int_nullspace, nullity, span_coords
 from .polyspace import (
     CoordOp,
     Dirac,
@@ -31,6 +31,7 @@ from .polyspace import (
     joint_kernel,
     operator_matrices,
     spinor_unit,
+    stacked_rows,
 )
 from .weights import Weight, is_dominant, summand_weights
 
@@ -120,32 +121,43 @@ class RealizedSpace:
         return len(self.basis)
 
 
-@lru_cache(maxsize=None)
-def simplicial_monogenic_basis(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> RealizedSpace:
-    """Exact basis of the simplicial monogenic component of shape lam.
-
-    The space carries homogeneity degrees (lam_1, ..., lam_k) in the
-    dummy variables and is cut out by all Dirac(u_p) together with the
-    mixed Euler operators u_p . d_q for p < q.  Its dimension must equal
-    the Weyl dimension of the spin-shifted label; that equality is
-    asserted here because the two computations are fully independent.
-    """
+def _monogenic_system(lam: Weight, m: int) -> tuple:
+    """(label, degrees, domain, specs) of the simplicial monogenic component
+    of shape lam, the specs' common kernel on span(domain): homogeneity
+    degrees (lam_1, ..., lam_k) in the dummy variables, cut out by all
+    Dirac(u_p) and the mixed Euler operators u_p . d_q for p < q."""
     n, degrees = _shape_rows(lam, m, "simplicial")
     k = len(degrees)
-    label = pad_weight(lam, n).spin_shifted()
-    if k == 0:
-        basis = [spinor_unit(m, 0, s) for s in range(2 ** n)]
-        return RealizedSpace(label, m, 0, (), basis)
-    domain = homogeneous_basis(m, k, (0,) + degrees)
     specs = [Dirac(p) for p in range(1, k + 1)]
     specs += [MixedEuler(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
+    return pad_weight(lam, n).spin_shifted(), degrees, homogeneous_basis(m, k, (0,) + degrees), specs
+
+
+@lru_cache(maxsize=None)
+def simplicial_monogenic_basis(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> RealizedSpace:
+    """Exact basis of the simplicial monogenic component of shape lam
+    (`_monogenic_system`).  Its dimension must equal the Weyl dimension of
+    the spin-shifted label; that equality is asserted here because the two
+    computations are fully independent.
+    """
+    label, degrees, domain, specs = _monogenic_system(lam, m)
     basis = joint_kernel(specs, domain, cap)
     expected = weyl_dim(label, m)
     if len(basis) != expected:
         raise AssertionError(
             f"simplicial monogenic dimension {len(basis)} != Weyl dimension {expected} for {lam}, m={m}"
         )
-    return RealizedSpace(label, m, k, degrees, basis)
+    return RealizedSpace(label, m, len(degrees), degrees, basis)
+
+
+def simplicial_monogenic_dim(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> tuple:
+    """(label, dimension) of the space `simplicial_monogenic_basis` builds,
+    the dimension counted by the pivots of the same rows under the same
+    cap: no basis is built."""
+    label, _, domain, specs = _monogenic_system(lam, m)
+    rows = list(stacked_rows(specs, domain)[0].values())
+    check_cells(len(rows), len(domain), cap)
+    return label, nullity(rows, len(domain))
 
 
 def simplicial_harmonic_ambient(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> RealizedSpace:

@@ -12,7 +12,6 @@ import pytest
 
 from hsdfactor import cli, hsd, linalg, polyspace, repthy
 from hsdfactor.hsd import (
-    DerivOp,
     double_monogenic_basis,
     explicit_hsd,
     generic_twistor_hsd,
@@ -21,7 +20,7 @@ from hsdfactor.hsd import (
     verify_induction_dims,
 )
 from hsdfactor.linalg import ResourceCapError, int_nullspace
-from hsdfactor.polyspace import combination
+from hsdfactor.polyspace import Dirac, combination, homogeneous_basis, stacked_rows
 from hsdfactor.weights import weight
 from hsd_oracle import as_columns, domain_basis, ref_polyharmonic_order, ref_rows
 
@@ -78,14 +77,22 @@ def test_explicit_and_projector_kernels_agree(lam, m, top):
 def test_cap_is_checked_before_anything_is_assembled(monkeypatch):
     op = explicit_hsd(weight(1, 1), 5)
     calls = []
-    real = DerivOp.apply_monomial
-    monkeypatch.setattr(DerivOp, "apply_monomial", lambda self, alpha: calls.append(alpha) or real(self, alpha))
+    real = linalg._echelon
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    # the images' echelon rows come from hsd's binding, the kernel's elimination from linalg's
+    monkeypatch.setattr(hsd, "_echelon", counting)
+    monkeypatch.setattr(linalg, "_echelon", counting)
     with pytest.raises(ResourceCapError) as exc:
         kernel_basis(op, 5)
     assert str(exc.value) == "elimination size 5600x2520 exceeds cap 4000000"
     assert calls == []
     kernel_basis(op, 1)
-    assert len(calls) == 5  # one call per x-monomial of degree 1
+    d = len(op.source_basis)
+    assert calls == [5 * d, 5 * d]  # once on [A_1 | ... | A_5], once on the degree-1 kernel matrix
 
 
 @pytest.mark.parametrize(
@@ -93,6 +100,7 @@ def test_cap_is_checked_before_anything_is_assembled(monkeypatch):
     [
         (["kernel", "--mu", "1,1", "--m", "5", "--degree", "5"], "elimination size 5600x2520 exceeds cap 4000000"),
         (["verify", "corollary", "--mu", "2", "--m", "5", "--degree", "4"], "elimination size 2100x2800 exceeds cap 4000000"),
+        (["dims", "--mu", "1,1,1", "--m", "7"], "elimination size 5880x2744 exceeds cap 4000000"),
     ],
 )
 def test_cli_kernel_cap_messages(capsys, argv, message):
@@ -111,7 +119,11 @@ def test_projector_kernels_match_the_polynomial_route():
             assert [as_columns(op, h, vec) for vec in kernel_basis(op, h)] == want, (op.label, op.source_label, h)
 
 
-INDUCTION_CASES = [(k, h, 3) for k in range(5) for h in range(5)] + [(k, h, 5) for k in range(3) for h in range(3)]
+INDUCTION_CASES = (
+    [(k, h, 3) for k in range(5) for h in range(5)]
+    + [(k, h, 5) for k in range(3) for h in range(3)]
+    + [(0, 1, 7), (1, 1, 7), (2, 1, 7)]
+)
 
 
 @pytest.mark.parametrize("k,h,m", INDUCTION_CASES)
@@ -141,3 +153,29 @@ def test_induction_builds_no_null_space_vector_and_no_polynomial(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     rep = verify_induction_dims(3, 4, 3)
     assert rep.passed and rep.results == {"ker": 40, "double_monogenic": 16, "previous_kernel": 24}
+
+
+class _Priced(Exception):
+    pass
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_induction_prices_the_double_monogenic_matrix_it_no_longer_builds(monkeypatch, m):
+    """The second cap check of `verify_induction_dims`, after R_k's, has the
+    shape of the direct matrix of D_x and D_u on (h, k)-homogeneous
+    polynomials; it stops there."""
+    priced = []
+
+    def record(rows, cols, cap):
+        priced.append((rows, cols))
+        if len(priced) == 2:
+            raise _Priced
+
+    monkeypatch.setattr(hsd, "check_cells", record)
+    for k in range(4):
+        for h in range(4):
+            domain = homogeneous_basis(m, 1, (h, k))
+            priced.clear()
+            with pytest.raises(_Priced):
+                verify_induction_dims(k, h, m)
+            assert priced[1] == (len(stacked_rows([Dirac(0), Dirac(1)], domain)[0]), len(domain)), (k, h)

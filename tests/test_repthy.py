@@ -1,6 +1,9 @@
+import json
+
 import pytest
 from fractions import Fraction
 
+from hsdfactor import cli, hsd, linalg, polyspace, repthy
 from hsdfactor.linalg import Mat
 from hsdfactor.polyspace import Dirac, MixedEuler, apply
 from hsdfactor.repthy import (
@@ -9,6 +12,7 @@ from hsdfactor.repthy import (
     pad_weight,
     simplicial_harmonic_ambient,
     simplicial_monogenic_basis,
+    simplicial_monogenic_dim,
     so_generators,
     weyl_dim,
 )
@@ -44,6 +48,35 @@ def test_simplicial_dimensions(lam, m, expected):
     space = simplicial_monogenic_basis(Weight(lam), m)
     assert space.dim == expected
     assert space.dim == weyl_dim(space.label, m)
+
+
+PIVOT_SHAPES = (
+    [((k,), 3) for k in range(4)]
+    + [(lam, 5) for lam in [(0,), (1,), (2,), (1, 1), (2, 1)]]
+    + [(lam, 7) for lam in [(0,), (1,), (2,), (1, 1), (2, 1), (1, 1, 1)]]
+)
+
+
+@pytest.mark.parametrize("lam,m", PIVOT_SHAPES)
+def test_pivot_count_is_the_basis_length_and_the_weyl_dimension(lam, m):
+    cap = 20_000_000  # (1,1,1), m = 7 is 5880x2744
+    label, dim = simplicial_monogenic_dim(Weight(lam), m, cap=cap)
+    space = simplicial_monogenic_basis(Weight(lam), m, cap=cap)
+    assert (label, dim) == (space.label, space.dim)
+    assert dim == weyl_dim(label, m)
+
+
+def test_dims_builds_no_basis(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dims built a basis")
+
+    for module in (linalg, polyspace, hsd, repthy):
+        for name in ("int_nullspace", "combination", "combinations"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert cli.run(["dims", "--mu", "2,1", "--m", "5"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["results"]["dimension"] == data["results"]["weyl"] == 64
 
 
 def test_simplicial_basis_satisfies_defining_equations():
