@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice, product
 from math import comb, factorial, lcm, perm, prod
+from operator import add
 
 from .gaussian import QQi, QQI_ZERO
 from .linalg import DEFAULT_CELL_CAP, Mat, ResourceCapError, _echelon, check_cells, int_nullspace, nullity, solve_sparse
@@ -60,7 +61,7 @@ class DerivOp:
     Zero matrices are dropped and `Mat` is canonical, so `terms` is too.
     """
 
-    __slots__ = ("m", "terms", "_top")
+    __slots__ = ("m", "terms", "_top", "_echelon")
 
     def __init__(self, m: int, terms=None):
         self.m = m
@@ -70,6 +71,7 @@ class DerivOp:
                 if not mat.is_zero():
                     self.terms[tuple(sig)] = mat
         self._top = max((max(sig) for sig in self.terms), default=0)  # largest signature entry
+        self._echelon = None  # echelon rows of a first-order operator's degree-1 images (`_kernel_rows`)
 
     def compose(self, other: "DerivOp") -> "DerivOp":
         return compose_sum(self.m, [(self, other)])
@@ -126,13 +128,15 @@ def compose_sum(m: int, pairs) -> DerivOp:
     ))
 
 
+def laplace_shifts(m: int, power: int) -> list:
+    """Lap^power as integer signature shifts: (2k, power!/prod k_i!) for |k| = power."""
+    return [(tuple(2 * ki for ki in k), factorial(power) // prod(map(factorial, k))) for k in exponents(m, power)]
+
+
 def laplace_deriv_op(m: int, dim: int, power: int = 1) -> DerivOp:
-    """Lap^power (x) 1 on dim coordinates: e!/prod k_i! at sig = 2k for |k| = e."""
+    """Lap^power (x) 1 on dim coordinates, one scaled identity per shift."""
     ident = Mat.identity(dim)
-    return DerivOp(m, {
-        tuple(2 * ki for ki in k): ident.scale(factorial(power) // prod(map(factorial, k)))
-        for k in exponents(m, power)
-    })
+    return DerivOp(m, {sig: ident.scale(c) for sig, c in laplace_shifts(m, power)})
 
 
 def _step_ops(ps: ProjectorSet):
@@ -294,9 +298,10 @@ def _kernel_rows(deriv_op: DerivOp, d: int, h: int, cap: int) -> tuple:
     rows at one beta of degree h - 1 are the rows of [A_1 | ... | A_m]
     under one linear map: entry (i, j) moves to column (beta + e_i, j),
     times beta_i + 1.  The integer echelon rows of [A_1 | ... | A_m]
-    (`_echelon`, once) span the same row space, so one row (beta, e) per
-    echelon row e gives the same null space.  The cap counts the
-    unreduced rows, |exponents(m, h - 1)| x (rows live in some A_i).
+    (`_echelon`, once per operator, kept on it) span the same row space,
+    so one row (beta, e) per echelon row e gives the same null space.  The
+    cap counts the unreduced rows, |exponents(m, h - 1)| x (rows live in
+    some A_i).
     """
     m, terms = deriv_op.m, deriv_op.terms
     index = {alpha: a * d for a, alpha in enumerate(exponents(m, h))}
@@ -308,7 +313,9 @@ def _kernel_rows(deriv_op: DerivOp, d: int, h: int, cap: int) -> tuple:
             if row:
                 stacked.setdefault(r, {}).update((i * d + j, (re * f, im * f)) for j, (re, im) in row.items())
     check_cells(comb(m + h - 2, h - 1) * len(stacked) if h else 0, len(index) * d, cap)
-    echelon = _echelon(stacked.values(), m * d)[1] if h else ()
+    if h and deriv_op._echelon is None:
+        deriv_op._echelon = _echelon(stacked.values(), m * d)[1]
+    echelon = deriv_op._echelon if h else ()
     rows = []
     for beta in exponents(m, h - 1):  # none for h = 0
         place = [(index[beta[:i] + (b + 1,) + beta[i + 1:]], b + 1) for i, b in enumerate(beta)]
@@ -470,29 +477,41 @@ def verify_identities(lam: Weight, m: int, x_degree: int, cap: int = DEFAULT_CEL
 
 
 def theorem_chains(ps: ProjectorSet, mu: Weight, p: int, support: list) -> list:
-    """r_mu P(mu <- lam) P(lam <- mu) r_mu . (Lap^e (x) 1) for each lam of the
-    support, e = p - |mu - lam| - 1, on the summand coordinates of mu'.
+    """(O_lam, e) for each lam of the support: the open chain
+    O_lam = r_mu P(mu <- lam) P(lam <- mu) on the summand coordinates of
+    mu', and e = p - |mu - lam| - 1.
 
     P(mu <- lam) composes the steps of the canonical path from lam up to
-    mu, P(lam <- mu) those back down.  Lap^e (x) 1 commutes with every
-    step, so it is composed last, once, and not at all when e = 0: the
-    first-order factors' products never see its terms.
+    mu, P(lam <- mu) those back down.  The closed chain is
+    O_lam . r_mu . (Lap^e (x) 1).  Lap^e (x) 1 commutes with every step,
+    so it only shifts signatures by the integers of `laplace_shifts`, and
+    no product has a multiple of the identity as a factor.
     """
     op_between = _step_ops(ps)
     mu_s = mu.spin_shifted()
-    r_mu = op_between(mu_s, mu_s)
-    dim = ps.dim(mu_s)
     chains = []
     for lam in support:
         nodes = [w.spin_shifted() for w in canonical_path(lam, mu)]
         walk = nodes[::-1] + nodes[1:]  # mu down to lam and back up
-        chain = r_mu
+        chain = op_between(mu_s, mu_s)
         for a, b in zip(walk, walk[1:]):
             chain = chain.compose(op_between(a, b))
-        chain = chain.compose(r_mu)
-        e = p - manhattan_distance(mu, lam) - 1
-        chains.append(chain.compose(laplace_deriv_op(ps.ambient.m, dim, e)) if e else chain)
+        chains.append((chain, p - manhattan_distance(mu, lam) - 1))
     return chains
+
+
+def closed_chain_at(chain: DerivOp, shifts: list, r_mu: DerivOp, alpha: tuple):
+    """The matrix of chain . r_mu . Lap^e at signature alpha, None where it has
+    no term: one sum of coef_k chain[alpha - 2k - e_i] r_mu[e_i] over the
+    shifts (2k, coef_k) of Lap^e and the terms (e_i, r_mu[e_i])."""
+    terms = []
+    for two_k, coef in shifts:
+        for unit, r in r_mu.terms.items():
+            sig = tuple(a - b - u for a, b, u in zip(alpha, two_k, unit))
+            if sig in chain.terms:
+                terms.append((chain.terms[sig], r if coef == 1 else r.scale(coef)))
+    total = Mat.sum_of_products(terms) if terms else None
+    return None if total is None or total.is_zero() else total
 
 
 def verify_factorization_numeric(
@@ -511,6 +530,11 @@ def verify_factorization_numeric(
     exactly on every degree up to x_degree.  cap bounds the
     eliminations of `casimir_projectors` and the monomials of degrees
     2p..x_degree that those checks instantiate.
+
+    The chains stay open (`theorem_chains`); the solve closes them only at
+    the signatures it visits, (2p, 0, ..., 0) alone for m >= 5.  The sum
+    closes a chain with e = 0 itself and shifts one with e > 0 after
+    closing it: shifting first would repeat each closing product per shift.
     """
     n = (m - 1) // 2
     mu = pad_weight(mu, n)
@@ -531,13 +555,17 @@ def verify_factorization_numeric(
         raise ResourceCapError(f"{monomials} monomials of degrees {2 * p}..{x_degree} exceed cap {cap}")
     support = cert.support()
     chains = theorem_chains(ps, mu, p, support)
-    dim = ps.dim(mu.spin_shifted())
+    mu_s = mu.spin_shifted()
+    r_mu = _step_ops(ps)(mu_s, mu_s)
+    shifts = {e: laplace_shifts(m, e) for _, e in chains}
+    dim = ps.dim(mu_s)
     target = laplace_deriv_op(m, dim, p)
 
     checks = []
     # solve scalars on the lowest admissible degree 2p: every chain and Lap^p
     # has order exactly 2p, so on x^alpha each gives alpha! times its matrix
-    # at signature alpha.  One row per nonzero entry of those matrices, over
+    # at signature alpha (a chain's from `closed_chain_at`).  One row per
+    # nonzero entry of those matrices, over
     # their common denominator; Lap^p enters as column `unknowns`, split off
     # as the right-hand side
     solve_degree = 2 * p
@@ -545,7 +573,8 @@ def verify_factorization_numeric(
     rows = []
     rhs = []
     for alpha in exponents(m, solve_degree):
-        mats = [(jj, op.terms[alpha]) for jj, op in enumerate(chains + [target]) if alpha in op.terms]
+        mats = [(jj, closed_chain_at(chain, shifts[e], r_mu, alpha)) for jj, (chain, e) in enumerate(chains)]
+        mats = [(jj, a) for jj, a in mats + [(unknowns, target.terms.get(alpha))] if a is not None]
         den = lcm(*(a.den for _, a in mats))
         for i in range(dim):
             eqs = {}
@@ -585,9 +614,16 @@ def verify_factorization_numeric(
         checks.append(
             Check("normalization_solve", True, {"degree": solve_degree, "scalars": list(map(str, scalars))})
         )
-        combined = _by_signature(m, (
-            (sig, mat, c) for c, chain in zip(scalars, chains) for sig, mat in chain.terms.items()
-        ))
+        terms = []
+        for c, (chain, e) in zip(scalars, chains):
+            if e:  # closed at its own order, then shifted by Lap^e
+                terms += [(tuple(map(add, sig, two_k)), mat, c * coef)
+                          for sig, mat in chain.compose(r_mu).terms.items() for two_k, coef in shifts[e]]
+            else:  # closed inside the sum: c scales r_mu's m matrices
+                closing = [(unit, r.scale(c)) for unit, r in r_mu.terms.items()]
+                terms += [(tuple(map(add, sig, unit)), mat, r)
+                          for sig, mat in chain.terms.items() for unit, r in closing]
+        combined = _by_signature(m, terms)
         # termwise equality makes the identity degree-independent; still
         # instantiate and compare on every requested degree explicitly
         identity_holds = combined == target

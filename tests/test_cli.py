@@ -669,7 +669,7 @@ def test_a_plain_argv_is_read_off_the_table(argv):
 
 def test_every_golden_argv_is_read_off_the_table():
     golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
-    assert len(golden) == 18
+    assert len(golden) == 21
     for case in golden:
         args = cli._read_plain(case["argv"])
         assert args is not None, case["argv"]

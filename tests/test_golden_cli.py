@@ -39,6 +39,10 @@ CASES = [
     ["verify", "identities", "--mu", "2,1", "--m", "5", "--degree", "2"],
     ["factorize", "--mu", "4,1,1", "--power", "5"],
     ["factorize", "--mu", "2,1,1,1", "--power", "4"],
+    # p >= 3: chains with e >= 2 Laplace factors
+    ["verify", "theorem", "--mu", "1", "--m", "3", "--power", "3", "--degree", "7"],
+    ["verify", "theorem", "--mu", "1,1", "--m", "5", "--power", "3", "--degree", "6"],
+    ["verify", "theorem", "--mu", "1", "--m", "5", "--power", "4", "--degree", "8"],
 ]
 
 

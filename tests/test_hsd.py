@@ -338,18 +338,56 @@ def lap_first_chains(ps, mu, p, support):
 @pytest.mark.parametrize("p", [2, 3, 4])
 @pytest.mark.parametrize("mu,m", [((1,), 3), ((1, 0), 5), ((1, 0, 0), 7)])
 def test_laplace_last_chains_equal_laplace_first_chains(mu, m, p):
-    """Lap^e (x) 1 commutes with every step: the chains agree term by term."""
-    from hsdfactor.hsd import theorem_chains
+    """Lap^e (x) 1 commutes with every step: the open chains, closed by r_mu
+    and Lap^e, agree with the oracle term by term, and so does the
+    one-signature evaluation at every alpha of degree 2p."""
+    from hsdfactor.hsd import _step_ops, closed_chain_at, laplace_deriv_op, laplace_shifts, theorem_chains
     from hsdfactor.opalgebra import expand_laplace_power
+    from hsdfactor.polyspace import exponents
     from hsdfactor.repthy import casimir_projectors
 
     mu = Weight(mu)
     support = expand_laplace_power(mu, p).support()
     ps = casimir_projectors(mu, m)
+    mu_s = mu.spin_shifted()
+    r_mu = _step_ops(ps)(mu_s, mu_s)
     got = theorem_chains(ps, mu, p, support)
     want = lap_first_chains(ps, mu, p, support)
-    assert [c.terms for c in got] == [c.terms for c in want]
-    assert all(not c.is_zero() for c in got)
+    closed = [pairwise_compose(pairwise_compose(chain, r_mu), laplace_deriv_op(m, ps.dim(mu_s), e)) for chain, e in got]
+    assert [c.terms for c in closed] == [c.terms for c in want]
+    assert all(not c.is_zero() for c in closed)
+    for (chain, e), full in zip(got, want):
+        shifts = laplace_shifts(m, e)
+        for alpha in exponents(m, 2 * p):
+            at = closed_chain_at(chain, shifts, r_mu, alpha)
+            assert (at is None) if alpha not in full.terms else at == full.terms[alpha], alpha
+
+
+def test_theorem_takes_no_product_with_a_multiple_of_the_identity(monkeypatch, capsys):
+    """Lap^e enters the theorem as integer shifts: once the ambient's
+    projectors are built, no term of any sum of products has a scalar
+    multiple of the identity as a factor."""
+    from hsdfactor import cli
+    from hsdfactor.linalg import DEFAULT_CELL_CAP, Mat
+    from hsdfactor.repthy import casimir_projectors
+
+    def scaled_identity(x):
+        return isinstance(x, Mat) and x.nrows == x.ncols and all(list(row) == [i] for i, row in enumerate(x.num)) \
+            and len({row[i] for i, row in enumerate(x.num)}) == 1
+
+    casimir_projectors(weight(1, 0), 5, cap=DEFAULT_CELL_CAP)
+    real = Mat.sum_of_products
+    offending = []
+
+    def guarded(terms):
+        terms = list(terms)
+        offending.extend((a, b) for a, b in terms if scaled_identity(a) or scaled_identity(b))
+        return real(terms)
+
+    monkeypatch.setattr(Mat, "sum_of_products", staticmethod(guarded))
+    assert cli.run(["verify", "theorem", "--mu", "1,0", "--m", "5", "--power", "3", "--degree", "6"]) == 0
+    assert '"passed": true' in capsys.readouterr().out
+    assert offending == []
 
 
 def test_polyharmonic_order_examples():

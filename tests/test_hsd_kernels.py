@@ -95,6 +95,22 @@ def test_cap_is_checked_before_anything_is_assembled(monkeypatch):
     assert calls == [5 * d, 5 * d]  # once on [A_1 | ... | A_5], once on the degree-1 kernel matrix
 
 
+def test_corollary_eliminates_the_degree_one_images_once(monkeypatch, capsys):
+    """The operator keeps the echelon rows of its images: a corollary run to
+    degree D eliminates [A_1 | ... | A_m] once, not once per degree."""
+    calls = []
+    real = linalg._echelon
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(hsd, "_echelon", counting)  # hsd's binding: the images only
+    assert cli.run(["verify", "corollary", "--mu", "1,1", "--m", "5", "--degree", "4"]) == 0
+    assert '"passed": true' in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
