@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice, product
 from math import comb, factorial, lcm, perm, prod
-from operator import add
+from operator import add, sub
 
 from .gaussian import QQi, QQI_ZERO
 from .linalg import DEFAULT_CELL_CAP, Mat, ResourceCapError, _echelon, check_cells, int_nullspace, nullity, solve_sparse
@@ -477,39 +477,38 @@ def verify_identities(lam: Weight, m: int, x_degree: int, cap: int = DEFAULT_CEL
 
 
 def theorem_chains(ps: ProjectorSet, mu: Weight, p: int, support: list) -> list:
-    """(O_lam, e) for each lam of the support: the open chain
-    O_lam = r_mu P(mu <- lam) P(lam <- mu) on the summand coordinates of
-    mu', and e = p - |mu - lam| - 1.
+    """(base, closers) for each lam of the support, on the summand coordinates
+    of mu'.  With e = p - |mu - lam| - 1 and the open chain
+    O = r_mu P(mu <- lam) P(lam <- mu) (P(mu <- lam) the steps of the
+    canonical path from lam up to mu, P(lam <- mu) those back down):
 
-    P(mu <- lam) composes the steps of the canonical path from lam up to
-    mu, P(lam <- mu) those back down.  The closed chain is
-    O_lam . r_mu . (Lap^e (x) 1).  Lap^e (x) 1 commutes with every step,
-    so it only shifts signatures by the integers of `laplace_shifts`, and
-    no product has a multiple of the identity as a factor.
+    e = 0: base O, closers the terms (e_i, r_mu[e_i]) of r_mu;
+    e > 0: base O r_mu, closers the shifts (2k, coef_k) of `laplace_shifts`.
+
+    The closed chain O r_mu (Lap^e (x) 1) is sum base[alpha - s] f over the
+    closers (s, f) at each signature alpha: Lap^e (x) 1 commutes with every
+    step, so it only shifts signatures by integers, and no product has a
+    multiple of the identity as a factor.
     """
     op_between = _step_ops(ps)
     mu_s = mu.spin_shifted()
+    r_mu = op_between(mu_s, mu_s)
     chains = []
     for lam in support:
         nodes = [w.spin_shifted() for w in canonical_path(lam, mu)]
         walk = nodes[::-1] + nodes[1:]  # mu down to lam and back up
-        chain = op_between(mu_s, mu_s)
+        base = r_mu
         for a, b in zip(walk, walk[1:]):
-            chain = chain.compose(op_between(a, b))
-        chains.append((chain, p - manhattan_distance(mu, lam) - 1))
+            base = base.compose(op_between(a, b))
+        e = p - manhattan_distance(mu, lam) - 1
+        chains.append((base.compose(r_mu), dict(laplace_shifts(ps.ambient.m, e))) if e else (base, r_mu.terms))
     return chains
 
 
-def closed_chain_at(chain: DerivOp, shifts: list, r_mu: DerivOp, alpha: tuple):
-    """The matrix of chain . r_mu . Lap^e at signature alpha, None where it has
-    no term: one sum of coef_k chain[alpha - 2k - e_i] r_mu[e_i] over the
-    shifts (2k, coef_k) of Lap^e and the terms (e_i, r_mu[e_i])."""
-    terms = []
-    for two_k, coef in shifts:
-        for unit, r in r_mu.terms.items():
-            sig = tuple(a - b - u for a, b, u in zip(alpha, two_k, unit))
-            if sig in chain.terms:
-                terms.append((chain.terms[sig], r if coef == 1 else r.scale(coef)))
+def closed_chain_at(base: DerivOp, closers: dict, alpha: tuple):
+    """The closed chain of `theorem_chains` at signature alpha, None where it
+    has no term: one sum of base[alpha - s] f over the closers (s, f)."""
+    terms = [(base.terms[sig], f) for s, f in closers.items() if (sig := tuple(map(sub, alpha, s))) in base.terms]
     total = Mat.sum_of_products(terms) if terms else None
     return None if total is None or total.is_zero() else total
 
@@ -531,13 +530,12 @@ def verify_factorization_numeric(
     eliminations of `casimir_projectors` and the monomials of degrees
     2p..x_degree that those checks instantiate.
 
-    The chains stay open (`theorem_chains`); the solve closes them only at
-    the signatures it visits, (2p, 0, ..., 0) alone for m >= 5.  The sum
-    closes a chain with e = 0 itself and shifts one with e > 0 after
-    closing it: shifting first would repeat each closing product per shift.
+    Each chain is a base and its closers (`theorem_chains`), closed one
+    way: the solve by `closed_chain_at` at the signatures it visits,
+    (2p, 0, ..., 0) alone for m >= 5, and the sum sum_lam c_lam C_lam as
+    the terms (sig + s, base[sig], c_lam f) over the closers (s, f).
     """
-    n = (m - 1) // 2
-    mu = pad_weight(mu, n)
+    mu = pad_weight(mu, (m - 1) // 2)
     if mu.spin:
         raise ValueError("mu must be integral")
     if p <= mu.entries[0]:
@@ -555,91 +553,61 @@ def verify_factorization_numeric(
         raise ResourceCapError(f"{monomials} monomials of degrees {2 * p}..{x_degree} exceed cap {cap}")
     support = cert.support()
     chains = theorem_chains(ps, mu, p, support)
-    mu_s = mu.spin_shifted()
-    r_mu = _step_ops(ps)(mu_s, mu_s)
-    shifts = {e: laplace_shifts(m, e) for _, e in chains}
-    dim = ps.dim(mu_s)
-    target = laplace_deriv_op(m, dim, p)
+    target = laplace_deriv_op(m, ps.dim(mu.spin_shifted()), p)
 
-    checks = []
     # solve scalars on the lowest admissible degree 2p: every chain and Lap^p
     # has order exactly 2p, so on x^alpha each gives alpha! times its matrix
-    # at signature alpha (a chain's from `closed_chain_at`).  One row per
-    # nonzero entry of those matrices, over
-    # their common denominator; Lap^p enters as column `unknowns`, split off
-    # as the right-hand side
-    solve_degree = 2 * p
+    # at signature alpha.  One row per nonzero entry (i, j) of those
+    # matrices, over their common denominator; Lap^p enters as column
+    # `unknowns`, split off as the right-hand side
     unknowns = len(support)
     rows = []
     rhs = []
-    for alpha in exponents(m, solve_degree):
-        mats = [(jj, closed_chain_at(chain, shifts[e], r_mu, alpha)) for jj, (chain, e) in enumerate(chains)]
+    for alpha in exponents(m, 2 * p):
+        mats = [(jj, closed_chain_at(base, closers, alpha)) for jj, (base, closers) in enumerate(chains)]
         mats = [(jj, a) for jj, a in mats + [(unknowns, target.terms.get(alpha))] if a is not None]
         den = lcm(*(a.den for _, a in mats))
-        for i in range(dim):
-            eqs = {}
-            for jj, a in mats:
-                scale = den // a.den
-                for j, (re, im) in a.num[i].items():
-                    eqs.setdefault(j, {})[jj] = (re * scale, im * scale)
-            for j in sorted(eqs):
-                rhs.append(eqs[j].pop(unknowns, (0, 0)))
-                rows.append(eqs[j])
+        eqs = {}
+        for jj, a in mats:
+            scale = den // a.den
+            for i, row in enumerate(a.num):
+                for j, (re, im) in row.items():
+                    eqs.setdefault((i, j), {})[jj] = (re * scale, im * scale)
+        for ij in sorted(eqs):
+            rhs.append(eqs[ij].pop(unknowns, (0, 0)))
+            rows.append(eqs[ij])
         if len(rows) >= 12 * unknowns:
             break
     solved = solve_sparse(rows, rhs, unknowns)
+    results = {"support": support}
     if solved is None or solved[1]:
-        checks.append(
-            Check(
-                "normalization_solve",
-                False,
-                {"reason": "inconsistent" if solved is None else "underdetermined"},
-            )
-        )
-        return Report(
-            title="factorization_numeric",
-            params={"mu": mu, "power": p, "m": m, "x_degree": x_degree},
-            checks=checks,
-            results={"support": support, "certificate": cert.to_jsonable()},
-        )
-    particular, _ = solved
-    scalars = []
-    for j in range(unknowns):
-        val = particular.get(j, QQI_ZERO)
-        if val.im != 0:
-            checks.append(Check("normalization_solve", False, {"reason": "non-real scalar"}))
-            break
-        scalars.append(val.re)
+        reason = "inconsistent" if solved is None else "underdetermined"
+        checks = [Check("normalization_solve", False, {"reason": reason})]
+        results["certificate"] = cert.to_jsonable()
     else:
-        checks.append(
-            Check("normalization_solve", True, {"degree": solve_degree, "scalars": list(map(str, scalars))})
-        )
-        terms = []
-        for c, (chain, e) in zip(scalars, chains):
-            if e:  # closed at its own order, then shifted by Lap^e
-                terms += [(tuple(map(add, sig, two_k)), mat, c * coef)
-                          for sig, mat in chain.compose(r_mu).terms.items() for two_k, coef in shifts[e]]
-            else:  # closed inside the sum: c scales r_mu's m matrices
-                closing = [(unit, r.scale(c)) for unit, r in r_mu.terms.items()]
-                terms += [(tuple(map(add, sig, unit)), mat, r)
-                          for sig, mat in chain.terms.items() for unit, r in closing]
-        combined = _by_signature(m, terms)
-        # termwise equality makes the identity degree-independent; still
-        # instantiate and compare on every requested degree explicitly
-        identity_holds = combined == target
-        checks.append(Check("termwise_matrix_equality", identity_holds, {}))
-        for degree in range(2 * p, x_degree + 1):
-            ok = all(target.apply_monomial(a) == combined.apply_monomial(a) for a in exponents(m, degree))
-            checks.append(Check(f"exact_equality_degree_{degree}", ok, {"degree": degree}))
-    report = Report(
+        values = [solved[0].get(j, QQI_ZERO) for j in range(unknowns)]
+        real = all(v.im == 0 for v in values)
+        scalars = [v.re for v in values]
+        results["symbolic_coefficients"] = {str(l): cert.coefficients[l] for l in support}
+        results["solved_scalars"] = {str(l): str(s) for l, s in zip(support, scalars)} if real else {}
+        results["residual_empty"] = cert.residual.is_zero()
+        checks = [Check("normalization_solve", real, {"degree": 2 * p, "scalars": list(map(str, scalars))}
+                        if real else {"reason": "non-real scalar"})]
+        if real:
+            terms = []
+            for c, (base, closers) in zip(scalars, chains):
+                closing = [(s, c * f) for s, f in closers.items()]  # c r_mu[e_i] (e = 0) or c coef_k (e > 0)
+                terms += [(tuple(map(add, sig, s)), mat, cf) for sig, mat in base.terms.items() for s, cf in closing]
+            combined = _by_signature(m, terms)
+            # termwise equality makes the identity degree-independent; still
+            # instantiate and compare on every requested degree explicitly
+            checks.append(Check("termwise_matrix_equality", combined == target, {}))
+            for degree in range(2 * p, x_degree + 1):
+                ok = all(target.apply_monomial(a) == combined.apply_monomial(a) for a in exponents(m, degree))
+                checks.append(Check(f"exact_equality_degree_{degree}", ok, {"degree": degree}))
+    return Report(
         title="factorization_numeric",
         params={"mu": mu, "power": p, "m": m, "x_degree": x_degree},
         checks=checks,
-        results={
-            "support": support,
-            "symbolic_coefficients": {str(l): cert.coefficients[l] for l in support},
-            "solved_scalars": {str(l): str(s) for l, s in zip(support, scalars)} if len(scalars) == unknowns else {},
-            "residual_empty": cert.residual.is_zero(),
-        },
+        results=results,
     )
-    return report

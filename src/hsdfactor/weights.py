@@ -147,20 +147,24 @@ def manhattan_distance(mu: Weight, nu: Weight) -> int:
 def box_offsets(mu: Weight, left: int):
     """Every k with 0 <= k_i <= mu_i - mu_{i+1} (mu_{n+1} = 0) and |k| <= left, lazily, in lexicographic order.
 
-    mu - k runs over the members of the box of mu at distance |k| <= left.
+    mu - k runs over the members of the box of mu at distance |k| <= left
+    (mu dominant and left >= 0, so k = 0 is one of them).
     """
     e = mu.entries
     gaps = [a - b for a, b in zip(e, e[1:] + (0,))]
-
-    def offsets(i, left):
-        if i == len(gaps):
-            yield ()
+    k, total = [0] * len(gaps), 0
+    while True:
+        yield tuple(k)
+        # odometer: zero the trailing entries that cannot grow, then raise the last one that can
+        i = len(k) - 1
+        while i >= 0 and (k[i] == gaps[i] or total == left):
+            total -= k[i]
+            k[i] = 0
+            i -= 1
+        if i < 0:
             return
-        for ki in range(min(gaps[i], left) + 1):
-            for rest in offsets(i + 1, left - ki):
-                yield (ki,) + rest
-
-    return offsets(0, left)
+        k[i] += 1
+        total += 1
 
 
 def box(mu: Weight) -> list[Weight]:
@@ -212,33 +216,41 @@ def enumerate_paths(nu: Weight, mu: Weight, cap: int = 10000) -> PathEnumeration
     if cap < 1:
         raise ValueError("cap must be positive")
     top = mu.entries
+    if nu.entries == top:
+        return PathEnumeration(((nu,),), False)
     points = {top: mu}
-    paths = []
-    nodes = [nu]
-    truncated = False
+    above = {}  # node -> the nodes one step up, in coordinate order
 
-    def rec(current: Weight):
-        nonlocal truncated
-        e = current.entries
-        if e == top:
-            if len(paths) >= cap:
-                truncated = True
-            else:
-                paths.append(tuple(nodes))
-            return
-        for i in range(len(e)):
-            # raising coordinate i keeps a dominant weight dominant unless it catches up with i - 1
-            if e[i] < top[i] and (i == 0 or e[i - 1] > e[i]) and not truncated:
-                up = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                nxt = points.get(up)
-                if nxt is None:
-                    nxt = points[up] = Weight(up, mu.spin)
+    def raises(current: Weight):
+        out = above.get(current)
+        if out is None:
+            e, out = current.entries, []
+            for i in range(len(e)):
+                # raising coordinate i keeps a dominant weight dominant unless it catches up with i - 1
+                if e[i] < top[i] and (i == 0 or e[i - 1] > e[i]):
+                    up = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                    nxt = points.get(up)
+                    if nxt is None:
+                        nxt = points[up] = Weight(up, mu.spin)
+                    out.append(nxt)
+            out = above[current] = tuple(out)
+        return iter(out)
+
+    # depth-first without recursion: pending[d] iterates over the raises of nodes[d] not yet taken
+    paths, nodes, pending = [], [nu], [raises(nu)]
+    while pending:
+        for nxt in pending[-1]:
+            if nxt is not mu:  # points[top] is mu, so every path ends at mu itself
                 nodes.append(nxt)
-                rec(nxt)
-                nodes.pop()
-
-    rec(nu)
-    return PathEnumeration(tuple(paths), truncated)
+                pending.append(raises(nxt))
+                break
+            if len(paths) == cap:
+                return PathEnumeration(tuple(paths), True)
+            paths.append((*nodes, nxt))
+        else:
+            pending.pop()
+            nodes.pop()
+    return PathEnumeration(tuple(paths), False)
 
 
 def canonical_path(nu: Weight, mu: Weight) -> tuple[Weight, ...]:

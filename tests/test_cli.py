@@ -298,6 +298,22 @@ def test_paths_cap_truncates_the_listing(capsys):
     assert data["results"]["count"] == 5
 
 
+def test_deep_weights_and_long_paths_do_not_recurse(capsys):
+    """A weight of rank 1201 and a path of 1500 steps are valid input: the box
+    and path generators do not recurse per coordinate or per step."""
+    deep = ",".join(["1"] + ["0"] * 1200)
+    code, data = run_json(capsys, ["box", "--mu", deep])
+    assert code == 0 and data["results"]["count"] == 2
+    code, data = run_json(capsys, ["verify", "box", "--mu", deep])
+    assert code == 0 and data["passed"]
+    code, data = run_json(capsys, ["factorize", "--mu", deep, "--power", "2"])
+    assert code == 0 and data["passed"]
+    code, data = run_json(capsys, ["paths", "--mu", "1500"])
+    assert code == 0 and data["results"]["count"] == 1 and data["results"]["change_sequences"] == [[1] * 1500]
+    code, data = run_json(capsys, ["verify", "path", "--mu", "1500", "--nu", "0"])
+    assert code == 0 and data["passed"]
+
+
 def test_verify_induction_honours_cap(capsys):
     code, data = run_json(capsys, ["verify", "induction", "--mu", "3", "--m", "3", "--degree", "4", "--cap", "5"])
     assert code == 2

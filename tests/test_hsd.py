@@ -338,13 +338,14 @@ def lap_first_chains(ps, mu, p, support):
 @pytest.mark.parametrize("p", [2, 3, 4])
 @pytest.mark.parametrize("mu,m", [((1,), 3), ((1, 0), 5), ((1, 0, 0), 7)])
 def test_laplace_last_chains_equal_laplace_first_chains(mu, m, p):
-    """Lap^e (x) 1 commutes with every step: the open chains, closed by r_mu
-    and Lap^e, agree with the oracle term by term, and so does the
-    one-signature evaluation at every alpha of degree 2p."""
-    from hsdfactor.hsd import _step_ops, closed_chain_at, laplace_deriv_op, laplace_shifts, theorem_chains
+    """Lap^e (x) 1 commutes with every step: each base, closed by r_mu
+    (e = 0) or by Lap^e (e > 0), agrees with the oracle term by term, and
+    so does `closed_chain_at` at every alpha of degree 2p."""
+    from hsdfactor.hsd import _step_ops, closed_chain_at, laplace_deriv_op, theorem_chains
     from hsdfactor.opalgebra import expand_laplace_power
     from hsdfactor.polyspace import exponents
     from hsdfactor.repthy import casimir_projectors
+    from hsdfactor.weights import manhattan_distance
 
     mu = Weight(mu)
     support = expand_laplace_power(mu, p).support()
@@ -353,13 +354,12 @@ def test_laplace_last_chains_equal_laplace_first_chains(mu, m, p):
     r_mu = _step_ops(ps)(mu_s, mu_s)
     got = theorem_chains(ps, mu, p, support)
     want = lap_first_chains(ps, mu, p, support)
-    closed = [pairwise_compose(pairwise_compose(chain, r_mu), laplace_deriv_op(m, ps.dim(mu_s), e)) for chain, e in got]
-    assert [c.terms for c in closed] == [c.terms for c in want]
-    assert all(not c.is_zero() for c in closed)
-    for (chain, e), full in zip(got, want):
-        shifts = laplace_shifts(m, e)
+    for lam, (base, closers), full in zip(support, got, want):
+        e = p - manhattan_distance(mu, lam) - 1
+        closed = pairwise_compose(base, laplace_deriv_op(m, ps.dim(mu_s), e) if e else r_mu)
+        assert closed.terms == full.terms and not closed.is_zero()
         for alpha in exponents(m, 2 * p):
-            at = closed_chain_at(chain, shifts, r_mu, alpha)
+            at = closed_chain_at(base, closers, alpha)
             assert (at is None) if alpha not in full.terms else at == full.terms[alpha], alpha
 
 
@@ -388,6 +388,40 @@ def test_theorem_takes_no_product_with_a_multiple_of_the_identity(monkeypatch, c
     assert cli.run(["verify", "theorem", "--mu", "1,0", "--m", "5", "--power", "3", "--degree", "6"]) == 0
     assert '"passed": true' in capsys.readouterr().out
     assert offending == []
+
+
+def _doubled_solve(rows, rhs, ncols):
+    from hsdfactor.linalg import solve_sparse
+
+    particular, free = solve_sparse(rows, rhs, ncols)
+    return {j: v + v for j, v in particular.items()}, free
+
+
+THEOREM_FAILURES = {
+    "inconsistent": lambda rows, rhs, ncols: None,
+    "underdetermined": lambda rows, rhs, ncols: ({}, [{0: (1, 0)}]),
+    "non_real": lambda rows, rhs, ncols: ({0: QQi(1, 1)}, []),
+    "doubled": _doubled_solve,  # a solution, but not one that factors Lap^p
+}
+
+
+@pytest.mark.parametrize("outcome", THEOREM_FAILURES)
+def test_theorem_failure_reports(outcome, monkeypatch, capsys):
+    """Each way the scalar solve can fail, and scalars that do not give the
+    identity, exit 1 with the report recorded in theorem_failures.json
+    (everything but wall_time_s): the certificate and support after a
+    failed solve, the coefficients and scalars after a solved one."""
+    import json
+    from pathlib import Path
+
+    from hsdfactor import cli, hsd
+
+    monkeypatch.setattr(hsd, "solve_sparse", THEOREM_FAILURES[outcome])
+    code = cli.run(["verify", "theorem", "--mu", "1", "--m", "3", "--power", "2", "--degree", "5"])
+    report = json.loads(capsys.readouterr().out)
+    report.pop("wall_time_s")
+    recorded = json.loads(Path(__file__).with_name("theorem_failures.json").read_text())
+    assert {"exit": code, "report": report} == recorded[outcome]
 
 
 def test_polyharmonic_order_examples():

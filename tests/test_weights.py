@@ -138,6 +138,7 @@ def test_enumerate_paths_lengths_and_cap():
         assert p[0] == nu and p[-1] == mu and all(map(is_dominant, p))
     capped = enumerate_paths(nu, mu, cap=1)
     assert capped.truncated and len(capped.paths) == 1
+    assert enumerate_paths(nu, mu, cap=len(enum.paths)) == enum and not enum.truncated
     with pytest.raises(ValueError):
         enumerate_paths(weight(1, 1), weight(1, 0))
 
