@@ -2,11 +2,11 @@
 
 These are the scalars of every public interface.  The engine's own data
 keeps Gaussian-integer numerators over one common denominator instead:
-the dense matrices of `linalg.Mat`, the polynomials of
-`polyspace.SpinorPoly` and the rows of the eliminations in `linalg`,
-which take and return those numerators.  QQi goes in and comes out only
-at the boundary (entries, rows, traces, matrix-vector products,
-polynomial coordinates, a particular solution of `solve_sparse`).
+the dense matrices of `linalg.Mat`, the per-exponent blocks of the
+polynomial spaces in `polyspace.BlockPoly` and the rows of the
+eliminations in `linalg`, which take and return those numerators.  QQi
+goes in and comes out only at the boundary (entries, rows, scalar
+coefficients, a particular solution of `solve_sparse`).
 Only the tests' reference `linalg.SpanSolver` eliminates on QQi rows.
 There is no floating point anywhere.
 """

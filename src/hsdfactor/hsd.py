@@ -31,7 +31,6 @@ from .polyspace import (
     ScalarMix,
     VectorMult,
     apply,  # unused here; kept as hsd.apply, which the benchmark tracer patches
-    combinations,
     exponents,
     homogeneous_basis,
     joint_kernel,
@@ -180,7 +179,8 @@ class HsdOperator:
     """
 
     def __init__(self, label: Weight, source_label: Weight, m: int, kind: str, value_space: RealizedSpace,
-                 source_basis: list, target_values: list, deriv_op: DerivOp, spec=None, source_coords: Mat = None):
+                 source_basis: BlockPoly, target_values: BlockPoly, deriv_op: DerivOp, spec=None,
+                 source_coords: Mat = None):
         self.label = label                  # target summand (half-integral)
         self.source_label = source_label    # source summand
         self.m = m
@@ -225,21 +225,20 @@ def explicit_hsd(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> HsdOperato
     )
 
 
-def _degree_one_images(spec, basis: list, m: int) -> DerivOp:
+def _degree_one_images(spec, basis: BlockPoly, m: int) -> DerivOp:
     """sum_i d/dx_i (x) A_i for a spec first order in x with constant coefficients.
 
     Column j of A_i is spec(x_i (x) basis[j]), over the images' common
     denominator, in their (exponent, spinor) coordinates numbered as
     `stacked_rows` returns them.  The spec is applied once, to the m*d
-    elements x_i (x) b_j as one `BlockPoly`: b_j's blocks moved to
+    elements x_i (x) b_j as one `BlockPoly`: the basis blocks moved to
     x-exponent e_i, and column c = i*d + j.
     """
     d = len(basis)
     units = [tuple(int(t == i) for t in range(m)) for i in range(m)]
-    base = BlockPoly.of(basis)
-    rows, den = stacked_rows([spec], BlockPoly(m, base.k, m * d, {
+    rows, den = stacked_rows([spec], BlockPoly(m, basis.k, m * d, {
         e + exp[m:]: Mat._reduced([{i * d + j: v for j, v in row.items()} for row in b.num], b.den, m * d)
-        for i, e in enumerate(units) for exp, b in base.blocks.items()
+        for i, e in enumerate(units) for exp, b in basis.blocks.items()
     }))
     nums = [[{} for _ in rows] for _ in units]
     for r, row in enumerate(rows.values()):
@@ -248,9 +247,9 @@ def _degree_one_images(spec, basis: list, m: int) -> DerivOp:
     return DerivOp(m, {e: Mat._reduced(num, den, d) for e, num in zip(units, nums)})
 
 
-def _summand_basis(ps: ProjectorSet, kappa: Weight) -> list:
+def _summand_basis(ps: ProjectorSet, kappa: Weight) -> BlockPoly:
     """The columns of C (a basis of the Casimir eigenspace), as value-space polynomials."""
-    return combinations(ps.ambient.basis, ps.frame(kappa)[0])
+    return ps.ambient.basis.combined(ps.frame(kappa)[0])
 
 
 def generic_twistor_hsd(lam: Weight, m: int) -> list:
@@ -342,7 +341,7 @@ def kernel_basis(op: HsdOperator, h: int, cap: int = DEFAULT_CELL_CAP) -> list:
     return [{(alphas[c // d], c % d): v for c, v in vec.items()} for vec in int_nullspace(rows, ncols)]
 
 
-def double_monogenic_basis(m: int, h: int, k: int, cap: int = DEFAULT_CELL_CAP) -> list:
+def double_monogenic_basis(m: int, h: int, k: int, cap: int = DEFAULT_CELL_CAP) -> BlockPoly:
     """(h, k)-homogeneous polynomials monogenic in both x and u."""
     return joint_kernel([Dirac(0), Dirac(1)], homogeneous_basis(m, 1, (h, k)), cap)
 

@@ -1,157 +1,44 @@
 """Spinor-valued polynomials in x and dummy vector variables u_1..u_k.
 
 A polynomial is a map from multi-exponents over the (k+1)*m coordinates
-(x first, then each u_p) to spinor vectors of length 2^n.  It is stored
-fraction-free, like `linalg.Mat`: Gaussian-integer numerators over one
-reduced common denominator, so operators, sums and comparisons run on
-Python ints.  A `BlockPoly` holds several side by side, one spinor_dim
-x n `Mat` per exponent.  First-order invariant building blocks are
-assembled from OperatorSpec values, and `apply` runs them on blocks:
-each spec term moves an exponent to one exponent with an integer
-factor, and one `Mat.sum_of_products` per exponent sums the terms
-landing there.  That kernel does every product and sum here: a
-`SpinorPoly` is the one-column case, and linear combinations are block
-products.  A spec reaches the spinor factor only through the gammas of
-`Dirac` and `VectorMult` (the so(m) generators are matrices, built in
-`repthy`).  `stacked_rows` and `operator_matrix` apply each spec once
-to a whole domain and read the rows off the image blocks, and the
-eliminations take those numerators as they are (`span_coords`).  QQi
-appears only at the boundary: constructor inputs, scalar coefficients
-and `coordinates()`.
+(x first, then each u_p) to vectors: spinor vectors of length 2^n, or
+scalars.  A `BlockPoly` holds a whole space, its polynomials side by
+side, one r x ncols `Mat` per exponent (r = 2^n, or 1 for scalar
+polynomials); one polynomial is the one-column case.  The blocks are
+fraction-free, like every `linalg.Mat`: Gaussian-integer numerators over
+one reduced denominator, so operators, sums and comparisons run on
+Python ints.  First-order invariant building blocks are assembled from
+OperatorSpec values, and `apply` runs them on blocks: each spec term
+moves an exponent to one exponent with an integer factor, and one
+`Mat.sum_of_products` per exponent sums the terms landing there.  That
+kernel does every product and sum here, linear combinations included
+(`BlockPoly.combined`).  A spec reaches the spinor factor only through
+the gammas of `Dirac` and `VectorMult` (the so(m) generators are
+matrices, built in `repthy`).  `stacked_rows` and `operator_matrix`
+apply each spec once to a whole domain and read the rows off the image
+blocks, and the eliminations take those numerators as they are
+(`span_coords`).  QQi appears only at the boundary: scalar coefficients.
 """
 
 from __future__ import annotations
 
-import itertools
 from math import lcm
 
-from .clifford import gamma_rep
+from .clifford import _kron, gamma_rep
 from .gaussian import QQi
-from .linalg import (
-    DEFAULT_CELL_CAP,
-    Mat,
-    _common_den,
-    _content,
-    _numerators,
-    _qqi,
-    check_cells,
-    int_nullspace,
-    span_coords,
-)
+from .linalg import DEFAULT_CELL_CAP, Mat, check_cells, int_nullspace, span_coords
 from .weights import Frozen, _set
-
-
-# one shared object for the zero spinor components, most of a vector's entries
-_ZERO_PAIR = (0, 0)
-
-
-class SpinorPoly:
-    """Spinor-valued polynomial over the Gaussian rationals, stored fraction-free.
-
-    ``num`` maps an exponent tuple to a tuple of ``spinor_dim`` pairs
-    ``(re, im)`` of Python ints, all-zero vectors absent; the coefficient
-    is ``(re + im*i) / den`` for one positive common denominator ``den``.
-    ``den`` is reduced so that its gcd with every numerator component is 1
-    (the zero polynomial has ``den == 1``), which makes the form canonical:
-    equality and ``is_zero`` compare integers.
-    """
-
-    __slots__ = ("m", "k", "num", "den")
-
-    def __init__(self, m: int, k: int, terms=None):
-        self.m = m
-        self.k = k
-        width = (k + 1) * m
-        vecs = {}
-        for exp, vec in (terms or {}).items():
-            if len(exp) != width:
-                raise ValueError(f"exponent length {len(exp)} != {width}")
-            vecs[tuple(exp)] = [QQi.coerce(c) for c in vec]
-        # the lcm of reduced denominators shares no prime with all the
-        # numerators, so this form is already canonical
-        den = _common_den(c for vec in vecs.values() for c in vec)
-        self.num = {
-            exp: tuple(_numerators(c, den) if c else _ZERO_PAIR for c in vec)
-            for exp, vec in vecs.items() if any(vec)
-        }
-        self.den = den if self.num else 1
-
-    @classmethod
-    def from_num(cls, m: int, k: int, num: dict, den: int) -> "SpinorPoly":
-        """The polynomial num / den (no all-zero vectors in num), reduced to the canonical form."""
-        g = den
-        for vec in num.values():
-            g = _content(vec, g)
-            if g == 1:
-                break
-        if g != 1:
-            num = {
-                e: tuple((re // g, im // g) if re or im else _ZERO_PAIR for re, im in vec)
-                for e, vec in num.items()
-            }
-            den //= g
-        out = object.__new__(cls)
-        out.m = m
-        out.k = k
-        out.num = num
-        out.den = den
-        return out
-
-    @property
-    def spinor_dim(self):
-        return 2 ** ((self.m - 1) // 2)
-
-    def is_zero(self):
-        return not self.num
-
-    def __add__(self, other):
-        self._check(other)
-        return combination([self, other], [1, 1])
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        self._check(other)
-        return combination([self, other], [1, -1])
-
-    def scale(self, c):
-        return combination([self], [c])
-
-    def _check(self, other):
-        if self.m != other.m or self.k != other.k:
-            raise ValueError("mixed polynomial spaces")
-
-    def __eq__(self, other):
-        if not isinstance(other, SpinorPoly):
-            return NotImplemented
-        return self.m == other.m and self.k == other.k and self.den == other.den and self.num == other.num
-
-    __hash__ = None
-
-    def coordinates(self):
-        """Sparse dict (exponent, spinor index) -> QQi for exact solving."""
-        den = self.den
-        out = {}
-        for exp, vec in self.num.items():
-            for s, (re, im) in enumerate(vec):
-                if re or im:
-                    out[(exp, s)] = _qqi(re, im, den)
-        return out
-
-    def __repr__(self):
-        if not self.num:
-            return "SpinorPoly(0)"
-        return f"SpinorPoly({len(self.num)} monomials, m={self.m}, k={self.k})"
 
 
 class BlockPoly:
     """ncols polynomials of one space side by side, one `Mat` per exponent.
 
-    ``blocks`` maps an exponent to a spinor_dim x ncols Mat whose column j
-    is polynomial j's coefficient vector there; exponents where every
-    column vanishes are absent.  Each block is canonical, so the lcm of
-    the blocks' denominators is the columns' common denominator.
+    ``blocks`` maps an exponent to an r x ncols Mat whose column j is
+    polynomial j's coefficient vector there; exponents where every column
+    vanishes are absent.  Each block is canonical, so equality and
+    ``is_zero`` compare integers, and the lcm of the blocks' denominators
+    is the columns' common denominator.  ``basis[j]`` is polynomial j as
+    a one-column `BlockPoly`.
     """
 
     __slots__ = ("m", "k", "ncols", "blocks")
@@ -161,24 +48,6 @@ class BlockPoly:
         self.k = k
         self.ncols = ncols
         self.blocks = blocks
-
-    @classmethod
-    def of(cls, polys: list) -> "BlockPoly":
-        """The nonempty list polys of one space, column j holding polys[j]."""
-        m, k, n = polys[0].m, polys[0].k, len(polys)
-        dim = polys[0].spinor_dim
-        den = lcm(*(p.den for p in polys))
-        nums = {}
-        for j, p in enumerate(polys):
-            f = den // p.den
-            for exp, vec in p.num.items():
-                rows = nums.get(exp)
-                if rows is None:
-                    rows = nums[exp] = [{} for _ in range(dim)]
-                for row, (re, im) in zip(rows, vec):
-                    if re or im:
-                        row[j] = (re * f, im * f)
-        return cls(m, k, n, {exp: Mat._reduced(rows, den, n) for exp, rows in nums.items()})
 
     def summed(self, groups: dict, ncols: int = None) -> "BlockPoly":
         """The blocks in this space whose exponent e holds the sum of
@@ -190,26 +59,33 @@ class BlockPoly:
                 blocks[exp] = block
         return BlockPoly(self.m, self.k, self.ncols if ncols is None else ncols, blocks)
 
-    def columns(self) -> list:
-        """The polynomials, one per column, each in canonical form."""
-        dim = 2 ** ((self.m - 1) // 2)
-        den = lcm(1, *(block.den for block in self.blocks.values()))
-        nums = [{} for _ in range(self.ncols)]
+    def combined(self, coeffs: Mat) -> "BlockPoly":
+        """The polynomials sum_j coeffs[j, c] self[j], one per column c of
+        coeffs: one block product per exponent."""
+        return self.summed({e: [(b, coeffs)] for e, b in self.blocks.items()}, coeffs.ncols)
+
+    def is_zero(self):
+        return not self.blocks
+
+    def __len__(self):
+        return self.ncols
+
+    def __getitem__(self, j: int) -> "BlockPoly":
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} out of range 0..{self.ncols - 1}")
+        blocks = {}
         for exp, block in self.blocks.items():
-            f = den // block.den
-            for s, row in enumerate(block.num):
-                for j, (re, im) in row.items():
-                    vec = nums[j].get(exp)
-                    if vec is None:
-                        vec = nums[j][exp] = [_ZERO_PAIR] * dim
-                    vec[s] = (re * f, im * f)
-        return [SpinorPoly.from_num(self.m, self.k, {e: tuple(v) for e, v in num.items()}, den) for num in nums]
+            col = [{0: row[j]} if j in row else {} for row in block.num]
+            if any(col):
+                blocks[exp] = Mat._reduced(col, block.den, 1)
+        return BlockPoly(self.m, self.k, 1, blocks)
 
+    def __eq__(self, other):
+        if not isinstance(other, BlockPoly):
+            return NotImplemented
+        return self.m == other.m and self.k == other.k and self.ncols == other.ncols and self.blocks == other.blocks
 
-def spinor_unit(m: int, k: int, index: int) -> SpinorPoly:
-    dim = 2 ** ((m - 1) // 2)
-    vec = tuple((1, 0) if s == index else (0, 0) for s in range(dim))
-    return SpinorPoly.from_num(m, k, {(0,) * ((k + 1) * m): vec}, 1)
+    __hash__ = None
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +204,13 @@ def _add_terms(groups: dict, f: BlockPoly, terms, weight):
                 groups.setdefault(tuple(new), []).append(term)
 
 
-def apply(spec, f):
-    """Apply an operator spec exactly to a `BlockPoly`, column by column,
-    or to a `SpinorPoly`, its one-column case.
+def apply(spec, f: BlockPoly) -> BlockPoly:
+    """Apply an operator spec exactly to a `BlockPoly`, column by column.
 
     A leaf spec is a one-part `ScalarMix`.  The leaf parts of a mix add
     their terms, and the other parts their image blocks, to one sum of
     products per output exponent.
     """
-    if isinstance(f, SpinorPoly):
-        return apply(spec, BlockPoly.of([f])).columns()[0]
     if isinstance(spec, Compose):
         out = f
         for part in reversed(spec.specs):
@@ -354,7 +227,7 @@ def apply(spec, f):
     return f.summed(groups)
 
 
-def laplace(var: int, f: SpinorPoly) -> SpinorPoly:
+def laplace(var: int, f: BlockPoly) -> BlockPoly:
     """Componentwise sum of second derivatives in one variable group.
 
     Sign convention: this computes +sum d^2/dv_i^2, and the classical
@@ -378,61 +251,63 @@ def exponents(m: int, degree: int):
             yield (first,) + rest
 
 
-def homogeneous_basis(m: int, k: int, degrees) -> list:
-    """Monomial x spinor-unit basis of one homogeneous component.
+def monomials(m: int, k: int, degrees) -> BlockPoly:
+    """The n scalar monomials of one homogeneous component, a 1 x n block per exponent.
 
     degrees lists the x-degree first, then the degree in each u_p.
     Ordering is deterministic: variable-group exponents outermost in
-    listed order, spinor index innermost.
+    listed order.
     """
     degrees = tuple(degrees)
     if len(degrees) != k + 1:
         raise ValueError(f"need {k + 1} degrees, got {len(degrees)}")
-    dim = 2 ** ((m - 1) // 2)
-    units = [tuple((1, 0) if t == s else (0, 0) for t in range(dim)) for s in range(dim)]
-    out = []
-    for parts in itertools.product(*(exponents(m, d) for d in degrees)):
-        exp = sum(parts, ())
-        out.extend(SpinorPoly.from_num(m, k, {exp: unit}, 1) for unit in units)
-    return out
+    exps = [()]
+    for d in degrees:
+        exps = [exp + part for exp in exps for part in exponents(m, d)]
+    n = len(exps)
+    return BlockPoly(m, k, n, {exp: Mat._reduced([{j: (1, 0)}], 1, n) for j, exp in enumerate(exps)})
 
 
-def combinations(basis: list, coeffs: Mat) -> list:
-    """The polynomials sum_j coeffs[j, c] basis[j], one per column c of coeffs:
-    one block product per exponent."""
-    domain = BlockPoly.of(basis)
-    return domain.summed({e: [(b, coeffs)] for e, b in domain.blocks.items()}, coeffs.ncols).columns()
+def spinor_valued(f: BlockPoly) -> BlockPoly:
+    """Scalar polynomials tensored with the spinor units: column j * 2^n + s
+    is f[j] times unit s, so scalar-major, spinor-minor."""
+    unit = Mat.identity(2 ** ((f.m - 1) // 2))
+    return BlockPoly(f.m, f.k, f.ncols * unit.ncols, {e: _kron(b, unit) for e, b in f.blocks.items()})
 
 
-def combination(basis: list, coeffs, den: int = 1) -> SpinorPoly:
+def homogeneous_basis(m: int, k: int, degrees) -> BlockPoly:
+    """Monomial x spinor-unit basis of one homogeneous component
+    (`monomials`, `spinor_valued`): exponents outermost, spinor index
+    innermost."""
+    return spinor_valued(monomials(m, k, degrees))
+
+
+def combination(basis: BlockPoly, coeffs, den: int = 1) -> BlockPoly:
     """sum_j coeffs[j] basis[j] / den; coeffs is a dict index -> scalar or a list.
 
     A scalar is a Gaussian rational or a Gaussian integer (re, im).
     """
-    items = list(coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs))
-    if not items:
-        return SpinorPoly(basis[0].m, basis[0].k)
-    column = Mat([[QQi(*c) if isinstance(c, tuple) else c] for _, c in items]).scale(QQi(1) / den)
-    return combinations([basis[j] for j, _ in items], column)[0]
+    column = [[0] for _ in range(len(basis))]
+    for j, c in coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs):
+        column[j] = [QQi(*c) if isinstance(c, tuple) else c]
+    return basis.combined(Mat(column).scale(QQi(1) / den))
 
 
-def stacked_rows(specs, domain: list) -> tuple:
+def stacked_rows(specs, domain: BlockPoly) -> tuple:
     """Gaussian-integer rows of the images of a basis under several operator specs.
 
-    Returns (rows, den).  rows maps (spec index, (exponent, spinor
-    index)) to a dict column -> (re, im): column j holds the image of
-    domain[j] (of a list of polynomials, or of a `BlockPoly`), each
-    entry a numerator over den, the lcm of the images' denominators.
-    The order of the rows, and of the columns within a row, is not part
-    of the contract, though two calls give the same.  Each spec is
-    applied once, to the domain's blocks, and row (spec, (e, s)) is row
-    s of its image's block at e, maybe that block's own dict: treat the
-    rows as read-only.  An empty domain gives ({}, 1).
+    Returns (rows, den).  rows maps (spec index, (exponent, row index))
+    to a dict column -> (re, im): column j holds the image of domain[j],
+    each entry a numerator over den, the lcm of the images'
+    denominators.  The order of the rows, and of the columns within a
+    row, is not part of the contract, though two calls give the same.
+    Each spec is applied once, to the domain's blocks, and row (spec,
+    (e, s)) is row s of its image's block at e, maybe that block's own
+    dict: treat the rows as read-only.  An empty domain gives ({}, 1).
     """
     if not domain:
         return {}, 1
-    blocks = domain if isinstance(domain, BlockPoly) else BlockPoly.of(domain)
-    images = [apply(spec, blocks).blocks for spec in specs]
+    images = [apply(spec, domain).blocks for spec in specs]
     den = lcm(1, *(block.den for image in images for block in image.values()))
     rows = {}
     for si, image in enumerate(images):
@@ -444,31 +319,31 @@ def stacked_rows(specs, domain: list) -> tuple:
     return rows, den
 
 
-def joint_kernel(specs, domain: list, cap: int = DEFAULT_CELL_CAP) -> list:
-    """Basis of the common kernel of specs on span(domain), one polynomial per free column.
+def joint_kernel(specs, domain: BlockPoly, cap: int = DEFAULT_CELL_CAP) -> BlockPoly:
+    """Basis of the common kernel of specs on span(domain), one column per free column.
 
     Each is an `int_nullspace` vector divided by its free entry, its last
     column: the reduced-row-echelon basis, all of them from one product
-    of the domain's blocks (`combinations`).
+    of the domain's blocks (`BlockPoly.combined`).
     """
     rows = list(stacked_rows(specs, domain)[0].values())
     check_cells(len(rows), len(domain), cap)
     null = int_nullspace(rows, len(domain))
     den = lcm(1, *(vec[max(vec)][0] for vec in null))
-    num = [{} for _ in domain]
+    num = [{} for _ in range(len(domain))]
     for c, vec in enumerate(null):
         f = den // vec[max(vec)][0]
         for j, (re, im) in vec.items():
             num[j][c] = (re * f, im * f)
-    return combinations(domain, Mat._reduced(num, den, len(null))) if null else []
+    return domain.combined(Mat._reduced(num, den, len(null)))
 
 
-def operator_matrix(spec, domain: list, codomain: list) -> Mat:
+def operator_matrix(spec, domain: BlockPoly, codomain: BlockPoly) -> Mat:
     """Matrix of an operator spec from span(domain) to span(codomain) (`operator_matrices`)."""
     return operator_matrices([spec], domain, codomain)[0]
 
 
-def operator_matrices(specs, domain: list, codomain: list) -> list:
+def operator_matrices(specs, domain: BlockPoly, codomain: BlockPoly) -> list:
     """The matrix of each spec from span(domain) to span(codomain), from one elimination.
 
     Column j holds the codomain coordinates of the image of domain[j]:

@@ -20,17 +20,18 @@ from .clifford import _kron, gamma_rep
 from .gaussian import QQi
 from .linalg import DEFAULT_CELL_CAP, Mat, check_cells, int_nullspace, nullity, span_coords
 from .polyspace import (
+    BlockPoly,
     CoordOp,
     Dirac,
     LaplaceOp,
     MixedEuler,
     MixedLaplace,
     ScalarMix,
-    SpinorPoly,
     homogeneous_basis,
     joint_kernel,
+    monomials,
     operator_matrices,
-    spinor_unit,
+    spinor_valued,
     stacked_rows,
 )
 from .weights import Weight, is_dominant, summand_weights
@@ -105,16 +106,19 @@ class RealizedSpace:
     """Explicit polynomial model of one space of values.
 
     label is the padded highest weight (half-integral for spin modules,
-    integral for the tensor-with-spinors ambient); basis elements are
-    polynomials in the dummy variables only (x-degree 0).
+    integral for the tensor-with-spinors ambient); basis is a `BlockPoly`
+    of polynomials in the dummy variables only (x-degree 0).  An ambient
+    also keeps its scalar harmonics, the scalar polynomials that basis
+    tensors with the spinor units (None for a spin module).
     """
 
-    def __init__(self, label: Weight, m: int, k: int, degrees: tuple, basis: list):
+    def __init__(self, label: Weight, m: int, k: int, degrees: tuple, basis: BlockPoly, scalars: BlockPoly = None):
         self.label = label
         self.m = m
         self.k = k
         self.degrees = degrees
         self.basis = basis
+        self.scalars = scalars
 
     @property
     def dim(self) -> int:
@@ -164,36 +168,28 @@ def simplicial_harmonic_ambient(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP
     """Realization of (integral irreducible of shape lam) tensor spinors.
 
     Scalar simplicial harmonics: each u_p harmonic, cross-harmonic in
-    every pair, and killed by the mixed Euler operators for p < q.  The
-    constraints are scalar, so the basis is (scalar harmonics) tensor
-    (spinor units); the scalar dimension is checked against the Weyl
-    oracle for the integral label.
+    every pair, and killed by the mixed Euler operators for p < q, found
+    on the scalar monomials.  The constraints are scalar, so the basis is
+    (scalar harmonics) tensor (spinor units), scalar-major
+    (`spinor_valued`); the scalar dimension is checked against the Weyl
+    oracle for the integral label, and the d x d ambient against cap
+    before the basis is built.
     """
     n, degrees = _shape_rows(lam, m, "ambient")
     k = len(degrees)
     label = pad_weight(lam, n)
-    dim = 2 ** n
-    if k == 0:
-        basis = [spinor_unit(m, 0, s) for s in range(dim)]
-        return RealizedSpace(label, m, 0, (), basis)
-    # monomials times the first spinor unit: a scalar-polynomial stand-in
-    scalar_domain = homogeneous_basis(m, k, (0,) + degrees)[::dim]
     specs = [LaplaceOp(p) for p in range(1, k + 1)]
     specs += [MixedLaplace(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
     specs += [MixedEuler(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
-    scalars = joint_kernel(specs, scalar_domain, cap)
+    scalars = joint_kernel(specs, monomials(m, k, (0,) + degrees), cap)
     expected = weyl_dim(label, m)
     if len(scalars) != expected:
         raise AssertionError(
             f"simplicial harmonic dimension {len(scalars)} != Weyl dimension {expected} for {lam}, m={m}"
         )
-    basis = []
-    for h in scalars:
-        # every value sits at spinor index 0: move it to each slot in turn
-        for s in range(dim):
-            num = {exp: vec[1:s + 1] + vec[:1] + vec[s + 1:] for exp, vec in h.num.items()}
-            basis.append(SpinorPoly.from_num(m, k, num, h.den))
-    return RealizedSpace(label, m, k, degrees, basis)
+    d = len(scalars) * 2 ** n
+    check_cells(d, d, cap)
+    return RealizedSpace(label, m, k, degrees, spinor_valued(scalars), scalars)
 
 
 def gamma_on_ambient(ambient: RealizedSpace) -> list:
@@ -201,8 +197,7 @@ def gamma_on_ambient(ambient: RealizedSpace) -> list:
 
     The ambient basis is scalar-major, spinor-minor, so each gamma is
     1 (x) gamma_i, acting on consecutive spinor blocks."""
-    sdim = 2 ** ((ambient.m - 1) // 2)
-    ident = Mat.identity(ambient.dim // sdim)
+    ident = Mat.identity(len(ambient.scalars))
     return [_kron(ident, g) for g in gamma_rep(ambient.m)]
 
 
@@ -219,18 +214,16 @@ def so_generators(ambient: RealizedSpace) -> dict:
     """(a, b) -> L_ab on the ambient basis coordinates, for 0 <= a < b < m.
 
     L_ab = O_ab (x) 1 + gamma_a gamma_b / 2, the orbital parts all from
-    one `operator_matrices` of the `orbital_spec`s on the scalar
-    harmonics (the ambient basis at spinor index 0).  The orbital sign is
-    fixed by requiring both parts to close under the same brackets,
-    [L_ab, L_ac] = L_bc, which the eigenvalue match in the projector
-    construction then confirms."""
+    one `operator_matrices` of the `orbital_spec`s on the ambient's scalar
+    harmonics.  The orbital sign is fixed by requiring both parts to
+    close under the same brackets, [L_ab, L_ac] = L_bc, which the
+    eigenvalue match in the projector construction then confirms."""
     m = ambient.m
-    sdim = 2 ** ((m - 1) // 2)
-    scalars = ambient.basis[::sdim]
-    spin = Mat.identity(sdim)
+    spin = Mat.identity(2 ** ((m - 1) // 2))
     gams = gamma_on_ambient(ambient)
     half = QQi(Fraction(1, 2))
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    scalars = ambient.scalars
     orbital = operator_matrices([orbital_spec(a, b, m, ambient.k) for a, b in pairs], scalars, scalars)
     return {
         (a, b): _kron(o, spin) + (gams[a] * gams[b]).scale(half) for (a, b), o in zip(pairs, orbital)
@@ -288,7 +281,6 @@ def casimir_projectors(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> Proj
         raise ArithmeticError(f"Casimir eigenvalue collision among summands of {lam}: {eigs}")
     ambient = simplicial_harmonic_ambient(lam, m, cap=cap)
     d = ambient.dim
-    check_cells(d, d, cap)
     cas = casimir_matrix(ambient)
     cols = []
     bases = []

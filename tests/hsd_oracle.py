@@ -7,7 +7,7 @@ of the images, as the engine did before; `ref_polyharmonic_order` applies
 the Laplacian to polynomials rather than to coefficient vectors.
 
 It also holds the matrix and polynomial readings that only the tests take
-(`x_shift`, `matvec`, `trace`, `degree`, `projectors`, `projector`), the
+(`matvec`, `trace`, `degree`, `projectors`, `projector`), the
 pairwise `DerivOp` arithmetic (`add_ops`, `sub_ops`, `pairwise_compose`):
 one `Mat` product or sum at a time, the reference for the engine's
 sums grouped by signature, and `all_terms_apply_monomial`, the loop
@@ -20,18 +20,13 @@ from hsdfactor.gaussian import QQi, QQI_ZERO
 from hsdfactor.hsd import DerivOp
 from hsdfactor.linalg import Mat, SpanSolver, _common_den, _numerators, _qqi
 from hsdfactor.polyspace import (
-    SpinorPoly,
+    BlockPoly,
     apply,
     combination,
     exponents,
     laplace,
 )
-
-
-def x_shift(b: SpinorPoly, alpha: tuple) -> SpinorPoly:
-    """Multiply a dummy-variable polynomial by the x-monomial x^alpha."""
-    m = b.m
-    return SpinorPoly.from_num(m, b.k, {alpha + exp[m:]: vec for exp, vec in b.num.items()}, b.den)
+from polys import columns, coordinates, lin, stack, vectors, x_shift, zero
 
 
 def matvec(mat: Mat, vec) -> list:
@@ -54,11 +49,11 @@ def trace(mat: Mat):
     return sum((mat[i, i] for i in range(min(mat.nrows, mat.ncols))), QQI_ZERO)
 
 
-def degree(f: SpinorPoly, var: int) -> int:
+def degree(f: BlockPoly, var: int) -> int:
     """Homogeneity degree in variable group var (0 = x, 1..k = u_p)."""
-    if not f.num:
+    if not f.blocks:
         return 0
-    degs = {sum(exp[var * f.m:(var + 1) * f.m]) for exp in f.num}
+    degs = {sum(exp[var * f.m:(var + 1) * f.m]) for exp in f.blocks}
     if len(degs) != 1:
         raise ValueError(f"polynomial not homogeneous in variable {var}")
     return degs.pop()
@@ -108,32 +103,34 @@ def projector(ps, kappa):
     return c * left
 
 
-def domain_basis(op, h: int) -> list:
+def domain_basis(op, h: int) -> BlockPoly:
     """x-degree-h monomials tensored with the source value basis, alpha-major."""
-    return [x_shift(b, alpha) for alpha in exponents(op.m, h) for b in op.source_basis]
+    return stack([x_shift(op.source_basis, alpha) for alpha in exponents(op.m, h)])
 
 
-def target_basis(op, h: int) -> list:
-    return [x_shift(b, alpha) for alpha in exponents(op.m, h) for b in op.target_values]
+def target_basis(op, h: int) -> BlockPoly:
+    if h < 0:
+        return BlockPoly(op.m, op.value_space.k, 0, {})
+    return stack([x_shift(op.target_values, alpha) for alpha in exponents(op.m, h)])
 
 
-def apply_op(op, f: SpinorPoly) -> SpinorPoly:
+def apply_op(op, f: BlockPoly) -> BlockPoly:
     """The operator on a polynomial valued in op.value_space."""
     if op.kind == "explicit":
         return apply(op.spec, f)
     # coordinatize each x-monomial's value in the ambient, then in the
     # source summand, apply the block and rebuild from the target basis
     m = op.m
-    solver = SpanSolver([b.coordinates() for b in op.value_space.basis])
+    solver = SpanSolver([coordinates(b) for b in op.value_space.basis])
     by_x = {}
-    for (exp, s), c in f.coordinates().items():
+    for (exp, s), c in coordinates(f).items():
         by_x.setdefault(exp[:m], {})[((0,) * m + exp[m:], s)] = c
-    out = SpinorPoly(m, op.value_space.k)
+    terms = [(zero(m, op.value_space.k), 1)]
     for alpha, coords in by_x.items():
         w = matvec(op.source_coords, solver.coords(coords))
         for beta, mat in op.deriv_op.apply_monomial(alpha).items():
-            out = out + x_shift(combination(op.target_values, matvec(mat, w)), beta)
-    return out
+            terms.append((x_shift(combination(op.target_values, matvec(mat, w)), beta), 1))
+    return lin(*terms)
 
 
 def op_matrix(op, h: int) -> Mat:
@@ -142,15 +139,15 @@ def op_matrix(op, h: int) -> Mat:
     Each domain element's image is coordinatized on its own.
     """
     domain = domain_basis(op, h)
-    codomain = target_basis(op, h - 1) if h >= 1 else []
-    solver = SpanSolver([b.coordinates() for b in codomain])
-    columns = []
-    for b in domain:
+    codomain = target_basis(op, h - 1)
+    solver = SpanSolver([coordinates(b) for b in codomain])
+    cols = []
+    for b in columns(domain):
         image = apply_op(op, b)
-        columns.append(solver.coords(image.coordinates()) if not image.is_zero() else [QQI_ZERO] * len(codomain))
+        cols.append(solver.coords(coordinates(image)) if not image.is_zero() else [QQI_ZERO] * len(codomain))
     if not codomain:
         return Mat.zero(0, len(domain))
-    return Mat([[col[i] for col in columns] for i in range(len(codomain))])
+    return Mat([[col[i] for col in cols] for i in range(len(codomain))])
 
 
 def ref_rows(op, h: int) -> list:
@@ -161,19 +158,19 @@ def ref_rows(op, h: int) -> list:
     (`int_nullspace`) is the kernel the engine took before `kernel_basis`
     read it off the degree-1 images.
     """
-    images = [apply_op(op, b) for b in domain_basis(op, h)]
-    den = lcm(*(f.den for f in images))
+    images = [vectors(apply_op(op, b)) for b in columns(domain_basis(op, h))]
+    den = lcm(*(f_den for _, f_den in images))
     rows = {}
-    for j, f in enumerate(images):
-        scale = den // f.den
-        for exp, vec in f.num.items():
+    for j, (num, f_den) in enumerate(images):
+        scale = den // f_den
+        for exp, vec in num.items():
             for s, (re, im) in enumerate(vec):
                 if re or im:
                     rows.setdefault((exp, s), {})[j] = (re * scale, im * scale)
     return list(rows.values())
 
 
-def ref_polyharmonic_order(f: SpinorPoly) -> int:
+def ref_polyharmonic_order(f: BlockPoly) -> int:
     """Least p with the p-th Laplace power killing f (bounded search)."""
     if f.is_zero():
         return 1
@@ -186,10 +183,10 @@ def ref_polyharmonic_order(f: SpinorPoly) -> int:
     raise ArithmeticError("polynomial not annihilated within the degree bound")
 
 
-def as_poly(op, vec: dict) -> SpinorPoly:
+def as_poly(op, vec: dict) -> BlockPoly:
     """The polynomial sum (re + im i) x^alpha (x) source_basis[j] of a kernel vector."""
     terms = [x_shift(op.source_basis[j], alpha) for alpha, j in vec]
-    return combination(terms, list(vec.values()))
+    return combination(stack(terms), list(vec.values()))
 
 
 def as_columns(op, h: int, vec: dict) -> dict:

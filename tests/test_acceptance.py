@@ -33,8 +33,8 @@ from hsdfactor.opalgebra import (
 from hsdfactor.polyspace import (
     Compose,
     Dirac,
+    BlockPoly,
     VectorMult,
-    SpinorPoly,
     apply,
     combination,
     homogeneous_basis,
@@ -45,6 +45,7 @@ from hsdfactor.polyspace import (
 from hsdfactor.repthy import casimir_projectors, simplicial_monogenic_basis, weyl_dim
 from hsdfactor.weights import Weight, box, bruhat_leq, canonical_path, is_dominant, weight
 from hsd_oracle import as_poly, degree, projectors
+from polys import sub, vectors
 
 
 def dominant_weights(rank, max_entry):
@@ -60,7 +61,7 @@ def dominant_weights(rank, max_entry):
 # criterion 7's oracle: the induction step inverted by an exact solve
 
 
-def twistor_inversion(g: SpinorPoly, m: int) -> SpinorPoly:
+def twistor_inversion(g: BlockPoly, m: int) -> BlockPoly:
     """Invert one induction step: the f with d_x f = u g and d_u f = 0.
 
     g must be an exact degree-(h-1) kernel element for the shape one
@@ -79,15 +80,15 @@ def twistor_inversion(g: SpinorPoly, m: int) -> SpinorPoly:
         raise ValueError("input is not in the kernel one step down")
     domain = homogeneous_basis(m, 1, (h, k))
     # constraint rows: Dirac(0) f = u g ; Dirac(1) f = 0 ; Fischer gauge
-    # stacked / den = u g = target.num / target.den, cleared of both denominators
+    # stacked / den = u g = target_num / target_den, cleared of both denominators
     stacked, den = stacked_rows([Dirac(0), Dirac(1)], domain)
-    target = apply(VectorMult(1), g)
+    target_num, target_den = vectors(apply(VectorMult(1), g))
     targets = {
         (0, (exp, s)): (re * den, im * den)
-        for exp, vec in target.num.items() for s, (re, im) in enumerate(vec) if re or im
+        for exp, vec in target_num.items() for s, (re, im) in enumerate(vec) if re or im
     }
     keys = list(stacked) + [key for key in targets if key not in stacked]
-    rows = [{j: (re * target.den, im * target.den) for j, (re, im) in stacked.get(key, {}).items()} for key in keys]
+    rows = [{j: (re * target_den, im * target_den) for j, (re, im) in stacked.get(key, {}).items()} for key in keys]
     rhs = [targets.get(key, (0, 0)) for key in keys]
     for w in double_monogenic_basis(m, h, k):
         rows.append(_int_row({j: fischer_inner(w, b) for j, b in enumerate(domain)}))
@@ -107,19 +108,21 @@ def _int_row(values: dict) -> dict:
     return {j: (int(v.re * den), int(v.im * den)) for j, v in values.items() if v}
 
 
-def _promote_to_one_dummy(g: SpinorPoly) -> SpinorPoly:
+def _promote_to_one_dummy(g: BlockPoly) -> BlockPoly:
     if g.k != 0:
         raise ValueError("expected a polynomial in x alone or x and one dummy variable")
     pad = (0,) * g.m
-    return SpinorPoly.from_num(g.m, 1, {exp + pad: vec for exp, vec in g.num.items()}, g.den)
+    return BlockPoly(g.m, 1, g.ncols, {exp + pad: b for exp, b in g.blocks.items()})
 
 
-def fischer_inner(f: SpinorPoly, g: SpinorPoly) -> QQi:
+def fischer_inner(f: BlockPoly, g: BlockPoly) -> QQi:
     """Fischer pairing <x^a s, x^b t> = delta_ab a! <s, t>, antilinear left."""
-    f._check(g)
+    if (f.m, f.k) != (g.m, g.k):
+        raise ValueError("mixed polynomial spaces")
+    (f_num, f_den), (g_num, g_den) = vectors(f), vectors(g)
     acc_re = acc_im = 0
-    for exp, vec in f.num.items():
-        other = g.num.get(exp)
+    for exp, vec in f_num.items():
+        other = g_num.get(exp)
         if other is None:
             continue
         fact = 1
@@ -129,7 +132,7 @@ def fischer_inner(f: SpinorPoly, g: SpinorPoly) -> QQi:
         for (ar, ai), (br, bi) in zip(vec, other):
             acc_re += fact * (ar * br + ai * bi)
             acc_im += fact * (ar * bi - ai * br)
-    den = f.den * g.den
+    den = f_den * g_den
     return QQi(Fraction(acc_re, den), Fraction(acc_im, den))
 
 
@@ -230,7 +233,7 @@ def test_criterion_7_induction_principle():
                 f = twistor_inversion(g, 3)
                 ok = ok and apply(Dirac(1), f).is_zero()
                 gg = g if g.k == 1 else _promote_to_one_dummy(g)
-                ok = ok and (apply(Dirac(0), f) - apply(VectorMult(1), gg)).is_zero()
+                ok = ok and sub(apply(Dirac(0), f), apply(VectorMult(1), gg)).is_zero()
                 inversions += 1
     report(f"7 induction principle ({inversions} inversions)", ok)
 

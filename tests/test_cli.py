@@ -184,10 +184,11 @@ def test_zero_division_is_an_internal_error(capsys, monkeypatch):
 def test_span_failure_is_an_internal_error(capsys, monkeypatch):
     """An image leaving the codomain span is an engine self-check: exit 3, not a usage error."""
     from hsdfactor import polyspace, repthy
+    from polys import stack
 
     def truncated(ambient):
         spec = repthy.orbital_spec(0, ambient.m - 1, ambient.m, ambient.k)
-        return polyspace.operator_matrix(spec, ambient.basis, ambient.basis[:-1])
+        return polyspace.operator_matrix(spec, ambient.basis, stack(list(ambient.basis)[:-1]))
 
     repthy.casimir_projectors.cache_clear()
     monkeypatch.setattr(repthy, "casimir_matrix", truncated)
@@ -589,6 +590,29 @@ def test_closed_stdout_exits_2_with_one_line_on_stderr():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 2
     assert err.splitlines() == ["error: stdout was closed before the report was written"]
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (["verify", "identities", "--mu", "1", "--m", "31", "--degree", "1", "--cap", "1"], 1),
+    (["verify", "theorem", "--mu", "1", "--m", "31", "--power", "2", "--degree", "4"], 4_000_000),
+])
+def test_an_absurd_ambient_is_refused_before_it_is_built(argv, cap):
+    """At m = 31 a spinor has 2^15 components: the d x d cap check of the
+    ambient (d = 31 * 2^15) runs before any spinor-valued basis exists.
+    The child runs under a 1 GiB address-space limit and a timeout, so a
+    regression fails fast instead of filling the host's memory."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "hsdfactor.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=30, preexec_fn=limit)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout) == {
+        "error": "resource_cap", "message": f"elimination size 1015808x1015808 exceeds cap {cap}"}
 
 
 @pytest.mark.parametrize("argv", [["paths", "--mu", "2,1", "--nu", ""], ["verify", "path", "--mu", "2,1", "--nu", ""]])

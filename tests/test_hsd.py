@@ -15,7 +15,7 @@ from hsdfactor.hsd import (
     verify_identities,
     verify_induction_dims,
 )
-from hsdfactor.polyspace import Compose, Dirac, ScalarMix, SpinorPoly, VectorMult, apply, laplace, spinor_unit
+from hsdfactor.polyspace import Compose, Dirac, ScalarMix, VectorMult, apply, laplace
 from hsdfactor.weights import Weight, weight
 from hsd_oracle import (
     add_ops,
@@ -31,8 +31,8 @@ from hsd_oracle import (
     ref_polyharmonic_order,
     sub_ops,
     trace,
-    x_shift,
 )
+from polys import coordinates, poly, scale, spinor_unit, sub, x_shift, zero
 from test_acceptance import twistor_inversion
 
 
@@ -71,7 +71,7 @@ def test_value_preservation_two_row_shape():
     from hsdfactor.polyspace import MixedEuler
 
     op = explicit_hsd(weight(1, 1), 5)
-    for b in domain_basis(op, 1)[:8]:
+    for b in list(domain_basis(op, 1))[:8]:
         image = apply_op(op, b)
         assert apply(Dirac(1), image).is_zero()
         assert apply(Dirac(2), image).is_zero()
@@ -113,9 +113,9 @@ def test_generic_operators_and_agreement():
             if want.is_zero():
                 assert got.is_zero()
                 continue
-            key = next(iter(want.coordinates()))
-            r = got.coordinates().get(key, QQi(0)) / want.coordinates()[key]
-            assert (got - want.scale(r)).is_zero()
+            key = next(iter(coordinates(want)))
+            r = coordinates(got).get(key, QQi(0)) / coordinates(want)[key]
+            assert sub(got, scale(want, r)).is_zero()
             ratio = r if ratio is None else ratio
             assert r == ratio
         ratios.add(repr(ratio))
@@ -134,7 +134,7 @@ def test_generic_single_summand_is_dirac():
     assert len(ops) == 1
     op = ops[0]
     for b in domain_basis(op, 2):
-        assert (apply_op(op, b) - apply(Dirac(0), b)).is_zero()
+        assert sub(apply_op(op, b), apply(Dirac(0), b)).is_zero()
 
 
 def test_twistor_maps_kernels_to_kernels():
@@ -427,11 +427,11 @@ def test_theorem_failure_reports(outcome, monkeypatch, capsys):
 def test_polyharmonic_order_examples():
     # coefficient vectors {(alpha, j): (re, im)} and the polynomials they stand for
     m = 3
-    h = SpinorPoly(m, 0, {(1, 1, 0): (QQi(1), QQi(0))})  # x1 x2, harmonic
+    h = poly(m, 0, {(1, 1, 0): (QQi(1), QQi(0))})  # x1 x2, harmonic
     assert ref_polyharmonic_order(h) == polyharmonic_order({((1, 1, 0), 0): (1, 0)}) == 1
-    r2 = SpinorPoly(m, 0, {(2, 0, 0): (QQi(1), QQi(0)),
-                           (0, 2, 0): (QQi(1), QQi(0)),
-                           (0, 0, 2): (QQi(1), QQi(0))})
+    r2 = poly(m, 0, {(2, 0, 0): (QQi(1), QQi(0)),
+                     (0, 2, 0): (QQi(1), QQi(0)),
+                     (0, 0, 2): (QQi(1), QQi(0))})
     vec = {((2, 0, 0), 0): (1, 0), ((0, 2, 0), 0): (1, 0), ((0, 0, 2), 0): (1, 0)}
     assert ref_polyharmonic_order(r2) == polyharmonic_order(vec) == 2
     # x1^2 b_1 + i x2^2 b_1 + x3^2 b_1: a complex coefficient, a nonzero value index
@@ -440,7 +440,7 @@ def test_polyharmonic_order_examples():
     assert polyharmonic_order({((2, 0, 0), 0): (1, 0), ((0, 2, 0), 1): (-1, 0)}) == 2
     assert polyharmonic_order({((2, 0, 0), 0): (1, 0), ((0, 2, 0), 0): (-1, 0)}) == 1
     assert polyharmonic_order({((4, 0, 0), 0): (0, 3)}) == 3
-    assert ref_polyharmonic_order(SpinorPoly(m, 0)) == polyharmonic_order({}) == 1
+    assert ref_polyharmonic_order(zero(m, 0)) == polyharmonic_order({}) == 1
 
 
 def test_kernel_polyharmonicity_bound_and_sharpness():
@@ -462,13 +462,13 @@ def test_twistor_inversion_roundtrip():
     f = twistor_inversion(g, 3)
     assert degree(f, 0) == 1 and degree(f, 1) == 1
     assert apply(Dirac(1), f).is_zero()
-    assert (apply(Dirac(0), f) - apply(VectorMult(1), g)).is_zero()
+    assert sub(apply(Dirac(0), f), apply(VectorMult(1), g)).is_zero()
 
 
 def test_twistor_inversion_zero_and_bad_input():
-    z = twistor_inversion(SpinorPoly(3, 1), 3)
+    z = twistor_inversion(zero(3, 1), 3)
     assert z.is_zero()
-    bad = SpinorPoly(3, 1, {(1, 0, 0, 0, 0, 0): (QQi(1), QQi(0))})  # x1 s, not in ker R_0
+    bad = poly(3, 1, {(1, 0, 0, 0, 0, 0): (QQi(1), QQi(0))})  # x1 s, not in ker R_0
     with pytest.raises(ValueError):
         twistor_inversion(bad, 3)
 
@@ -532,9 +532,9 @@ def test_projector_columns_span_each_summand(lam, m):
         assert QQi(len(cols)) == trace(proj)
         assert len(cols) == weyl_dim(kappa, m)
         # each chosen column is fixed by the projector, so it lies in the summand
-        solver = SpanSolver([b.coordinates() for b in ps.ambient.basis])
-        for poly in cols:
-            coords = solver.coords(poly.coordinates())
+        solver = SpanSolver([coordinates(b) for b in ps.ambient.basis])
+        for col in cols:
+            coords = solver.coords(coordinates(col))
             assert matvec(proj, coords) == coords
 
 

@@ -19,10 +19,11 @@ from hsdfactor.hsd import (
     polyharmonic_order,
     verify_induction_dims,
 )
-from hsdfactor.linalg import ResourceCapError, int_nullspace
-from hsdfactor.polyspace import Dirac, combination, homogeneous_basis, stacked_rows
+from hsdfactor.linalg import Mat, ResourceCapError, int_nullspace
+from hsdfactor.polyspace import Dirac, homogeneous_basis, stacked_rows
 from hsdfactor.weights import weight
 from hsd_oracle import as_columns, domain_basis, ref_polyharmonic_order, ref_rows
+from polys import columns
 
 ORACLE_CASES = [((k,), 3, 2 * (k + 1)) for k in range(5)] + [(lam, 5, 2) for lam in [(1,), (2,), (1, 0), (1, 1)]]
 
@@ -38,7 +39,9 @@ def test_kernel_vectors_and_orders_match_the_polynomial_route(lam, m, top):
         cells = len(rows) * len(domain)
         got = kernel_basis(op, h, cap=cells)
         assert [as_columns(op, h, vec) for vec in got] == want, h
-        ref_orders = [ref_polyharmonic_order(combination(domain, vec)) for vec in want]
+        kernel = domain.combined(Mat._reduced(
+            [{c: vec[j] for c, vec in enumerate(want) if j in vec} for j in range(len(domain))], 1, len(want)))
+        ref_orders = [ref_polyharmonic_order(f) for f in columns(kernel)]
         assert [polyharmonic_order(vec) for vec in got] == ref_orders, h
         if cells:
             with pytest.raises(ResourceCapError) as exc:
@@ -167,6 +170,7 @@ def test_induction_builds_no_null_space_vector_and_no_polynomial(monkeypatch):
         for name in ("int_nullspace", "combination"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(polyspace.BlockPoly, "combined", refuse)
     rep = verify_induction_dims(3, 4, 3)
     assert rep.passed and rep.results == {"ker": 40, "double_monogenic": 16, "previous_kernel": 24}
 

@@ -1,9 +1,9 @@
 """`stacked_rows` and `joint_kernel` against the QQi route they replaced.
 
-The QQi route stacks every image's `coordinates()` and reads the null
+The QQi route stacks every image's `coordinates` and reads the null
 space off `ref_sparse_rref` with unit free entries.  The integer rows
 over their common denominator must be those coordinates, and, since
-`SpinorPoly` is canonical, the joint kernel must be the very same
+every block is canonical, the joint kernel must be the very same
 polynomials.
 """
 
@@ -23,8 +23,10 @@ from hsdfactor.polyspace import (
     combination,
     homogeneous_basis,
     joint_kernel,
+    monomials,
     stacked_rows,
 )
+from polys import coordinates, stack
 from test_sparse_rref import ref_sparse_rref
 
 
@@ -34,7 +36,7 @@ def qqi_rows(ops, domain):
     for si, op in enumerate(ops):
         for j, b in enumerate(domain):
             image = apply(op, b)
-            for key, val in image.coordinates().items():
+            for key, val in coordinates(image).items():
                 rows.setdefault((si, key), {})[j] = val
     return rows
 
@@ -46,7 +48,7 @@ def qqi_joint_kernel(ops, domain):
         for free in range(len(domain))
         if free not in pivots
     ]
-    return [combination(domain, vec) for vec in null]
+    return stack([combination(domain, vec) for vec in null])
 
 
 def test_stacked_rows_over_den_are_the_coordinates():
@@ -77,7 +79,7 @@ def harmonic(lam, m):
     specs = [LaplaceOp(p) for p in range(1, k + 1)]
     specs += [MixedLaplace(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
     specs += [MixedEuler(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
-    return specs, homogeneous_basis(m, k, (0,) + lam)[::2 ** ((m - 1) // 2)]
+    return specs, monomials(m, k, (0,) + lam)
 
 
 @pytest.mark.parametrize("lam,m", [((1,), 3), ((2,), 3), ((1, 1), 5)])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,32 +13,30 @@ from hsdfactor.polyspace import (
     IDENTITY,
     LaplaceOp,
     MixedEuler,
-    SpinorPoly,
     VectorMult,
     apply,
+    exponents,
     homogeneous_basis,
     laplace,
+    monomials,
     operator_matrix,
-    spinor_unit,
 )
 from test_acceptance import fischer_inner
 from hsd_oracle import matvec
+from polys import columns, lin, poly, scale, spinor_unit, stack
 
 
 def coord_monomial(m, k, assignments, vec):
     exp = [0] * ((k + 1) * m)
     for coord, e in assignments:
         exp[coord] = e
-    return SpinorPoly(m, k, {tuple(exp): tuple(vec)})
+    return poly(m, k, {tuple(exp): tuple(vec)})
 
 
 def radius_squared(m, k, var=0):
-    out = SpinorPoly(m, k)
     dim = 2 ** ((m - 1) // 2)
     unit = tuple(QQi(1) if s == 0 else QQi(0) for s in range(dim))
-    for i in range(m):
-        out = out + coord_monomial(m, k, [(var * m + i, 2)], unit)
-    return out
+    return lin(*((coord_monomial(m, k, [(var * m + i, 2)], unit), 1) for i in range(m)))
 
 
 def test_dirac_on_linear():
@@ -46,15 +45,15 @@ def test_dirac_on_linear():
     image = apply(Dirac(0), f)
     g1 = gamma_rep(m)[0]
     expected_vec = tuple(matvec(g1, [QQi(1), QQi(0)]))
-    assert image == SpinorPoly(m, k, {(0,) * m: expected_vec})
+    assert image == poly(m, k, {(0,) * m: expected_vec})
 
 
 def test_dirac_squared_is_minus_laplace():
     m, k = 3, 1
     f = radius_squared(m, k)
     twice = apply(Dirac(0), apply(Dirac(0), f))
-    assert twice == spinor_unit(m, k, 0).scale(-2 * m)
-    assert laplace(0, f) == spinor_unit(m, k, 0).scale(2 * m)
+    assert twice == scale(spinor_unit(m, k, 0), -2 * m)
+    assert laplace(0, f) == scale(spinor_unit(m, k, 0), 2 * m)
 
 
 def test_laplace_examples():
@@ -62,7 +61,7 @@ def test_laplace_examples():
     harmonic = coord_monomial(m, k, [(0, 1), (1, 1)], tuple(QQi(1 if s == 0 else 0) for s in range(4)))
     assert laplace(0, harmonic).is_zero()  # x_1 x_2 is harmonic
     f = radius_squared(m, k)
-    assert laplace(0, f) == spinor_unit(m, k, 0).scale(2 * m)
+    assert laplace(0, f) == scale(spinor_unit(m, k, 0), 2 * m)
 
 
 def test_mixed_euler_kills_independent_polynomials():
@@ -75,17 +74,15 @@ def test_euler_measures_degree():
     # the Euler operator of one variable group is MixedEuler(v, v)
     m, k = 3, 1
     f = coord_monomial(m, k, [(0, 2), (m + 1, 1)], (QQi(1), QQi(2)))
-    assert apply(MixedEuler(0, 0), f) == f.scale(2)
-    assert apply(MixedEuler(1, 1), f) == f.scale(1)
+    assert apply(MixedEuler(0, 0), f) == scale(f, 2)
+    assert apply(MixedEuler(1, 1), f) == scale(f, 1)
 
 
 def test_mixed_euler_commutes_with_x_dirac():
     m, k = 3, 2
     rng = random.Random(11)
     basis = homogeneous_basis(m, k, (2, 1, 1))
-    f = SpinorPoly(m, k)
-    for b in rng.sample(basis, 6):
-        f = f + b.scale(QQi(rng.randint(-3, 3), rng.randint(-2, 2)))
+    f = lin(*((b, QQi(rng.randint(-3, 3), rng.randint(-2, 2))) for b in rng.sample(list(basis), 6)))
     lhs = apply(MixedEuler(1, 2), apply(Dirac(0), f))
     rhs = apply(Dirac(0), apply(MixedEuler(1, 2), f))
     assert lhs == rhs
@@ -99,9 +96,24 @@ def test_apply_is_linear():
     g = basis[10]
     a, b = QQi(Fraction(2, 3)), QQi(0, 1)
     for spec in (Dirac(0), VectorMult(1), MixedEuler(1, 1), LaplaceOp(0)):
-        lhs = apply(spec, f.scale(a) + g.scale(b))
-        rhs = apply(spec, f).scale(a) + apply(spec, g).scale(b)
+        lhs = apply(spec, lin((f, a), (g, b)))
+        rhs = lin((apply(spec, f), a), (apply(spec, g), b))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("m,k,degrees", [(3, 0, (2,)), (3, 1, (1, 2)), (5, 2, (0, 1, 1))])
+def test_homogeneous_basis_is_exponent_major_spinor_minor(m, k, degrees):
+    """Column j * 2^n + s is monomial j (variable groups outermost, in listed
+    order) times spinor unit s, and basis[c] reads column c."""
+    dim = 2 ** ((m - 1) // 2)
+    exps = [sum(parts, ()) for parts in itertools.product(*(exponents(m, d) for d in degrees))]
+    want = [poly(m, k, {e: [int(t == s) for t in range(dim)]}) for e in exps for s in range(dim)]
+    basis = homogeneous_basis(m, k, degrees)
+    assert basis == stack(want)
+    assert list(basis) == want == columns(basis)
+    assert monomials(m, k, degrees) == stack([poly(m, k, {e: [1]}) for e in exps])
+    with pytest.raises(IndexError):
+        basis[len(want)]
 
 
 def test_homogeneous_basis_counts():
@@ -140,9 +152,9 @@ def test_operator_matrix_span_failures_are_internal_errors():
     amb = simplicial_harmonic_ambient(weight(1), 3)
     spec = orbital_spec(0, 2, 3, amb.k)
     with pytest.raises(AssertionError, match="leaves the span"):
-        operator_matrix(spec, amb.basis, amb.basis[:-1])
+        operator_matrix(spec, amb.basis, stack(list(amb.basis)[:-1]))
     with pytest.raises(AssertionError, match="linearly dependent"):
-        operator_matrix(spec, amb.basis, amb.basis + amb.basis[:1])
+        operator_matrix(spec, amb.basis, stack([amb.basis, amb.basis[0]]))
     assert issubclass(SpanError, AssertionError) and not issubclass(SpanError, ValueError)
 
 
@@ -170,7 +182,7 @@ def test_fischer_inner():
 
 def test_joint_kernel_of_specs():
     from hsdfactor.linalg import ResourceCapError
-    from hsdfactor.polyspace import combination, joint_kernel, stacked_rows
+    from hsdfactor.polyspace import BlockPoly, combination, joint_kernel, stacked_rows
 
     dom = homogeneous_basis(3, 0, (2,))
     kernel = joint_kernel([Dirac(0)], dom)
@@ -182,8 +194,9 @@ def test_joint_kernel_of_specs():
     assert {key[0] for key in rows} == {0, 1} and den == 1
     with pytest.raises(ResourceCapError, match=r"^elimination size 6x12 exceeds cap 71$"):
         joint_kernel([Dirac(0)], dom, cap=71)
-    assert joint_kernel([Dirac(0)], [], cap=0) == []
-    assert combination(dom, {0: QQi(2), 3: QQi(0, 1)}) == dom[0].scale(2) + dom[3].scale(QQi(0, 1))
+    empty = BlockPoly(3, 0, 0, {})
+    assert joint_kernel([Dirac(0)], empty, cap=0) == empty
+    assert combination(dom, {0: QQi(2), 3: QQi(0, 1)}) == lin((dom[0], 2), (dom[3], QQi(0, 1)))
     assert combination(dom, [QQi(0)] * len(dom)).is_zero()
     # Gaussian-integer coefficients over a common denominator
     assert combination(dom, {0: (2, 0), 3: (0, 1)}, 4) == combination(dom, {0: QQi(Fraction(1, 2)), 3: QQi(0, Fraction(1, 4))})

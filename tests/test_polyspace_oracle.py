@@ -1,6 +1,6 @@
 """The fraction-free polynomial layer against the QQi code it replaced.
 
-`RefPoly` and `ref_apply` are the earlier production `SpinorPoly` and
+`RefPoly` and `ref_apply` are the earlier production polynomial and
 `apply`, kept apart from their names: coefficients are tuples of QQi,
 every operator builds one intermediate polynomial per coordinate and
 re-adds them with `+`.  The integer `apply` must give the same values on
@@ -12,7 +12,6 @@ as a spec.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -29,13 +28,12 @@ from hsdfactor.polyspace import (
     MixedEuler,
     MixedLaplace,
     ScalarMix,
-    SpinorPoly,
-    BlockPoly,
     VectorMult,
     _add_terms,
     apply,
     combination,
 )
+from polys import assert_canonical, coordinates, lin, poly, scale, spinor_dim, stack, sub, zero
 
 examples = settings(max_examples=80, deadline=None)
 
@@ -150,10 +148,10 @@ def ref_apply(spec, f):
     raise TypeError(spec)
 
 
-def to_ref(f: SpinorPoly) -> RefPoly:
-    dim = f.spinor_dim
+def to_ref(f) -> RefPoly:
+    dim = spinor_dim(f.m)
     terms = {}
-    for (exp, s), c in f.coordinates().items():
+    for (exp, s), c in coordinates(f).items():
         terms.setdefault(exp, [QQI_ZERO] * dim)[s] = c
     return RefPoly(f.m, f.k, terms)
 
@@ -178,7 +176,7 @@ def polys(draw, m, k):
         st.tuples(*[scalars] * dim),
         max_size=4,
     ))
-    return SpinorPoly(m, k, terms)
+    return poly(m, k, terms)
 
 
 def leaf_specs(m, k):
@@ -215,19 +213,6 @@ def spec_and_poly(draw):
     return draw(specs(m, k)), draw(polys(m, k))
 
 
-def assert_canonical(f: SpinorPoly):
-    assert f.den > 0
-    g = f.den
-    for vec in f.num.values():
-        assert any(re or im for re, im in vec)
-        assert len(vec) == f.spinor_dim
-        for re, im in vec:
-            g = gcd(g, re, im)
-    assert g == 1
-    if f.is_zero():
-        assert f.den == 1
-
-
 # --- tests -------------------------------------------------------------------
 
 @examples
@@ -237,7 +222,7 @@ def test_apply_matches_qqi_oracle(case):
     got = apply(spec, f)
     want = ref_apply(spec, to_ref(f))
     assert to_ref(got).terms == want.terms
-    assert got == SpinorPoly(f.m, f.k, want.terms)
+    assert got == poly(f.m, f.k, want.terms)
     assert_canonical(got)
 
 
@@ -259,12 +244,12 @@ def test_one_pass_over_matrices_with_different_denominators(data):
     # also bring spinor matrices with different denominators over their lcm
     m, k = data.draw(spaces)
     f = data.draw(polys(m, k))
-    dim = f.spinor_dim
+    dim = spinor_dim(m)
     a, b = (data.draw(st.tuples(*[st.tuples(*[scalars] * dim)] * dim)) for _ in range(2))
     weight = data.draw(scalars)
-    blocks, groups = BlockPoly.of([f]), {}
-    _add_terms(groups, blocks, [((), None, Mat(a)), ((0,), 1, Mat(b))], weight)
-    (got,) = blocks.summed(groups).columns()
+    groups = {}
+    _add_terms(groups, f, [((), None, Mat(a)), ((0,), 1, Mat(b))], weight)
+    got = f.summed(groups)
     rf = to_ref(f)
     want = (ref_apply(SpinorMat(Mat(a)), rf) + ref_apply(SpinorMat(Mat(b)), _coord_mult(_deriv(rf, 0), 1))).scale(weight)
     assert to_ref(got).terms == want.terms
@@ -278,14 +263,14 @@ def test_sums_scales_and_combination_match_oracle(data):
     f, g = data.draw(polys(m, k)), data.draw(polys(m, k))
     a, b = data.draw(scalars), data.draw(scalars)
     rf, rg = to_ref(f), to_ref(g)
-    assert to_ref(f + g).terms == (rf + rg).terms
-    assert to_ref(f - g).terms == (rf + rg.scale(-1)).terms
-    assert to_ref(-f).terms == rf.scale(-1).terms
-    assert to_ref(f.scale(a)).terms == rf.scale(a).terms
-    combo = combination([f, g], [a, b])
+    assert to_ref(lin((f, 1), (g, 1))).terms == (rf + rg).terms
+    assert to_ref(sub(f, g)).terms == (rf + rg.scale(-1)).terms
+    assert to_ref(scale(f, -1)).terms == rf.scale(-1).terms
+    assert to_ref(scale(f, a)).terms == rf.scale(a).terms
+    combo = combination(stack([f, g]), [a, b])
     assert to_ref(combo).terms == (rf.scale(a) + rg.scale(b)).terms
-    assert combination([f, g], {1: b}) == g.scale(b)
-    for h in (f + g, f - g, -f, f.scale(a), combo):
+    assert combination(stack([f, g]), {1: b}) == scale(g, b)
+    for h in (lin((f, 1), (g, 1)), sub(f, g), scale(f, -1), scale(f, a), combo):
         assert_canonical(h)
 
 
@@ -296,10 +281,15 @@ def test_canonical_form(data):
     f = data.draw(polys(m, k))
     c = data.draw(scalars.filter(bool))
     assert_canonical(f)
-    assert f.scale(c).scale(QQi(1) / c) == f
-    zero = f - f
-    assert zero.is_zero() and zero.den == 1 and zero == SpinorPoly(m, k)
-    assert f.scale(0).den == 1
-    assert SpinorPoly(m, k).den == 1
+    assert scale(scale(f, c), QQi(1) / c) == f
+    # zero has no blocks, however it is reached
+    for z in (sub(f, f), scale(f, 0), combination(stack([f]), [0])):
+        assert z.is_zero() and z.blocks == {} and z == zero(m, k)
     # explicit zero vectors are dropped at construction
-    assert SpinorPoly(m, k, {(0,) * ((k + 1) * m): (QQI_ZERO,) * f.spinor_dim}).is_zero()
+    assert poly(m, k, {(0,) * ((k + 1) * m): (QQI_ZERO,) * spinor_dim(m)}).is_zero()
+    # equality compares the blocks' integers, and the space and width
+    g = scale(f, c)
+    same = g.blocks.keys() == f.blocks.keys() and all(
+        (b.num, b.den) == (f.blocks[e].num, f.blocks[e].den) for e, b in g.blocks.items())
+    assert (g == f) == same
+    assert zero(m, k) != zero(m, k + 1) and stack([f, f]) != f

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -5,7 +6,17 @@ from fractions import Fraction
 
 from hsdfactor import cli, hsd, linalg, polyspace, repthy
 from hsdfactor.linalg import Mat
-from hsdfactor.polyspace import Dirac, MixedEuler, apply
+from hsdfactor.polyspace import (
+    BlockPoly,
+    Dirac,
+    LaplaceOp,
+    MixedEuler,
+    MixedLaplace,
+    apply,
+    exponents,
+    joint_kernel,
+    spinor_valued,
+)
 from hsdfactor.repthy import (
     casimir_eigenvalue,
     casimir_projectors,
@@ -18,6 +29,7 @@ from hsdfactor.repthy import (
 )
 from hsdfactor.weights import Weight, weight
 from hsd_oracle import projectors
+from polys import columns, poly, stack
 
 
 def test_weyl_dim_frozen_values():
@@ -71,9 +83,10 @@ def test_dims_builds_no_basis(monkeypatch, capsys):
         raise AssertionError("dims built a basis")
 
     for module in (linalg, polyspace, hsd, repthy):
-        for name in ("int_nullspace", "combination", "combinations"):
+        for name in ("int_nullspace", "combination"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(polyspace.BlockPoly, "combined", refuse)
     assert cli.run(["dims", "--mu", "2,1", "--m", "5"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["results"]["dimension"] == data["results"]["weyl"] == 64
@@ -148,3 +161,34 @@ def test_pad_weight():
     assert pad_weight(weight(1), 2) == weight(1, 0)
     with pytest.raises(ValueError):
         pad_weight(weight(1, 0, 0), 2)
+
+
+def stand_in_ambient(lam, m):
+    """The ambient basis built the earlier way: scalar harmonics found among
+    the monomials times the first spinor unit (a scalar stand-in), then each
+    harmonic's value moved to every spinor slot in turn, scalar-major."""
+    degrees = tuple(e for e in lam if e)
+    k, dim = len(degrees), 2 ** ((m - 1) // 2)
+    first = [int(s == 0) for s in range(dim)]
+    exps = [sum(parts, ()) for parts in itertools.product(*(exponents(m, d) for d in (0,) + degrees))]
+    specs = [LaplaceOp(p) for p in range(1, k + 1)]
+    specs += [MixedLaplace(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
+    specs += [MixedEuler(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
+    harmonics = joint_kernel(specs, stack([poly(m, k, {e: first}) for e in exps]))
+    return stack([
+        BlockPoly(m, k, 1, {e: Mat._reduced(b.num[1:s + 1] + b.num[:1] + b.num[s + 1:], b.den, 1)
+                            for e, b in h.blocks.items()})
+        for h in columns(harmonics) for s in range(dim)
+    ])
+
+
+@pytest.mark.parametrize("lam,m", [
+    ((0,), 3), ((1,), 3), ((2,), 3),
+    ((0, 0), 5), ((1, 0), 5), ((1, 1), 5), ((2, 1), 5),
+    ((1, 0, 0), 7), ((1, 1, 1), 7),
+])
+def test_the_ambient_is_its_scalar_harmonics_tensor_the_spinor_units(lam, m):
+    """The same polynomials, in the same order, as the stand-in construction."""
+    ambient = simplicial_harmonic_ambient(Weight(lam), m)
+    assert all(b.nrows == 1 for b in ambient.scalars.blocks.values())
+    assert ambient.basis == spinor_valued(ambient.scalars) == stand_in_ambient(lam, m)

@@ -33,8 +33,8 @@ from hsdfactor.polyspace import (
     LaplaceOp,
     MixedEuler,
     MixedLaplace,
+    BlockPoly,
     ScalarMix,
-    SpinorPoly,
     VectorMult,
     apply,
     homogeneous_basis,
@@ -50,28 +50,28 @@ from hsdfactor.repthy import (
     so_generators,
 )
 from hsdfactor.weights import weight
-from hsd_oracle import x_shift
+from polys import coordinates, scale, stack, vectors, x_shift, zero
 from test_polyspace_oracle import SpinorMat, polys, rationals, ref_apply, spaces, to_ref
 
 
 def per_element_rows(specs, domain):
     """(spec index, (exponent, spinor index)) -> {column: (re, im)} over the lcm, one image at a time."""
-    images = [[apply(spec, b) for b in domain] for spec in specs]
-    den = lcm(*(f.den for fs in images for f in fs))
+    images = [[vectors(apply(spec, b)) for b in domain] for spec in specs]
+    den = lcm(*(f_den for fs in images for _, f_den in fs))
     rows = {}
     for si, fs in enumerate(images):
-        for j, f in enumerate(fs):
-            scale = den // f.den
-            for exp, vec in f.num.items():
+        for j, (num, f_den) in enumerate(fs):
+            g = den // f_den
+            for exp, vec in num.items():
                 for s, (re, im) in enumerate(vec):
                     if re or im:
-                        rows.setdefault((si, (exp, s)), {})[j] = (re * scale, im * scale)
+                        rows.setdefault((si, (exp, s)), {})[j] = (re * g, im * g)
     return rows, den
 
 
 def per_element_matrix(spec, domain, codomain):
-    solver = SpanSolver([b.coordinates() for b in codomain])
-    columns = [solver.coords(apply(spec, b).coordinates()) for b in domain]
+    solver = SpanSolver([coordinates(b) for b in codomain])
+    columns = [solver.coords(coordinates(apply(spec, b))) for b in domain]
     return Mat([[col[i] for col in columns] for i in range(len(codomain))])
 
 
@@ -94,7 +94,7 @@ def ref_casimir_spec(m, k):
 def ref_matrices(specs, basis):
     """The matrix of each spec on span(basis), one element at a time: each
     image from the QQi oracle `ref_apply`, its coordinates from `SpanSolver`."""
-    solver = SpanSolver([b.coordinates() for b in basis])
+    solver = SpanSolver([coordinates(b) for b in basis])
     out = []
     for spec in specs:
         columns = []
@@ -106,10 +106,11 @@ def ref_matrices(specs, basis):
 
 
 def shifted_monogenic(lam, m):
-    """x_i (x) b_j over a simplicial monogenic basis, i-major."""
+    """x_i (x) b_j over a simplicial monogenic basis, i-major, each
+    element shifted on its own."""
     basis = simplicial_monogenic_basis(weight(*lam), m).basis
     units = [tuple(int(t == i) for t in range(m)) for i in range(m)]
-    return [x_shift(b, e) for e in units for b in basis]
+    return stack([x_shift(b, e) for e in units for b in basis])
 
 
 def check_rows(specs, domain):
@@ -121,7 +122,7 @@ def check_rows(specs, domain):
 
 @pytest.mark.parametrize("lam,m", [((3,), 3), ((2, 1), 5)])
 def test_stacked_rows_of_the_explicit_spec(lam, m):
-    assert len({b.den for b in simplicial_monogenic_basis(weight(*lam), m).basis}) > 1
+    assert len({vectors(b)[1] for b in simplicial_monogenic_basis(weight(*lam), m).basis}) > 1
     check_rows([explicit_hsd(weight(*lam), m).spec], shifted_monogenic(lam, m))
 
 
@@ -133,7 +134,7 @@ def test_stacked_rows_of_the_casimir_and_of_several_specs():
     # the specs' images have different common denominators: 3, 2 and 4
     half = ScalarMix(((Fraction(1, 2), MixedEuler(1, 1)),))
     specs = [VectorMult(0), half, Compose((half, half))]
-    assert [lcm(*(apply(spec, b).den for b in basis)) for spec in specs] == [3, 2, 4]
+    assert [lcm(*(vectors(apply(spec, b))[1] for b in basis)) for spec in specs] == [3, 2, 4]
     check_rows(specs, basis)
 
 
@@ -169,8 +170,8 @@ def specs_and_domain(draw):
     cancel = draw(spec_trees(m, k))
     specs.append(ScalarMix(((1, cancel), (-1, cancel))))
     domain = draw(st.lists(polys(m, k), min_size=1, max_size=4))
-    domain += [SpinorPoly(m, k), domain[0].scale(QQi(Fraction(1, 3), Fraction(2, 3)))]
-    return draw(st.permutations(specs)), draw(st.permutations(domain))
+    domain += [zero(m, k), scale(domain[0], QQi(Fraction(1, 3), Fraction(2, 3)))]
+    return draw(st.permutations(specs)), stack(draw(st.permutations(domain)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,8 +216,8 @@ def test_casimir_matrix_is_the_per_element_matrix(lam, m):
 
 def test_operator_matrix_on_a_codomain_with_mixed_denominators():
     """O_12 on the (3), m = 3 harmonic scalars: the den_B / den_V rescale of `operator_matrix`."""
-    basis = simplicial_harmonic_ambient(weight(3), 3).basis[::2]
-    assert {f.den for f in basis} == {1, 3}
+    basis = simplicial_harmonic_ambient(weight(3), 3).scalars
+    assert {vectors(f)[1] for f in basis} == {1, 3}
     spec = orbital_spec(1, 2, 3, basis[0].k)
     got = operator_matrix(spec, basis, basis)
     assert got == per_element_matrix(spec, basis, basis)
@@ -250,10 +251,11 @@ def test_degree_one_images_are_the_per_element_images(lam, m):
 def test_empty_domains():
     dom = homogeneous_basis(3, 0, (1,))
     cod = homogeneous_basis(3, 0, (0,))
-    assert stacked_rows([Dirac(0)], []) == ({}, 1)
+    empty = BlockPoly(3, 0, 0, {})
+    assert stacked_rows([Dirac(0)], empty) == ({}, 1)
     assert stacked_rows([], dom) == ({}, 1)
-    assert joint_kernel([Dirac(0)], []) == []
-    mat = operator_matrix(Dirac(0), [], cod)
+    assert joint_kernel([Dirac(0)], empty) == empty
+    mat = operator_matrix(Dirac(0), empty, cod)
     assert (mat.nrows, mat.ncols) == (len(cod), 0)
-    mat = operator_matrix(IDENTITY, [], [])
+    mat = operator_matrix(IDENTITY, empty, empty)
     assert (mat.nrows, mat.ncols) == (0, 0)
