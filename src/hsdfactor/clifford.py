@@ -4,7 +4,9 @@ The algebra on generators e_1..e_m obeys e_p e_q + e_q e_p = -2 delta_pq.
 For odd m = 2n+1 the spinor space is realized concretely as column
 vectors of length 2^n acted on by gamma matrices built from the usual
 Pauli tensor construction; the factor i that squares the generators to
--1 is why scalars are Gaussian rationals.
+-1 is why scalars are Gaussian rationals.  This module owns that rule:
+`_rank_of` checks m and gives n, `spinor_dim` gives 2^n, and every
+other module reads both from here.
 """
 
 from __future__ import annotations
@@ -30,6 +32,18 @@ def _kron(a: Mat, b: Mat) -> Mat:
     return Mat._reduced(num, a.den * b.den, a.ncols * b.ncols)
 
 
+def _rank_of(m: int) -> int:
+    """The rank n of Spin(m) for an odd m = 2n+1 >= 3; any other m is a ValueError."""
+    if m < 3 or m % 2 == 0:
+        raise ValueError(f"odd dimension m = 2n+1 >= 3 required, got {m}")
+    return (m - 1) // 2
+
+
+def spinor_dim(m: int) -> int:
+    """2^n, the dimension of the spinor space for m = 2n+1."""
+    return 2 ** _rank_of(m)
+
+
 @lru_cache(maxsize=None)
 def gamma_rep(m: int) -> tuple:
     """The m deterministic 2^n x 2^n gamma matrices for odd m, gamma_i^2 = -1.
@@ -37,9 +51,7 @@ def gamma_rep(m: int) -> tuple:
     The construction is the standard Pauli chain for Euclidean Clifford
     generators squaring to +1, multiplied by i to flip the signature.
     """
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"odd dimension m = 2n+1 >= 3 required, got {m}")
-    n = (m - 1) // 2
+    n = _rank_of(m)
     gens = []
     for k in range(1, n + 1):
         left = Mat.identity(1)
@@ -57,7 +69,7 @@ def gamma_rep(m: int) -> tuple:
     minus_two_id = Mat.identity(dim).scale(-2)
     for i, gi in enumerate(gens):
         for j, gj in enumerate(gens):
-            anti = gi.anticommutator(gj)
+            anti = gi * gj + gj * gi
             expected = minus_two_id if i == j else Mat.zero(dim, dim)
             if anti != expected:
                 raise AssertionError(f"gamma anticommutator failed at ({i+1},{j+1})")

@@ -20,6 +20,7 @@ from itertools import islice, product
 from math import comb, factorial, lcm, perm, prod
 from operator import add, sub
 
+from .clifford import _rank_of, spinor_dim
 from .gaussian import QQi, QQI_ZERO
 from .linalg import DEFAULT_CELL_CAP, Mat, ResourceCapError, _echelon, check_cells, int_nullspace, nullity, solve_sparse
 from .opalgebra import expand_laplace_power
@@ -39,7 +40,6 @@ from .polyspace import (
 from .repthy import (
     ProjectorSet,
     RealizedSpace,
-    _rank_of,
     casimir_projectors,
     gamma_on_ambient,
     pad_weight,
@@ -383,7 +383,7 @@ def verify_induction_dims(k: int, h: int, m: int, cap: int = DEFAULT_CELL_CAP) -
     """
     r_k = explicit_hsd(Weight((k,)), m, cap)
     counted = [_kernel_rows(r_k.deriv_op, len(r_k.source_basis), h, cap)]
-    s = 2 ** ((m - 1) // 2)  # spinor dimension
+    s = spinor_dim(m)
     n = {e: comb(m + e - 1, e) if e >= 0 else 0 for e in (h - 1, h, k - 1, k)}  # |exponents(m, e)|
     check_cells(s * (n[h - 1] * n[k] + n[h] * n[k - 1]), s * n[h] * n[k], cap)
     counted.append(_kernel_rows(_degree_one_images(Dirac(0), r_k.source_basis, m), len(r_k.source_basis), h, cap))
@@ -534,7 +534,7 @@ def verify_factorization_numeric(
     (2p, 0, ..., 0) alone for m >= 5, and the sum sum_lam c_lam C_lam as
     the terms (sig + s, base[sig], c_lam f) over the closers (s, f).
     """
-    mu = pad_weight(mu, (m - 1) // 2)
+    mu = pad_weight(mu, _rank_of(m))
     if mu.spin:
         raise ValueError("mu must be integral")
     if p <= mu.entries[0]:

@@ -259,9 +259,6 @@ class Mat:
 
     __hash__ = None
 
-    def anticommutator(self, other):
-        return self * other + other * self
-
     def rank(self):
         # the common denominator does not change the rank
         return self.ncols - nullity(self.num, self.ncols)

@@ -233,12 +233,6 @@ class OperatorExpr:
 ZERO = OperatorExpr()
 
 
-def identity_expr(at: Weight) -> OperatorExpr:
-    if not is_dominant(at):
-        return ZERO
-    return OperatorExpr({OperatorWord(at, at): Fraction(1)})
-
-
 def _step_sign(entries, c: int) -> int:
     """Normalization sign of a step in 0-based coordinate c at entries e: (-1)^(e_{c+2} + ... + e_n).
 
@@ -279,15 +273,6 @@ def _path_word(nodes) -> tuple:
     for a, sym in zip(nodes, syms):
         sign *= _step_sign(a.entries, sym.step[0])
     return sign, OperatorWord(nodes[-1], nodes[0], tuple(reversed(syms)))
-
-
-def twistor(target: Weight, source: Weight) -> OperatorExpr:
-    """Normalized twistor symbol; zero when either weight is non-dominant.
-
-    TwistorSym rejects endpoints that are not half-integral or not at distance 1.
-    """
-    sign, word = _path_word((source, target))
-    return OperatorExpr({word: Fraction(sign)}) if sign else ZERO
 
 
 def hsd_sym(at: Weight) -> OperatorExpr:
@@ -438,8 +423,6 @@ def path_forms(nodes, changes=None) -> tuple:
 
 def verify_path_independence(nu: Weight, mu: Weight, cap: int = 10000) -> Report:
     """All paths (and all reverse paths) give one normal form each way, compared as path_forms."""
-    if not bruhat_leq(nu, mu):
-        raise ValueError(f"{nu} is not below {mu}")
     enum = enumerate_paths(nu, mu, cap=cap)
     changes = [path_changes(p) for p in enum.paths]
     if enum.truncated:
@@ -687,10 +670,11 @@ def _bottom_position(word: OperatorWord):
 
 
 def _lowerings(w: Weight):
-    """(i, w - e_i) for the dominant weights one step below w, in coordinate order."""
+    """(i, w - e_i) for the dominant weights one step below w, in coordinate order;
+    w - e_i breaks dominance at (i, i+1) unless w_i > w_{i+1} (w_{n+1} = 0)."""
+    ents = w.entries + (0,)
     for i in range(w.rank):
-        lower = w.shifted(i, -1)
-        if is_dominant(lower):
+        if ents[i] > ents[i + 1] and is_dominant(lower := w.shifted(i, -1)):
             yield i, lower
 
 

@@ -1,10 +1,11 @@
 """Spinor-valued polynomials in x and dummy vector variables u_1..u_k.
 
 A polynomial is a map from multi-exponents over the (k+1)*m coordinates
-(x first, then each u_p) to vectors: spinor vectors of length 2^n, or
-scalars.  A `BlockPoly` holds a whole space, its polynomials side by
-side, one r x ncols `Mat` per exponent (r = 2^n, or 1 for scalar
-polynomials); one polynomial is the one-column case.  The blocks are
+(x first, then each u_p) to vectors: spinor vectors of length
+`clifford.spinor_dim(m)` = 2^n, or scalars.  A `BlockPoly` holds a whole
+space, its polynomials side by side, one r x ncols `Mat` per exponent
+(r = 2^n, or 1 for scalar polynomials); one polynomial is the
+one-column case.  The blocks are
 fraction-free, like every `linalg.Mat`: Gaussian-integer numerators over
 one reduced denominator, so operators, sums and comparisons run on
 Python ints.  First-order invariant building blocks are assembled from
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .clifford import _kron, gamma_rep
+from .clifford import _kron, gamma_rep, spinor_dim
 from .gaussian import QQi
 from .linalg import DEFAULT_CELL_CAP, Mat, check_cells, int_nullspace, span_coords
 from .weights import Frozen, _set
@@ -110,6 +111,8 @@ class MixedEuler(Frozen):
 
 
 class LaplaceOp(Frozen):
+    """+sum_i d^2/dv_i^2 in the variable group v, so that Dirac(v)^2 = -LaplaceOp(v)."""
+
     __slots__ = ("var",)
 
     def __init__(self, var: int = 0):
@@ -227,16 +230,6 @@ def apply(spec, f: BlockPoly) -> BlockPoly:
     return f.summed(groups)
 
 
-def laplace(var: int, f: BlockPoly) -> BlockPoly:
-    """Componentwise sum of second derivatives in one variable group.
-
-    Sign convention: this computes +sum d^2/dv_i^2, and the classical
-    identity reads Dirac(v)^2 = -laplace(v, .), checked exactly in the
-    test suite.
-    """
-    return apply(LaplaceOp(var), f)
-
-
 # ---------------------------------------------------------------------------
 # homogeneous bases and exact matrices
 
@@ -271,7 +264,7 @@ def monomials(m: int, k: int, degrees) -> BlockPoly:
 def spinor_valued(f: BlockPoly) -> BlockPoly:
     """Scalar polynomials tensored with the spinor units: column j * 2^n + s
     is f[j] times unit s, so scalar-major, spinor-minor."""
-    unit = Mat.identity(2 ** ((f.m - 1) // 2))
+    unit = Mat.identity(spinor_dim(f.m))
     return BlockPoly(f.m, f.k, f.ncols * unit.ncols, {e: _kron(b, unit) for e, b in f.blocks.items()})
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .clifford import _kron, gamma_rep
+from .clifford import _kron, _rank_of, gamma_rep, spinor_dim
 from .gaussian import QQi
 from .linalg import DEFAULT_CELL_CAP, Mat, check_cells, int_nullspace, nullity, span_coords
 from .polyspace import (
@@ -35,12 +35,6 @@ from .polyspace import (
     stacked_rows,
 )
 from .weights import Weight, is_dominant, summand_weights
-
-
-def _rank_of(m: int) -> int:
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"odd dimension m = 2n+1 >= 3 required, got {m}")
-    return (m - 1) // 2
 
 
 def pad_weight(w: Weight, n: int) -> Weight:
@@ -112,11 +106,10 @@ class RealizedSpace:
     tensors with the spinor units (None for a spin module).
     """
 
-    def __init__(self, label: Weight, m: int, k: int, degrees: tuple, basis: BlockPoly, scalars: BlockPoly = None):
+    def __init__(self, label: Weight, m: int, k: int, basis: BlockPoly, scalars: BlockPoly = None):
         self.label = label
         self.m = m
         self.k = k
-        self.degrees = degrees
         self.basis = basis
         self.scalars = scalars
 
@@ -151,7 +144,7 @@ def simplicial_monogenic_basis(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP)
         raise AssertionError(
             f"simplicial monogenic dimension {len(basis)} != Weyl dimension {expected} for {lam}, m={m}"
         )
-    return RealizedSpace(label, m, len(degrees), degrees, basis)
+    return RealizedSpace(label, m, len(degrees), basis)
 
 
 def simplicial_monogenic_dim(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP) -> tuple:
@@ -187,9 +180,9 @@ def simplicial_harmonic_ambient(lam: Weight, m: int, cap: int = DEFAULT_CELL_CAP
         raise AssertionError(
             f"simplicial harmonic dimension {len(scalars)} != Weyl dimension {expected} for {lam}, m={m}"
         )
-    d = len(scalars) * 2 ** n
+    d = len(scalars) * spinor_dim(m)
     check_cells(d, d, cap)
-    return RealizedSpace(label, m, k, degrees, spinor_valued(scalars), scalars)
+    return RealizedSpace(label, m, k, spinor_valued(scalars), scalars)
 
 
 def gamma_on_ambient(ambient: RealizedSpace) -> list:
@@ -219,7 +212,7 @@ def so_generators(ambient: RealizedSpace) -> dict:
     close under the same brackets, [L_ab, L_ac] = L_bc, which the
     eigenvalue match in the projector construction then confirms."""
     m = ambient.m
-    spin = Mat.identity(2 ** ((m - 1) // 2))
+    spin = Mat.identity(spinor_dim(m))
     gams = gamma_on_ambient(ambient)
     half = QQi(Fraction(1, 2))
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]

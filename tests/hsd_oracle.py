@@ -21,10 +21,10 @@ from hsdfactor.hsd import DerivOp
 from hsdfactor.linalg import Mat, SpanSolver, _common_den, _numerators, _qqi
 from hsdfactor.polyspace import (
     BlockPoly,
+    LaplaceOp,
     apply,
     combination,
     exponents,
-    laplace,
 )
 from polys import columns, coordinates, lin, stack, vectors, x_shift, zero
 
@@ -177,7 +177,7 @@ def ref_polyharmonic_order(f: BlockPoly) -> int:
     bound = degree(f, 0) // 2 + 1
     g = f
     for p in range(1, bound + 1):
-        g = laplace(0, g)
+        g = apply(LaplaceOp(0), g)
         if g.is_zero():
             return p
     raise ArithmeticError("polynomial not annihilated within the degree bound")

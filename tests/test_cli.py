@@ -383,6 +383,19 @@ def test_even_dimension_is_usage_error(capsys, argv):
     assert data == {"error": "usage", "message": "odd dimension m = 2n+1 >= 3 required, got 4"}
 
 
+@pytest.mark.parametrize("m", [1, 2, 4, -3])
+@pytest.mark.parametrize(
+    "command",
+    ["dims", "kernel --degree 1", "verify identities --degree 2", "verify theorem --power 2 --degree 4",
+     "verify induction --degree 2", "verify corollary --degree 3"],
+)
+def test_every_numeric_command_refuses_a_bad_m_alike(capsys, command, m):
+    # the theorem padded mu to (m - 1) // 2 coordinates unchecked, so m = 1 read "does not fit rank 0"
+    code, data = run_json(capsys, command.split() + ["--mu", "1", "--m", str(m)])
+    assert code == 2
+    assert data == {"error": "usage", "message": f"odd dimension m = 2n+1 >= 3 required, got {m}"}
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

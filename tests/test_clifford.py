@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from hsdfactor.clifford import gamma_rep
+from hsdfactor.clifford import gamma_rep, spinor_dim
 from hsdfactor.gaussian import QQi, QQI_ZERO
 from hsdfactor.linalg import Mat, SpanSolver
 from hsd_oracle import trace
@@ -138,11 +138,12 @@ def test_gamma_rep(m):
     gam = gamma_rep(m)
     n = (m - 1) // 2
     assert len(gam) == m
+    assert spinor_dim(m) == 2 ** n
     assert all(g.nrows == g.ncols == 2 ** n for g in gam)
     minus_two = Mat.identity(2 ** n).scale(-2)
     for i, gi in enumerate(gam):
         for j, gj in enumerate(gam):
-            anti = gi.anticommutator(gj)
+            anti = gi * gj + gj * gi
             if i == j:
                 assert anti == minus_two
             else:

@@ -18,13 +18,11 @@ from hsdfactor.opalgebra import (
     expand_laplace_power,
     hsd_sym,
     HsdSym,
-    identity_expr,
     laplace_sym,
     normal_form,
     normalization_sign,
     path_forms,
     path_operator,
-    twistor,
     vanish_outside_box,
     verify_path_independence,
 )
@@ -54,9 +52,9 @@ def dominants(rank, max_entry):
 # --- symbols ---------------------------------------------------------------
 
 def test_symbol_constructors():
-    t = twistor(sw(1, 0), sw(0, 0))
+    t = path_operator((sw(0, 0), sw(1, 0)))
     assert len(t.terms) == 1
-    assert twistor(sw(1, 2), sw(1, 1)).is_zero()  # non-dominant target
+    assert path_operator((sw(1, 1), sw(1, 2))).is_zero()  # non-dominant target
     assert len(hsd_sym(sw(3)).terms) == 1
     assert laplace_sym(sw(0, -1)).is_zero()
     for target, source in [
@@ -66,7 +64,7 @@ def test_symbol_constructors():
         (sw(1, 0), weight(0, 0)),  # mixed
     ]:
         with pytest.raises(ValueError):
-            twistor(target, source)
+            TwistorSym(target, source)
 
 
 def test_normalization_sign_examples():
@@ -109,7 +107,7 @@ def test_normalized_squares_commute():
 # --- normal form -----------------------------------------------------------
 
 def test_normal_form_sorts_to_canonical_path():
-    e = twistor(sw(2, 1), sw(1, 1)) * twistor(sw(1, 1), sw(1, 0))
+    e = path_operator((sw(1, 1), sw(2, 1))) * path_operator((sw(1, 0), sw(1, 1)))
     canon = path_operator(canonical_path(weight(1, 0), weight(2, 1)))
     assert normal_form(e) == normal_form(canon)
     word, coeff = next(iter(normal_form(e).terms.items()))
@@ -117,12 +115,12 @@ def test_normal_form_sorts_to_canonical_path():
 
 
 def test_normal_form_kills_nondominant_intermediate():
-    e = twistor(sw(2, 2), sw(2, 1)) * twistor(sw(2, 1), sw(1, 1))
+    e = path_operator((sw(2, 1), sw(2, 2))) * path_operator((sw(1, 1), sw(2, 1)))
     assert normal_form(e).is_zero()
 
 
 def test_normal_form_moves_hsd_to_source():
-    e = hsd_sym(sw(1)) * twistor(sw(1), sw(0))
+    e = hsd_sym(sw(1)) * path_operator((sw(0), sw(1)))
     nf = normal_form(e)
     assert len(nf.terms) == 1
     word, coeff = next(iter(nf.terms.items()))
@@ -131,8 +129,8 @@ def test_normal_form_moves_hsd_to_source():
 
 
 def test_identity_and_composition_endpoints():
-    i = identity_expr(sw(1, 0))
-    t = twistor(sw(1, 1), sw(1, 0))
+    i = laplace_sym(sw(1, 0), 0)
+    t = path_operator((sw(1, 0), sw(1, 1)))
     assert t * i == t
     with pytest.raises(ValueError):
         _ = i * t  # endpoints do not match
@@ -145,7 +143,7 @@ def test_path_operator_examples():
     word, coeff = next(iter(expr.terms.items()))
     assert abs(coeff) == 1 and len(word.syms) == 3
     empty = path_operator(canonical_path(weight(1, 1), weight(1, 1)))
-    assert empty == identity_expr(sw(1, 1))
+    assert empty == laplace_sym(sw(1, 1), 0) == OperatorExpr({OperatorWord(sw(1, 1), sw(1, 1)): Fraction(1)})
     a, b = (path_operator(q) for q in enumerate_paths(weight(1, 0), weight(2, 1)).paths)
     assert normal_form(a) == normal_form(b)
 
@@ -254,7 +252,7 @@ def test_eliminate_laplace_matches_defining_relation():
     lhs = eliminate_laplace(laplace_sym(mu))
     rhs = normal_form(
         (hsd_sym(mu) * hsd_sym(mu)).scale(-1)
-        + (twistor(mu, sw(0, 0)) * twistor(sw(0, 0), mu)).scale(-1)
+        + (path_operator((sw(0, 0), mu)) * path_operator((mu, sw(0, 0)))).scale(-1)
     )
     assert lhs == rhs
 

@@ -36,12 +36,10 @@ from hsdfactor.opalgebra import (
     eliminate_laplace,
     expand_laplace_power,
     hsd_sym,
-    identity_expr,
     laplace_sym,
     normal_form,
     normalization_sign,
     path_operator,
-    twistor,
 )
 from hsdfactor.linalg import ResourceCapError
 from hsdfactor.weights import (
@@ -74,7 +72,7 @@ def product_twistor(target: Weight, source: Weight) -> OperatorExpr:
 
 def product_path_operator(path) -> OperatorExpr:
     nodes = [w if w.spin else w.spin_shifted() for w in path]
-    expr = identity_expr(nodes[0])
+    expr = laplace_sym(nodes[0], 0)
     for a, b in zip(nodes, nodes[1:]):
         expr = product_twistor(b, a) * expr
     return expr
@@ -375,8 +373,9 @@ def test_path_operator_matches_product_of_twistors(mu):
 def test_twistor_matches_the_product_oracle_on_single_steps():
     ws = [Weight(e, spin=True) for e in itertools.product(range(-1, 3), repeat=2)]
     pairs = [(t, s) for t in ws for s in ws if manhattan_distance(t, s) == 1]
-    assert all(twistor(t, s) == product_twistor(t, s) for t, s in pairs)
-    assert any(twistor(t, s).is_zero() for t, s in pairs) and any(not twistor(t, s).is_zero() for t, s in pairs)
+    steps = [(path_operator((s, t)), product_twistor(t, s)) for t, s in pairs]
+    assert all(step == oracle for step, oracle in steps)
+    assert any(step.is_zero() for step, _ in steps) and any(not step.is_zero() for step, _ in steps)
 
 
 @pytest.mark.parametrize("mu,p", CERTS)
@@ -604,6 +603,17 @@ def with_parts(cert, middle=None, residual=None) -> FactorizationCertificate:
 
 def _first_term(expr):
     return min(expr.terms, key=lambda w: w.sort_key())
+
+
+def test_lowerings_match_shift_and_check():
+    """_lowerings shifts coordinate i only when w_i > w_{i+1} (w_{n+1} = 0); the
+    earlier route shifted every coordinate and kept the dominant results."""
+    for rank in range(1, 5):
+        for entries in itertools.product(range(-1, 4), repeat=rank):
+            for spin in (False, True):
+                w = Weight(entries, spin)
+                shifted = [(i, w.shifted(i, -1)) for i in range(rank)]
+                assert list(_lowerings(w)) == [(i, low) for i, low in shifted if is_dominant(low)], w
 
 
 @pytest.mark.parametrize("mu,p", CERTS)
